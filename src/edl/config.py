@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import difflib
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -35,6 +36,9 @@ class ExperimentConfig:
     do_assert: bool = True
 
     def validate(self):
+        for name in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_modes <= 0:
             raise ConfigError(f"n_modes must be positive, got {self.n_modes}")
         if self.l_min <= 0:

@@ -9,7 +9,6 @@ real-linear, not complex-linear.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +73,12 @@ class RealizedOperator:
         for j, l in enumerate(range(-n_in, n_in + 1)):
             for part, unit in enumerate((1.0, 1.0j)):
                 basis = FourierSeries1D.single_mode(l, unit, circumference)
-                out = fn(basis)
-                if out.n_modes < n_out:
-                    out = out.pad_to(n_out)
-                elif out.n_modes > n_out:
-                    out = out.truncate(n_out)
+                out = fn(basis).truncate(n_out)
                 cols[:, part * (2 * n_in + 1) + j] = real_coords(out)
         return RealizedOperator(cols, n_in, n_out, circumference)
 
     def apply(self, series):
-        if series.n_modes != self.n_in:
-            series = series.pad_to(self.n_in) if series.n_modes < self.n_in else series.truncate(self.n_in)
+        series = series.truncate(self.n_in)
         return series_from_real(self.matrix @ real_coords(series), self.circumference)
 
     def graded_matrix(self, m_out=0.0, m_in=0.0):
@@ -316,8 +310,7 @@ class ExtendedSystem:
 
     def solve(self, g_series):
         """Solve T eta + lambda col = g on mean-zero modes with <eta, phi> = 0."""
-        g = real_coords(g_series.pad_to(self.n_modes) if g_series.n_modes < self.n_modes
-                        else g_series.truncate(self.n_modes))
+        g = real_coords(g_series.truncate(self.n_modes))
         keep = _mean_zero_indices(self.n_modes)
         rhs = np.concatenate([g[keep], [0.0]])
         sol = np.linalg.solve(self.matrix, rhs)

@@ -23,7 +23,8 @@ Conventions fixed here and used by every downstream module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,6 +113,9 @@ def _fornberg_weights(z, x, m):
     return w[:, m]
 
 
+FD_ORDER = 8  # accuracy order of the log-grid derivative stencils
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Geometric grid on (0, R]; uniform in s = log r.
@@ -121,8 +125,6 @@ class RadialGrid:
     """
 
     r: np.ndarray
-    fd_order: int = 8
-    _dmat: sp.csr_matrix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -132,7 +134,6 @@ class RadialGrid:
         if np.any(ds <= 0.0) or not np.allclose(ds, ds[0], rtol=1e-8):
             raise ValueError("radial grid must be geometric (uniform in log r)")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_dmat", self._log_derivative_matrix())
 
     @staticmethod
     def geometric(r_max, n_points, r_min_factor=1e-4):
@@ -148,19 +149,23 @@ class RadialGrid:
     def ds(self):
         return float(np.log(self.r[1] / self.r[0]))
 
-    def _log_derivative_matrix(self):
+    @cached_property
+    def _dmat(self):
+        """d/ds on the log grid, built on first use.
+
+        Row i differentiates at offset i - lo(i) within the window of `width`
+        nodes starting at lo(i). The grid is uniform in s, so the weights
+        depend only on that offset: `width` distinct stencils serve all rows.
+        """
         n = self.r.size
-        order = min(self.fd_order, n - 1)
-        width = order + 1
-        s = np.arange(n, dtype=float) * self.ds
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            lo = min(max(i - width // 2, 0), n - width)
-            idx = np.arange(lo, lo + width)
-            w = _fornberg_weights(s[i], s[idx], 1)
-            rows.extend([i] * width)
-            cols.extend(idx.tolist())
-            vals.extend(w.tolist())
+        width = min(FD_ORDER, n - 1) + 1
+        s = np.arange(width) * self.ds
+        stencils = np.array([_fornberg_weights(z, s, 1) for z in s])
+        i = np.arange(n)
+        lo = np.clip(i - width // 2, 0, n - width)
+        rows = np.repeat(i, width)
+        cols = (lo[:, None] + np.arange(width)).ravel()
+        vals = stencils[i - lo].ravel()
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def derivative(self, values, axis=0):
@@ -488,10 +493,6 @@ class SpinorField:
     @property
     def shape(self):
         return self.plus.shape
-
-    def t_points(self):
-        nt = self.shape[0]
-        return np.arange(nt) * (self.circumference / nt)
 
     def theta_points(self):
         nth = self.shape[2]

@@ -45,7 +45,6 @@ from .deform import (
     t_op,
 )
 from .bgvar import bg_pairing_comparison
-from .util import parallel_map
 from .newton import (
     ToyProblem,
     eigenvalue_continuation,
@@ -108,7 +107,7 @@ def _mode_residual(l, r_max):
 def run_modes(cfg):
     failures, rows = [], []
     l_values = [l for a in range(cfg.l_min, cfg.l_max + 1) for l in (a, -a)]
-    residuals = parallel_map(lambda l: _mode_residual(l, cfg.r_max), l_values)
+    residuals = [_mode_residual(l, cfg.r_max) for l in l_values]
     for l, rel in zip(l_values, residuals):
         rows.append((l, rel))
         _check(failures, rel < cfg.tol, f"mode {l}: residual {rel:.3e} >= {cfg.tol:.1e}")
@@ -411,7 +410,9 @@ def run_bg_check(cfg):
     metrics = {
         "probes": list(report.l_values),
         "fitted_constant": report.fitted_constant,
-        "deviation_exponent": report.deviation_exponent,
+        # fewer than two mode doublings leave the exponent undefined (NaN)
+        "deviation_exponent": (report.deviation_exponent
+                               if math.isfinite(report.deviation_exponent) else None),
         "candidate_distances": {
             str(k): float(v) for k, v in report.candidate_distances.items()
         },

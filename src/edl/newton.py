@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .series import (
     FourierSeries1D,
@@ -45,15 +46,16 @@ from .deform import (
 # -- problem interface ---------------------------------------------------------------
 
 
-class TameProblem(ABC):
-    """A nonlinear map on band-limited series with graded-norm bookkeeping.
+SMOOTHING = SmoothingFamily()
 
-    m0 is the control norm the iteration monitors; m1 > m0 is the stronger
-    norm the tame estimates trade against.
+
+class TameProblem(ABC):
+    """A nonlinear map on modes |l| <= n_modes with graded-norm bookkeeping.
+
+    m0 is the control norm the iteration monitors.
     """
 
-    m0: int = 2
-    m1: int = 4
+    m0 = 2
 
     @abstractmethod
     def apply(self, u):
@@ -67,18 +69,18 @@ class TameProblem(ABC):
     def solve_linearized(self, u, g):
         """dF(u)^{-1} g; raises numpy.linalg.LinAlgError when singular."""
 
-    @abstractmethod
     def project(self, u):
-        """Clamp a series to the working band."""
+        """Pad or truncate a series to the working band."""
+        return u.truncate(self.n_modes)
 
     def smooth(self, u, eps):
-        return SmoothingFamily().apply(u, min(1.0, eps))
+        return SMOOTHING.apply(self.project(u), min(1.0, eps))
 
     def norm(self, u, m):
         return u.sobolev_norm(m)
 
     def zero_state(self, circumference=TWO_PI):
-        raise NotImplementedError
+        return FourierSeries1D.zero(self.n_modes, circumference)
 
 
 # -- iteration records ---------------------------------------------------------------
@@ -183,17 +185,6 @@ class ToyProblem(TameProblem):
 
     n_modes: int = 96
     strength: float = 1.0
-    smoothing: SmoothingFamily = field(default_factory=SmoothingFamily)
-    m0: int = 2
-    m1: int = 4
-
-    def project(self, u):
-        if u.n_modes == self.n_modes:
-            return u
-        return u.pad_to(self.n_modes) if u.n_modes < self.n_modes else u.truncate(self.n_modes)
-
-    def zero_state(self, circumference=TWO_PI):
-        return FourierSeries1D.zero(self.n_modes, circumference)
 
     def apply(self, u):
         u = self.project(u)
@@ -216,9 +207,6 @@ class ToyProblem(TameProblem):
         op = self.linearized_operator(u)
         sol = np.linalg.solve(op.matrix, real_coords(self.project(g)))
         return series_from_real(sol, g.circumference)
-
-    def smooth(self, u, eps):
-        return self.smoothing.apply(self.project(u), min(1.0, eps))
 
 
 def smooth_f_preset(n_modes=96, amplitude=0.02, circumference=TWO_PI):
@@ -332,26 +320,15 @@ class LinearizedSpinorProblem(TameProblem):
 
     system: ExtendedSystem
     rhs: FourierSeries1D
-    smoothing: SmoothingFamily = field(default_factory=SmoothingFamily)
-    m0: int = 2
-    m1: int = 4
 
     @staticmethod
     def from_data(data, rhs, n_modes, z0=1.0):
         system = ExtendedSystem.from_data(data, n_modes, z0)
-        return LinearizedSpinorProblem(system, rhs.truncate(n_modes).pad_to(n_modes))
+        return LinearizedSpinorProblem(system, rhs.truncate(n_modes))
 
     @property
     def n_modes(self):
         return self.system.n_modes
-
-    def project(self, u):
-        if u.n_modes == self.n_modes:
-            return u
-        return u.pad_to(self.n_modes) if u.n_modes < self.n_modes else u.truncate(self.n_modes)
-
-    def zero_state(self, circumference=TWO_PI):
-        return FourierSeries1D.zero(self.n_modes, circumference)
 
     def _split(self, u):
         v = real_coords(self.project(u))
@@ -390,9 +367,6 @@ class LinearizedSpinorProblem(TameProblem):
         sol = np.linalg.solve(self.system.matrix, rhs)
         return self._assemble(sol[:-1], sol[-1], v[dim + self.n_modes], g.circumference)
 
-    def smooth(self, u, eps):
-        return self.smoothing.apply(self.project(u), min(1.0, eps))
-
     def unpack(self, u):
         """State -> (mean-zero series, lambda)."""
         u = self.project(u)
@@ -413,43 +387,31 @@ class ContinuationResult:
     history: list
 
 
-def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8,
-                            max_bisect=80, z0=1.0):
+def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8, z0=1.0):
     """Locate the parameter where the bordering multiplier crosses zero.
 
     data_family maps a scalar parameter to leading data; for each parameter
     the bordered system is solved against the fixed right-hand side and the
     multiplier recorded.  A bracket without a sign change means the crossing
     is absent or degenerate on this interval, which is an error, not a root.
+    The root is refined by Brent's method to within tol in s.
     """
     if not s_hi > s_lo:
         raise ValueError("empty bracket")
-    history = []
+    history = {}
 
     def lam(s):
-        system = ExtendedSystem.from_data(data_family(s), n_modes, z0)
-        _, value, _ = system.solve(rhs)
-        history.append((float(s), float(value)))
-        return float(value)
+        s = float(s)
+        if s not in history:
+            system = ExtendedSystem.from_data(data_family(s), n_modes, z0)
+            history[s] = float(system.solve(rhs)[1])
+        return history[s]
 
     fa, fb = lam(s_lo), lam(s_hi)
-    if fa == 0.0:
-        return ContinuationResult(s_lo, (s_lo, s_hi), len(history), history)
-    if fb == 0.0:
-        return ContinuationResult(s_hi, (s_lo, s_hi), len(history), history)
     if fa * fb > 0.0:
         raise ValueError(
             "multiplier does not change sign across the bracket: "
             f"lambda({s_lo}) = {fa:.3e}, lambda({s_hi}) = {fb:.3e}"
         )
-    a, b = float(s_lo), float(s_hi)
-    for _ in range(max_bisect):
-        mid = 0.5 * (a + b)
-        fm = lam(mid)
-        if fm == 0.0 or (b - a) < tol:
-            return ContinuationResult(mid, (s_lo, s_hi), len(history), history)
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return ContinuationResult(0.5 * (a + b), (s_lo, s_hi), len(history), history)
+    s_star = brentq(lam, s_lo, s_hi, xtol=tol)
+    return ContinuationResult(s_star, (s_lo, s_hi), len(history), list(history.items()))

@@ -98,8 +98,14 @@ class FourierSeries1D:
         return FourierSeries1D(out, self.circumference)
 
     def truncate(self, n_modes):
+        """Keep modes |l| <= n_modes, zero-padding when n_modes exceeds N.
+
+        Returns self when the size already matches: series are immutable.
+        """
         n = self.n_modes
-        if n_modes >= n:
+        if n_modes == n:
+            return self
+        if n_modes > n:
             return self.pad_to(n_modes)
         return FourierSeries1D(
             self.coeffs[n - n_modes : n + n_modes + 1].copy(), self.circumference
@@ -139,9 +145,6 @@ class FourierSeries1D:
         w = (1.0 + self.modes().astype(float) ** 2) ** m
         return float(np.sqrt(np.sum(w * np.abs(self.coeffs) ** 2)))
 
-    def l2_norm(self):
-        return self.sobolev_norm(0.0)
-
     def quadrature_points(self, n_points=None):
         # >= 4N+1 uniform points makes the trapezoid rule exact for |u|^2
         if n_points is None:
@@ -178,9 +181,6 @@ class FourierSeries1D:
         for entry in d["coeffs"]:
             out[int(entry["l"]) + n] = float(entry["re"]) + 1j * float(entry["im"])
         return FourierSeries1D(out, float(d["circumference"]))
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text):
@@ -246,10 +246,6 @@ class GradedVector:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def zero(n_modes, circumference=TWO_PI):
-        return GradedVector(FourierSeries1D.zero(n_modes, circumference))
-
 
 def interpolation_ratio(vec, m, m1, m2):
     """norm(m) / (norm(m1)^a * norm(m2)^(1-a)) with a = (m2-m)/(m2-m1).
@@ -313,15 +309,6 @@ class SmoothingFamily:
             raise ValueError("eps must lie in (0, 1]")
         return FourierSeries1D(
             u.coeffs * self.multiplier(u.modes(), eps), u.circumference
-        )
-
-    def apply_eps_derivative(self, u, eps):
-        # d/deps S_eps u = |l| rho'(eps|l|) u_l, computed analytically
-        if not 0.0 < eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
-        absl = np.abs(u.modes().astype(float))
-        return FourierSeries1D(
-            u.coeffs * absl * self.rho_prime(eps * absl), u.circumference
         )
 
 

@@ -1,34 +1,9 @@
-"""Small shared utilities: bounded thread maps and deterministic file output."""
+"""Small shared utilities: deterministic file output."""
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count(default=1):
-    """Worker cap from the EDL_THREADS environment variable (default 1)."""
-    raw = os.environ.get("EDL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)
-
-
-def parallel_map(fn, items, default_workers=1):
-    """Order-preserving map over items; EDL_THREADS caps the worker pool.
-
-    The work functions must be pure: results are independent of the worker
-    count, so output files stay byte-identical under any EDL_THREADS.
-    """
-    items = list(items)
-    workers = min(thread_count(default_workers), max(len(items), 1))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def atomic_write_text(path, text):
@@ -47,7 +22,9 @@ def atomic_write_text(path, text):
 
 
 def atomic_write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # strict JSON: a NaN or infinity raises instead of writing a bare NaN token
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def format_float(x):

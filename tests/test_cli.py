@@ -141,12 +141,30 @@ def test_no_assert_downgrades_to_zero(tmp_path):
     assert rc == 0
 
 
-def test_exit_two_on_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["n_modes=-4", "r_max=nan", "tol=inf"])
+def test_exit_two_on_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("n_modes = -4\n")
+    cfgfile.write_text(line + "\n")
     rc = main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json_when_exponent_is_undefined(tmp_path):
+    # one mode doubling (l = 8, 16) leaves the deviation exponent undefined
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("l_min = 8\nl_max = 16\n")
+    rc = main(["bg-check", "--config", str(cfgfile), "--no-assert",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    with open(tmp_path / "o" / "bg-check" / "summary.json") as handle:
+        summary = json.loads(handle.read(), parse_constant=_reject_constant)
+    assert summary["metrics"]["deviation_exponent"] is None
+    assert summary["pass"] is False
 
 
 def test_exit_two_on_unknown_command():

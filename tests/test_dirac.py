@@ -45,6 +45,17 @@ def test_radial_grid_rejects_bad_input():
 
 
 def test_radial_grid_derivative_and_quadrature():
+    # the stencils have width min(8, n - 1) + 1, so every polynomial of
+    # degree < width in x = s / s_max (s = log(r / r_min)) is differentiated
+    # exactly, boundary rows included
+    for n in (2, 3, 5, 9, 10, 40, 900):
+        g = RadialGrid.geometric(2.0, n, r_min_factor=1e-3)
+        k = np.arange(1, min(8, n - 1) + 1)
+        s = np.log(g.r / g.r[0])
+        x = (1.0 + s / s[-1])[:, None]
+        d = g.derivative(x**k)
+        exact = k * x ** (k - 1) / (s[-1] * g.r[:, None])
+        assert np.max(np.abs(d - exact) / exact) < 1e-10, n
     g = RadialGrid.geometric(2.0, 900, r_min_factor=1e-3)
     d = g.derivative(g.r**3)
     assert np.max(np.abs(d - 3.0 * g.r**2) / (3.0 * g.r**2)) < 1e-9
