@@ -15,17 +15,23 @@ The induced first variation of the operator on a spinor field is
 
 with (div k)_j = -sum_i d_i k_ij and one-forms acting by Clifford
 multiplication.  Every coefficient of the displacement family factors as
-(t-series) x (radial profile) x (theta harmonic), so the tensor, trace and
-divergence pieces are sampled exactly on the grids the fields live on and
-stay separately retrievable for term-by-term checks.
+(t-series) x (radial profile) x (theta harmonic), and so does the leading
+field Phi0.  The pullback is written once, as a short sum of such separable
+terms (`Separable`); products convolve t-series, multiply radial profiles and
+add harmonics, so each (l, k) coefficient of B(gdot) Phi0 is exact.
 
 `bg_pairing_comparison` measures <B(gdot) Phi0, Psi_l> for the leading field
-Phi0 of a data pair (c, d) against the closed-form prediction
+Phi0 of a data pair (c, d) from the (l, k = 0) coefficient alone, against the
+closed-form prediction
 
     base_l = L * 2pi * |l|^{-3/2} * (H(c eta'') - conj(eta'') d)_l,
 
 and reports the fitted ratio next to the two candidate constants -3/4 and
 -3/2 together with the decay exponent of its mode-doubling deviations.
+
+`MetricVariation.from_displacement` samples the same separable pullback on a
+(t, r, theta) tensor grid, and `bg_apply_terms` applies it to a dense
+`SpinorField`; that dense path is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -38,18 +44,21 @@ import numpy as np
 from .series import (
     FourierSeries1D,
     TWO_PI,
-    _bump_c2,
-    _bump_c2_prime,
-    _bump_c2_second,
+    cutoff_c2,
+    cutoff_c2_prime,
+    cutoff_c2_second,
     derivative,
+    multiply,
     second_derivative,
 )
 from .dirac import (
+    ModeSpinor,
     RadialGrid,
     SpinorField,
+    clifford_action,
     covariant_gradient,
-    euclidean_obstruction_field,
-    l2_pairing,
+    euclidean_obstruction_mode,
+    frame_gradient,
     twisted_clifford_apply,
 )
 from .deform import l_op
@@ -73,15 +82,144 @@ class CutoffProfile:
             raise ValueError("cutoff radius must be positive")
 
     def chi(self, r):
-        return _bump_c2(2.0 * np.asarray(r, dtype=float) / self.r0)
+        return cutoff_c2(2.0 * np.asarray(r, dtype=float) / self.r0)
 
     def dchi(self, r):
-        return (2.0 / self.r0) * _bump_c2_prime(2.0 * np.asarray(r, dtype=float) / self.r0)
+        return (2.0 / self.r0) * cutoff_c2_prime(2.0 * np.asarray(r, dtype=float) / self.r0)
 
     def d2chi(self, r):
-        return (4.0 / self.r0**2) * _bump_c2_second(
+        return (4.0 / self.r0**2) * cutoff_c2_second(
             2.0 * np.asarray(r, dtype=float) / self.r0
         )
+
+
+# -- separable fields ---------------------------------------------------------------
+
+
+class Separable:
+    """Finite sum of terms (t-series) x (radial profile) x e^{i j theta}.
+
+    A term is (series, rad, drad, j): a FourierSeries1D, a radial array (or a
+    scalar for a constant profile), its analytic d/dr and the theta harmonic
+    j. drad is None when unknown; products drop it, since only the leading
+    field's own terms are differentiated in r.
+    """
+
+    def __init__(self, terms):
+        self.terms = list(terms)
+
+    def __add__(self, other):
+        if isinstance(other, int) and other == 0:  # the start value of sum()
+            return self
+        return Separable(self.terms + other.terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return -1.0 * self
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Separable):
+            return Separable((s * other, a, da, j) for s, a, da, j in self.terms)
+        return Separable(
+            (multiply(s, u), a * b, None, j + k)
+            for s, a, _, j in self.terms
+            for u, b, _, k in other.terms
+        )
+
+    __rmul__ = __mul__
+
+    def dt(self):
+        return Separable((derivative(s), a, da, j) for s, a, da, j in self.terms)
+
+    def dtheta(self):
+        return Separable((s * (1j * j), a, da, j) for s, a, da, j in self.terms)
+
+    def dr(self):
+        if any(da is None for _, _, da, _ in self.terms):
+            raise ValueError("a term carries no radial derivative")
+        return Separable((s, da, None, j) for s, _, da, j in self.terms)
+
+    def coeff(self, l, k):
+        """Radial profile of the e^{2 pi i l t / L} e^{i k theta} component."""
+        return sum(s.coeff(l) * a for s, a, _, j in self.terms if j == k)
+
+    def sample(self, t, n_radial, theta):
+        out = np.zeros((t.size, n_radial, theta.size), dtype=complex)
+        for s, a, _, j in self.terms:
+            rad = np.broadcast_to(a, (n_radial,))
+            out += (
+                s.evaluate(t)[:, None, None]
+                * rad[None, :, None]
+                * np.exp(1j * j * theta)[None, None, :]
+            )
+        return out
+
+
+def _factors(circumference, r):
+    """e^{i theta}, e^{-i theta}, cos(theta), sin(theta) and 1/r as separable fields."""
+    one = FourierSeries1D.from_modes({0: 1.0}, circumference)
+    e_th = Separable([(one, 1.0, None, 1)])
+    e_mth = Separable([(one, 1.0, None, -1)])
+    inv_r = Separable([(one, 1.0 / r, None, 0)])
+    return e_th, e_mth, 0.5 * (e_th + e_mth), -0.5j * (e_th - e_mth), inv_r
+
+
+def _pullback(eta_x, eta_y, r, cutoff):
+    """Pullback components of the displacement (eta_x, eta_y) * chi.
+
+    cutoff=None means chi identically 1: the t-components survive with
+    constant radial profile and every spatial component vanishes. The radial
+    chain rule for d(tr gdot) and div(gdot) is assembled here in closed form.
+    """
+    if eta_y is None:
+        eta_y = FourierSeries1D.zero(0, eta_x.circumference)
+    eta_x._check_compatible(eta_y)
+    L = eta_x.circumference
+    one = FourierSeries1D.from_modes({0: 1.0}, L)
+
+    def series(u):
+        return Separable([(u, 1.0, None, 0)])
+
+    def radial(a):
+        return Separable([(one, a, None, 0)])
+
+    ex, ey = series(eta_x), series(eta_y)
+    dex, dey = series(derivative(eta_x)), series(derivative(eta_y))
+    ddex, ddey = series(second_derivative(eta_x)), series(second_derivative(eta_y))
+    if cutoff is None:
+        chi, dchi, d2chi = series(one), Separable([]), Separable([])
+    else:
+        chi = radial(cutoff.chi(r))
+        dchi, d2chi = radial(cutoff.dchi(r)), radial(cutoff.d2chi(r))
+    _, _, cos_t, sin_t, inv_r = _factors(L, r)
+
+    dchi_x = dchi * cos_t
+    dchi_y = dchi * sin_t
+    chi_xx = d2chi * cos_t * cos_t + dchi * inv_r * sin_t * sin_t
+    chi_yy = d2chi * sin_t * sin_t + dchi * inv_r * cos_t * cos_t
+    chi_xy = (d2chi - dchi * inv_r) * sin_t * cos_t
+
+    return {
+        "g_tx": dex * chi,
+        "g_ty": dey * chi,
+        "g_xx": 2.0 * ex * dchi_x,
+        "g_yy": 2.0 * ey * dchi_y,
+        "g_xy": ex * dchi_y + ey * dchi_x,
+        "dtr": {
+            "t": 2.0 * (dex * dchi_x + dey * dchi_y),
+            "x": 2.0 * (ex * chi_xx + ey * chi_xy),
+            "y": 2.0 * (ex * chi_xy + ey * chi_yy),
+        },
+        "div": {
+            "t": -(dex * dchi_x + dey * dchi_y),
+            "x": -(ddex * chi + ex * (2.0 * chi_xx + chi_yy) + ey * chi_xy),
+            "y": -(ddey * chi + ey * (2.0 * chi_yy + chi_xx) + ex * chi_xy),
+        },
+    }
 
 
 # -- pullback family ---------------------------------------------------------------
@@ -92,9 +230,9 @@ class MetricVariation:
     """Displacement pullback sampled on a (nt, nr, ntheta) tensor grid.
 
     Stores the five nonzero components (gdot_tt = 0 for this family) together
-    with the analytic one-forms d(tr gdot) and div(gdot); the radial chain
-    rule for the latter is assembled here once, in closed form, and checked
-    against stencil differentiation in the tests.
+    with the analytic one-forms d(tr gdot) and div(gdot), sampled from the
+    separable pullback and checked against stencil differentiation in the
+    tests.
     """
 
     rgrid: RadialGrid
@@ -119,83 +257,65 @@ class MetricVariation:
 
     @staticmethod
     def from_displacement(eta_x, eta_y, rgrid, nt, ntheta, cutoff=None):
-        """Sample the pullback of the displacement (eta_x, eta_y) * chi.
-
-        cutoff=None means chi identically 1: the t-components survive with
-        constant radial profile and every spatial component vanishes.
-        """
-        if eta_y is None:
-            eta_y = FourierSeries1D.zero(0, eta_x.circumference)
-        eta_x._check_compatible(eta_y)
-        L = eta_x.circumference
-        band = max(eta_x.n_modes, eta_y.n_modes)
+        """Sample the pullback of the displacement (eta_x, eta_y) * chi."""
+        band = max(eta_x.n_modes, 0 if eta_y is None else eta_y.n_modes)
         if nt < 2 * band + 2:
             raise ValueError("t-grid cannot represent the displacement alias-free")
+        L = eta_x.circumference
         t = np.arange(nt) * (L / nt)
         th = np.arange(ntheta) * (TWO_PI / ntheta)
-        r = rgrid.r
 
-        def t_samples(series):
-            return series.evaluate(t)[:, None, None]
+        def full(field):
+            if isinstance(field, dict):
+                return {a: full(f) for a, f in field.items()}
+            return field.sample(t, rgrid.n_points, th)
 
-        ex, ey = t_samples(eta_x), t_samples(eta_y)
-        dex, dey = t_samples(derivative(eta_x)), t_samples(derivative(eta_y))
-        ddex = t_samples(second_derivative(eta_x))
-        ddey = t_samples(second_derivative(eta_y))
-
-        if cutoff is None:
-            chi = np.ones_like(r)
-            dchi = np.zeros_like(r)
-            d2chi = np.zeros_like(r)
-        else:
-            chi, dchi, d2chi = cutoff.chi(r), cutoff.dchi(r), cutoff.d2chi(r)
-        chi = chi[None, :, None]
-        dchi = dchi[None, :, None]
-        d2chi = d2chi[None, :, None]
-        inv_r = (1.0 / r)[None, :, None]
-        cos_t = np.cos(th)[None, None, :]
-        sin_t = np.sin(th)[None, None, :]
-
-        dchi_x = dchi * cos_t
-        dchi_y = dchi * sin_t
-        chi_xx = d2chi * cos_t**2 + dchi * inv_r * sin_t**2
-        chi_yy = d2chi * sin_t**2 + dchi * inv_r * cos_t**2
-        chi_xy = (d2chi - dchi * inv_r) * sin_t * cos_t
-
-        g_tx = dex * chi
-        g_ty = dey * chi
-        g_xx = 2.0 * ex * dchi_x
-        g_yy = 2.0 * ey * dchi_y
-        g_xy = ex * dchi_y + ey * dchi_x
-
-        dtr = {
-            "t": 2.0 * (dex * dchi_x + dey * dchi_y),
-            "x": 2.0 * (ex * chi_xx + ey * chi_xy),
-            "y": 2.0 * (ex * chi_xy + ey * chi_yy),
-        }
-        div = {
-            "t": -(dex * dchi_x + dey * dchi_y),
-            "x": -(ddex * chi + ex * (2.0 * chi_xx + chi_yy) + ey * chi_xy),
-            "y": -(ddey * chi + ey * (2.0 * chi_yy + chi_xx) + ex * chi_xy),
-        }
-
-        def full(a):
-            return np.broadcast_to(a, (nt, rgrid.n_points, ntheta)).astype(complex)
-
+        pull = _pullback(eta_x, eta_y, rgrid.r, cutoff)
         return MetricVariation(
-            rgrid=rgrid,
-            circumference=L,
-            g_tx=full(g_tx),
-            g_ty=full(g_ty),
-            g_xx=full(g_xx),
-            g_xy=full(g_xy),
-            g_yy=full(g_yy),
-            dtr={a: full(dtr[a]) for a in dtr},
-            div={a: full(div[a]) for a in div},
+            rgrid=rgrid, circumference=L, **{k: full(f) for k, f in pull.items()}
         )
 
 
 # -- operator variation -------------------------------------------------------------
+
+
+_TENSOR_PAIRS = (
+    ("t", "x", "g_tx"),
+    ("x", "t", "g_tx"),
+    ("t", "y", "g_ty"),
+    ("y", "t", "g_ty"),
+    ("x", "x", "g_xx"),
+    ("y", "y", "g_yy"),
+    ("x", "y", "g_xy"),
+    ("y", "x", "g_xy"),
+)
+
+
+def _variation_pieces(g, plus, minus, grad, clifford):
+    """(tensor, trace, divergence) pieces of B(gdot) psi as (plus, minus) pairs.
+
+    Works on any representation with +, scalar and pointwise products: the
+    dense tensors of `bg_apply_terms` and the separable terms of the pairing.
+    """
+    tensor_p, tensor_m = [], []
+    for i_axis, j_axis, name in _TENSOR_PAIRS:
+        cp, cm = clifford(i_axis, *grad[j_axis])
+        tensor_p.append(-0.5 * g[name] * cp)
+        tensor_m.append(-0.5 * g[name] * cm)
+
+    def one_form_action(components):
+        out_p, out_m = [], []
+        for axis in ("t", "x", "y"):
+            cp, cm = clifford(axis, plus, minus)
+            out_p.append(0.5 * components[axis] * cp)
+            out_m.append(0.5 * components[axis] * cm)
+        return sum(out_p), sum(out_m)
+
+    return (
+        (sum(tensor_p), sum(tensor_m)),
+        one_form_action(g["dtr"]),
+        one_form_action(g["div"]),
+    )
 
 
 @dataclass(eq=False)
@@ -215,37 +335,13 @@ def bg_apply_terms(var, psi):
     if var.shape != psi.shape:
         raise ValueError("variation and field live on different grids")
     th = psi.theta_points()[None, None, :]
-    grad = covariant_gradient(psi)
-
-    pairs = (
-        ("t", "x", var.g_tx),
-        ("x", "t", var.g_tx),
-        ("t", "y", var.g_ty),
-        ("y", "t", var.g_ty),
-        ("x", "x", var.g_xx),
-        ("y", "y", var.g_yy),
-        ("x", "y", var.g_xy),
-        ("y", "x", var.g_xy),
+    pieces = _variation_pieces(
+        vars(var), psi.plus, psi.minus, covariant_gradient(psi),
+        lambda axis, p, m: twisted_clifford_apply(axis, th, p, m),
     )
-    acc_p = np.zeros_like(psi.plus)
-    acc_m = np.zeros_like(psi.minus)
-    for i_axis, j_axis, coeff in pairs:
-        gp, gm = grad[j_axis]
-        cp, cm = twisted_clifford_apply(i_axis, th, gp, gm)
-        acc_p = acc_p - 0.5 * coeff * cp
-        acc_m = acc_m - 0.5 * coeff * cm
-    tensor = SpinorField(psi.rgrid, acc_p, acc_m, psi.circumference)
-
-    def one_form_action(components):
-        op = np.zeros_like(psi.plus)
-        om = np.zeros_like(psi.minus)
-        for axis in ("t", "x", "y"):
-            cp, cm = twisted_clifford_apply(axis, th, psi.plus, psi.minus)
-            op = op + 0.5 * components[axis] * cp
-            om = om + 0.5 * components[axis] * cm
-        return SpinorField(psi.rgrid, op, om, psi.circumference)
-
-    return VariationTerms(tensor, one_form_action(var.dtr), one_form_action(var.div))
+    return VariationTerms(
+        *(SpinorField(psi.rgrid, p, m, psi.circumference) for p, m in pieces)
+    )
 
 
 def bg_apply(var, psi):
@@ -279,6 +375,28 @@ def leading_term_field(data, rgrid, nt, ntheta=8):
     return SpinorField(
         rgrid, plus, minus, L, plus_dr=plus * inv_2r, minus_dr=minus * inv_2r
     )
+
+
+def leading_variation(data, eta_x, eta_y, r, cutoff):
+    """B(gdot) Phi0 as separable (plus, minus) components on the radii r.
+
+    The separable counterpart of `bg_apply(var, leading_term_field(...))`:
+    the same pullback, gradient and Clifford formulas, with every (l, k)
+    coefficient exact instead of sampled.
+    """
+    root = np.sqrt(r)
+    plus = Separable([(data.c, root, 0.5 / root, 1)])
+    minus = Separable([(data.d, root, 0.5 / root, -1)])
+    e_th, e_mth, cos_t, sin_t, inv_r = _factors(data.circumference, r)
+    grad = frame_gradient(
+        plus, minus, (plus.dt(), minus.dt()), (plus.dr(), minus.dr()),
+        (plus.dtheta(), minus.dtheta()), cos_t, sin_t, inv_r,
+    )
+    pieces = _variation_pieces(
+        _pullback(eta_x, eta_y, r, cutoff), plus, minus, grad,
+        lambda axis, p, m: clifford_action(axis, e_th, e_mth, p, m),
+    )
+    return sum(p for p, _ in pieces), sum(m for _, m in pieces)
 
 
 # -- pairing comparison -------------------------------------------------------------
@@ -316,9 +434,12 @@ def bg_pairing_comparison(
     n_radial=500,
     decay_budget=30.0,
     cutoff=None,
-    ntheta=8,
 ):
     """Per-mode pairings <B(gdot) Phi0, Psi_l> against the multiplier prediction.
+
+    Psi_l lives on the single mode (l, k = 0), so the pairing is
+    L * 2pi * int (B_+ + sgn(l) B_-)_{l,0} prof_l r dr, read off the separable
+    (l, 0) coefficient of B(gdot) Phi0 with one radial quadrature.
 
     The prediction is derived for the cutoff-free family; passing a cutoff
     measures how far the compactly supported variation drifts from it (the
@@ -338,11 +459,6 @@ def bg_pairing_comparison(
         raise ValueError("displacement and data circumferences differ")
     mult = l_op(data, second_derivative(eta))
 
-    band_eta = eta_x.n_modes if eta_y is None else max(eta_x.n_modes, eta_y.n_modes)
-    band_data = max(data.c.n_modes, data.d.n_modes)
-    l_max = max(abs(int(l)) for l in l_values)
-    nt = 2 * max(l_max + band_eta + band_data, band_data + 1, band_eta + 1) + 3
-
     measured, base, khat = {}, {}, {}
     for l in l_values:
         l = int(l)
@@ -353,11 +469,9 @@ def bg_pairing_comparison(
         if cutoff is not None:
             r_max = max(r_max, 1.2 * cutoff.r0)
         rgrid = RadialGrid.geometric(r_max, n_radial, r_min_factor=1e-7)
-        phi = leading_term_field(data, rgrid, nt, ntheta)
-        var = MetricVariation.from_displacement(eta_x, eta_y, rgrid, nt, ntheta, cutoff)
-        bg = bg_apply(var, phi)
-        psi_l = euclidean_obstruction_field(l, rgrid, nt=nt, ntheta=ntheta)
-        m = l2_pairing(bg, psi_l)
+        bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
+        bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
+        m = L * TWO_PI * bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))
         measured[l], base[l], khat[l] = m, b, m / b
 
     ls = sorted(khat, key=abs)

@@ -18,8 +18,8 @@ from .dirac import (
     LeadingData,
     RadialGrid,
     SpinorField,
-    dirac_apply,
     euclidean_obstruction_field,
+    euclidean_obstruction_mode,
     sgn,
 )
 from .obstruction import (
@@ -100,8 +100,7 @@ def _check(failures, ok, message):
 
 def _mode_residual(l, r_max):
     grid = RadialGrid.geometric(r_max / abs(l) / 3.0, 500, r_min_factor=1e-4)
-    psi = euclidean_obstruction_field(l, grid)
-    return dirac_apply(psi).norm() / psi.norm()
+    return euclidean_obstruction_mode(l, grid).ode_residual()
 
 
 def run_modes(cfg):

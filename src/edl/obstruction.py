@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_bvp
 
-from .series import FourierSeries1D, TWO_PI, _bump_c2
-from .dirac import RadialGrid, euclidean_obstruction_mode, sgn
+from .series import FourierSeries1D, TWO_PI, cutoff_c2
+from .dirac import RadialGrid, euclidean_obstruction_mode, radial_bump, sgn
 
 
 # -- projection ---------------------------------------------------------------
@@ -81,7 +81,7 @@ def conormal_rate(p, f_series, l_values, r0=1.0, rgrid=None, radial_profile=None
     if rgrid is None:
         rgrid = RadialGrid.geometric(2.0 * r0, 2500, r_min_factor=1e-7)
     if radial_profile is None:
-        radial = _bump_c2(rgrid.r / r0) * rgrid.r**p
+        radial = cutoff_c2(rgrid.r / r0) * rgrid.r**p
     else:
         radial = np.asarray(radial_profile(rgrid.r))
     prof = obstruction_profiles(l_values, rgrid)
@@ -346,10 +346,7 @@ def annuli_decay(nu, l, r_scale=1.0, n_annuli=8, forcing_center=None, grid_point
     rgrid = RadialGrid.geometric(20.0 * r_scale / l_a, grid_points, r_min_factor=1e-4)
 
     def forcing(r):
-        x = (r - center) / width
-        inside = np.abs(x) < 1.0
-        xs = np.where(inside, x, 0.0)
-        return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - xs**2)), 0.0)
+        return radial_bump(r, center, width)[0]
 
     u = solve_mode_bvp(nu, l, rgrid, forcing)
     part = AnnuliPartition(

@@ -264,7 +264,7 @@ def interpolation_ratio(vec, m, m1, m2):
 # -- mollifier family ------------------------------------------------------------
 
 
-def _bump_c2(x):
+def cutoff_c2(x):
     """C^2 cutoff profile: 1 on [0,1], 0 on [2,inf), quintic step between.
 
     A sharp truncation would make the eps-derivative bound ill-defined, so the
@@ -277,14 +277,14 @@ def _bump_c2(x):
     return np.where(x <= 1.0, 1.0, np.where(x >= 2.0, 0.0, 1.0 - step))
 
 
-def _bump_c2_prime(x):
+def cutoff_c2_prime(x):
     x = np.asarray(x, dtype=float)
     s = np.clip(x - 1.0, 0.0, 1.0)
     dstep = 30.0 * s**2 * (1.0 - s) ** 2
     return np.where((x <= 1.0) | (x >= 2.0), 0.0, -dstep)
 
 
-def _bump_c2_second(x):
+def cutoff_c2_second(x):
     x = np.asarray(x, dtype=float)
     s = np.clip(x - 1.0, 0.0, 1.0)
     d2step = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
@@ -298,8 +298,8 @@ class SmoothingFamily:
     rho is smooth, nonincreasing, identically 1 on [0,1] and 0 on [2,inf).
     """
 
-    rho: callable = _bump_c2
-    rho_prime: callable = _bump_c2_prime
+    rho: callable = cutoff_c2
+    rho_prime: callable = cutoff_c2_prime
 
     def multiplier(self, modes, eps):
         return self.rho(eps * np.abs(np.asarray(modes, dtype=float)))

@@ -15,7 +15,9 @@ from edl.dirac import (
     RadialGrid,
     covariant_gradient,
     dirac_apply,
+    euclidean_obstruction_field,
     fft_mode_derivative,
+    l2_pairing,
     twisted_clifford_apply,
 )
 from edl.bgvar import (
@@ -27,6 +29,7 @@ from edl.bgvar import (
     bg_pairing_comparison,
     leading_term_field,
 )
+from edl.experiments import bg_probe_design
 
 
 def generic_data():
@@ -433,3 +436,38 @@ def test_pairing_report_is_serializable_shape():
     assert set(rep.khat) == {2, 4}
     assert set(rep.candidate_distances) == {-0.75, -1.5}
     assert rep.deviation_values.keys() == {2}
+
+
+def complex_data():
+    c = FourierSeries1D.from_modes({0: 1.0 + 0.2j, 1: 0.35 - 0.1j, -1: 0.1})
+    d = FourierSeries1D.from_modes({0: 0.4j, -1: 0.2, 2: 0.15 + 0.3j})
+    return LeadingData(c, d)
+
+
+@pytest.mark.parametrize("cutoff", [None, CutoffProfile(1.0)], ids=["free", "cutoff"])
+def test_pairing_matches_dense_reference(cutoff):
+    # the (l, 0) coefficient of the separable B(gdot) Phi0 against dense
+    # bg_apply + l2_pairing on an alias-free tensor grid of the same radii
+    data = complex_data()
+    eta_x = real_series({l: (0.7 + 0.2j) * l**-2.0 for l in range(1, 21)})
+    eta_y = real_series({l: (0.3 - 0.1j) * l**-2.0 for l in range(1, 21)})
+    l_values = (4, -4, 8, 16)
+    rep = bg_pairing_comparison(data, eta_x, eta_y, l_values=l_values, cutoff=cutoff)
+    for l in l_values:
+        r_max = 30.0 / abs(l) if cutoff is None else max(30.0 / abs(l), 1.2)
+        rgrid = RadialGrid.geometric(r_max, 500, r_min_factor=1e-7)
+        nt, ntheta = 2 * (abs(l) + 20 + 2) + 3, 8
+        phi = leading_term_field(data, rgrid, nt, ntheta)
+        var = MetricVariation.from_displacement(eta_x, eta_y, rgrid, nt, ntheta, cutoff)
+        psi = euclidean_obstruction_field(l, rgrid, nt=nt, ntheta=ntheta)
+        dense = l2_pairing(bg_apply(var, phi), psi)
+        assert abs(rep.measured[l] - dense) <= 1e-11 * abs(dense)
+
+
+def test_pairing_reach_to_l_1024():
+    # three more mode doublings than the default probe design reaches
+    data, eta = bg_probe_design(1024)
+    rep = bg_pairing_comparison(data, eta, l_values=tuple(2**k for k in range(3, 11)))
+    assert abs(rep.fitted_constant + 0.75) < 1e-5
+    assert -1.2 <= rep.deviation_exponent <= -0.8
+    assert rep.closest_candidate == -0.75

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from edl.cli import main, write_artifacts
@@ -119,6 +120,12 @@ def test_exit_zero_on_pass(tmp_path, capsys):
     rc = main(["conormal", "--out", str(tmp_path)])
     assert rc == 0
     assert "conormal: pass" in capsys.readouterr().out
+    # bg-check's reach: the -3/4 fit over probes l = 8..1024
+    cfgfile = tmp_path / "reach.cfg"
+    cfgfile.write_text("l_max = 1024\n")
+    rc = main(["bg-check", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 0
+    assert "bg-check: pass" in capsys.readouterr().out
 
 
 def test_exit_one_with_failure_list(tmp_path, capsys):
@@ -165,6 +172,28 @@ def test_summary_is_strict_json_when_exponent_is_undefined(tmp_path):
         summary = json.loads(handle.read(), parse_constant=_reject_constant)
     assert summary["metrics"]["deviation_exponent"] is None
     assert summary["pass"] is False
+
+
+def test_exit_three_on_runner_crash(tmp_path, capsys, monkeypatch):
+    def crash(cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(EXPERIMENTS, "conormal", crash)
+    folder = tmp_path / "conormal"
+    folder.mkdir()
+    for stale in ("results.csv", "plot.svg"):
+        (folder / stale).write_text("from an earlier run\n")
+    rc = main(["conormal", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "LinAlgError" in capsys.readouterr().err
+    assert sorted(os.listdir(folder)) == ["summary.json"]
+    with open(tmp_path / "conormal" / "summary.json") as handle:
+        summary = json.loads(handle.read(), parse_constant=_reject_constant)
+    assert summary["pass"] is False
+    assert summary["error"] == "LinAlgError: Singular matrix"
+    assert summary["experiment"] == "conormal"
+    assert summary["paper_anchor"] == PAPER_ANCHORS["conormal"]
+    assert summary["failures"] == [summary["error"]]
 
 
 def test_exit_two_on_unknown_command():

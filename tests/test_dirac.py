@@ -27,7 +27,7 @@ from edl.dirac import (
     twisted_clifford_apply,
     wronskian_mismatch,
 )
-from edl.series import FourierSeries1D, _bump_c2, _bump_c2_prime
+from edl.series import FourierSeries1D, cutoff_c2, cutoff_c2_prime
 
 RNG = np.random.default_rng(20260815)
 
@@ -121,6 +121,19 @@ def test_euclidean_mode_ode_residual_small():
         assert m.ode_residual() < 1e-8
 
 
+def test_analytic_ode_residual_matches_dense_operator():
+    # with the analytic derivative the mode residual is |D psi| / |psi| of the
+    # mode's tensor field; the stencil path stays for modes without one
+    for l in (1, -3, 7):
+        g = RadialGrid.geometric(8.0 / abs(l), 500, r_min_factor=1e-4)
+        m = euclidean_obstruction_mode(l, g)
+        psi = field_from_mode_spinor(m, 4 * abs(l) + 5, 8)
+        dense = dirac_apply(psi).norm() / psi.norm()
+        assert abs(m.ode_residual() - dense) < 1e-12
+        stencil = ModeSpinor(m.k, m.l, g, m.psi_plus, m.psi_minus)
+        assert stencil.ode_residual() < 1e-8
+
+
 def test_euclidean_mode_decay_rate():
     g = RadialGrid.geometric(2.0, 600, r_min_factor=1e-3)
     m = euclidean_obstruction_mode(4, g)
@@ -198,7 +211,7 @@ def test_solve_mode_ode_rejects_bad_branch():
 
 
 def _bump_mode_field(k, l, g, center=1.2, width=0.5, nt=16, ntheta=16):
-    prof, dprof = radial_bump(g, center, width)
+    prof, dprof = radial_bump(g.r, center, width)
     return field_from_mode(k, l, g, prof, 1j * prof, nt, ntheta,
                            dprof_plus=dprof, dprof_minus=1j * dprof)
 
@@ -239,7 +252,7 @@ def test_mode_restriction_matches_ode_matrix():
     # the transcription of u' = M(k, l, r) u for the profile pair
     g = RadialGrid.geometric(3.0, 400, r_min_factor=1e-3)
     k, l = 2, 3
-    prof, dprof = radial_bump(g, 1.2, 0.5)
+    prof, dprof = radial_bump(g.r, 1.2, 0.5)
     zero = np.zeros_like(prof)
     psi = field_from_mode(k, l, g, prof, zero, 32, 16,
                           dprof_plus=dprof, dprof_minus=zero)
@@ -307,7 +320,7 @@ def test_adjointness_defect_falls_under_refinement():
     defects = []
     for n in (150, 300):
         g = RadialGrid.geometric(4.0, n, r_min_factor=0.1)
-        prof, _ = radial_bump(g, 1.5, 0.5)
+        prof, _ = radial_bump(g.r, 1.5, 0.5)
         psi = field_from_mode(1, 2, g, prof, 0.5 * prof, 16, 16)  # stencil path
         phi = field_from_mode(1, 2, g, prof * prof, prof, 16, 16)
         defects.append(adjointness_check(psi, phi).defect)
@@ -318,8 +331,8 @@ def test_adjointness_flags_axis_boundary_term():
     defects = []
     for n in (400, 800):
         g = RadialGrid.geometric(2.0, n, r_min_factor=1e-4)
-        chi = _bump_c2(2.0 * g.r)
-        dchi = 2.0 * _bump_c2_prime(2.0 * g.r)
+        chi = cutoff_c2(2.0 * g.r)
+        dchi = 2.0 * cutoff_c2_prime(2.0 * g.r)
         prof = chi / np.sqrt(g.r)
         dprof = dchi / np.sqrt(g.r) - 0.5 * chi * g.r ** (-1.5)
         psi = field_from_mode(0, 0, g, prof, prof, 4, 4,

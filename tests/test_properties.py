@@ -1,0 +1,113 @@
+"""Property tests: series invariants and the separable B(gdot) Phi0 algebra."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from edl.series import FourierSeries1D, hilbert_transform, multiply
+from edl.dirac import LeadingData, RadialGrid
+from edl.bgvar import (
+    CutoffProfile,
+    MetricVariation,
+    bg_apply,
+    leading_term_field,
+    leading_variation,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+coefficient = st.builds(complex, unit, unit)
+circumference = st.floats(0.5, 10.0, allow_nan=False)
+
+
+@st.composite
+def series(draw, max_band=6, length=None):
+    n = draw(st.integers(0, max_band))
+    coeffs = draw(st.lists(coefficient, min_size=2 * n + 1, max_size=2 * n + 1))
+    return FourierSeries1D(np.array(coeffs), length or 2.0 * np.pi)
+
+
+@st.composite
+def real_series(draw, max_band, length):
+    n = draw(st.integers(1, max_band))
+    half = draw(st.lists(coefficient, min_size=n, max_size=n))
+    modes = {0: draw(unit)}
+    for l, a in enumerate(half, start=1):
+        modes[l], modes[-l] = a, np.conj(a)
+    return FourierSeries1D.from_modes(modes, length)
+
+
+def close(a, b, scale=1.0):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= 1e-12 * scale
+
+
+# -- series invariants -----------------------------------------------------------
+
+
+@PROPERTY
+@given(series())
+def test_conjugate_is_an_involution(u):
+    assert np.array_equal(u.conjugate().conjugate().coeffs, u.coeffs)
+
+
+@PROPERTY
+@given(series())
+def test_hilbert_transform_is_an_involution(u):
+    # the multiplier is sgn(l) with sgn(0) = +1, so H o H = id exactly
+    assert np.array_equal(hilbert_transform(hilbert_transform(u)).coeffs, u.coeffs)
+
+
+@PROPERTY
+@given(series(), series(), st.integers(0, 5))
+def test_multiply_is_the_sampled_pointwise_product(u, v, extra):
+    n_points = 2 * (u.n_modes + v.n_modes) + 1 + extra
+    t = np.arange(n_points) * (u.circumference / n_points)
+    uv = multiply(u, v)
+    samples = u.evaluate(t) * v.evaluate(t)
+    assert close(uv.evaluate(t), samples, 10.0)
+    # the samples determine the product's coefficients: no mode aliases
+    n = uv.n_modes
+    dft = np.fft.fft(samples) / n_points
+    assert close(dft[np.arange(-n, n + 1) % n_points], uv.coeffs, 10.0)
+
+
+@PROPERTY
+@given(series(), st.integers(0, 8))
+def test_parseval_defect_vanishes_on_alias_free_grids(u, extra):
+    # |u|^2 has band 2N, so 2N+1 uniform points already integrate it exactly
+    assert u.parseval_defect() <= 1e-12
+    assert u.parseval_defect(2 * u.n_modes + 1 + extra) <= 1e-12
+
+
+# -- separable B(gdot) Phi0 against the dense tensor path --------------------------
+
+
+@st.composite
+def leading_data(draw, length):
+    c = draw(series(max_band=3, length=length))
+    d = draw(series(max_band=3, length=length))
+    # a dominant constant keeps min |c|^2 + |d|^2 away from zero
+    c = c * 0.1 + FourierSeries1D.from_modes({0: 1.5}, length)
+    return LeadingData(c, d)
+
+
+@PROPERTY
+@given(st.data(), circumference, st.booleans(), st.booleans())
+def test_separable_coefficients_match_dense_dft(data, length, with_y, with_cutoff):
+    lead = data.draw(leading_data(length))
+    eta_x = data.draw(real_series(6, length))
+    eta_y = data.draw(real_series(6, length)) if with_y else None
+    cutoff = CutoffProfile(1.0) if with_cutoff else None
+    rgrid = RadialGrid.geometric(1.2, 48, r_min_factor=1e-3)
+    band = max(lead.c.n_modes, lead.d.n_modes) + 6
+    nt, ntheta = 2 * band + 3, 8
+    phi = leading_term_field(lead, rgrid, nt, ntheta)
+    var = MetricVariation.from_displacement(eta_x, eta_y, rgrid, nt, ntheta, cutoff)
+    dense = bg_apply(var, phi)
+    sep = leading_variation(lead, eta_x, eta_y, rgrid.r, cutoff)
+    for field, comp in zip(sep, (dense.plus, dense.minus)):
+        spec = np.fft.fft2(comp, axes=(0, 2)) / (nt * ntheta)
+        scale = max(float(np.max(np.abs(spec))), 1.0)
+        for l in range(-band - 1, band + 2):
+            for k in range(-3, 4):
+                assert close(field.coeff(l, k), spec[l % nt, :, k % ntheta], scale)
