@@ -41,6 +41,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_modes <= 0:
             raise ConfigError(f"n_modes must be positive, got {self.n_modes}")
+        need = dense_matrix_bytes(self.experiment, self.n_modes)
+        if need > MATRIX_BYTE_BUDGET:
+            raise ConfigError(
+                f"n_modes = {self.n_modes} needs a {need / 2**20:.0f} MiB dense "
+                f"matrix in {self.experiment}, above the "
+                f"{MATRIX_BYTE_BUDGET / 2**20:.0f} MiB budget"
+            )
         if self.l_min <= 0:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
@@ -57,6 +64,25 @@ class ExperimentConfig:
 
 class ConfigError(ValueError):
     pass
+
+
+MATRIX_BYTE_BUDGET = 256 * 2**20
+
+
+def dense_matrix_bytes(experiment, n_modes):
+    """Bytes of the largest dense matrix an experiment builds at band n_modes.
+
+    deform-op: the real T of the loss profile at band 2N, side 2(4N+1);
+    nash-moser: the complex toy Jacobian, side 2N+1;
+    continuation: the real T behind the bordered system, side 2(2N+1).
+    """
+    if experiment == "deform-op":
+        return 8 * (2 * (4 * n_modes + 1)) ** 2
+    if experiment == "nash-moser":
+        return 16 * (2 * n_modes + 1) ** 2
+    if experiment == "continuation":
+        return 8 * (2 * (2 * n_modes + 1)) ** 2
+    return 0
 
 
 _INT_KEYS = {"n_modes", "l_min", "l_max", "max_steps", "samples", "seed"}

@@ -5,13 +5,20 @@ truncation diagnostics, and the bordered extended system.
 
 Complex series are realized as real matrices on stacked [Re, Im] mode
 coordinates because conjugation is anti-linear: every operator here is
-real-linear, not complex-linear.
+real-linear, not complex-linear.  Each matrix is assembled in closed form
+from Toeplitz/Hankel blocks of the data coefficients: multiplication by c is
+Toeplitz in c, the sign multiplier H is diagonal, and xi -> conj(xi) d is
+Hankel in d acting on the conjugated coefficients.  Probing a series map
+with unit vectors (RealizedOperator.realize) is kept as the test oracle
+these assemblies are checked against; nothing here calls it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh, hankel, toeplitz
+from scipy.linalg.blas import dsyrk
 
 from .series import (
     FourierSeries1D,
@@ -48,6 +55,43 @@ def _graded_weights(n_modes, m):
     return np.concatenate([w, w])
 
 
+def _signs(n_modes):
+    return sign_with_positive_zero(np.arange(-n_modes, n_modes + 1))
+
+
+# -- closed-form blocks ------------------------------------------------------------
+
+
+def toeplitz_block(a, n_out, n_in):
+    """Complex matrix of xi -> P_{n_out}(a xi) on modes |m| <= n_in.
+
+    Entry (l, m) is a_{l-m}, zero outside a's band.
+    """
+    p = a.truncate(n_out + n_in).coeffs  # a_k at index k + n_out + n_in
+    return toeplitz(p[2 * n_in:], p[2 * n_in::-1])
+
+
+def hankel_block(a, n_out, n_in):
+    """Complex matrix with entry (l, m) = a_{l+m}.
+
+    Applied to the conjugated coefficients of xi it gives P_{n_out}(conj(xi) a),
+    since (conj xi)_k = conj(xi_{-k}).
+    """
+    p = a.truncate(n_out + n_in).coeffs
+    return hankel(p[: 2 * n_out + 1], p[2 * n_out:])
+
+
+def _real_form(a, b=0.0):
+    """Real [Re, Im] matrix of xi -> a xi + b conj(xi), conj taken entrywise."""
+    m, n = a.shape
+    out = np.empty((2 * m, 2 * n))
+    np.add(a.real, b.real, out=out[:m, :n])
+    np.subtract(b.imag, a.imag, out=out[:m, n:])
+    np.add(a.imag, b.imag, out=out[m:, :n])
+    np.subtract(a.real, b.real, out=out[m:, n:])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RealizedOperator:
     """Dense real matrix acting on stacked mode coordinates."""
@@ -59,12 +103,13 @@ class RealizedOperator:
 
     @staticmethod
     def realize(fn, n_in, n_out=None, circumference=TWO_PI):
-        """Column-by-column realization of a series map.
+        """Column-by-column realization of a series map by unit-vector probes.
 
         fn must be real-linear on series with modes up to n_in; its output is
         projected onto modes up to n_out. Series arithmetic inside fn is
         exact (products extend the mode range), so composite maps are
-        realized without intermediate truncation artifacts.
+        realized without intermediate truncation artifacts.  This is the
+        test oracle for the closed-form assemblies below.
         """
         if n_out is None:
             n_out = n_in
@@ -84,12 +129,34 @@ class RealizedOperator:
     def graded_matrix(self, m_out=0.0, m_in=0.0):
         w_out = _graded_weights(self.n_out, m_out)
         w_in = _graded_weights(self.n_in, m_in)
-        return (self.matrix * w_out[:, None]) / w_in[None, :]
+        g = self.matrix * w_out[:, None]
+        g /= w_in[None, :]
+        return g
 
     def operator_norm(self, m_out=0.0, m_in=0.0):
-        return float(np.linalg.norm(self.graded_matrix(m_out, m_in), 2))
+        """sigma_max as the square root of the top eigenvalue of G^T G.
+
+        Only the largest singular value is needed, and the top eigenvalue of
+        G^T G keeps full relative accuracy. The upper triangle of G^T G is
+        accumulated in place from quarter-height row blocks of the graded
+        matrix G, so G is never held whole next to the matrix.
+        """
+        w_out = _graded_weights(self.n_out, m_out)
+        w_in = _graded_weights(self.n_in, m_in)
+        n = self.matrix.shape[1]
+        gram = np.zeros((n, n), order="F")
+        step = (self.matrix.shape[0] + 3) // 4
+        for start in range(0, self.matrix.shape[0], step):
+            block = self.matrix[start:start + step] * w_out[start:start + step, None]
+            block /= w_in[None, :]
+            # block.T is Fortran-ordered, so BLAS reads it without a copy
+            gram = dsyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
+        top = eigh(gram, lower=False, subset_by_index=[n - 1, n - 1],
+                   eigvals_only=True, overwrite_a=True)[0]
+        return float(np.sqrt(max(top, 0.0)))
 
     def singular_values(self, m_out=0.0, m_in=0.0):
+        # kernel counts need the small end resolved, which G^T G would square away
         return np.linalg.svd(self.graded_matrix(m_out, m_in), compute_uv=False)
 
 
@@ -108,19 +175,42 @@ def l_star(data, xi):
     )
 
 
+def realize_l(data, n_modes, n_out=None):
+    """L xi = A xi + B conj(xi) from modes |m| <= n_modes onto |l| <= n_out.
+
+    A = diag(sgn) Toep(c) and B = -Hank(d).
+    """
+    n_out = n_modes if n_out is None else n_out
+    a = toeplitz_block(data.c, n_out, n_modes)
+    a *= _signs(n_out)[:, None]
+    b = hankel_block(data.d, n_out, n_modes)
+    b *= -1.0
+    return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference)
+
+
+def realize_l_star(data, n_modes, n_out=None):
+    """L* with A = Toep(conj c) diag(sgn), B = -Hank(d)."""
+    n_out = n_modes if n_out is None else n_out
+    a = toeplitz_block(data.c.conjugate(), n_out, n_modes)
+    a *= _signs(n_modes)[None, :]
+    b = hankel_block(data.d, n_out, n_modes)
+    b *= -1.0
+    return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference)
+
+
 def ll_star_defect_operator(data, n_modes):
     """Exact truncation P_N (L L* - (|c|^2 + |d|^2)) P_N as a real matrix.
 
-    The composition is evaluated with exact series products before the final
-    projection; truncating between L* and L instead would inject spurious
-    boundary terms that grow with N.
+    L* maps modes |l| <= N into |l| <= N + band, so composing the truncations
+    L(N + band -> N) L*(N -> N + band) is the exact composition; truncating
+    between L* and L at N instead would inject spurious boundary terms that
+    grow with N.
     """
-    mod2 = data.modulus_squared_series()
-
-    def fn(xi):
-        return l_op(data, l_star(data, xi)) - multiply(mod2, xi)
-
-    return RealizedOperator.realize(fn, n_modes, n_modes, data.circumference)
+    n_mid = n_modes + max(data.c.n_modes, data.d.n_modes)
+    out = (realize_l(data, n_mid, n_modes).matrix
+           @ realize_l_star(data, n_modes, n_mid).matrix)
+    out -= _real_form(toeplitz_block(data.modulus_squared_series(), n_modes, n_modes))
+    return RealizedOperator(out, n_modes, n_modes, data.circumference)
 
 
 def commutator_with_sign_multiplier(a_series, n_modes, n_out=None):
@@ -131,23 +221,9 @@ def commutator_with_sign_multiplier(a_series, n_modes, n_out=None):
     one full degree of smoothness.
     """
     n_out = n_out if n_out is not None else n_modes + a_series.n_modes
-
-    def fn(xi):
-        return hilbert_transform(multiply(a_series, xi)) - multiply(
-            a_series, hilbert_transform(xi)
-        )
-
-    return RealizedOperator.realize(fn, n_modes, n_out, a_series.circumference)
-
-
-def commutator_mode_entry(a_series, l_out, l_in):
-    """Closed-form complex entry a_{l_out - l_in} (sgn l_out - sgn l_in)."""
-    m = l_out - l_in
-    a_m = a_series.coeff(m) if abs(m) <= a_series.n_modes else 0.0
-    s = sign_with_positive_zero(np.array([l_out]))[0] - sign_with_positive_zero(
-        np.array([l_in])
-    )[0]
-    return a_m * s
+    a = toeplitz_block(a_series, n_out, n_modes)
+    a *= _signs(n_out)[:, None] - _signs(n_modes)[None, :]
+    return RealizedOperator(_real_form(a), n_modes, n_out, a_series.circumference)
 
 
 # -- the normal-direction operator ----------------------------------------------------
@@ -167,9 +243,15 @@ def t_op(data, eta):
 
 
 def realize_t(data, n_modes, n_out=None):
-    return RealizedOperator.realize(
-        lambda eta: t_op(data, eta), n_modes, n_out, data.circumference
-    )
+    """T as L with columns scaled by -omega_m^2 and rows by scale (l^2+1)^{-3/4}."""
+    n_out = n_modes if n_out is None else n_out
+    mat = realize_l(data, n_modes, n_out).matrix
+    omega = TWO_PI * np.arange(-n_modes, n_modes + 1) / data.circumference
+    l_out = np.arange(-n_out, n_out + 1, dtype=float)
+    row = T_SYMBOL_SCALE * data.circumference * (l_out**2 + 1.0) ** (-0.75)
+    mat *= np.concatenate([row, row])[:, None]
+    mat *= -np.concatenate([omega, omega])[None, :] ** 2
+    return RealizedOperator(mat, n_modes, n_out, data.circumference)
 
 
 @dataclass
@@ -214,9 +296,9 @@ class FredholmReport:
     flagged: bool
 
 
-def fredholm_diagnostics(fn, truncations=(16, 24, 32), m_out=0.0, m_in=0.0,
-                         circumference=TWO_PI, rel_threshold=1e-8):
-    """Kernel/cokernel count of square graded truncations with a stability vote.
+def fredholm_diagnostics(data, truncations=(16, 24, 32), m_out=0.0, m_in=0.0,
+                         rel_threshold=1e-8):
+    """Kernel/cokernel count of square graded truncations of L with a stability vote.
 
     A square truncation has equal kernel and cokernel rank deficiency, so the
     reported index is 0 whenever the kernel dimension is stable across the
@@ -226,8 +308,7 @@ def fredholm_diagnostics(fn, truncations=(16, 24, 32), m_out=0.0, m_in=0.0,
     """
     dims, gaps = [], []
     for n in truncations:
-        op = RealizedOperator.realize(fn, int(n), int(n), circumference)
-        sv = op.singular_values(m_out, m_in)
+        sv = realize_l(data, int(n)).singular_values(m_out, m_in)
         top = sv[0] if sv.size else 1.0
         near_zero = sv < rel_threshold * max(top, 1e-300)
         dims.append(int(np.sum(near_zero)))

@@ -36,7 +36,6 @@ from .obstruction import (
 from .deform import (
     ExtendedSystem,
     fredholm_diagnostics,
-    l_op,
     ll_star_defect_operator,
     loss_of_regularity_profile,
     obstruction_direction_series,
@@ -309,16 +308,14 @@ def run_deform_op(cfg):
     unstable = 0
     for i in range(cfg.samples):
         data = random_nondegenerate_data(rng)
-        rep = fredholm_diagnostics(
-            lambda xi: l_op(data, xi), truncations=truncations
-        )
+        rep = fredholm_diagnostics(data, truncations=truncations)
         rows.append((i, rep.kernel_dim, int(rep.stable), rep.singular_gaps[-1]))
         if not (rep.stable and rep.kernel_dim == 0 and rep.index == 0):
             unstable += 1
             _check(failures, False,
                    f"sample {i}: kernel dims {rep.kernel_dims} not stably zero")
     flat = LeadingData.constant(1.0, 1.0)
-    rep1 = fredholm_diagnostics(lambda xi: l_op(flat, xi), truncations=truncations)
+    rep1 = fredholm_diagnostics(flat, truncations=truncations)
     _check(failures, rep1.stable and rep1.kernel_dim == 1,
            f"constant data kernel dims {rep1.kernel_dims}, want stable 1")
     gap = min(rep1.singular_gaps)

@@ -12,10 +12,12 @@ the plain iteration amplifies its own high-mode error.
 Both solvers share one loop and report a typed trace: converged, diverged
 (residual above 1e3 x initial for five consecutive steps), budget_exhausted,
 or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
-one derivative per application and is small enough to realize densely; the
-linearized spinor problem wraps the bordered deformation system as an affine
-problem on the same state space, carrying the bordering multiplier in the
-vacated mean-zero slot.
+one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
+is complex-linear and assembled from a Toeplitz block of u, so each step
+solves one (2N+1) complex system; probing by unit vectors is a test oracle
+only.  The linearized spinor problem wraps the bordered deformation system as
+an affine problem on the same state space, carrying the bordering multiplier
+in the vacated mean-zero slot.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .series import (
 )
 from .deform import (
     ExtendedSystem,
-    RealizedOperator,
     _mean_zero_indices,
     real_coords,
     series_from_real,
+    toeplitz_block,
 )
 
 
@@ -194,19 +196,18 @@ class ToyProblem(TameProblem):
         u, v = self.project(u), self.project(v)
         return v + 2.0 * self.strength * derivative(multiply(u, v)).truncate(self.n_modes)
 
-    def linearized_operator(self, u):
+    def jacobian(self, u):
+        """Complex matrix of dF(u): I + 2 strength diag(i omega) Toep_N(u)."""
         u = self.project(u)
-        return RealizedOperator.realize(
-            lambda v: self.derivative_apply(u, v),
-            self.n_modes,
-            self.n_modes,
-            u.circumference,
-        )
+        jac = toeplitz_block(u, self.n_modes, self.n_modes)
+        jac *= (2.0j * self.strength * u.angular_frequencies())[:, None]
+        jac[np.diag_indices_from(jac)] += 1.0
+        return jac
 
     def solve_linearized(self, u, g):
-        op = self.linearized_operator(u)
-        sol = np.linalg.solve(op.matrix, real_coords(self.project(g)))
-        return series_from_real(sol, g.circumference)
+        g = self.project(g)
+        sol = np.linalg.solve(self.jacobian(u), g.coeffs)
+        return FourierSeries1D(sol, g.circumference)
 
 
 def smooth_f_preset(n_modes=96, amplitude=0.02, circumference=TWO_PI):

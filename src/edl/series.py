@@ -146,9 +146,9 @@ class FourierSeries1D:
         return float(np.sqrt(np.sum(w * np.abs(self.coeffs) ** 2)))
 
     def quadrature_points(self, n_points=None):
-        # >= 4N+1 uniform points makes the trapezoid rule exact for |u|^2
+        # |u|^2 has band 2N, so >= 2N+1 uniform points integrate it exactly
         if n_points is None:
-            n_points = 4 * self.n_modes + 1
+            n_points = 2 * self.n_modes + 1
         return np.arange(n_points) * (self.circumference / n_points)
 
     def quadrature_mean_square(self, n_points=None):

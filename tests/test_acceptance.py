@@ -43,7 +43,6 @@ from edl.obstruction import (
 )
 from edl.deform import (
     fredholm_diagnostics,
-    l_op,
     ll_star_defect_operator,
     loss_of_regularity_profile,
 )
@@ -139,10 +138,10 @@ def test_criterion_05_deformation_diagnostics():
     all_stable = True
     for _ in range(20):
         data = random_nondegenerate_data(rng)
-        rep = fredholm_diagnostics(lambda xi: l_op(data, xi), truncations=truncations)
+        rep = fredholm_diagnostics(data, truncations=truncations)
         all_stable = all_stable and rep.stable and rep.kernel_dim == 0 and rep.index == 0
     flat = LeadingData.constant(1.0, 1.0)
-    rep1 = fredholm_diagnostics(lambda xi: l_op(flat, xi), truncations=truncations)
+    rep1 = fredholm_diagnostics(flat, truncations=truncations)
     flat_ok = rep1.stable and rep1.kernel_dim == 1 and min(rep1.singular_gaps) > 0.1
     gen = random_nondegenerate_data(rng)
     defect = [ll_star_defect_operator(gen, n).operator_norm(1.0, 0.0)

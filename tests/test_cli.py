@@ -8,6 +8,7 @@ import pytest
 
 from edl.cli import main, write_artifacts
 from edl.config import (
+    MATRIX_BYTE_BUDGET,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -155,6 +156,28 @@ def test_exit_two_on_config_error(tmp_path, capsys, line):
     rc = main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
+    # only validated, never run: deform-op's loss profile builds a real T of
+    # side 2(4N+1) at band 2N
+    largest = max(n for n in range(1, 4096)
+                  if 8 * (2 * (4 * n + 1)) ** 2 <= MATRIX_BYTE_BUDGET)
+    assert build_config("deform-op", {"n_modes": largest}).n_modes == largest
+    with pytest.raises(ConfigError, match="n_modes.*MiB"):
+        build_config("deform-op", {"n_modes": largest + 1})
+    with pytest.raises(ConfigError, match="n_modes"):
+        with_overrides(build_config("nash-moser"), n_modes=10**6)
+    with pytest.raises(ConfigError, match="n_modes"):
+        with_overrides(build_config("continuation"), n_modes=10**6)
+    # a band that sizes no dense matrix is not bounded by it
+    assert build_config("gram", {"n_modes": 10**6}).n_modes == 10**6
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(f"n_modes = {largest + 1}\n")
+    rc = main(["deform-op", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "deform-op").exists()
 
 
 def _reject_constant(name):

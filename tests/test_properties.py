@@ -1,10 +1,23 @@
-"""Property tests: series invariants and the separable B(gdot) Phi0 algebra."""
+"""Property tests: series invariants, the separable B(gdot) Phi0 algebra, and
+the closed-form operator assemblies against unit-vector probing."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 from edl.dirac import LeadingData, RadialGrid
+from edl.deform import (
+    RealizedOperator,
+    commutator_with_sign_multiplier,
+    l_op,
+    l_star,
+    ll_star_defect_operator,
+    realize_l,
+    realize_l_star,
+    realize_t,
+    t_op,
+)
+from edl.newton import ToyProblem
 from edl.bgvar import (
     CutoffProfile,
     MetricVariation,
@@ -111,3 +124,51 @@ def test_separable_coefficients_match_dense_dft(data, length, with_y, with_cutof
         for l in range(-band - 1, band + 2):
             for k in range(-3, 4):
                 assert close(field.coeff(l, k), spec[l % nt, :, k % ntheta], scale)
+
+
+# -- closed-form assembly against the probing oracle -------------------------------
+
+
+def probed(fn, n_in, n_out, length):
+    return RealizedOperator.realize(fn, n_in, n_out, length).matrix
+
+
+def assert_matches_oracle(assembled, oracle):
+    assert assembled.shape == oracle.shape
+    assert close(assembled, oracle, max(float(np.max(np.abs(oracle))), 1e-300))
+
+
+@PROPERTY
+@given(st.data(), circumference, st.integers(0, 64), st.integers(0, 64))
+def test_assembled_operators_match_probing(data, length, n_in, n_out):
+    lead = data.draw(leading_data(length))
+    assert_matches_oracle(realize_l(lead, n_in, n_out).matrix,
+                          probed(lambda x: l_op(lead, x), n_in, n_out, length))
+    assert_matches_oracle(realize_l_star(lead, n_in, n_out).matrix,
+                          probed(lambda x: l_star(lead, x), n_in, n_out, length))
+    assert_matches_oracle(realize_t(lead, n_in, n_out).matrix,
+                          probed(lambda x: t_op(lead, x), n_in, n_out, length))
+    mod2 = lead.modulus_squared_series()
+    assert_matches_oracle(
+        ll_star_defect_operator(lead, n_in).matrix,
+        probed(lambda x: l_op(lead, l_star(lead, x)) - multiply(mod2, x),
+               n_in, n_in, length),
+    )
+    a = lead.d
+    assert_matches_oracle(
+        commutator_with_sign_multiplier(a, n_in).matrix,
+        probed(lambda x: hilbert_transform(multiply(a, x))
+               - multiply(a, hilbert_transform(x)), n_in, n_in + a.n_modes, length),
+    )
+
+
+@PROPERTY
+@given(series(max_band=6), st.integers(0, 64), st.floats(0.1, 2.0))
+def test_toy_jacobian_matches_probing(u, n, strength):
+    prob = ToyProblem(n_modes=n, strength=strength)
+    jac = prob.jacobian(u)
+    real_form = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
+    assert_matches_oracle(
+        real_form,
+        probed(lambda v: prob.derivative_apply(u, v), n, n, u.circumference),
+    )
