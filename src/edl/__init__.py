@@ -5,123 +5,6 @@ model operator and its radial mode problems (dirac), obstruction pairings and
 decay experiments (obstruction), the induced deformation operators on the
 singular circle (deform), first variation of the operator under ambient metric
 pullback (bgvar), a smoothed Newton iteration with tame estimates (newton),
-and a command line driver (cli).
+and a command line driver (cli). The package root exports nothing: import
+from the submodules.
 """
-
-from .series import (
-    FourierSeries1D,
-    GradedVector,
-    SmoothingFamily,
-    dyadic_pointwise_bound,
-    fractional_resolvent,
-    hilbert_transform,
-    interpolation_ratio,
-    multiply,
-    second_derivative,
-    smooth,
-    verify_smoothing_axioms,
-)
-from .dirac import (
-    LeadingData,
-    ModeSpinor,
-    RadialGrid,
-    SpinorField,
-    dirac_apply,
-    euclidean_obstruction_field,
-    euclidean_obstruction_mode,
-    mu_perturbed_mode,
-    solve_mode_ode,
-)
-from .obstruction import (
-    WeightProfile,
-    annuli_decay,
-    conormal_rate,
-    discrete_max_principle,
-    gram_matrix,
-    gram_tail_trend,
-    project_to_obstruction,
-)
-from .deform import (
-    ExtendedSystem,
-    RealizedOperator,
-    fredholm_diagnostics,
-    l_op,
-    l_star,
-    loss_of_regularity_profile,
-    t_op,
-)
-from .bgvar import (
-    CutoffProfile,
-    MetricVariation,
-    bg_apply,
-    bg_pairing_comparison,
-    leading_term_field,
-)
-from .newton import (
-    IterationTrace,
-    LinearizedSpinorProblem,
-    TameProblem,
-    ToyProblem,
-    eigenvalue_continuation,
-    nash_moser_solve,
-    plain_newton_solve,
-    rough_f_preset,
-    smooth_f_preset,
-)
-from .config import ExperimentConfig, build_config, load_config
-from .experiments import run_experiment
-
-__all__ = [
-    "FourierSeries1D",
-    "GradedVector",
-    "SmoothingFamily",
-    "dyadic_pointwise_bound",
-    "fractional_resolvent",
-    "hilbert_transform",
-    "interpolation_ratio",
-    "multiply",
-    "second_derivative",
-    "smooth",
-    "verify_smoothing_axioms",
-    "LeadingData",
-    "ModeSpinor",
-    "RadialGrid",
-    "SpinorField",
-    "dirac_apply",
-    "euclidean_obstruction_field",
-    "euclidean_obstruction_mode",
-    "mu_perturbed_mode",
-    "solve_mode_ode",
-    "WeightProfile",
-    "annuli_decay",
-    "conormal_rate",
-    "discrete_max_principle",
-    "gram_matrix",
-    "gram_tail_trend",
-    "project_to_obstruction",
-    "ExtendedSystem",
-    "RealizedOperator",
-    "fredholm_diagnostics",
-    "l_op",
-    "l_star",
-    "loss_of_regularity_profile",
-    "t_op",
-    "CutoffProfile",
-    "MetricVariation",
-    "bg_apply",
-    "bg_pairing_comparison",
-    "leading_term_field",
-    "IterationTrace",
-    "LinearizedSpinorProblem",
-    "TameProblem",
-    "ToyProblem",
-    "eigenvalue_continuation",
-    "nash_moser_solve",
-    "plain_newton_solve",
-    "rough_f_preset",
-    "smooth_f_preset",
-    "ExperimentConfig",
-    "build_config",
-    "load_config",
-    "run_experiment",
-]

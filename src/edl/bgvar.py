@@ -424,22 +424,18 @@ class BGComparisonReport:
 
 
 CANDIDATE_CONSTANTS = (-0.75, -1.5)
+PAIRING_RADIAL_POINTS = 500
+PAIRING_DECAY_BUDGET = 30.0  # |l| r_max: Psi_l has decayed by e^{-30} at the grid edge
 
 
-def bg_pairing_comparison(
-    data,
-    eta_x,
-    eta_y=None,
-    l_values=(4, 8, 16, 32),
-    n_radial=500,
-    decay_budget=30.0,
-    cutoff=None,
-):
+def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cutoff=None):
     """Per-mode pairings <B(gdot) Phi0, Psi_l> against the multiplier prediction.
 
     Psi_l lives on the single mode (l, k = 0), so the pairing is
     L * 2pi * int (B_+ + sgn(l) B_-)_{l,0} prof_l r dr, read off the separable
-    (l, 0) coefficient of B(gdot) Phi0 with one radial quadrature.
+    (l, 0) coefficient of B(gdot) Phi0 with one radial quadrature on a
+    geometric grid of PAIRING_RADIAL_POINTS radii out to
+    PAIRING_DECAY_BUDGET / |l|.
 
     The prediction is derived for the cutoff-free family; passing a cutoff
     measures how far the compactly supported variation drifts from it (the
@@ -465,10 +461,10 @@ def bg_pairing_comparison(
         b = L * TWO_PI * abs(l) ** -1.5 * mult.coeff(l)
         if abs(b) < 1e-14:
             raise ValueError(f"probe mode {l} is absent from the displacement")
-        r_max = decay_budget / abs(l)
+        r_max = PAIRING_DECAY_BUDGET / abs(l)
         if cutoff is not None:
             r_max = max(r_max, 1.2 * cutoff.r0)
-        rgrid = RadialGrid.geometric(r_max, n_radial, r_min_factor=1e-7)
+        rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
         bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
         bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
         m = L * TWO_PI * bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))

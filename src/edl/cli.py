@@ -66,12 +66,7 @@ def write_artifacts(outcome, out_dir):
     write_csv(os.path.join(folder, "results.csv"), outcome.header, outcome.rows)
     atomic_write_json(os.path.join(folder, "summary.json"), outcome.summary())
     if outcome.plot is not None:
-        spec = outcome.plot
-        write_line_plot(
-            os.path.join(folder, "plot.svg"),
-            spec["series"], spec["title"], spec["xlabel"], spec["ylabel"],
-            logx=spec.get("logx", False), logy=spec.get("logy", False),
-        )
+        write_line_plot(os.path.join(folder, "plot.svg"), **outcome.plot)
     return folder
 
 

@@ -14,16 +14,15 @@ class ExperimentConfig:
 
     Every field has a per-command default; a config file only overrides.
     l_min/l_max bound the probe modes (0 excluded where the experiment
-    requires it), n_modes is the working band, p the vanishing order for
-    rate probes, r0/r_max radial scales, eps0/theta the smoothing schedule,
-    tol the assertion tolerance, samples the randomized-suite size.
+    requires it), n_modes is the working band, r0/r_max radial scales,
+    eps0/theta the smoothing schedule, tol the assertion tolerance, samples
+    the randomized-suite size.
     """
 
     experiment: str = ""
     n_modes: int = 48
     l_min: int = 1
     l_max: int = 32
-    p: float = 0.5
     r0: float = 1.0
     r_max: float = 30.0
     eps0: float = 1.0
@@ -52,7 +51,7 @@ class ExperimentConfig:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
             raise ConfigError(f"l_max {self.l_max} below l_min {self.l_min}")
-        for name in ("p", "r0", "r_max", "eps0", "tol"):
+        for name in ("r0", "r_max", "eps0", "tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.theta <= 1.0:
@@ -86,14 +85,14 @@ def dense_matrix_bytes(experiment, n_modes):
 
 
 _INT_KEYS = {"n_modes", "l_min", "l_max", "max_steps", "samples", "seed"}
-_FLOAT_KEYS = {"p", "r0", "r_max", "eps0", "theta", "tol"}
+_FLOAT_KEYS = {"r0", "r_max", "eps0", "theta", "tol"}
 _STR_KEYS = {"out_dir"}
 _BOOL_KEYS = {"do_assert"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
 
 COMMAND_DEFAULTS = {
     "modes": dict(l_max=32, r_max=26.0, tol=1e-8),
-    "obstruction": dict(l_max=24, n_modes=24, tol=1e-5),
+    "obstruction": dict(l_max=24, tol=1e-5),
     "conormal": dict(l_min=8, l_max=256, tol=0.05),
     "gram": dict(l_min=1, l_max=96, tol=2.0),
     "deform-op": dict(n_modes=128, samples=6, tol=0.1),

@@ -29,7 +29,7 @@ from .series import (
     second_derivative,
     sign_with_positive_zero,
 )
-from .dirac import LeadingData
+from .dirac import LeadingData, sgn
 
 T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
 
@@ -126,13 +126,6 @@ class RealizedOperator:
         series = series.truncate(self.n_in)
         return series_from_real(self.matrix @ real_coords(series), self.circumference)
 
-    def graded_matrix(self, m_out=0.0, m_in=0.0):
-        w_out = _graded_weights(self.n_out, m_out)
-        w_in = _graded_weights(self.n_in, m_in)
-        g = self.matrix * w_out[:, None]
-        g /= w_in[None, :]
-        return g
-
     def operator_norm(self, m_out=0.0, m_in=0.0):
         """sigma_max as the square root of the top eigenvalue of G^T G.
 
@@ -155,9 +148,9 @@ class RealizedOperator:
                    eigvals_only=True, overwrite_a=True)[0]
         return float(np.sqrt(max(top, 0.0)))
 
-    def singular_values(self, m_out=0.0, m_in=0.0):
+    def singular_values(self):
         # kernel counts need the small end resolved, which G^T G would square away
-        return np.linalg.svd(self.graded_matrix(m_out, m_in), compute_uv=False)
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
 
 # -- the multiplier pair and its defect ----------------------------------------------
@@ -213,14 +206,15 @@ def ll_star_defect_operator(data, n_modes):
     return RealizedOperator(out, n_modes, n_modes, data.circumference)
 
 
-def commutator_with_sign_multiplier(a_series, n_modes, n_out=None):
-    """[H, a] xi = H(a xi) - a H(xi), realized exactly.
+def commutator_with_sign_multiplier(a_series, n_modes):
+    """[H, a] xi = H(a xi) - a H(xi), realized exactly onto the modes
+    |l| <= n_modes + band(a) that it reaches.
 
     Its matrix in mode coordinates is a_{l'-l} (sgn l' - sgn l): entries live
     only on sign-straddling pairs, so the operator has finite rank and gains
     one full degree of smoothness.
     """
-    n_out = n_out if n_out is not None else n_modes + a_series.n_modes
+    n_out = n_modes + a_series.n_modes
     a = toeplitz_block(a_series, n_out, n_modes)
     a *= _signs(n_out)[:, None] - _signs(n_modes)[None, :]
     return RealizedOperator(_real_form(a), n_modes, n_out, a_series.circumference)
@@ -293,24 +287,25 @@ class FredholmReport:
     kernel_dim: int
     index: int
     stable: bool
-    flagged: bool
 
 
-def fredholm_diagnostics(data, truncations=(16, 24, 32), m_out=0.0, m_in=0.0,
-                         rel_threshold=1e-8):
-    """Kernel/cokernel count of square graded truncations of L with a stability vote.
+KERNEL_REL_THRESHOLD = 1e-8  # singular values below this times sigma_max count as kernel
+
+
+def fredholm_diagnostics(data, truncations=(16, 24, 32)):
+    """Kernel/cokernel count of square truncations of L with a stability vote.
 
     A square truncation has equal kernel and cokernel rank deficiency, so the
     reported index is 0 whenever the kernel dimension is stable across the
-    three truncations; an unstable count is flagged instead of averaged.
-    singular_gaps records the smallest singular value above the near-zero
-    cluster, the margin the count rests on.
+    three truncations; an unstable count is reported as not stable instead
+    of averaged. singular_gaps records the smallest singular value above the
+    near-zero cluster, the margin the count rests on.
     """
     dims, gaps = [], []
     for n in truncations:
-        sv = realize_l(data, int(n)).singular_values(m_out, m_in)
+        sv = realize_l(data, int(n)).singular_values()
         top = sv[0] if sv.size else 1.0
-        near_zero = sv < rel_threshold * max(top, 1e-300)
+        near_zero = sv < KERNEL_REL_THRESHOLD * max(top, 1e-300)
         dims.append(int(np.sum(near_zero)))
         above = sv[~near_zero]
         gaps.append(float(above[-1] / top) if above.size else 0.0)
@@ -323,15 +318,14 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32), m_out=0.0, m_in=0.0,
         kernel_dim=kernel,
         index=0,
         stable=stable,
-        flagged=not stable,
     )
 
 
 # -- the bordered extended system -------------------------------------------------------
 
 
-def obstruction_direction_series(data, n_modes, z0=1.0):
-    """phi_l = 2 pi z0 |l|^{-3/2} (c_l + sgn(l) d_l) on modes l != 0.
+def obstruction_direction_series(data, n_modes):
+    """phi_l = 2 pi |l|^{-3/2} (c_l + sgn(l) d_l) on modes l != 0.
 
     This is the leading pairing of the family against the data's first-order
     variation; constant data makes it vanish identically.
@@ -340,9 +334,7 @@ def obstruction_direction_series(data, n_modes, z0=1.0):
     for l in range(-n_modes, n_modes + 1):
         if l == 0:
             continue
-        c_l = data.c.coeff(l) if abs(l) <= data.c.n_modes else 0.0
-        d_l = data.d.coeff(l) if abs(l) <= data.d.n_modes else 0.0
-        val = TWO_PI * z0 * abs(l) ** (-1.5) * (c_l + (1.0 if l >= 0 else -1.0) * d_l)
+        val = TWO_PI * abs(l) ** (-1.5) * (data.c.coeff(l) + sgn(l) * data.d.coeff(l))
         if val != 0.0:
             modes[l] = val
     return FourierSeries1D.from_modes(modes, data.circumference, n_modes=n_modes)
@@ -367,13 +359,12 @@ class ExtendedSystem:
 
     data: LeadingData
     n_modes: int
-    z0: float
     matrix: np.ndarray
     phi: FourierSeries1D
 
     @staticmethod
-    def from_data(data, n_modes, z0=1.0):
-        phi = obstruction_direction_series(data, n_modes, z0)
+    def from_data(data, n_modes):
+        phi = obstruction_direction_series(data, n_modes)
         phi_vec = real_coords(phi)
         keep = _mean_zero_indices(n_modes)
         col = -phi_vec[keep]
@@ -387,7 +378,7 @@ class ExtendedSystem:
         big[:dim, :dim] = t_mat
         big[:dim, dim] = col
         big[dim, :dim] = phi_vec[keep]
-        return ExtendedSystem(data, n_modes, z0, big, phi)
+        return ExtendedSystem(data, n_modes, big, phi)
 
     def solve(self, g_series):
         """Solve T eta + lambda col = g on mean-zero modes with <eta, phi> = 0."""

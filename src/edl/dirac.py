@@ -31,8 +31,6 @@ import scipy.sparse as sp
 
 from .series import FourierSeries1D, TWO_PI, multiply
 
-TWIST_TAG = "twist:(e^{-i*theta/2}, e^{+i*theta/2})"
-
 
 def sgn(l):
     return 1.0 if l >= 0 else -1.0
@@ -225,9 +223,6 @@ class ModeSpinor:
     dpsi_plus: np.ndarray = None   # analytic d/dr when available
     dpsi_minus: np.ndarray = None
 
-    def stacked(self):
-        return np.stack([self.psi_plus, self.psi_minus])
-
     def weighted_l2(self):
         dens = np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2
         return float(np.sqrt(self.rgrid.integrate(dens)))
@@ -259,25 +254,25 @@ class ModeSpinor:
         num = float(np.sqrt(self.rgrid.integrate(dens)))
         return num / max(self.weighted_l2(), 1e-300)
 
-    def decay_rate(self, window=(0.25, 0.75)):
-        """Exponential rate fitted on log(r^{1/2} |psi|) over a radius window."""
+    def decay_rate(self):
+        """Exponential rate fitted on log(r^{1/2} |psi|) over [R/4, 3R/4]."""
         r = self.rgrid.r
         mag = np.sqrt(np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2)
-        lo, hi = window[0] * r[-1], window[1] * r[-1]
+        lo, hi = 0.25 * r[-1], 0.75 * r[-1]
         mask = (r >= lo) & (r <= hi) & (mag > 0)
         y = np.log(mag[mask] * np.sqrt(r[mask]))
         slope = np.polyfit(r[mask], y, 1)[0]
         return -float(slope)
 
 
-def euclidean_obstruction_mode(l, rgrid, delta=0.0):
-    """Closed-form decaying kernel mode at k = 0: sqrt|w| e^{-|w| r} r^{-1/2}
-    with psi_- = sgn(w) psi_+, where w = l + delta.
+def euclidean_obstruction_mode(l, rgrid):
+    """Closed-form decaying kernel mode at k = 0: sqrt|l| e^{-|l| r} r^{-1/2}
+    with psi_- = sgn(l) psi_+.
 
-    l = 0 (with delta = 0) is rejected: the profile is not square integrable
-    on the plane and enters only through compact-disk pairings.
+    l = 0 is rejected: the profile is not square integrable on the plane and
+    enters only through compact-disk pairings.
     """
-    w = float(l) + float(delta)
+    w = float(l)
     if w == 0.0:
         raise ValueError("mode 0 is excluded on the plane")
     r = rgrid.r
@@ -317,22 +312,26 @@ def mu_perturbed_mode(l, mu, rgrid, component=0):
     return ModeSpinor(0, l, rgrid, prof, sgn(l) * prof, dprof, sgn(l) * dprof)
 
 
-def frobenius_start(k, l, r, n_terms=5):
+FROBENIUS_TERMS = 5
+
+
+def frobenius_start(k, l, r):
     """Series seed of the square-integrable branch at a regular singular point.
 
     Indicial roots are k - 1/2 and -(k + 1/2); the branch with exponent
-    |k| - 1/2 is the one square integrable against r dr for k != 0.
+    |k| - 1/2 is the one square integrable against r dr for k != 0. The
+    series is summed to FROBENIUS_TERMS terms.
     """
     if k == 0:
         raise ValueError("k = 0 has a double indicial root; use the decaying branch")
     lam = abs(k) - 0.5
-    v = np.zeros((n_terms, 2))
+    v = np.zeros((FROBENIUS_TERMS, 2))
     v[0] = (1.0, 0.0) if k > 0 else (0.0, 1.0)
     a0 = np.array([k - 0.5, -(k + 0.5)])
-    for j in range(1, n_terms):
+    for j in range(1, FROBENIUS_TERMS):
         rhs = np.array([-l * v[j - 1][1], -l * v[j - 1][0]])
         v[j] = rhs / (lam + j - a0)
-    powers = r ** (lam + np.arange(n_terms))
+    powers = r ** (lam + np.arange(FROBENIUS_TERMS))
     return powers @ v
 
 
@@ -368,7 +367,10 @@ def _rk4_log_sweep(k, l, s_nodes, u0, n_sub, inward=False):
     return out
 
 
-def solve_mode_ode(k, l, rgrid, branch="decaying", h_target=0.001):
+RK4_STEP = 0.001  # target RK4 step in s = log r
+
+
+def solve_mode_ode(k, l, rgrid, branch="decaying"):
     """Integrate the radial mode system along the chosen branch.
 
     branch = "decaying": seeded at r = R with the outgoing-decay direction
@@ -380,7 +382,7 @@ def solve_mode_ode(k, l, rgrid, branch="decaying", h_target=0.001):
     requires k != 0. For k != 0 this branch grows like e^{|l| r}.
     """
     s_nodes = np.log(rgrid.r)
-    n_sub = max(1, int(math.ceil(rgrid.ds / h_target)))
+    n_sub = max(1, int(math.ceil(rgrid.ds / RK4_STEP)))
     if branch == "decaying":
         if l == 0:
             raise ValueError("no decaying branch at l = 0")
@@ -396,16 +398,17 @@ def solve_mode_ode(k, l, rgrid, branch="decaying", h_target=0.001):
     return ModeSpinor(k, l, rgrid, vals[:, 0].astype(complex), vals[:, 1].astype(complex))
 
 
-def growth_rate(mode, window=(0.5, 0.95)):
-    """Fitted d log|u|/dr on the outer window (positive = growth)."""
+def growth_rate(mode):
+    """Fitted d log|u|/dr on the outer window [R/2, 0.95 R] (positive = growth)."""
     r = mode.rgrid.r
     mag = np.sqrt(np.abs(mode.psi_plus) ** 2 + np.abs(mode.psi_minus) ** 2)
-    mask = (r >= window[0] * r[-1]) & (r <= window[1] * r[-1]) & (mag > 0)
+    mask = (r >= 0.5 * r[-1]) & (r <= 0.95 * r[-1]) & (mag > 0)
     return float(np.polyfit(r[mask], np.log(mag[mask]), 1)[0])
 
 
-def wronskian_mismatch(k, l, rgrid, at_radius=None):
-    """Determinant of the normalized (regular, decaying) solution pair.
+def wronskian_mismatch(k, l, rgrid):
+    """Determinant of the normalized (regular, decaying) solution pair at the
+    grid radius nearest 2/|l|.
 
     For k != 0 no radial mode is both square integrable at the axis and
     decaying at infinity; the two shooting branches stay transverse and the
@@ -416,7 +419,7 @@ def wronskian_mismatch(k, l, rgrid, at_radius=None):
     reg = solve_mode_ode(k, l, rgrid, branch="regular")
     dec = solve_mode_ode(k, l, rgrid, branch="decaying")
     r = rgrid.r
-    target = at_radius if at_radius is not None else 2.0 / max(abs(l), 1e-12)
+    target = 2.0 / max(abs(l), 1e-12)
     i = int(np.argmin(np.abs(r - target)))
     a = np.array([reg.psi_plus[i].real, reg.psi_minus[i].real])
     b = np.array([dec.psi_plus[i].real, dec.psi_minus[i].real])
@@ -461,10 +464,9 @@ class LeadingData:
         return multiply(self.c, self.c.conjugate()) + multiply(self.d, self.d.conjugate())
 
     @staticmethod
-    def constant(c, d, circumference=TWO_PI):
+    def constant(c, d):
         return LeadingData(
-            FourierSeries1D.from_modes({0: c}, circumference),
-            FourierSeries1D.from_modes({0: d}, circumference),
+            FourierSeries1D.from_modes({0: c}), FourierSeries1D.from_modes({0: d})
         )
 
 
@@ -494,7 +496,6 @@ class SpinorField:
     circumference: float = TWO_PI
     plus_dr: np.ndarray = None
     minus_dr: np.ndarray = None
-    trivialization: str = TWIST_TAG
 
     def __post_init__(self):
         if self.plus.shape != self.minus.shape or self.plus.ndim != 3:
@@ -523,13 +524,14 @@ class SpinorField:
 
 
 def field_from_mode(k, l, rgrid, prof_plus, prof_minus, nt, ntheta,
-                    circumference=TWO_PI, dprof_plus=None, dprof_minus=None):
-    """Tensor field profile(r) * e^{i l t 2pi/L} * e^{i k theta} in stored components."""
+                    dprof_plus=None, dprof_minus=None):
+    """Tensor field profile(r) * e^{i l t} * e^{i k theta} in stored components,
+    on the circle of circumference 2 pi."""
     if nt < 2 * abs(l) + 2 or ntheta < 2 * abs(k) + 2:
         raise ValueError("grid cannot represent the requested mode alias-free")
-    t = np.arange(nt) * (circumference / nt)
+    t = np.arange(nt) * (TWO_PI / nt)
     th = np.arange(ntheta) * (TWO_PI / ntheta)
-    et = np.exp(2j * math.pi * l * t / circumference)[:, None, None]
+    et = np.exp(2j * math.pi * l * t / TWO_PI)[:, None, None]
     eth = np.exp(1j * k * th)[None, None, :]
     pp = np.asarray(prof_plus, dtype=complex)[None, :, None]
     pm = np.asarray(prof_minus, dtype=complex)[None, :, None]
@@ -537,21 +539,21 @@ def field_from_mode(k, l, rgrid, prof_plus, prof_minus, nt, ntheta,
     if dprof_plus is not None and dprof_minus is not None:
         kwargs["plus_dr"] = et * np.asarray(dprof_plus, complex)[None, :, None] * eth
         kwargs["minus_dr"] = et * np.asarray(dprof_minus, complex)[None, :, None] * eth
-    return SpinorField(rgrid, et * pp * eth, et * pm * eth, circumference, **kwargs)
+    return SpinorField(rgrid, et * pp * eth, et * pm * eth, **kwargs)
 
 
-def field_from_mode_spinor(mode, nt, ntheta, circumference=TWO_PI):
+def field_from_mode_spinor(mode, nt, ntheta):
     return field_from_mode(
         mode.k, mode.l, mode.rgrid, mode.psi_plus, mode.psi_minus, nt, ntheta,
-        circumference, mode.dpsi_plus, mode.dpsi_minus,
+        mode.dpsi_plus, mode.dpsi_minus,
     )
 
 
-def euclidean_obstruction_field(l, rgrid, nt=None, ntheta=8, circumference=TWO_PI):
+def euclidean_obstruction_field(l, rgrid, nt=None, ntheta=8):
     mode = euclidean_obstruction_mode(l, rgrid)
     if nt is None:
         nt = 4 * abs(int(l)) + 5
-    return field_from_mode_spinor(mode, nt, ntheta, circumference)
+    return field_from_mode_spinor(mode, nt, ntheta)
 
 
 def dirac_apply(psi):
@@ -647,19 +649,24 @@ class AdjointnessReport:
     boundary_flagged: bool
 
 
-def adjointness_check(psi, phi, tolerance=1e-6):
+ADJOINTNESS_TOLERANCE = 1e-6
+
+
+def adjointness_check(psi, phi):
     """Relative defect |<D psi, phi> - <psi, D phi>| / (|psi| |phi|).
 
-    Compactly supported fields sit below `tolerance` on reference grids; a
-    defect above it is reported as a boundary contribution along the axis
-    (the operator has no other source of asymmetry).
+    Compactly supported fields sit below ADJOINTNESS_TOLERANCE on reference
+    grids; a defect above it is reported as a boundary contribution along
+    the axis (the operator has no other source of asymmetry).
     """
     lhs = l2_pairing(dirac_apply(psi), phi)
     rhs = l2_pairing(psi, dirac_apply(phi))
     denom = max(psi.norm() * phi.norm(), 1e-300)
     defect = abs(lhs - rhs) / denom
     return AdjointnessReport(
-        defect=defect, tolerance=tolerance, boundary_flagged=defect > tolerance
+        defect=defect,
+        tolerance=ADJOINTNESS_TOLERANCE,
+        boundary_flagged=defect > ADJOINTNESS_TOLERANCE,
     )
 
 

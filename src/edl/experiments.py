@@ -237,7 +237,7 @@ def run_gram(cfg):
     far = np.abs(ls[:, None] - ls[None, :]) >= (ls[:, None] * ls[None, :]) ** 0.25
     strong = np.abs(k_block) * (ls[:, None] * ls[None, :]) ** 2
     strong_const = float(np.max(strong[far])) if far.any() else 0.0
-    trend = gram_tail_trend(l_values, weight, decay_power=0.125)
+    trend = gram_tail_trend(l_values, weight)
     for c, n in zip(trend.cutoffs, trend.tail_norms):
         rows.append((int(c), float(n)))
     # the graded-norm prediction: tail(L0) <= smoothing_norm * L0^{-1/8}
@@ -280,8 +280,9 @@ def run_gram(cfg):
 # -- deform-op: index, kernel, defect, and loss-of-regularity diagnostics ---------------
 
 
-def random_nondegenerate_data(rng, band=3, floor=0.35):
-    """Smooth random (c, d) with |c| - |d| bounded away from zero."""
+def random_nondegenerate_data(rng):
+    """Smooth random band-3 (c, d) with min |c|^2 + |d|^2 above 0.35."""
+    band = 3
     while True:
         c_modes = {0: 1.0 + 0.2 * rng.standard_normal()}
         d_modes = {0: 0.3 * rng.standard_normal()}
@@ -297,7 +298,7 @@ def random_nondegenerate_data(rng, band=3, floor=0.35):
             data = LeadingData(c, d)
         except ValueError:
             continue
-        if data.nondegeneracy_min() > floor:
+        if data.nondegeneracy_min() > 0.35:
             return data
 
 
@@ -369,15 +370,16 @@ def run_deform_op(cfg):
 # -- bg-check: field-level pairing vs multiplier prediction -----------------------------
 
 
-def bg_probe_design(l_max, amplitude=0.05):
-    """Broadband displacement and mildly varying data for the ratio probe."""
+def bg_probe_design(l_max):
+    """Broadband displacement (amplitude 0.05 on every mode) and mildly
+    varying data for the ratio probe."""
     data = LeadingData(
         FourierSeries1D.from_modes({0: 1.0, 1: 0.3}, TWO_PI, 1),
         FourierSeries1D.from_modes({0: 0.0}, TWO_PI, 1),
     )
     band = l_max + 4
     eta = FourierSeries1D.from_modes(
-        {l: amplitude for l in range(-band, band + 1) if l != 0}, TWO_PI, band
+        {l: 0.05 for l in range(-band, band + 1) if l != 0}, TWO_PI, band
     )
     return data, eta
 

@@ -115,8 +115,8 @@ DIVERGENCE_FACTOR = 1e3
 DIVERGENCE_RUN = 5
 
 
-def _newton_loop(problem, f, u0, schedule, max_steps, tol):
-    u = problem.project(u0)
+def _newton_loop(problem, f, schedule, max_steps, tol):
+    u = problem.zero_state(f.circumference)
     f = problem.project(f)
     steps = []
     initial = None
@@ -163,19 +163,17 @@ def _newton_loop(problem, f, u0, schedule, max_steps, tol):
     return u, IterationTrace(status, steps, rnorm, f"stopped after {max_steps} steps")
 
 
-def plain_newton_solve(problem, f, u0=None, max_steps=30, tol=1e-10):
-    if u0 is None:
-        u0 = problem.zero_state(f.circumference)
-    return _newton_loop(problem, f, u0, None, max_steps, tol)
+def plain_newton_solve(problem, f, max_steps=30, tol=1e-10):
+    """Plain Newton from the zero state."""
+    return _newton_loop(problem, f, None, max_steps, tol)
 
 
-def nash_moser_solve(problem, f, u0=None, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
-    if u0 is None:
-        u0 = problem.zero_state(f.circumference)
+def nash_moser_solve(problem, f, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
+    """Smoothed Newton from the zero state with eps_k = min(1, eps0 theta^{-k})."""
     if not theta > 1.0:
         raise ValueError("the smoothing schedule must open modes, theta > 1")
     schedule = lambda k: min(1.0, eps0 * theta ** (-k))
-    return _newton_loop(problem, f, u0, schedule, max_steps, tol)
+    return _newton_loop(problem, f, schedule, max_steps, tol)
 
 
 # -- toy derivative-losing problem ----------------------------------------------------
@@ -210,14 +208,14 @@ class ToyProblem(TameProblem):
         return FourierSeries1D(sol, g.circumference)
 
 
-def smooth_f_preset(n_modes=96, amplitude=0.02, circumference=TWO_PI):
+def smooth_f_preset(n_modes=96, amplitude=0.02):
     """Analytic right-hand side: coefficients decay like e^{-0.6|l|}."""
     modes = {}
     for l in range(1, n_modes + 1):
         c = amplitude * math.exp(-0.6 * l) * np.exp(0.7j * l)
         modes[l] = c
         modes[-l] = np.conj(c)
-    return FourierSeries1D.from_modes(modes, circumference, n_modes)
+    return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
 
 
 ROUGH_PRESET_SEED = 20260815
@@ -225,29 +223,32 @@ ROUGH_PRESET_AMPLITUDE = 0.06
 ROUGH_PRESET_DECAY = 1.1
 
 
-def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE, seed=ROUGH_PRESET_SEED,
-                   decay=ROUGH_PRESET_DECAY, circumference=TWO_PI):
+def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
     """Slowly decaying right-hand side with frozen random phases.
 
     The amplitude sits where the plain iteration amplifies its own high-mode
     error past the divergence certificate while the smoothed schedule still
     converges; both behaviors are locked by the seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ROUGH_PRESET_SEED)
     phases = rng.uniform(0.0, TWO_PI, size=n_modes)
     modes = {}
     for l in range(1, n_modes + 1):
-        c = amplitude * l ** (-decay) * np.exp(1j * phases[l - 1])
+        c = amplitude * l ** (-ROUGH_PRESET_DECAY) * np.exp(1j * phases[l - 1])
         modes[l] = c
         modes[-l] = np.conj(c)
-    return FourierSeries1D.from_modes(modes, circumference, n_modes)
+    return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
 
 
 # -- derivative and tame diagnostics --------------------------------------------------
 
 
-def fd_derivative_order(problem, u, v, h_values=(1e-3, 5e-4, 2.5e-4)):
-    """Observed order of the central difference against derivative_apply.
+FD_STEPS = (1e-3, 5e-4, 2.5e-4)
+
+
+def fd_derivative_order(problem, u, v):
+    """Observed order of the central difference against derivative_apply,
+    fitted over the steps FD_STEPS.
 
     Returns inf when the map has no cubic part (the central difference is
     then exact and the errors sit at the roundoff floor).
@@ -255,13 +256,13 @@ def fd_derivative_order(problem, u, v, h_values=(1e-3, 5e-4, 2.5e-4)):
     u, v = problem.project(u), problem.project(v)
     dv = problem.derivative_apply(u, v)
     errs = []
-    for h in h_values:
+    for h in FD_STEPS:
         diff = (problem.apply(u + h * v) - problem.apply(u - h * v)) * (0.5 / h)
         errs.append(problem.norm(diff - dv, problem.m0))
     floor = 1e-11 * max(problem.norm(dv, problem.m0), 1.0)
     if max(errs) < floor:
         return math.inf
-    xs = np.log(np.asarray(h_values, dtype=float))
+    xs = np.log(np.asarray(FD_STEPS, dtype=float))
     ys = np.log(np.maximum(errs, 1e-300))
     return float(np.polyfit(xs, ys, 1)[0])
 
@@ -273,28 +274,31 @@ class TameSweepReport:
     constants: dict
 
 
-def tame_estimate_sweep(problem_factory, n_values, m_values=(1, 2, 3), n_samples=6,
-                        seed=ROUGH_PRESET_SEED, state_scale=0.05):
-    """Measure sup ||dF(u)^{-1} g||_m / (||g||_{m+1} + ||u||_{m+2} ||g||_{m0}).
+def tame_estimate_sweep(problem_factory, n_values):
+    """Measure sup ||dF(u)^{-1} g||_m / (||g||_{m+1} + ||u||_{m+2} ||g||_{m0})
+    at levels m = 1, 2, 3.
 
-    The estimate is tame when the measured constants stay bounded as the
-    working band grows; the sweep reports the per-m suprema over bands.
+    The supremum is over six random pairs per band and level, with states u
+    of scale 0.05. The estimate is tame when the measured constants stay
+    bounded as the working band grows; the sweep reports the per-m suprema
+    over bands.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ROUGH_PRESET_SEED)
+    m_values = (1, 2, 3)
     ratios = {m: {} for m in m_values}
     for n in n_values:
         problem = problem_factory(n)
         for m in m_values:
             worst = 0.0
-            for _ in range(n_samples):
-                u = _random_decaying_series(rng, n, state_scale, decay=2.0)
+            for _ in range(6):
+                u = _random_decaying_series(rng, n, 0.05, decay=2.0)
                 g = _random_decaying_series(rng, n, 1.0, decay=1.2)
                 sol = problem.solve_linearized(u, g)
                 denom = g.sobolev_norm(m + 1) + u.sobolev_norm(m + 2) * g.sobolev_norm(problem.m0)
                 worst = max(worst, problem.norm(sol, m) / denom)
             ratios[m][n] = worst
     constants = {m: max(ratios[m].values()) for m in m_values}
-    return TameSweepReport(tuple(m_values), ratios, constants)
+    return TameSweepReport(m_values, ratios, constants)
 
 
 def _random_decaying_series(rng, n_modes, scale, decay):
@@ -323,8 +327,8 @@ class LinearizedSpinorProblem(TameProblem):
     rhs: FourierSeries1D
 
     @staticmethod
-    def from_data(data, rhs, n_modes, z0=1.0):
-        system = ExtendedSystem.from_data(data, n_modes, z0)
+    def from_data(data, rhs, n_modes):
+        system = ExtendedSystem.from_data(data, n_modes)
         return LinearizedSpinorProblem(system, rhs.truncate(n_modes))
 
     @property
@@ -388,7 +392,7 @@ class ContinuationResult:
     history: list
 
 
-def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8, z0=1.0):
+def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8):
     """Locate the parameter where the bordering multiplier crosses zero.
 
     data_family maps a scalar parameter to leading data; for each parameter
@@ -404,7 +408,7 @@ def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8, z0=
     def lam(s):
         s = float(s)
         if s not in history:
-            system = ExtendedSystem.from_data(data_family(s), n_modes, z0)
+            system = ExtendedSystem.from_data(data_family(s), n_modes)
             history[s] = float(system.solve(rhs)[1])
         return history[s]
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.integrate import solve_bvp
 
 from .series import FourierSeries1D, TWO_PI, cutoff_c2
-from .dirac import RadialGrid, euclidean_obstruction_mode, radial_bump, sgn
+from .dirac import RadialGrid, radial_bump, sgn
 
 
 # -- projection ---------------------------------------------------------------
@@ -64,8 +64,11 @@ class ConormalReport:
     fit_valid: bool
 
 
-def conormal_rate(p, f_series, l_values, r0=1.0, rgrid=None, radial_profile=None):
+def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     """Pairings of chi(r) f(t) r^p (plus component) against the decaying family.
+
+    chi is the C^2 cutoff, 1 on r <= 1 and 0 on r >= 2; the default grid
+    spans (0, 2].
 
     For p > -1 the exact radial integral against sqrt|l| e^{-|l|r} r^{-1/2} is
     Gamma(p + 3/2) |l|^{-(p+1)} up to cutoff corrections that vanish rapidly
@@ -79,17 +82,16 @@ def conormal_rate(p, f_series, l_values, r0=1.0, rgrid=None, radial_profile=None
     if np.any(l_values <= 0):
         raise ValueError("probe modes must be positive")
     if rgrid is None:
-        rgrid = RadialGrid.geometric(2.0 * r0, 2500, r_min_factor=1e-7)
+        rgrid = RadialGrid.geometric(2.0, 2500, r_min_factor=1e-7)
     if radial_profile is None:
-        radial = cutoff_c2(rgrid.r / r0) * rgrid.r**p
+        radial = cutoff_c2(rgrid.r) * rgrid.r**p
     else:
         radial = np.asarray(radial_profile(rgrid.r))
     prof = obstruction_profiles(l_values, rgrid)
     w = rgrid.area_weights()
     radial_ints = prof @ (radial * w)
 
-    f_hat = np.array([f_series.coeff(l) if abs(l) <= f_series.n_modes else 0.0
-                      for l in l_values])
+    f_hat = np.array([f_series.coeff(l) for l in l_values])
     coefs = f_series.circumference * TWO_PI * f_hat * radial_ints
 
     flagged = [int(l) for l, fh in zip(l_values, f_hat) if abs(fh) < 1e-13]
@@ -127,7 +129,7 @@ def conormal_rate(p, f_series, l_values, r0=1.0, rgrid=None, radial_profile=None
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Volume weight w(t, r) = 1 + sum_m g_m e^{i m t 2pi/L} * min(r/r_ramp, 1).
+    """Volume weight w(t, r) = 1 + sum_m g_m e^{i m t 2pi/L} * min(r, 1).
 
     The radial factor vanishes linearly at the axis: the perturbation is a
     density fluctuation of the ambient volume and must not see the axis
@@ -135,68 +137,53 @@ class WeightProfile:
     """
 
     g: FourierSeries1D
-    r_ramp: float = 1.0
 
     def __post_init__(self):
         if abs(self.g.coeff(0)) > 1e-13:
             raise ValueError("the fluctuation series must have zero mean")
-        if self.r_ramp <= 0.0:
-            raise ValueError("r_ramp must be positive")
 
     @staticmethod
-    def cosine(amplitude=0.1, circumference=TWO_PI, r_ramp=1.0):
-        g = FourierSeries1D.from_modes(
-            {1: 0.5 * amplitude, -1: 0.5 * amplitude}, circumference
-        )
-        return WeightProfile(g=g, r_ramp=r_ramp)
+    def cosine(amplitude=0.1):
+        g = FourierSeries1D.from_modes({1: 0.5 * amplitude, -1: 0.5 * amplitude})
+        return WeightProfile(g=g)
 
     @staticmethod
-    def broadband(amplitude=0.1, n_modes=12, circumference=TWO_PI, r_ramp=1.0):
+    def broadband():
+        """Amplitude 0.1 spread over modes 1..12 with weights (1 + m^2)^-4."""
         modes = {}
-        for m in range(1, n_modes + 1):
-            val = 0.5 * amplitude * (1.0 + m * m) ** (-4.0)
+        for m in range(1, 13):
+            val = 0.05 * (1.0 + m * m) ** (-4.0)
             modes[m] = val
             modes[-m] = val
-        g = FourierSeries1D.from_modes(modes, circumference)
-        return WeightProfile(g=g, r_ramp=r_ramp)
+        return WeightProfile(g=FourierSeries1D.from_modes(modes))
 
 
-def gram_matrix(l_values, weight, rgrid=None, normalized=True):
-    """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w of the family.
+def gram_matrix(l_values, weight):
+    """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w / (2 pi L) of the family.
 
     The t integral is analytic in the weight's modes, the theta integral is
-    2 pi (the family sits at k = 0), and the radial integrals are quadrature.
+    2 pi (the family sits at k = 0), and the radial integrals are quadrature
+    on a geometric grid out to r = 12.
     Opposite-sign pairs vanish identically through the (1 + sgn sgn) spinor
     factor; same-sign pairs couple through g_{j-k} times a radial overlap.
     """
     l_values = [int(l) for l in l_values]
     if any(l == 0 for l in l_values):
         raise ValueError("mode 0 is excluded on the plane")
-    if rgrid is None:
-        lmax = max(abs(l) for l in l_values)
-        rgrid = RadialGrid.geometric(12.0, 2000, r_min_factor=1e-7 / lmax)
+    lmax = max(abs(l) for l in l_values)
+    rgrid = RadialGrid.geometric(12.0, 2000, r_min_factor=1e-7 / lmax)
     prof = obstruction_profiles(l_values, rgrid)
-    ramp = np.minimum(rgrid.r / weight.r_ramp, 1.0)
+    ramp = np.minimum(rgrid.r, 1.0)
     w = rgrid.area_weights()
     plain = prof @ (w[:, None] * prof.T)          # int psi_j psi_k r dr
     ramped = prof @ ((w * ramp)[:, None] * prof.T)
-    n = len(l_values)
     L = weight.g.circumference
-    out = np.zeros((n, n), dtype=complex)
-    for a, j in enumerate(l_values):
-        for b, k in enumerate(l_values):
-            spinor = 1.0 + sgn(j) * sgn(k)
-            if spinor == 0.0:
-                continue
-            base = L if j == k else 0.0
-            m = j - k
-            gm = weight.g.coeff(m) if abs(m) <= weight.g.n_modes else 0.0
-            out[a, b] = TWO_PI * spinor * (
-                base * plain[a, b] + L * gm * ramped[a, b]
-            )
-    if normalized:
-        out = out / (TWO_PI * L)
-    return out
+    l_arr = np.asarray(l_values)
+    base = np.where(l_arr[:, None] == l_arr[None, :], L, 0.0)
+    g = weight.g.truncate(2 * lmax).coeffs[l_arr[:, None] - l_arr[None, :] + 2 * lmax]
+    out = TWO_PI * 2.0 * (base * plain + L * g * ramped)  # spinor factor 2 on same-sign pairs
+    out[np.sign(l_arr)[:, None] != np.sign(l_arr)[None, :]] = 0.0
+    return out / (TWO_PI * L)
 
 
 @dataclass
@@ -211,11 +198,14 @@ class GramTailReport:
     smoothing_norm: float
 
 
-def gram_tail_trend(l_values, weight, decay_power=0.125, cutoffs=None, rgrid=None):
+GRAM_DECAY_POWER = 0.125  # the graded-norm gain 0 -> 1/8 the envelope rests on
+
+
+def gram_tail_trend(l_values, weight, cutoffs=None):
     """Tail behavior of K = A - Id over increasing low-mode cutoffs.
 
     tail_norms[i] is the spectral norm of K restricted to modes >= cutoff.
-    The envelope C * (cutoff/base)^{-decay_power} is calibrated at the first
+    The envelope C * (cutoff/base)^{-GRAM_DECAY_POWER} is calibrated at the first
     cutoff; the report records whether every later tail sits below it and
     whether the sequence is monotone. smoothing_norm is the graded 0 -> 1/8
     norm of the full K block, the constant the envelope prediction rests on.
@@ -223,7 +213,7 @@ def gram_tail_trend(l_values, weight, decay_power=0.125, cutoffs=None, rgrid=Non
     l_values = np.asarray(sorted(int(l) for l in l_values))
     if np.any(l_values <= 0):
         raise ValueError("tail trend is taken over the positive-mode block")
-    a = gram_matrix(l_values, weight, rgrid=rgrid).real
+    a = gram_matrix(l_values, weight).real
     k_block = a - np.eye(len(l_values))
     if cutoffs is None:
         lm = int(l_values[-1])
@@ -235,17 +225,17 @@ def gram_tail_trend(l_values, weight, decay_power=0.125, cutoffs=None, rgrid=Non
         norms.append(float(np.linalg.norm(sub, 2)) if sub.size else 0.0)
     norms = np.array(norms)
     base_c, base_n = float(cutoffs[0]), norms[0]
-    envelope = base_n * (np.asarray(cutoffs, float) / base_c) ** (-decay_power)
+    envelope = base_n * (np.asarray(cutoffs, float) / base_c) ** (-GRAM_DECAY_POWER)
     ok = bool(np.all(norms <= envelope * (1.0 + 1e-12)))
     mono = bool(np.all(np.diff(norms) <= 1e-12))
-    wgt = (1.0 + l_values.astype(float) ** 2) ** (decay_power / 2.0)
+    wgt = (1.0 + l_values.astype(float) ** 2) ** (GRAM_DECAY_POWER / 2.0)
     smoothing = float(np.linalg.norm(wgt[:, None] * k_block, 2))
     tight = float(norms[0] / envelope[0]) if envelope[0] > 0 else 0.0
     return GramTailReport(
         cutoffs=np.asarray(cutoffs),
         tail_norms=norms,
         envelope_constant=base_n,
-        decay_power=decay_power,
+        decay_power=GRAM_DECAY_POWER,
         envelope_ok=ok,
         monotone=mono,
         tightness_at_base=tight,
@@ -256,7 +246,10 @@ def gram_tail_trend(l_values, weight, decay_power=0.125, cutoffs=None, rgrid=Non
 # -- radial second-order solves and annulus decay -----------------------------------
 
 
-def solve_mode_bvp(nu, l, rgrid, forcing, boundary="natural", tol=1e-10):
+BVP_TOL = 1e-10
+
+
+def solve_mode_bvp(nu, l, rgrid, forcing, boundary="natural"):
     """Solve -u'' - u'/r + (nu^2/r^2 + l^2) u = f on the grid's radial span.
 
     In s = log r the equation becomes -u_ss + (nu^2 + l^2 r^2) u = r^2 f.
@@ -286,7 +279,7 @@ def solve_mode_bvp(nu, l, rgrid, forcing, boundary="natural", tol=1e-10):
 
     mesh = np.linspace(s_lo, s_hi, min(rgrid.n_points, 801))
     guess = np.zeros((2, mesh.size))
-    sol = solve_bvp(rhs, bc, mesh, guess, tol=tol, max_nodes=200000)
+    sol = solve_bvp(rhs, bc, mesh, guess, tol=BVP_TOL, max_nodes=200000)
     if not sol.success:
         raise RuntimeError(f"radial solve failed: {sol.message}")
     return sol.sol(np.log(rgrid.r))[0]
@@ -331,26 +324,26 @@ class AnnuliDecayReport:
     n_used: int
 
 
-def annuli_decay(nu, l, r_scale=1.0, n_annuli=8, forcing_center=None, grid_points=1500):
+def annuli_decay(nu, l, r_scale=1.0):
     """Exponential decay rate of a forced mode solution across scaled annuli.
 
-    The forcing is a bump at radius ~ r_scale/|l|; annuli have width
-    2 r_scale/|l|, so a solution decaying like e^{-|l| r} loses a factor
-    e^{-2 r_scale} per annulus regardless of |l|.
+    The forcing is a bump at radius r_scale/|l|; eight annuli of width
+    2 r_scale/|l| follow it, so a solution decaying like e^{-|l| r} loses a
+    factor e^{-2 r_scale} per annulus regardless of |l|.
     """
     l_a = abs(float(l))
     if l_a == 0:
         raise ValueError("decay study needs l != 0")
-    center = forcing_center if forcing_center is not None else r_scale / l_a
+    center = r_scale / l_a
     width = 0.5 * r_scale / l_a
-    rgrid = RadialGrid.geometric(20.0 * r_scale / l_a, grid_points, r_min_factor=1e-4)
+    rgrid = RadialGrid.geometric(20.0 * r_scale / l_a, 1500, r_min_factor=1e-4)
 
     def forcing(r):
         return radial_bump(r, center, width)[0]
 
     u = solve_mode_bvp(nu, l, rgrid, forcing)
     part = AnnuliPartition(
-        r_start=center + 2.0 * width, width=2.0 * r_scale / l_a, count=n_annuli
+        r_start=center + 2.0 * width, width=2.0 * r_scale / l_a, count=8
     )
     norms = annulus_energy_norms(u, nu, l, rgrid, part)
     usable = norms > 1e-14 * norms[0]

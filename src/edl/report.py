@@ -27,11 +27,12 @@ def _transform(values, log):
     return out
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _fmt(x):

@@ -8,7 +8,6 @@ a dense coefficient vector in mode order -N..N.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -162,40 +161,11 @@ class FourierSeries1D:
         scale = max(coeff_side, 1.0)
         return abs(coeff_side - quad_side) / scale
 
-    # -- serialization ---------------------------------------------------------
 
-    def to_json_dict(self):
-        return {
-            "circumference": self.circumference,
-            "N": self.n_modes,
-            "coeffs": [
-                {"l": int(l), "re": float(c.real), "im": float(c.imag)}
-                for l, c in zip(self.modes(), self.coeffs)
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(d):
-        n = int(d["N"])
-        out = np.zeros(2 * n + 1, dtype=complex)
-        for entry in d["coeffs"]:
-            out[int(entry["l"]) + n] = float(entry["re"]) + 1j * float(entry["im"])
-        return FourierSeries1D(out, float(d["circumference"]))
-
-    @staticmethod
-    def from_json(text):
-        return FourierSeries1D.from_json_dict(json.loads(text))
-
-
-def multiply(u, v, max_modes=None):
-    """Exact product of two truncated series (full convolution), optionally
-    re-truncated to max_modes afterwards."""
+def multiply(u, v):
+    """Exact product of two truncated series (full convolution)."""
     u._check_compatible(v)
-    coeffs = np.convolve(u.coeffs, v.coeffs)
-    out = FourierSeries1D(coeffs, u.circumference)
-    if max_modes is not None:
-        out = out.truncate(max_modes)
-    return out
+    return FourierSeries1D(np.convolve(u.coeffs, v.coeffs), u.circumference)
 
 
 # -- multiplier operators ------------------------------------------------------
@@ -223,42 +193,19 @@ def derivative(u):
     return FourierSeries1D(u.coeffs * (1j * u.angular_frequencies()), u.circumference)
 
 
-# -- graded vectors -------------------------------------------------------------
+def interpolation_ratio(u, m, m1, m2):
+    """sobolev_norm(m) / (sobolev_norm(m1)^a * sobolev_norm(m2)^(1-a)) with
+    a = (m2-m)/(m2-m1).
 
-
-@dataclass(frozen=True, eq=False)
-class GradedVector:
-    """A series viewed through the full scale of weighted coefficient norms."""
-
-    series: FourierSeries1D
-
-    def norm(self, m):
-        return self.series.sobolev_norm(m)
-
-    def __add__(self, other):
-        return GradedVector(self.series + other.series)
-
-    def __sub__(self, other):
-        return GradedVector(self.series - other.series)
-
-    def __mul__(self, scalar):
-        return GradedVector(self.series * scalar)
-
-    __rmul__ = __mul__
-
-
-def interpolation_ratio(vec, m, m1, m2):
-    """norm(m) / (norm(m1)^a * norm(m2)^(1-a)) with a = (m2-m)/(m2-m1).
-
-    Log-convexity of m -> norm(m)^2 makes the true constant exactly 1.
+    Log-convexity of m -> sobolev_norm(m)^2 makes the true constant exactly 1.
     """
     if not (m1 < m < m2):
         raise ValueError("need m1 < m < m2")
     a = (m2 - m) / (m2 - m1)
-    lo, hi = vec.norm(m1), vec.norm(m2)
+    lo, hi = u.sobolev_norm(m1), u.sobolev_norm(m2)
     if lo == 0.0 or hi == 0.0:
         return 0.0
-    return vec.norm(m) / (lo**a * hi ** (1.0 - a))
+    return u.sobolev_norm(m) / (lo**a * hi ** (1.0 - a))
 
 
 # -- mollifier family ------------------------------------------------------------
@@ -312,13 +259,6 @@ class SmoothingFamily:
         )
 
 
-def smooth(vec, eps, family=None):
-    """Mollify a graded vector; eps outside (0,1] is rejected."""
-    if family is None:
-        family = SmoothingFamily()
-    return GradedVector(family.apply(vec.series, eps))
-
-
 @dataclass
 class SmoothingAxiomRow:
     axiom: str
@@ -338,12 +278,16 @@ class SmoothingAxiomReport:
         return max(r.max_ratio for r in self.rows)
 
 
-def verify_smoothing_axioms(family, m_max, eps_grid, n_probe_modes=600, ceiling=100.0):
+SMOOTHING_PROBE_MODES = 600  # must exceed 2/min(eps) for the active band to be visible
+SMOOTHING_RATIO_CEILING = 100.0
+
+
+def verify_smoothing_axioms(family, m_max, eps_grid):
     """Measure the three mollifier constants over a grid of (m, n) pairs.
 
     The family is a diagonal multiplier, so the operator constant for each eps
-    equals the max over single modes of the per-mode ratio; n_probe_modes must
-    exceed 2/min(eps) for the active band to be visible.
+    equals the max over single modes |l| <= SMOOTHING_PROBE_MODES of the
+    per-mode ratio; every constant must stay below SMOOTHING_RATIO_CEILING.
 
       (a) norm(n) of S_eps u against eps^{m-n} norm(m) for n >= m, and the
           plain contraction norm(n) <= norm(m) for n <= m;
@@ -352,7 +296,7 @@ def verify_smoothing_axioms(family, m_max, eps_grid, n_probe_modes=600, ceiling=
     """
     eps_grid = [float(e) for e in eps_grid]
     levels = [v / 2.0 for v in range(0, int(2 * m_max) + 1)]
-    l = np.arange(0, n_probe_modes + 1, dtype=float)
+    l = np.arange(0, SMOOTHING_PROBE_MODES + 1, dtype=float)
     base = 1.0 + l**2
     rows = []
     for m in levels:
@@ -386,8 +330,10 @@ def verify_smoothing_axioms(family, m_max, eps_grid, n_probe_modes=600, ceiling=
                         eps_spread=max(vals) / lo,
                     )
                 )
-    passed = all(np.isfinite(r.max_ratio) and r.max_ratio <= ceiling for r in rows)
-    return SmoothingAxiomReport(rows=rows, ceiling=ceiling, passed=passed)
+    passed = all(
+        np.isfinite(r.max_ratio) and r.max_ratio <= SMOOTHING_RATIO_CEILING for r in rows
+    )
+    return SmoothingAxiomReport(rows=rows, ceiling=SMOOTHING_RATIO_CEILING, passed=passed)
 
 
 # -- pointwise bound on radial profiles -------------------------------------------
@@ -401,10 +347,9 @@ class DyadicBoundReport:
     chain_bound: float
     shell_norms: list
     integrable: bool
-    passed: bool
 
 
-def dyadic_pointwise_bound(r, values, alpha, ratio_ceiling=None):
+def dyadic_pointwise_bound(r, values, alpha):
     """sup |phi| against the b-norm (int (|phi|^2/r^2 + |phi'|^2) r dr)^{1/2}.
 
     The grid must be strictly positive and increasing. alpha > 1 declares the
@@ -451,7 +396,6 @@ def dyadic_pointwise_bound(r, values, alpha, ratio_ceiling=None):
     chain_bound = float(abs(values[-1])) + math.sqrt(math.log(2.0)) * float(
         np.sum(shell_norms)
     )
-    passed = integrable and (ratio_ceiling is None or ratio <= ratio_ceiling)
     return DyadicBoundReport(
         sup_abs=sup_abs,
         b_norm=b_norm,
@@ -459,5 +403,4 @@ def dyadic_pointwise_bound(r, values, alpha, ratio_ceiling=None):
         chain_bound=chain_bound,
         shell_norms=shell_norms,
         integrable=integrable,
-        passed=passed,
     )

@@ -15,7 +15,6 @@ from conftest import criterion_lines
 
 from edl.series import (
     FourierSeries1D,
-    GradedVector,
     SmoothingFamily,
     TWO_PI,
     interpolation_ratio,
@@ -191,12 +190,11 @@ def test_criterion_08_smoothing_axioms():
     for _ in range(1000):
         n = int(rng.integers(2, 40))
         coeffs = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-        vec = GradedVector(FourierSeries1D(coeffs / (1 + np.arange(-n, n + 1) ** 2),
-                                           TWO_PI))
+        u = FourierSeries1D(coeffs / (1 + np.arange(-n, n + 1) ** 2), TWO_PI)
         m1 = float(rng.uniform(0.0, 1.5))
         m2 = float(rng.uniform(m1 + 0.5, 4.0))
         m = float(rng.uniform(m1 + 0.1 * (m2 - m1), m2 - 0.1 * (m2 - m1)))
-        worst_interp = max(worst_interp, interpolation_ratio(vec, m, m1, m2))
+        worst_interp = max(worst_interp, interpolation_ratio(u, m, m1, m2))
     interp_ok = worst_interp <= 1.0 + 1e-12
     _report(8, axioms_ok and interp_ok,
             f"mollifier constants finite/stable over eps in 2^-1..2^-8, m,n <= 4 "
@@ -258,7 +256,7 @@ def test_criterion_11_gram_envelopes():
     weak = float(np.max(np.abs(k_block) * np.sqrt(ls[:, None] * ls[None, :])))
     far = np.abs(ls[:, None] - ls[None, :]) >= (ls[:, None] * ls[None, :]) ** 0.25
     strong = float(np.max((np.abs(k_block) * (ls[:, None] * ls[None, :]) ** 2)[far]))
-    trend = gram_tail_trend(l_values, weight, decay_power=0.125)
+    trend = gram_tail_trend(l_values, weight)
     envelope = trend.smoothing_norm * trend.cutoffs.astype(float) ** (-0.125)
     ratio = float(np.max(trend.tail_norms / np.maximum(envelope, 1e-300)))
     ok = (weak < 10.0 and strong < 10.0 and trend.monotone and ratio <= 2.0)

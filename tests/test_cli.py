@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def test_with_overrides_keeps_none():
     assert bumped.seed == 99 and bumped.l_max == cfg.l_max
 
 
+class _ReadRecorder:
+    """Forwards attribute reads to a config and records their names."""
+
+    def __init__(self, cfg, seen):
+        self._cfg, self._seen = cfg, seen
+
+    def __getattr__(self, name):
+        self._seen.add(name)
+        return getattr(self._cfg, name)
+
+
+def test_every_config_field_is_read_by_some_runner():
+    # a key no runner reads is validated and documented but changes nothing;
+    # the cli reads out_dir and do_assert, and experiment names the runner
+    seen = set()
+    for command, runner in EXPERIMENTS.items():
+        runner(_ReadRecorder(build_config(command), seen))
+    unread = {f.name for f in fields(ExperimentConfig)} - seen
+    assert unread - {"experiment", "out_dir", "do_assert"} == set()
+
+
 # -- artifact schema ----------------------------------------------------------------------
 
 
@@ -149,7 +171,7 @@ def test_no_assert_downgrades_to_zero(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.parametrize("line", ["n_modes=-4", "r_max=nan", "tol=inf"])
+@pytest.mark.parametrize("line", ["n_modes=-4", "r_max=nan", "tol=inf", "p=1.5"])
 def test_exit_two_on_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(line + "\n")

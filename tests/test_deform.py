@@ -205,7 +205,7 @@ def test_fredholm_unit_data_kernel_is_real_constants():
     data = LeadingData.constant(1.0, 1.0)
     rep = fredholm_diagnostics(data)
     assert rep.kernel_dim == 1
-    assert rep.stable and not rep.flagged
+    assert rep.stable
     assert rep.index == 0
     assert min(rep.singular_gaps) > 0.1
 
@@ -245,7 +245,7 @@ def test_extended_system_rejects_constant_data():
 
 
 def test_extended_system_direction_series():
-    phi = obstruction_direction_series(_bordered_data(), 8, z0=1.0)
+    phi = obstruction_direction_series(_bordered_data(), 8)
     want1 = 2.0 * math.pi * 1.0 ** (-1.5) * 0.4  # c_1 contribution at l = 1
     assert abs(phi.coeff(1) - want1) < 1e-14
     want_m1 = 2.0 * math.pi * (0.0 + (-1.0) * 0.2)  # sgn(-1) d_{-1}

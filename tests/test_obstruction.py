@@ -158,7 +158,7 @@ def test_gram_adjacent_entries_scale_like_inverse_mode():
 
 
 def test_gram_tail_trend_envelope():
-    w = WeightProfile.broadband(amplitude=0.1, n_modes=12)
+    w = WeightProfile.broadband()
     ls = list(range(1, 49))
     rep = gram_tail_trend(ls, w, cutoffs=[1, 2, 4, 8, 16, 24])
     assert np.all(rep.tail_norms > 0.0)  # non-vacuous: every tail still couples
