@@ -84,11 +84,12 @@ def dense_matrix_bytes(experiment, n_modes):
     return 0
 
 
-_INT_KEYS = {"n_modes", "l_min", "l_max", "max_steps", "samples", "seed"}
-_FLOAT_KEYS = {"r0", "r_max", "eps0", "theta", "tol"}
-_STR_KEYS = {"out_dir"}
-_BOOL_KEYS = {"do_assert"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
+# key -> annotation string ("int", "float", "str", "bool"); the experiment
+# name comes from the command, never from a config file
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "experiment"}
+_INT_KEYS = {k for k, t in _KEY_TYPES.items() if t == "int"}
+_FLOAT_KEYS = {k for k, t in _KEY_TYPES.items() if t == "float"}
+_BOOL_KEYS = {k for k, t in _KEY_TYPES.items() if t == "bool"}
 
 COMMAND_DEFAULTS = {
     "modes": dict(l_max=32, r_max=26.0, tol=1e-8),
@@ -137,19 +138,24 @@ def parse_config_text(text, experiment=""):
             raise ConfigError(f"line {line_no}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
-            near = difflib.get_close_matches(key, sorted(_ALL_KEYS), n=3)
-            hint = f" (did you mean: {', '.join(near)}?)" if near else ""
-            raise ConfigError(f"line {line_no}: unknown key {key!r}{hint}")
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"line {line_no}: {_unknown_key(key)}")
         overrides[key] = _parse_value(key, raw, line_no)
     return build_config(experiment, overrides)
 
 
+def _unknown_key(key):
+    near = difflib.get_close_matches(key, sorted(_KEY_TYPES), n=3)
+    hint = f" (did you mean: {', '.join(near)}?)" if near else ""
+    return f"unknown key {key!r}{hint}"
+
+
 def build_config(experiment, overrides=None):
-    base = dict(COMMAND_DEFAULTS.get(experiment, {}))
-    base.update(overrides or {})
-    valid = {f.name for f in fields(ExperimentConfig)}
-    base = {k: v for k, v in base.items() if k in valid}
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in _KEY_TYPES:
+            raise ConfigError(_unknown_key(key))
+    base = dict(COMMAND_DEFAULTS.get(experiment, {}), **overrides)
     return ExperimentConfig(experiment=experiment, **base).validate()
 
 

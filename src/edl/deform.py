@@ -340,21 +340,15 @@ def obstruction_direction_series(data, n_modes):
     return FourierSeries1D.from_modes(modes, data.circumference, n_modes=n_modes)
 
 
-def _mean_zero_indices(n_modes):
-    dim = 2 * n_modes + 1
-    keep = [j for j in range(dim) if j != n_modes]          # drop mode 0, Re block
-    keep += [dim + j for j in range(dim) if j != n_modes]   # drop mode 0, Im block
-    return np.array(keep)
-
-
 @dataclass(eq=False)
 class ExtendedSystem:
-    """Bordered realization [[T, col], [row, 0]] on mean-zero coordinates.
+    """Bordered realization of T on the full [Re, Im] mode coordinates.
 
     Constant translations (mode 0 of eta) are gauge and the family carries no
-    mode-0 member, so both the domain and the codomain are projected to mean
-    zero; the lost pair of directions is replaced by one scalar unknown
-    lambda with column -phi and one normalization row <., phi>.
+    mode-0 member.  Since omega_0 = 0, both mode-0 columns of T vanish, so the
+    mode-0 pair of slots is free: the Re slot holds the scalar unknown lambda,
+    with column -phi and the normalization row <., phi> in place of T's Re
+    mode-0 row, and the Im row pins its slot to zero.
     """
 
     data: LeadingData
@@ -366,28 +360,33 @@ class ExtendedSystem:
     def from_data(data, n_modes):
         phi = obstruction_direction_series(data, n_modes)
         phi_vec = real_coords(phi)
-        keep = _mean_zero_indices(n_modes)
-        col = -phi_vec[keep]
-        if np.max(np.abs(col)) < 1e-14:
+        if np.max(np.abs(phi_vec)) < 1e-14:
             raise ValueError(
                 "degenerate bordering: the data has no nonconstant modes"
             )
-        t_mat = realize_t(data, n_modes, n_modes).matrix[np.ix_(keep, keep)]
-        dim = keep.size
-        big = np.zeros((dim + 1, dim + 1))
-        big[:dim, :dim] = t_mat
-        big[:dim, dim] = col
-        big[dim, :dim] = phi_vec[keep]
+        big = realize_t(data, n_modes, n_modes).matrix
+        re0, im0 = n_modes, 3 * n_modes + 1
+        big[:, re0] = -phi_vec
+        big[re0] = phi_vec
+        big[im0] = 0.0
+        big[im0, im0] = 1.0
         return ExtendedSystem(data, n_modes, big, phi)
 
+    def rhs_coords(self, g_series):
+        """[Re, Im] coordinates of g with its mode-0 pair, whose rows carry
+        the bordering, set to zero."""
+        g = g_series.truncate(self.n_modes).coeffs.copy()
+        g[self.n_modes] = 0.0
+        return np.concatenate([g.real, g.imag])
+
     def solve(self, g_series):
-        """Solve T eta + lambda col = g on mean-zero modes with <eta, phi> = 0."""
-        g = real_coords(g_series.truncate(self.n_modes))
-        keep = _mean_zero_indices(self.n_modes)
-        rhs = np.concatenate([g[keep], [0.0]])
+        """Solve T eta - lambda phi = g off mode 0 with <eta, phi> = 0.
+
+        lambda is read from the Re mode-0 slot, which is then cleared.
+        """
+        rhs = self.rhs_coords(g_series)
         sol = np.linalg.solve(self.matrix, rhs)
         residual = float(np.linalg.norm(self.matrix @ sol - rhs))
-        eta_vec = np.zeros(2 * (2 * self.n_modes + 1))
-        eta_vec[keep] = sol[:-1]
-        eta = series_from_real(eta_vec, self.data.circumference)
-        return eta, float(sol[-1]), residual
+        lam = float(sol[self.n_modes])
+        sol[self.n_modes] = 0.0
+        return series_from_real(sol, self.data.circumference), lam, residual

@@ -15,9 +15,9 @@ or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
 one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
 is complex-linear and assembled from a Toeplitz block of u, so each step
 solves one (2N+1) complex system; probing by unit vectors is a test oracle
-only.  The linearized spinor problem wraps the bordered deformation system as
-an affine problem on the same state space, carrying the bordering multiplier
-in the vacated mean-zero slot.
+only.  The linearized spinor problem is the bordered deformation system as
+an affine problem whose state is the system's own [Re, Im] coordinates, so
+each of its maps is one product or one solve with the bordered matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .series import (
 )
 from .deform import (
     ExtendedSystem,
-    _mean_zero_indices,
     real_coords,
     series_from_real,
     toeplitz_block,
@@ -318,9 +317,10 @@ def _random_decaying_series(rng, n_modes, scale, decay):
 class LinearizedSpinorProblem(TameProblem):
     """The bordered deformation system as an affine tame problem.
 
-    State series: modes l != 0 hold the mean-zero unknown, the real part of
-    the vacated mode-0 slot holds the bordering multiplier lambda, and the
-    imaginary part rides along as a pure gauge coordinate pinned to zero.
+    The state is the system's own coordinate vector as a series: modes
+    l != 0 hold eta, the real part of mode 0 holds the bordering multiplier
+    lambda and the imaginary part is pinned to zero.  F(u) = M u - g for the
+    bordered matrix M, so dF is M everywhere.
     """
 
     system: ExtendedSystem
@@ -335,50 +335,28 @@ class LinearizedSpinorProblem(TameProblem):
     def n_modes(self):
         return self.system.n_modes
 
-    def _split(self, u):
-        v = real_coords(self.project(u))
-        keep = _mean_zero_indices(self.n_modes)
-        dim = 2 * self.n_modes + 1
-        return v, keep, dim
-
-    def _assemble(self, mean_zero, re0, im0, circumference):
-        keep = _mean_zero_indices(self.n_modes)
-        dim = 2 * self.n_modes + 1
-        out = np.zeros(2 * dim)
-        out[keep] = mean_zero
-        out[self.n_modes] = re0
-        out[dim + self.n_modes] = im0
-        return series_from_real(out, circumference)
-
     def apply(self, u):
-        u = self.project(u)
-        v, keep, dim = self._split(u)
-        x = np.concatenate([v[keep], [v[self.n_modes]]])
-        g = real_coords(self.project(self.rhs))
-        out = self.system.matrix @ x - np.concatenate([g[keep], [0.0]])
-        return self._assemble(out[:-1], out[-1], v[dim + self.n_modes], u.circumference)
+        return series_from_real(
+            self.system.matrix @ real_coords(self.project(u))
+            - self.system.rhs_coords(self.rhs),
+            u.circumference,
+        )
 
     def derivative_apply(self, u, w):
         w = self.project(w)
-        v, keep, dim = self._split(w)
-        x = np.concatenate([v[keep], [v[self.n_modes]]])
-        out = self.system.matrix @ x
-        return self._assemble(out[:-1], out[-1], v[dim + self.n_modes], w.circumference)
+        return series_from_real(self.system.matrix @ real_coords(w), w.circumference)
 
     def solve_linearized(self, u, g):
         g = self.project(g)
-        v, keep, dim = self._split(g)
-        rhs = np.concatenate([v[keep], [v[self.n_modes]]])
-        sol = np.linalg.solve(self.system.matrix, rhs)
-        return self._assemble(sol[:-1], sol[-1], v[dim + self.n_modes], g.circumference)
+        sol = np.linalg.solve(self.system.matrix, real_coords(g))
+        return series_from_real(sol, g.circumference)
 
     def unpack(self, u):
-        """State -> (mean-zero series, lambda)."""
-        u = self.project(u)
-        coeffs = u.coeffs.copy()
-        lam = float(coeffs[self.n_modes].real)
-        coeffs[self.n_modes] = 0.0
-        return FourierSeries1D(coeffs, u.circumference), lam
+        """State -> (eta, lambda), read off as ExtendedSystem.solve does."""
+        v = real_coords(self.project(u))
+        lam = float(v[self.n_modes])
+        v[self.n_modes] = 0.0
+        return series_from_real(v, u.circumference), lam
 
 
 # -- eigenvalue continuation ----------------------------------------------------------

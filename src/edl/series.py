@@ -238,15 +238,14 @@ def cutoff_c2_second(x):
     return np.where((x <= 1.0) | (x >= 2.0), 0.0, -d2step)
 
 
-@dataclass(frozen=True)
 class SmoothingFamily:
     """Mode-cutoff mollifiers S_eps u = rho(eps*|l|) u_l.
 
     rho is smooth, nonincreasing, identically 1 on [0,1] and 0 on [2,inf).
     """
 
-    rho: callable = cutoff_c2
-    rho_prime: callable = cutoff_c2_prime
+    rho = staticmethod(cutoff_c2)
+    rho_prime = staticmethod(cutoff_c2_prime)
 
     def multiplier(self, modes, eps):
         return self.rho(eps * np.abs(np.asarray(modes, dtype=float)))

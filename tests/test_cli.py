@@ -45,6 +45,20 @@ def test_unknown_key_suggests_and_names_line():
         parse_config_text("seed = 1\nn_mdoes = 12\n")
 
 
+def test_build_config_rejects_unknown_override():
+    # a misspelt key used to be dropped, leaving l_max at its default of 32
+    with pytest.raises(ConfigError, match=r"l_mx.*l_max"):
+        build_config("modes", {"l_mx": 3})
+
+
+def test_config_keys_are_the_dataclass_fields():
+    text = "".join(f"{f.name} = {getattr(ExperimentConfig(), f.name)}\n"
+                   for f in fields(ExperimentConfig) if f.name != "experiment")
+    assert parse_config_text(text) == ExperimentConfig()
+    with pytest.raises(ConfigError, match="unknown key 'experiment'"):
+        parse_config_text("experiment = modes")
+
+
 def test_negative_band_rejected():
     with pytest.raises(ConfigError, match="n_modes"):
         parse_config_text("n_modes = -4")

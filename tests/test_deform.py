@@ -22,15 +22,13 @@ from edl.deform import (
 )
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 
-RNG = np.random.default_rng(20260815)
 
-
-def random_series(n_modes, scale=1.0):
-    c = RNG.normal(size=2 * n_modes + 1) + 1j * RNG.normal(size=2 * n_modes + 1)
+def random_series(rng, n_modes, scale=1.0):
+    c = rng.normal(size=2 * n_modes + 1) + 1j * rng.normal(size=2 * n_modes + 1)
     return FourierSeries1D(scale * c)
 
 
-def generic_data(rng=RNG):
+def generic_data(rng):
     c_pert = {k: 0.1 * (rng.normal() + 1j * rng.normal()) for k in (-2, -1, 1, 2)}
     c_pert[0] = 1.0
     d_modes = {k: 0.15 * (rng.normal() + 1j * rng.normal()) for k in (-2, -1, 0, 1, 2)}
@@ -42,8 +40,8 @@ def generic_data(rng=RNG):
 # -- real coordinates ---------------------------------------------------------
 
 
-def test_real_coordinate_round_trip():
-    s = random_series(5)
+def test_real_coordinate_round_trip(rng):
+    s = random_series(rng, 5)
     back = series_from_real(real_coords(s))
     assert np.array_equal(back.coeffs, s.coeffs)
     with pytest.raises(ValueError):
@@ -52,18 +50,18 @@ def test_real_coordinate_round_trip():
         series_from_real(np.zeros(7))  # cannot split into [Re, Im] halves
 
 
-def test_realize_reproduces_function():
+def test_realize_reproduces_function(rng):
     op = RealizedOperator.realize(hilbert_transform, 6, 6)
-    s = random_series(6)
+    s = random_series(rng, 6)
     got = op.apply(s)
     want = hilbert_transform(s)
     assert np.allclose(got.coeffs, want.coeffs, atol=1e-14)
 
 
-def test_realize_exact_composition_through_products():
-    data = generic_data()
+def test_realize_exact_composition_through_products(rng):
+    data = generic_data(rng)
     op = realize_t(data, 8, 8)
-    s = random_series(8)
+    s = random_series(rng, 8)
     want = t_op(data, s).truncate(8)
     got = op.apply(s)
     assert np.allclose(got.coeffs, want.coeffs, atol=1e-12)
@@ -72,9 +70,9 @@ def test_realize_exact_composition_through_products():
 # -- the multiplier pair ---------------------------------------------------------
 
 
-def test_l_op_flat_data_is_sign_multiplier():
+def test_l_op_flat_data_is_sign_multiplier(rng):
     data = LeadingData.constant(1.0, 0.0)
-    s = random_series(6)
+    s = random_series(rng, 6)
     out = l_op(data, s)
     want = hilbert_transform(s)
     assert np.allclose(out.truncate(6).coeffs, want.coeffs, atol=1e-14)
@@ -83,19 +81,19 @@ def test_l_op_flat_data_is_sign_multiplier():
     assert np.allclose(out_d.truncate(6).coeffs, -s.conjugate().coeffs, atol=1e-14)
 
 
-def test_l_star_is_the_real_l2_adjoint():
-    data = generic_data()
+def test_l_star_is_the_real_l2_adjoint(rng):
+    data = generic_data(rng)
     n = 10
     a = RealizedOperator.realize(lambda x: l_op(data, x), n, n)
     b = RealizedOperator.realize(lambda x: l_star(data, x), n, n)
     assert np.max(np.abs(a.matrix - b.matrix.T)) < 1e-13
 
 
-def test_ll_star_defect_flat_unit_data():
+def test_ll_star_defect_flat_unit_data(rng):
     # c = d = 1: L L* - 2 Id collapses to -2 conj on the mean mode
     data = LeadingData.constant(1.0, 1.0)
     op = ll_star_defect_operator(data, 6)
-    s = random_series(6)
+    s = random_series(rng, 6)
     out = op.apply(s)
     want = np.zeros(13, dtype=complex)
     want[6] = -2.0 * np.conj(s.coeff(0))
@@ -184,14 +182,14 @@ def test_t_symbol_oracle():
     assert abs(out.coeff(-2) - want) < 1e-12 * abs(want)
 
 
-def test_t_kills_translations():
-    data = generic_data()
+def test_t_kills_translations(rng):
+    data = generic_data(rng)
     out = t_op(data, FourierSeries1D.from_modes({0: 1.7 - 0.3j}))
     assert np.max(np.abs(out.coeffs)) < 1e-14
 
 
-def test_loss_of_regularity_exponents():
-    for data in (LeadingData.constant(1.0, 0.0), generic_data()):
+def test_loss_of_regularity_exponents(rng):
+    for data in (LeadingData.constant(1.0, 0.0), generic_data(rng)):
         rep = loss_of_regularity_profile(data, n_values=(12, 24, 48, 96))
         assert abs(rep.exponent_2_to_2 - 0.5) < 0.1
         assert abs(rep.exponent_2_to_32) < 0.1
@@ -210,16 +208,16 @@ def test_fredholm_unit_data_kernel_is_real_constants():
     assert min(rep.singular_gaps) > 0.1
 
 
-def test_fredholm_generic_data_index_zero():
+def test_fredholm_generic_data_index_zero(rng):
     for _ in range(20):
-        data = generic_data()
+        data = generic_data(rng)
         rep = fredholm_diagnostics(data)
         assert rep.index == 0
         assert rep.stable
 
 
-def test_fredholm_homotopy_keeps_index():
-    target = generic_data()
+def test_fredholm_homotopy_keeps_index(rng):
+    target = generic_data(rng)
     one = FourierSeries1D.from_modes({0: 1.0})
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         c = one * (1.0 - s) + target.c * s
@@ -253,10 +251,26 @@ def test_extended_system_direction_series():
     assert phi.coeff(0) == 0.0
 
 
-def test_extended_solve_recovers_plain_preimage():
+def test_extended_system_borders_the_mode0_slots():
+    # omega_0 = 0 leaves T's mode-0 columns empty; the bordering takes over
+    # the mode-0 rows and columns and leaves every other entry of T as it is
+    data, n = _bordered_data(), 8
+    re0, im0 = n, 3 * n + 1
+    t_mat = realize_t(data, n, n).matrix
+    big = ExtendedSystem.from_data(data, n).matrix
+    phi_vec = real_coords(obstruction_direction_series(data, n))
+    assert not t_mat[:, [re0, im0]].any()
+    assert np.array_equal(big[:, re0], -phi_vec)
+    assert np.array_equal(big[re0], phi_vec)
+    assert np.array_equal(big[im0], np.eye(big.shape[0])[im0])
+    keep = np.setdiff1d(np.arange(big.shape[0]), [re0, im0])
+    assert np.array_equal(big[np.ix_(keep, keep)], t_mat[np.ix_(keep, keep)])
+
+
+def test_extended_solve_recovers_plain_preimage(rng):
     data = _bordered_data()
     sys = ExtendedSystem.from_data(data, n_modes=12)
-    eta0 = random_series(12, scale=0.5)
+    eta0 = random_series(rng, 12, scale=0.5)
     eta0 = eta0 - FourierSeries1D.from_modes({0: eta0.coeff(0)}, n_modes=12)
     # orthogonalize against the normalization row
     phi_vec = real_coords(sys.phi)

@@ -29,8 +29,6 @@ from edl.dirac import (
 )
 from edl.series import FourierSeries1D, cutoff_c2, cutoff_c2_prime
 
-RNG = np.random.default_rng(20260815)
-
 
 # -- radial grid -------------------------------------------------------------
 
@@ -78,10 +76,10 @@ def test_clifford_relations():
     assert CliffordFrame.standard().relations_defect() == 0.0
 
 
-def test_twisted_clifford_relations():
-    th = RNG.uniform(0.0, 2.0 * math.pi, size=7)
-    p = RNG.normal(size=7) + 1j * RNG.normal(size=7)
-    m = RNG.normal(size=7) + 1j * RNG.normal(size=7)
+def test_twisted_clifford_relations(rng):
+    th = rng.uniform(0.0, 2.0 * math.pi, size=7)
+    p = rng.normal(size=7) + 1j * rng.normal(size=7)
+    m = rng.normal(size=7) + 1j * rng.normal(size=7)
     for axis in ("t", "x", "y"):
         pp, mm = twisted_clifford_apply(axis, th, *twisted_clifford_apply(axis, th, p, m))
         assert np.allclose(pp, -p) and np.allclose(mm, -m)

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from edl.series import FourierSeries1D, TWO_PI, multiply
-from edl.dirac import LeadingData
-from edl.deform import (
-    ExtendedSystem,
-    obstruction_direction_series,
-    real_coords,
-    series_from_real,
-    t_op,
-)
+from edl.deform import ExtendedSystem
+from edl.experiments import continuation_family
 from edl.newton import (
     ContinuationResult,
     IterationTrace,
@@ -209,22 +203,9 @@ def test_preset_series_are_real_and_frozen():
 # -- affine spinor problem -------------------------------------------------------------
 
 
-def spinor_fixture(n_modes=24, shift=0.0):
-    c = FourierSeries1D.from_modes({0: 1.0, 1: 0.35 + shift, -1: 0.1}, TWO_PI, 4)
-    d = FourierSeries1D.from_modes({0: 0.4, -1: 0.2, 2: 0.15}, TWO_PI, 4)
-    data = LeadingData(c, d)
-    rng = np.random.default_rng(3)
-    eta = FourierSeries1D.from_modes(
-        {l: 0.3 * (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + l * l)
-         for l in range(-6, 7) if l != 0},
-        TWO_PI, n_modes,
-    )
-    phi = obstruction_direction_series(data, n_modes)
-    ev, pv = real_coords(eta), real_coords(phi)
-    ev = ev - (ev @ pv) / (pv @ pv) * pv
-    eta = series_from_real(ev, TWO_PI)
-    g = t_op(data, eta).truncate(n_modes)
-    return data, g
+def spinor_fixture():
+    data_family, g = continuation_family(24)
+    return data_family(0.0), g
 
 
 def test_spinor_problem_one_step_newton():
@@ -260,16 +241,8 @@ def test_spinor_problem_is_affine():
 # -- eigenvalue continuation -----------------------------------------------------------
 
 
-def family_and_rhs():
-    def data_family(s):
-        return spinor_fixture(shift=s)[0]
-
-    _, g = spinor_fixture(shift=0.0)
-    return data_family, g
-
-
 def test_continuation_locates_the_crossing():
-    data_family, g = family_and_rhs()
+    data_family, g = continuation_family(24)
     result = eigenvalue_continuation(data_family, g, 24, -0.2, 0.3, tol=1e-10)
     assert isinstance(result, ContinuationResult)
     assert abs(result.s_star) < 1e-6
@@ -280,7 +253,7 @@ def test_continuation_locates_the_crossing():
 
 
 def test_continuation_crossing_is_locally_linear():
-    data_family, g = family_and_rhs()
+    data_family, g = continuation_family(24)
     result = eigenvalue_continuation(data_family, g, 24, -0.2, 0.3, tol=1e-10)
     h = 0.03
     lp = ExtendedSystem.from_data(data_family(result.s_star + h), 24).solve(g)[1]
@@ -290,7 +263,7 @@ def test_continuation_crossing_is_locally_linear():
 
 
 def test_continuation_rejects_sign_preserving_bracket():
-    data_family, g = family_and_rhs()
+    data_family, g = continuation_family(24)
     with pytest.raises(ValueError, match="sign"):
         eigenvalue_continuation(data_family, g, 24, 0.1, 0.3)
     with pytest.raises(ValueError, match="bracket"):

@@ -22,8 +22,6 @@ from edl.obstruction import (
 )
 from edl.series import FourierSeries1D
 
-RNG = np.random.default_rng(20260815)
-
 
 # -- projection ---------------------------------------------------------------
 
@@ -220,9 +218,9 @@ def test_annulus_norms_capture_known_profile():
 # -- discrete maximum principle ------------------------------------------------------
 
 
-def test_max_principle_certifies_random_valid_instances():
+def test_max_principle_certifies_random_valid_instances(rng):
     for _ in range(300):
-        seq, barrier = sample_max_principle_instance(RNG, size=30, lam=0.45)
+        seq, barrier = sample_max_principle_instance(rng, size=30, lam=0.45)
         res = discrete_max_principle(seq, barrier, lam=0.45)
         assert res.certified
         assert res.hypothesis_violation is None

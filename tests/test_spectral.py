@@ -16,13 +16,11 @@ from edl.series import (
     verify_smoothing_axioms,
 )
 
-RNG = np.random.default_rng(20260815)
 
-
-def random_series(n_modes, circumference=2 * math.pi, decay=0.0):
+def random_series(rng, n_modes, circumference=2 * math.pi, decay=0.0):
     l = np.arange(-n_modes, n_modes + 1, dtype=float)
     scale = (1.0 + np.abs(l)) ** (-decay)
-    c = scale * (RNG.standard_normal(2 * n_modes + 1) + 1j * RNG.standard_normal(2 * n_modes + 1))
+    c = scale * (rng.standard_normal(2 * n_modes + 1) + 1j * rng.standard_normal(2 * n_modes + 1))
     return FourierSeries1D(c, circumference)
 
 
@@ -38,9 +36,9 @@ def test_hilbert_on_single_modes():
     assert hilbert_transform(one).coeff(0) == pytest.approx(1.0)
 
 
-def test_hilbert_is_an_exact_involution():
+def test_hilbert_is_an_exact_involution(rng):
     for _ in range(20):
-        u = random_series(24)
+        u = random_series(rng, 24)
         v = hilbert_transform(hilbert_transform(u))
         assert np.array_equal(v.coeffs, u.coeffs)
 
@@ -70,9 +68,9 @@ def test_second_derivative_respects_circumference():
     assert second_derivative(u).coeff(2) == pytest.approx(-1.0)
 
 
-def test_multipliers_commute_exactly():
+def test_multipliers_commute_exactly(rng):
     for _ in range(10):
-        u = random_series(16)
+        u = random_series(rng, 16)
         a = fractional_resolvent(hilbert_transform(u), 0.75)
         b = hilbert_transform(fractional_resolvent(u, 0.75))
         assert np.array_equal(a.coeffs, b.coeffs)
@@ -93,49 +91,49 @@ def test_product_is_exact_convolution():
     assert sq.n_modes == 2
 
 
-def test_product_matches_pointwise_values():
-    u = random_series(8)
-    v = random_series(5)
+def test_product_matches_pointwise_values(rng):
+    u = random_series(rng, 8)
+    v = random_series(rng, 5)
     w = multiply(u, v)
     t = np.linspace(0.0, 2 * math.pi, 61, endpoint=False)
     assert np.allclose(w.evaluate(t), u.evaluate(t) * v.evaluate(t), atol=1e-12)
 
 
-def test_conjugate_matches_pointwise_and_is_involutive():
-    u = random_series(12)
+def test_conjugate_matches_pointwise_and_is_involutive(rng):
+    u = random_series(rng, 12)
     t = np.linspace(0.0, 2 * math.pi, 41, endpoint=False)
     assert np.allclose(u.conjugate().evaluate(t), np.conj(u.evaluate(t)), atol=1e-12)
     assert np.array_equal(u.conjugate().conjugate().coeffs, u.coeffs)
 
 
-def test_derivative_matches_second_derivative():
-    u = random_series(10)
+def test_derivative_matches_second_derivative(rng):
+    u = random_series(rng, 10)
     a = derivative(derivative(u))
     b = second_derivative(u)
     assert np.allclose(a.coeffs, b.coeffs, atol=1e-14)
 
 
-def test_parseval_identity_holds_to_quadrature_accuracy():
+def test_parseval_identity_holds_to_quadrature_accuracy(rng):
     for _ in range(10):
-        u = random_series(int(RNG.integers(1, 40)))
+        u = random_series(rng, int(rng.integers(1, 40)))
         assert u.parseval_defect() < 1e-10
 
 
 # -- graded norms -------------------------------------------------------------
 
 
-def test_norm_is_monotone_in_grading():
+def test_norm_is_monotone_in_grading(rng):
     for _ in range(20):
-        u = random_series(20)
-        ms = sorted(RNG.uniform(0.0, 6.0, size=4))
+        u = random_series(rng, 20)
+        ms = sorted(rng.uniform(0.0, 6.0, size=4))
         norms = [u.sobolev_norm(m) for m in ms]
         assert all(a <= b * (1 + 1e-13) for a, b in zip(norms, norms[1:]))
 
 
-def test_interpolation_constant_is_one():
+def test_interpolation_constant_is_one(rng):
     for _ in range(1000):
-        u = random_series(int(RNG.integers(1, 24)))
-        m1, m, m2 = sorted(RNG.uniform(0.0, 6.0, size=3))
+        u = random_series(rng, int(rng.integers(1, 24)))
+        m1, m, m2 = sorted(rng.uniform(0.0, 6.0, size=3))
         if m2 - m1 < 1e-3 or m - m1 < 1e-4 or m2 - m < 1e-4:
             continue
         assert interpolation_ratio(u, m, m1, m2) <= 1.0 + 1e-12
@@ -144,8 +142,8 @@ def test_interpolation_constant_is_one():
 # -- mollifiers ---------------------------------------------------------------
 
 
-def test_smooth_validates_eps():
-    u = random_series(8)
+def test_smooth_validates_eps(rng):
+    u = random_series(rng, 8)
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             SmoothingFamily().apply(u, bad)
@@ -163,11 +161,11 @@ def test_smooth_keeps_low_modes_and_kills_high_modes():
         assert family.apply(zero_mode, eps).coeff(0) == pytest.approx(1.0)
 
 
-def test_smoothing_never_increases_graded_norms():
+def test_smoothing_never_increases_graded_norms(rng):
     family = SmoothingFamily()
     for _ in range(30):
-        u = random_series(40)
-        eps = float(RNG.uniform(0.004, 1.0))
+        u = random_series(rng, 40)
+        eps = float(rng.uniform(0.004, 1.0))
         su = family.apply(u, eps)
         for m in (0.0, 1.0, 2.5, 4.0):
             assert su.sobolev_norm(m) <= u.sobolev_norm(m) * (1 + 1e-13)
@@ -196,7 +194,7 @@ def test_smoothing_axioms_have_finite_stable_constants():
         assert row.eps_spread <= 4.0
 
 
-def test_smoothing_axiom_constants_bound_random_vectors():
+def test_smoothing_axiom_constants_bound_random_vectors(rng):
     # the per-mode sweep is the exact multiplier constant; random vectors
     # can only do better
     family = SmoothingFamily()
@@ -204,8 +202,8 @@ def test_smoothing_axiom_constants_bound_random_vectors():
     report = verify_smoothing_axioms(family, m_max=2, eps_grid=eps_grid)
     by_key = {(r.axiom, r.m, r.n): r.max_ratio for r in report.rows}
     for _ in range(25):
-        u = random_series(80)
-        eps = float(RNG.choice(eps_grid))
+        u = random_series(rng, 80)
+        eps = float(rng.choice(eps_grid))
         m, n = 1.0, 2.0
         su = family.apply(u, eps)
         measured = su.sobolev_norm(n) * eps ** (n - m) / u.sobolev_norm(m)

@@ -1,0 +1,42 @@
+"""The per-layer tracer of the benchmark names `edl` functions, methods and
+commands by string; a rename in `src/edl` breaks a traced run with a
+KeyError. These checks read the tracer's tables without installing it
+(`install` rebinds functions for the whole process)."""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+from edl.experiments import EXPERIMENTS
+
+TRACING_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "edlbench", "tracing.py"
+)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("edlbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve(tracing):
+    names = [(module, attr) for module, attr, _, _ in tracing.FUNCTIONS]
+    names += [(module, attr) for module, cls, attr, _ in tracing.COUNTERS if cls is None]
+    for module, attr in names:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_traced_methods_are_defined_on_their_class(tracing):
+    methods = [row[:3] for row in tracing.METHODS]
+    methods += [row[:3] for row in tracing.COUNTERS if row[1] is not None]
+    for module, cls, attr in methods:
+        assert attr in vars(getattr(importlib.import_module(module), cls)), (cls, attr)
+
+
+def test_traced_commands_are_the_experiments(tracing):
+    assert sorted(tracing.EXPERIMENT_COMMANDS) == sorted(EXPERIMENTS)
