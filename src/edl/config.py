@@ -40,13 +40,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_modes <= 0:
             raise ConfigError(f"n_modes must be positive, got {self.n_modes}")
-        need = dense_matrix_bytes(self.experiment, self.n_modes)
-        if need > MATRIX_BYTE_BUDGET:
-            raise ConfigError(
-                f"n_modes = {self.n_modes} needs a {need / 2**20:.0f} MiB dense "
-                f"matrix in {self.experiment}, above the "
-                f"{MATRIX_BYTE_BUDGET / 2**20:.0f} MiB budget"
-            )
         if self.l_min <= 0:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
@@ -58,6 +51,12 @@ class ExperimentConfig:
             raise ConfigError(f"theta must exceed 1, got {self.theta}")
         if self.max_steps <= 0 or self.samples <= 0:
             raise ConfigError("max_steps and samples must be positive")
+        need = dense_matrix_bytes(self)
+        if need > MATRIX_BYTE_BUDGET:
+            key = "l_max" if self.experiment in ("obstruction", "gram") else "n_modes"
+            raise ConfigError(f"{key} = {getattr(self, key)} needs {need / 2**20:.0f} MiB of "
+                              f"dense arrays in {self.experiment}, above the "
+                              f"{MATRIX_BYTE_BUDGET / 2**20:.0f} MiB budget")
         return self
 
 
@@ -68,20 +67,25 @@ class ConfigError(ValueError):
 MATRIX_BYTE_BUDGET = 256 * 2**20
 
 
-def dense_matrix_bytes(experiment, n_modes):
-    """Bytes of the largest dense matrix an experiment builds at band n_modes.
+def dense_matrix_bytes(cfg):
+    """Bytes of the largest dense arrays an experiment builds at cfg's sizes.
 
     deform-op: the real T of the loss profile at band 2N, side 2(4N+1);
     nash-moser: the complex toy Jacobian, side 2N+1;
-    continuation: the real T behind the bordered system, side 2(2N+1).
+    continuation: the real T behind the bordered system, side 2(2N+1);
+    obstruction: at nt = 2 l_max + 3, the two complex (nt, 1200, 4) tensors of
+    the synthesized field and the four (nt, 1200, 8) of the cross-talk field;
+    gram: two (L, 2000) profile arrays and four complex L x L matrices,
+    L = l_max - l_min + 1.
     """
-    if experiment == "deform-op":
-        return 8 * (2 * (4 * n_modes + 1)) ** 2
-    if experiment == "nash-moser":
-        return 16 * (2 * n_modes + 1) ** 2
-    if experiment == "continuation":
-        return 8 * (2 * (2 * n_modes + 1)) ** 2
-    return 0
+    n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
+    return {
+        "deform-op": 8 * (2 * (4 * n + 1)) ** 2,
+        "nash-moser": 16 * (2 * n + 1) ** 2,
+        "continuation": 8 * (2 * (2 * n + 1)) ** 2,
+        "obstruction": 16 * nt * 1200 * (2 * 4 + 4 * 8),
+        "gram": 16 * big_l * 2000 + 64 * big_l**2,
+    }.get(cfg.experiment, 0)
 
 
 # key -> annotation string ("int", "float", "str", "bool"); the experiment

@@ -17,19 +17,17 @@ from .series import FourierSeries1D, TWO_PI
 from .dirac import (
     LeadingData,
     RadialGrid,
-    SpinorField,
     euclidean_obstruction_field,
     euclidean_obstruction_mode,
-    sgn,
 )
 from .obstruction import (
     WeightProfile,
     annuli_decay,
     conormal_rate,
     discrete_max_principle,
+    family_field,
     gram_matrix,
     gram_tail_trend,
-    obstruction_profiles,
     project_to_obstruction,
     sample_max_principle_instance,
 )
@@ -137,16 +135,8 @@ def run_obstruction(cfg):
         for l in l_values
     }
     grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=1e-9)
-    profiles = obstruction_profiles(l_values, grid)
-    nt, ntheta = 2 * cfg.l_max + 3, 4
-    t = np.arange(nt) * (TWO_PI / nt)
-    plus = np.zeros((nt, grid.r.size, ntheta), dtype=complex)
-    minus = np.zeros_like(plus)
-    for (l, a), prof in zip(coeffs.items(), profiles):
-        phase = a * np.exp(1j * l * t)[:, None, None]
-        plus += phase * prof[None, :, None]
-        minus += sgn(l) * phase * prof[None, :, None]
-    field_ = SpinorField(grid, plus, minus)
+    nt = 2 * cfg.l_max + 3
+    field_ = family_field(coeffs, grid, nt, 4)
     recovered = project_to_obstruction(field_, l_values)
     norm_const = 4.0 * math.pi**2
     errs = []

@@ -2,13 +2,18 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from edl.cli import main, write_artifacts
 from edl.config import (
+    COMMAND_DEFAULTS,
     MATRIX_BYTE_BUDGET,
     ConfigError,
     ExperimentConfig,
@@ -57,6 +62,43 @@ def test_config_keys_are_the_dataclass_fields():
     assert parse_config_text(text) == ExperimentConfig()
     with pytest.raises(ConfigError, match="unknown key 'experiment'"):
         parse_config_text("experiment = modes")
+
+
+_OVERRIDE_VALUES = {
+    "n_modes": st.integers(1, 256),
+    "l_min": st.integers(1, 64),
+    "l_max": st.integers(1, 160),
+    "r0": st.floats(1e-6, 1e6),
+    "r_max": st.floats(1e-6, 1e6),
+    "eps0": st.floats(1e-6, 1e6),
+    "theta": st.floats(1.0, 8.0, exclude_min=True),
+    "tol": st.floats(1e-15, 10.0),
+    "max_steps": st.integers(1, 1000),
+    "samples": st.integers(1, 1000),
+    "seed": st.integers(0, 2**63 - 1),
+    "out_dir": st.text("abcxyz019_-./", min_size=1, max_size=12),
+    "do_assert": st.booleans(),
+}
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(COMMAND_DEFAULTS)), st.data())
+def test_config_text_round_trips(command, data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(_OVERRIDE_VALUES)), unique=True))
+    overrides = {k: data.draw(_OVERRIDE_VALUES[k], label=k) for k in keys}
+    want = ExperimentConfig(experiment=command, **dict(COMMAND_DEFAULTS[command], **overrides))
+    try:
+        want.validate()
+    except ConfigError:
+        assume(False)  # e.g. l_max drawn below the default l_min
+    text = "".join(f"{k} = {_render(v)}\n" for k, v in overrides.items())
+    assert parse_config_text(text, experiment=command) == want
 
 
 def test_negative_band_rejected():
@@ -214,6 +256,56 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
     assert rc == 2
     assert "budget" in capsys.readouterr().err
     assert not (tmp_path / "deform-op").exists()
+
+
+def test_l_range_bounded_by_array_budget(tmp_path, capsys):
+    # only validated, never run. obstruction holds its synthesized and
+    # cross-talk fields, 40 complex (2 l_max + 3) x 1200 slabs in all; gram
+    # two (L, 2000) profile arrays and four complex L x L matrices
+    top = max(l for l in range(1, 4096)
+              if 16 * (2 * l + 3) * 1200 * 40 <= MATRIX_BYTE_BUDGET)
+    assert build_config("obstruction", {"l_max": top}).l_max == top
+    with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
+        build_config("obstruction", {"l_max": top + 1})
+    span = max(n for n in range(1, 8192)
+               if 16 * n * 2000 + 64 * n * n <= MATRIX_BYTE_BUDGET)
+    assert build_config("gram", {"l_min": 1, "l_max": span}).l_max == span
+    assert build_config("gram", {"l_min": 500, "l_max": 499 + span}).l_max == 499 + span
+    with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
+        build_config("gram", {"l_min": 500, "l_max": 500 + span})
+    # every default is accepted, and l ranges that size no dense array are free
+    for command in COMMAND_DEFAULTS:
+        assert build_config(command).experiment == command
+    assert build_config("conormal", {"l_max": 10**6}).l_max == 10**6
+    for command, line in (("obstruction", f"l_max = {top + 1}"),
+                          ("gram", f"l_max = {span + 1}")):
+        cfgfile = tmp_path / f"{command}.cfg"
+        cfgfile.write_text(line + "\n")
+        rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def test_decay_imports_no_adaptive_ode_solver(tmp_path):
+    # the radial solve is one banded system; scipy.integrate's solve_bvp and
+    # the scipy.interpolate it loads lazily must not come back
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text("l_min = 4\nl_max = 16\nsamples = 10\n")
+    code = (
+        "import sys\n"
+        "from edl.cli import main\n"
+        "rc = main(['decay', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, sorted(m for m in sys.modules\n"
+        "                 if m.startswith(('scipy.integrate', 'scipy.interpolate'))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, str(cfgfile), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def _reject_constant(name):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 
-from edl.dirac import RadialGrid, euclidean_obstruction_field
+from edl.dirac import RadialGrid, SpinorField, euclidean_obstruction_field, radial_bump
 from edl.obstruction import (
     AnnuliPartition,
     ConormalReport,
@@ -13,6 +14,7 @@ from edl.obstruction import (
     annulus_energy_norms,
     conormal_rate,
     discrete_max_principle,
+    family_field,
     gram_matrix,
     gram_tail_trend,
     obstruction_profiles,
@@ -55,8 +57,6 @@ def test_projection_matches_direct_quadrature():
     phase = (1.3 * np.exp(1j * t) - 0.4j * np.exp(-3j * t))[:, None, None]
     plus = phase * prof[None, :, None] * np.ones((1, 1, nth))
     minus = 0.5j * plus
-    from edl.dirac import SpinorField
-
     f = SpinorField(g, plus, minus)
     coefs = project_to_obstruction(f, [1, -3])
     rows = obstruction_profiles([1, -3], g)
@@ -66,6 +66,25 @@ def test_projection_matches_direct_quadrature():
     want3 = (2 * math.pi) ** 2 * (-0.4j) * np.sum((prof - 0.5j * prof) * rows[1] * w)
     assert abs(coefs[0] - want1) < 1e-10 * abs(want1)
     assert abs(coefs[1] - want3) < 1e-10 * abs(want3)
+
+
+def test_family_field_matches_per_mode_sum(rng):
+    # oracle: the per-mode accumulation the single product replaced
+    g = RadialGrid.geometric(8.0, 300, r_min_factor=1e-6)
+    l_values = [1, -1, 2, 5, -3, -7, 4]
+    coeffs = {l: complex(*rng.standard_normal(2)) for l in l_values}
+    nt, ntheta = 17, 4
+    t = np.arange(nt) * (2.0 * math.pi / nt)
+    plus = np.zeros((nt, g.n_points, ntheta), dtype=complex)
+    minus = np.zeros_like(plus)
+    for (l, a), prof in zip(coeffs.items(), obstruction_profiles(l_values, g)):
+        phase = a * np.exp(1j * l * t)[:, None, None]
+        plus += phase * prof[None, :, None]
+        minus += np.sign(l) * phase * prof[None, :, None]
+    got = family_field(coeffs, g, nt, ntheta)
+    for have, want in ((got.plus, plus), (got.minus, minus)):
+        assert have.shape == want.shape
+        assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- conormal rates --------------------------------------------------------------
@@ -156,7 +175,9 @@ def test_gram_adjacent_entries_scale_like_inverse_mode():
 
 
 def test_gram_tail_trend_envelope():
-    w = WeightProfile.broadband()
+    # amplitude spread over modes 1..12 with weights (1 + m^2)^-4
+    w = WeightProfile(g=FourierSeries1D.from_modes(
+        {s * m: 0.05 * (1.0 + m * m) ** -4.0 for m in range(1, 13) for s in (1, -1)}))
     ls = list(range(1, 49))
     rep = gram_tail_trend(ls, w, cutoffs=[1, 2, 4, 8, 16, 24])
     assert np.all(rep.tail_norms > 0.0)  # non-vacuous: every tail still couples
@@ -186,6 +207,57 @@ def test_solve_mode_bvp_manufactured_solution():
     assert err / ref < 1e-6
 
 
+def _decay_grid_and_forcing(l, n_points=1500):
+    # annuli_decay's grid and forcing at r_scale = 1
+    grid = RadialGrid.geometric(20.0 / l, n_points, r_min_factor=1e-4)
+    return grid, lambda r: radial_bump(r, 1.0 / l, 0.5 / l)[0]
+
+
+def _solve_bvp_oracle(nu, l, rgrid, forcing):
+    """The same natural-boundary problem through scipy's adaptive collocation."""
+    lo, hi = math.log(rgrid.r[0]), math.log(rgrid.r[-1])
+
+    def rhs(s, y):
+        r = np.exp(s)
+        return np.vstack([y[1], (nu**2 + (l * r) ** 2) * y[0] - r**2 * forcing(r)])
+
+    def bc(ya, yb):
+        return np.array([ya[1] - nu * ya[0], yb[1] + (l * rgrid.r[-1] + 0.5) * yb[0]])
+
+    mesh = np.linspace(lo, hi, 801)
+    sol = solve_bvp(rhs, bc, mesh, np.zeros((2, mesh.size)), tol=1e-10, max_nodes=200000)
+    assert sol.success
+    return sol.sol(np.log(rgrid.r))[0]
+
+
+@pytest.mark.parametrize("nu, l", [(0.5, 4), (1.0, 16), (0.5, 64)])
+def test_solve_mode_bvp_natural_matches_collocation(nu, l):
+    grid, forcing = _decay_grid_and_forcing(l)
+    u = solve_mode_bvp(nu, l, grid, forcing)
+    want = _solve_bvp_oracle(nu, l, grid, forcing)
+    assert np.max(np.abs(u - want)) / np.max(np.abs(want)) <= 1e-7
+
+
+def test_solve_mode_bvp_is_fourth_order():
+    # nested geometric grids: n - 1 doubles, so every coarse node is a fine node
+    ref_grid, forcing = _decay_grid_and_forcing(4, 11993)
+    ref = solve_mode_bvp(0.5, 4, ref_grid, forcing)
+    errs = []
+    for n, stride in ((1500, 8), (2999, 4), (5997, 2)):
+        grid, _ = _decay_grid_and_forcing(4, n)
+        u = solve_mode_bvp(0.5, 4, grid, forcing)
+        errs.append(np.max(np.abs(u - ref[::stride])) / np.max(np.abs(ref)))
+    assert errs[0] < 1e-7
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine >= 12.0  # 16 for an exact fourth-order scheme
+
+
+def test_solve_mode_bvp_fails_closed_on_non_finite_solution():
+    grid, _ = _decay_grid_and_forcing(4, 200)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        solve_mode_bvp(0.5, 4, grid, lambda r: np.full_like(r, np.nan))
+
+
 def test_annuli_decay_rate_uniform_in_mode():
     rates = []
     for l in (4, 16, 64):
@@ -193,6 +265,9 @@ def test_annuli_decay_rate_uniform_in_mode():
         rates.append(rep.rate_per_annulus)
         assert rep.rate_per_annulus == pytest.approx(2.0, rel=0.1)
     assert max(rates) - min(rates) < 0.2
+    # r -> l r maps the problems onto each other and the grid scales with
+    # 1/|l|, so a non-adaptive solve gives one rate up to roundoff
+    assert (max(rates) - min(rates)) / np.mean(rates) < 1e-10
 
 
 def test_annuli_partition_validation():
