@@ -51,12 +51,13 @@ class ExperimentConfig:
             raise ConfigError(f"theta must exceed 1, got {self.theta}")
         if self.max_steps <= 0 or self.samples <= 0:
             raise ConfigError("max_steps and samples must be positive")
-        need = dense_matrix_bytes(self)
+        key, need = dense_array_bound(self)
         if need > MATRIX_BYTE_BUDGET:
-            key = "l_max" if self.experiment in ("obstruction", "gram") else "n_modes"
-            raise ConfigError(f"{key} = {getattr(self, key)} needs {need / 2**20:.0f} MiB of "
-                              f"dense arrays in {self.experiment}, above the "
-                              f"{MATRIX_BYTE_BUDGET / 2**20:.0f} MiB budget")
+            raise ConfigError(
+                f"{key} = {getattr(self, key)} needs {need / 2**20:.0f} MiB of dense "
+                f"arrays in {self.experiment}, above the "
+                f"{MATRIX_BYTE_BUDGET / 2**20:.0f} MiB budget"
+            )
         return self
 
 
@@ -67,8 +68,9 @@ class ConfigError(ValueError):
 MATRIX_BYTE_BUDGET = 256 * 2**20
 
 
-def dense_matrix_bytes(cfg):
-    """Bytes of the largest dense arrays an experiment builds at cfg's sizes.
+def dense_array_bound(cfg):
+    """(key, bytes): the config key that sizes the largest dense arrays an
+    experiment builds, and their bytes at cfg's values.
 
     deform-op: the real T of the loss profile at band 2N, side 2(4N+1);
     nash-moser: the complex toy Jacobian, side 2N+1;
@@ -80,12 +82,12 @@ def dense_matrix_bytes(cfg):
     """
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
-        "deform-op": 8 * (2 * (4 * n + 1)) ** 2,
-        "nash-moser": 16 * (2 * n + 1) ** 2,
-        "continuation": 8 * (2 * (2 * n + 1)) ** 2,
-        "obstruction": 16 * nt * 1200 * (2 * 4 + 4 * 8),
-        "gram": 16 * big_l * 2000 + 64 * big_l**2,
-    }.get(cfg.experiment, 0)
+        "deform-op": ("n_modes", 8 * (2 * (4 * n + 1)) ** 2),
+        "nash-moser": ("n_modes", 16 * (2 * n + 1) ** 2),
+        "continuation": ("n_modes", 8 * (2 * (2 * n + 1)) ** 2),
+        "obstruction": ("l_max", 16 * nt * 1200 * (2 * 4 + 4 * 8)),
+        "gram": ("l_max", 16 * big_l * 2000 + 64 * big_l**2),
+    }.get(cfg.experiment, ("n_modes", 0))
 
 
 # key -> annotation string ("int", "float", "str", "bool"); the experiment

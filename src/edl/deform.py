@@ -181,29 +181,23 @@ def realize_l(data, n_modes, n_out=None):
     return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference)
 
 
-def realize_l_star(data, n_modes, n_out=None):
-    """L* with A = Toep(conj c) diag(sgn), B = -Hank(d)."""
-    n_out = n_modes if n_out is None else n_out
-    a = toeplitz_block(data.c.conjugate(), n_out, n_modes)
-    a *= _signs(n_modes)[None, :]
-    b = hankel_block(data.d, n_out, n_modes)
-    b *= -1.0
-    return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference)
-
-
 def ll_star_defect_operator(data, n_modes):
     """Exact truncation P_N (L L* - (|c|^2 + |d|^2)) P_N as a real matrix.
 
-    L* maps modes |l| <= N into |l| <= N + band, so composing the truncations
-    L(N + band -> N) L*(N -> N + band) is the exact composition; truncating
+    Composed through every mode L* reaches, L L* = S Toep(|c|^2) S + Toep(|d|^2)
+    - (S Hank(c d) + Hank(c d) S) conj with S = diag(sgn), so the defect has
+    entries (|c|^2)_{l-m} (s_l s_m - 1) on xi and -(c d)_{l+m} (s_l + s_m) on
+    conj(xi). Built from these, it is not the difference of two operators of
+    size |c|^2 and keeps its relative accuracy where it is small. Truncating
     between L* and L at N instead would inject spurious boundary terms that
     grow with N.
     """
-    n_mid = n_modes + max(data.c.n_modes, data.d.n_modes)
-    out = (realize_l(data, n_mid, n_modes).matrix
-           @ realize_l_star(data, n_modes, n_mid).matrix)
-    out -= _real_form(toeplitz_block(data.modulus_squared_series(), n_modes, n_modes))
-    return RealizedOperator(out, n_modes, n_modes, data.circumference)
+    s = _signs(n_modes)
+    a = toeplitz_block(multiply(data.c, data.c.conjugate()), n_modes, n_modes)
+    a *= s[:, None] * s[None, :] - 1.0
+    b = hankel_block(multiply(data.c, data.d), n_modes, n_modes)
+    b *= -(s[:, None] + s[None, :])
+    return RealizedOperator(_real_form(a, b), n_modes, n_modes, data.circumference)
 
 
 def commutator_with_sign_multiplier(a_series, n_modes):

@@ -1,9 +1,8 @@
 """Projections onto the decaying kernel family, conormal-rate probes,
 weighted Gram matrices of the family, and radial decay certificates.
 
-The radial mode problem is solved with Numerov's fourth-order scheme on the
-log grid's own nodes: a tridiagonal system closed by fourth-order Taylor steps
-for the Robin conditions, and one banded solve.
+Radial modes are solved at the log grid's nodes by one banded solve of
+Numerov's fourth-order scheme, its Robin ends closed by Taylor steps.
 """
 from __future__ import annotations
 
@@ -326,7 +325,10 @@ def annulus_energy_norms(u, nu, l, rgrid, partition):
     du = rgrid.derivative(np.asarray(u, dtype=complex))
     dens = np.abs(du) ** 2 + (nu**2 / rgrid.r**2 + float(l) ** 2) * np.abs(u) ** 2
     w = rgrid.area_weights()
-    return np.array([np.sqrt(np.sum((dens * w)[m])) for m in partition.masks(rgrid.r)])
+    out = []
+    for mask in partition.masks(rgrid.r):
+        out.append(float(np.sqrt(np.sum((dens * w)[mask]))))
+    return np.array(out)
 
 
 @dataclass
@@ -347,10 +349,17 @@ def annuli_decay(nu, l, r_scale=1.0):
     l_a = abs(float(l))
     if l_a == 0:
         raise ValueError("decay study needs l != 0")
-    center, width = r_scale / l_a, 0.5 * r_scale / l_a
+    center = r_scale / l_a
+    width = 0.5 * r_scale / l_a
     rgrid = RadialGrid.geometric(20.0 * r_scale / l_a, 1500, r_min_factor=1e-4)
-    u = solve_mode_bvp(nu, l, rgrid, lambda r: radial_bump(r, center, width)[0])
-    part = AnnuliPartition(r_start=center + 2.0 * width, width=2.0 * r_scale / l_a, count=8)
+
+    def forcing(r):
+        return radial_bump(r, center, width)[0]
+
+    u = solve_mode_bvp(nu, l, rgrid, forcing)
+    part = AnnuliPartition(
+        r_start=center + 2.0 * width, width=2.0 * r_scale / l_a, count=8
+    )
     norms = annulus_energy_norms(u, nu, l, rgrid, part)
     usable = norms > 1e-14 * norms[0]
     idx = np.arange(len(norms))[usable]
