@@ -75,8 +75,9 @@ def dense_array_bound(cfg):
     deform-op: the real T of the loss profile at band 2N, side 2(4N+1);
     nash-moser: the complex toy Jacobian, side 2N+1;
     continuation: the real T behind the bordered system, side 2(2N+1);
-    obstruction: at nt = 2 l_max + 3, the two complex (nt, 1200, 4) tensors of
-    the synthesized field and the four (nt, 1200, 8) of the cross-talk field;
+    obstruction: the two complex (nt, 1200, 4) tensors of the synthesized
+    field at nt = 2 l_max + 3, and the four (13, 1200, 8) of the l = 2
+    cross-talk field, which keeps its own alias-free nt whatever l_max is;
     gram: two (L, 2000) profile arrays and four complex L x L matrices,
     L = l_max - l_min + 1.
     """
@@ -85,7 +86,7 @@ def dense_array_bound(cfg):
         "deform-op": ("n_modes", 8 * (2 * (4 * n + 1)) ** 2),
         "nash-moser": ("n_modes", 16 * (2 * n + 1) ** 2),
         "continuation": ("n_modes", 8 * (2 * (2 * n + 1)) ** 2),
-        "obstruction": ("l_max", 16 * nt * 1200 * (2 * 4 + 4 * 8)),
+        "obstruction": ("l_max", 16 * 1200 * (2 * 4 * nt + 4 * 8 * 13)),
         "gram": ("l_max", 16 * big_l * 2000 + 64 * big_l**2),
     }.get(cfg.experiment, ("n_modes", 0))
 

@@ -11,14 +11,27 @@ Toeplitz in c, the sign multiplier H is diagonal, and xi -> conj(xi) d is
 Hankel in d acting on the conjugated coefficients.  Probing a series map
 with unit vectors (RealizedOperator.realize) is kept as the test oracle
 these assemblies are checked against; nothing here calls it.
+
+The spectral diagnostics work on bands.  With the modes ordered by |l|
+(0, 1, -1, 2, -2, ...) and Re/Im interleaved, Toeplitz entries (|l - m| <=
+band) and Hankel entries (|l + m| <= band) both lie within 4 band + 3 of the
+diagonal, so L and T of band-3 data have half-bandwidth 15 and their Gram
+matrices G^T G 27.  Each band is gathered from the dense closed-form matrix
+with one fancy index.  sigma_max is the top eigenvalue of the banded Gram,
+found by bisection on whether a banded Cholesky factors t I - G^T G.  Kernel
+counts do not square: with JW = [[0, L], [L^T, 0]], whose eigenvalues are
++-sigma, #{sigma < tau} = nu_-(JW - tau I) - n, and nu_- is summed over the
+pivot blocks of a block LDL^T of the block-tridiagonal JW (Haynsworth
+inertia additivity).  The dense SVD and Gram routes stay as test oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, hankel, toeplitz
+from scipy.linalg import eig_banded, eigh, hankel, toeplitz
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpbtrf, dsytrf, dsytrs
 
 from .series import (
     FourierSeries1D,
@@ -32,6 +45,7 @@ from .series import (
 from .dirac import LeadingData, sgn
 
 T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
+MIN_PIVOT_BLOCK = 16  # side floor of the inertia count's blocks: few, short loop steps
 
 
 # -- real coordinates --------------------------------------------------------------
@@ -57,6 +71,18 @@ def _graded_weights(n_modes, m):
 
 def _signs(n_modes):
     return sign_with_positive_zero(np.arange(-n_modes, n_modes + 1))
+
+
+def _band_positions(n_modes):
+    """Position of each stacked [Re, Im] coordinate once the modes are
+    ordered 0, 1, -1, 2, -2, ... and Re/Im interleaved.
+
+    A mode's position does not depend on n_modes, so truncations are
+    leading principal blocks of one another.
+    """
+    l = np.arange(-n_modes, n_modes + 1)
+    k = np.where(l > 0, 2 * l - 1, -2 * l)
+    return np.concatenate([2 * k, 2 * k + 1])
 
 
 # -- closed-form blocks ------------------------------------------------------------
@@ -94,12 +120,18 @@ def _real_form(a, b=0.0):
 
 @dataclass(frozen=True, eq=False)
 class RealizedOperator:
-    """Dense real matrix acting on stacked mode coordinates."""
+    """Dense real matrix acting on stacked mode coordinates.
+
+    band: entry (l, m) vanishes unless |l - m| <= band or |l + m| <= band, so
+    the matrix lies within 4 band + 3 of the diagonal in the band order; None
+    for a matrix of unknown structure, whose band is then the whole matrix.
+    """
 
     matrix: np.ndarray
     n_in: int
     n_out: int
     circumference: float = TWO_PI
+    band: int | None = None
 
     @staticmethod
     def realize(fn, n_in, n_out=None, circumference=TWO_PI):
@@ -126,13 +158,115 @@ class RealizedOperator:
         series = series.truncate(self.n_in)
         return series_from_real(self.matrix @ real_coords(series), self.circumference)
 
-    def operator_norm(self, m_out=0.0, m_in=0.0):
-        """sigma_max as the square root of the top eigenvalue of G^T G.
+    def _band(self):
+        """(rows, cols, kd): dense row and column index of each band position,
+        and the half-bandwidth kd."""
+        widest = max(self.matrix.shape) - 1
+        kd = widest if self.band is None else min(4 * self.band + 3, widest)
+        rows, cols = _band_positions(self.n_out), _band_positions(self.n_in)
+        return np.argsort(rows), np.argsort(cols), kd
 
-        Only the largest singular value is needed, and the top eigenvalue of
-        G^T G keeps full relative accuracy. The upper triangle of G^T G is
-        accumulated in place from quarter-height row blocks of the graded
-        matrix G, so G is never held whole next to the matrix.
+    def gram_band(self, m_out=0.0, m_in=0.0):
+        """G^T G of the graded matrix G = W_out M W_in^{-1} in lower band
+        storage over the band order: entry [s, q] is (G^T G)[q + s, q].
+
+        The columns of G are gathered as windows win[t, q] = G[q - kd + t, q],
+        so diagonal s of the Gram sums win[t, q] win[t - s, q + s] over the
+        rows the two windows share; diagonals that come out zero are dropped.
+        """
+        rows, cols, kd = self._band()
+        n = cols.size
+        offset = np.arange(-kd, kd + 1)[:, None] + np.arange(n)[None, :]
+        inside = (offset >= 0) & (offset < rows.size)
+        src = rows[np.clip(offset, 0, rows.size - 1)]
+        w_out = _graded_weights(self.n_out, m_out)
+        w_in = _graded_weights(self.n_in, m_in)
+        win = np.where(inside, self.matrix[src, cols] * w_out[src], 0.0) / w_in[cols]
+        width = 2 * kd + 1
+        ab = np.zeros((min(width, n), n))
+        for shift in range(ab.shape[0]):
+            ab[shift, :n - shift] = np.einsum(
+                "tq,tq->q", win[shift:, :n - shift], win[:width - shift, shift:]
+            )
+        used = np.flatnonzero(ab.any(axis=1))
+        return ab[: used[-1] + 1 if used.size else 1]
+
+    def operator_norm(self, m_out=0.0, m_in=0.0):
+        """sigma_max of the graded matrix: the square root of the top
+        eigenvalue of its banded Gram, bisected on whether a banded Cholesky
+        (dpbtrf) factors t I - G^T G.
+
+        The bracket runs from the largest diagonal entry to the largest
+        Gershgorin row sum and is halved until its ends are adjacent floats.
+        """
+        ab = self.gram_band(m_out, m_in)
+        row_sums = np.abs(ab[0])
+        for shift in range(1, ab.shape[0]):
+            row_sums[shift:] += np.abs(ab[shift, :-shift])
+            row_sums[:-shift] += np.abs(ab[shift, :-shift])
+        lo, hi = float(ab[0].max()), float(row_sums.max())
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            shifted = -ab
+            shifted[0] += mid
+            if dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        return float(np.sqrt(hi))
+
+    def count_singular_values_below(self, tau):
+        """#{sigma < tau} for a square operator, without squaring sigma.
+
+        JW = [[0, L], [L^T, 0]] has eigenvalues +-sigma_i, so nu_-(JW - tau I)
+        = n + #{sigma < tau}.  Blocks pair the rows and columns of L at the
+        same band positions, which makes JW block tridiagonal, and nu_- is
+        the sum of the negative eigenvalues of the pivot blocks of its block
+        LDL^T, each counted from its Bunch-Kaufman factors (a 2x2 pivot has
+        one negative eigenvalue).  The last block is padded with zero rows
+        and columns of L; each pad adds a zero singular value to L and two
+        eigenvalues -tau to JW - tau I, which the count removes.
+        """
+        if self.n_in != self.n_out:
+            raise ValueError("singular value counts need a square operator")
+        rows, _, kd = self._band()
+        n = rows.size
+        size = max(kd, MIN_PIVOT_BLOCK)
+        blocks = -(-n // size)
+        pad = blocks * size - n
+        r = np.arange(blocks * size).reshape(blocks, size)
+        c = r[:, :1] - size + np.arange(3 * size)  # blocks m-1, m, m+1
+        keep = (r < n)[:, :, None] & ((c >= 0) & (c < n))[:, None, :]
+        src_r, src_c = rows[np.minimum(r, n - 1)], rows[np.clip(c, 0, n - 1)]
+        slab = np.where(keep, self.matrix[src_r[:, :, None], src_c[:, None, :]], 0.0)
+        # block m of JW - tau I on [rows of L; columns of L] at its positions,
+        # and its coupling to block m + 1
+        diag = np.zeros((blocks, 2 * size, 2 * size))
+        diag[:, :size, size:] = slab[:, :, size:2 * size]
+        diag[:, size:, :size] = slab[:, :, size:2 * size].transpose(0, 2, 1)
+        diag -= tau * np.eye(2 * size)
+        upper = np.zeros((blocks - 1, 2 * size, 2 * size))
+        upper[:, :size, size:] = slab[:-1, :, 2 * size:]
+        upper[:, size:, :size] = slab[1:, :, :size].transpose(0, 2, 1)
+        schur, negative = 0.0, 0
+        for m in range(blocks):
+            ldu, ipiv, info = dsytrf(diag[m] - schur, lower=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular pivot block at shift {tau:.3e}")
+            negative += int(np.count_nonzero(np.diag(ldu)[ipiv > 0] < 0))
+            negative += int(np.count_nonzero(ipiv < 0)) // 2
+            if m + 1 < blocks:
+                schur = upper[m].T @ dsytrs(ldu, ipiv, upper[m], lower=1)[0]
+        return negative - n - 2 * pad
+
+    def dense_operator_norm(self, m_out=0.0, m_in=0.0):
+        """sigma_max from the dense Gram matrix: the test oracle for
+        operator_norm.
+
+        The upper triangle of G^T G is accumulated in place from
+        quarter-height row blocks of the graded matrix G, so G is never held
+        whole next to the matrix, and its top eigenvalue is taken with eigh.
         """
         w_out = _graded_weights(self.n_out, m_out)
         w_in = _graded_weights(self.n_in, m_in)
@@ -149,7 +283,8 @@ class RealizedOperator:
         return float(np.sqrt(max(top, 0.0)))
 
     def singular_values(self):
-        # kernel counts need the small end resolved, which G^T G would square away
+        """All singular values by dense SVD: the test oracle for the banded
+        spectral diagnostics."""
         return np.linalg.svd(self.matrix, compute_uv=False)
 
 
@@ -178,7 +313,8 @@ def realize_l(data, n_modes, n_out=None):
     a *= _signs(n_out)[:, None]
     b = hankel_block(data.d, n_out, n_modes)
     b *= -1.0
-    return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference)
+    return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference,
+                            max(data.c.n_modes, data.d.n_modes))
 
 
 def ll_star_defect_operator(data, n_modes):
@@ -193,11 +329,13 @@ def ll_star_defect_operator(data, n_modes):
     grow with N.
     """
     s = _signs(n_modes)
-    a = toeplitz_block(multiply(data.c, data.c.conjugate()), n_modes, n_modes)
+    mod2, cd = multiply(data.c, data.c.conjugate()), multiply(data.c, data.d)
+    a = toeplitz_block(mod2, n_modes, n_modes)
     a *= s[:, None] * s[None, :] - 1.0
-    b = hankel_block(multiply(data.c, data.d), n_modes, n_modes)
+    b = hankel_block(cd, n_modes, n_modes)
     b *= -(s[:, None] + s[None, :])
-    return RealizedOperator(_real_form(a, b), n_modes, n_modes, data.circumference)
+    return RealizedOperator(_real_form(a, b), n_modes, n_modes, data.circumference,
+                            max(mod2.n_modes, cd.n_modes))
 
 
 def commutator_with_sign_multiplier(a_series, n_modes):
@@ -211,7 +349,8 @@ def commutator_with_sign_multiplier(a_series, n_modes):
     n_out = n_modes + a_series.n_modes
     a = toeplitz_block(a_series, n_out, n_modes)
     a *= _signs(n_out)[:, None] - _signs(n_modes)[None, :]
-    return RealizedOperator(_real_form(a), n_modes, n_out, a_series.circumference)
+    return RealizedOperator(_real_form(a), n_modes, n_out, a_series.circumference,
+                            a_series.n_modes)
 
 
 # -- the normal-direction operator ----------------------------------------------------
@@ -233,13 +372,14 @@ def t_op(data, eta):
 def realize_t(data, n_modes, n_out=None):
     """T as L with columns scaled by -omega_m^2 and rows by scale (l^2+1)^{-3/4}."""
     n_out = n_modes if n_out is None else n_out
-    mat = realize_l(data, n_modes, n_out).matrix
+    op = realize_l(data, n_modes, n_out)
+    mat = op.matrix
     omega = TWO_PI * np.arange(-n_modes, n_modes + 1) / data.circumference
     l_out = np.arange(-n_out, n_out + 1, dtype=float)
     row = T_SYMBOL_SCALE * data.circumference * (l_out**2 + 1.0) ** (-0.75)
     mat *= np.concatenate([row, row])[:, None]
     mat *= -np.concatenate([omega, omega])[None, :] ** 2
-    return RealizedOperator(mat, n_modes, n_out, data.circumference)
+    return RealizedOperator(mat, n_modes, n_out, data.circumference, op.band)
 
 
 @dataclass
@@ -284,6 +424,30 @@ class FredholmReport:
 
 
 KERNEL_REL_THRESHOLD = 1e-8  # singular values below this times sigma_max count as kernel
+GRAM_EIGEN_SLACK = 16 * np.finfo(float).eps  # eig_banded's error bound, times lambda_max
+
+
+def _next_singular_value(op, gram, kernel, tau):
+    """sigma_{k+1}, the smallest singular value at or above tau, k = kernel.
+
+    Its square is Gram eigenvalue k, known to GRAM_EIGEN_SLACK lambda_max,
+    so a relative precision of about eps / gap^2 after the square root. Where
+    that bracket is wider than 1e-13 relative (gaps below about 0.2), it is
+    halved by inertia counts, which resolve sigma to eps sigma_max like a
+    dense SVD; the Gram value is then clipped into the narrowed bracket.
+    """
+    if kernel == gram.size:
+        return 0.0
+    slack = GRAM_EIGEN_SLACK * gram[-1]
+    lo = max(tau, float(np.sqrt(max(gram[kernel] - slack, 0.0))))
+    hi = float(np.sqrt(gram[kernel] + slack))
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if op.count_singular_values_below(mid) > kernel:
+            hi = mid
+        else:
+            lo = mid
+    return min(max(float(np.sqrt(max(gram[kernel], 0.0))), lo), hi)
 
 
 def fredholm_diagnostics(data, truncations=(16, 24, 32)):
@@ -292,17 +456,20 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32)):
     A square truncation has equal kernel and cokernel rank deficiency, so the
     reported index is 0 whenever the kernel dimension is stable across the
     three truncations; an unstable count is reported as not stable instead
-    of averaged. singular_gaps records the smallest singular value above the
-    near-zero cluster, the margin the count rests on.
+    of averaged. The kernel is #{sigma < KERNEL_REL_THRESHOLD sigma_max},
+    counted by inertia. sigma_max is the top eigenvalue of the banded Gram,
+    and singular_gaps records sigma_{k+1} / sigma_max, the margin the count
+    rests on.
     """
     dims, gaps = [], []
     for n in truncations:
-        sv = realize_l(data, int(n)).singular_values()
-        top = sv[0] if sv.size else 1.0
-        near_zero = sv < KERNEL_REL_THRESHOLD * max(top, 1e-300)
-        dims.append(int(np.sum(near_zero)))
-        above = sv[~near_zero]
-        gaps.append(float(above[-1] / top) if above.size else 0.0)
+        op = realize_l(data, int(n))
+        gram = eig_banded(op.gram_band(), lower=True, eigvals_only=True)
+        top = max(float(np.sqrt(max(gram[-1], 0.0))), 1e-300)
+        tau = KERNEL_REL_THRESHOLD * top
+        kernel = op.count_singular_values_below(tau)
+        dims.append(kernel)
+        gaps.append(_next_singular_value(op, gram, kernel, tau) / top)
     stable = len(set(dims)) == 1
     kernel = dims[-1]
     return FredholmReport(

@@ -32,6 +32,7 @@ from .obstruction import (
     sample_max_principle_instance,
 )
 from .deform import (
+    KERNEL_REL_THRESHOLD,
     ExtendedSystem,
     fredholm_diagnostics,
     ll_star_defect_operator,
@@ -147,7 +148,7 @@ def run_obstruction(cfg):
         rows.append((l, abs(coeffs[l]), abs(got / norm_const), rel))
         _check(failures, rel < cfg.tol,
                f"mode {l}: projection error {rel:.3e} >= {cfg.tol:.1e}")
-    psi2 = euclidean_obstruction_field(2, grid, nt=nt)
+    psi2 = euclidean_obstruction_field(2, grid)
     delta_row = project_to_obstruction(psi2, [1, 2, 3, -2])
     cross = max(abs(delta_row[i]) for i in (0, 2, 3)) / norm_const
     _check(failures, abs(delta_row[1] - norm_const) / norm_const < 1e-4,
@@ -296,11 +297,12 @@ def run_deform_op(cfg):
     failures, rows = [], []
     rng = np.random.default_rng(cfg.seed)
     truncations = (cfg.n_modes // 2, 3 * cfg.n_modes // 4, cfg.n_modes)
-    unstable = 0
+    unstable, min_gap = 0, float("inf")
     for i in range(cfg.samples):
         data = random_nondegenerate_data(rng)
         rep = fredholm_diagnostics(data, truncations=truncations)
         rows.append((i, rep.kernel_dim, int(rep.stable), rep.singular_gaps[-1]))
+        min_gap = min(min_gap, *rep.singular_gaps)
         if not (rep.stable and rep.kernel_dim == 0 and rep.index == 0):
             unstable += 1
             _check(failures, False,
@@ -334,6 +336,10 @@ def run_deform_op(cfg):
         "unstable_samples": unstable,
         "constant_kernel_dim": rep1.kernel_dim,
         "constant_margin": gap,
+        "constant_kernel_dims": list(rep1.kernel_dims),
+        "constant_singular_gaps": list(rep1.singular_gaps),
+        # sigma_{k+1} / tau: how far the kernel counts sit from their threshold
+        "min_count_margin": min_gap / KERNEL_REL_THRESHOLD,
         "defect_norms": [float(x) for x in defect_norms],
         "exponent_2_to_2": loss.exponent_2_to_2,
         "exponent_2_to_32": loss.exponent_2_to_32,

@@ -259,11 +259,13 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
 
 
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
-    # only validated, never run. obstruction holds its synthesized and
-    # cross-talk fields, 40 complex (2 l_max + 3) x 1200 slabs in all; gram
-    # two (L, 2000) profile arrays and four complex L x L matrices
+    # only validated, never run. obstruction holds its synthesized field,
+    # 8 complex (2 l_max + 3) x 1200 slabs, and a cross-talk field of 32
+    # complex 13 x 1200 slabs that does not grow with l_max; gram two
+    # (L, 2000) profile arrays and four complex L x L matrices
     top = max(l for l in range(1, 4096)
-              if 16 * (2 * l + 3) * 1200 * 40 <= MATRIX_BYTE_BUDGET)
+              if 16 * 1200 * (8 * (2 * l + 3) + 32 * 13) <= MATRIX_BYTE_BUDGET)
+    assert top == 846
     assert build_config("obstruction", {"l_max": top}).l_max == top
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
         build_config("obstruction", {"l_max": top + 1})
@@ -287,6 +289,17 @@ def test_l_range_bounded_by_array_budget(tmp_path, capsys):
         assert not (tmp_path / command).exists()
 
 
+def _last_line_of_python(code, *args):
+    """Run code in a fresh interpreter on this checkout's src; its last line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
 def test_decay_imports_no_adaptive_ode_solver(tmp_path):
     # the radial solve is one banded system; scipy.integrate's solve_bvp and
     # the scipy.interpolate it loads lazily must not come back
@@ -299,13 +312,23 @@ def test_decay_imports_no_adaptive_ode_solver(tmp_path):
         "print(rc, sorted(m for m in sys.modules\n"
         "                 if m.startswith(('scipy.integrate', 'scipy.interpolate'))))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code, str(cfgfile), str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "0 []"
+    assert _last_line_of_python(code, cfgfile, tmp_path) == "0 []"
+
+
+def test_deform_op_imports_nothing_beyond_the_cli(tmp_path):
+    # the banded diagnostics use scipy.linalg, which the CLI already loads;
+    # a module loaded only at run time would be paid for in every pass
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text("n_modes = 16\nsamples = 2\n")
+    code = (
+        "import sys\n"
+        "from edl.cli import main\n"
+        "loaded = set(sys.modules)\n"
+        "rc = main(['deform-op', '--no-assert', '--config', sys.argv[1],\n"
+        "           '--out', sys.argv[2]])\n"
+        "print(rc, sorted(set(sys.modules) - loaded))\n"
+    )
+    assert _last_line_of_python(code, cfgfile, tmp_path) == "0 []"
 
 
 def _reject_constant(name):

@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from edl.config import build_config
 from edl.dirac import LeadingData
 from edl.deform import (
     ExtendedSystem,
@@ -20,6 +23,7 @@ from edl.deform import (
     series_from_real,
     t_op,
 )
+from edl.experiments import run_deform_op
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 
 
@@ -225,6 +229,25 @@ def test_fredholm_homotopy_keeps_index(rng):
         rep = fredholm_diagnostics(LeadingData(c, d))
         assert rep.index == 0
         assert rep.stable
+
+
+def test_deform_op_runs_no_dense_spectral_routine(monkeypatch):
+    # the diagnostics are banded: a dense SVD or eigh on the deform-op path
+    # raises here, wherever it is looked up
+    dense = (np.linalg.svd, np.linalg.eigh, scipy.linalg.svd, scipy.linalg.eigh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense spectral routine on the deform-op path")
+
+    modules = [np.linalg, scipy.linalg]
+    modules += [m for name, m in sys.modules.items() if name.startswith("edl.")]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in dense):
+                monkeypatch.setattr(module, name, refuse)
+    outcome = run_deform_op(build_config("deform-op", {"n_modes": 24, "samples": 2}))
+    assert outcome.metrics["constant_kernel_dim"] == 1
+    assert outcome.metrics["unstable_samples"] == 0
 
 
 # -- bordered extended system -----------------------------------------------------------

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 from edl.dirac import LeadingData, RadialGrid
 from edl.deform import (
+    KERNEL_REL_THRESHOLD,
     RealizedOperator,
     commutator_with_sign_multiplier,
+    fredholm_diagnostics,
     l_op,
     l_star,
     ll_star_defect_operator,
@@ -187,3 +189,62 @@ def test_toy_jacobian_matches_probing(u, n, strength):
         real_form,
         probed(lambda v: prob.derivative_apply(u, v), n, n, u.circumference),
     )
+
+
+# -- banded spectral diagnostics against the dense oracles ---------------------------
+
+
+def seeded_leading_data(seed):
+    """Complex (c, d) of random bands <= 3 on a random circumference.
+
+    Every float comes from np.random.default_rng(seed), so the examples do
+    not move with the numeric literals Hypothesis collects from loaded
+    modules. A dominant constant in c keeps the data nondegenerate; one
+    draw in twenty still has a singular gap below 0.01, where the Gram's
+    eigenvalues alone would miss 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    length = rng.uniform(0.5, 10.0)
+
+    def draw(scale):
+        n = int(rng.integers(0, 4))
+        coeffs = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+        return FourierSeries1D(scale * coeffs, length)
+
+    mean = FourierSeries1D.from_modes({0: 1.5 * np.exp(2j * np.pi * rng.uniform())}, length)
+    return LeadingData(draw(0.1) + mean, draw(0.5)), rng
+
+
+def dense_kernel_and_gap(sv):
+    """The count and gap of fredholm_diagnostics, read off a dense SVD."""
+    near_zero = sv < KERNEL_REL_THRESHOLD * max(sv[0], 1e-300)
+    above = sv[~near_zero]
+    return int(np.sum(near_zero)), float(above[-1] / sv[0]) if above.size else 0.0
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(0, 64))
+def test_banded_spectra_match_dense_oracles(seed, n):
+    lead, rng = seeded_leading_data(seed)
+    graded = (
+        (realize_l(lead, n), ((0.0, 0.0),)),
+        (realize_t(lead, n), ((2.0, 2.0), (1.5, 2.0))),
+        (ll_star_defect_operator(lead, n), ((1.0, 0.0),)),
+    )
+    for op, grades in graded:
+        for m_out, m_in in grades:
+            want = op.dense_operator_norm(m_out, m_in)
+            assert abs(op.operator_norm(m_out, m_in) - want) <= 1e-12 * want
+    for data in (lead, LeadingData.constant(1.0, 1.0)):
+        dim, gap = dense_kernel_and_gap(realize_l(data, n).singular_values())
+        rep = fredholm_diagnostics(data, (n,))
+        assert rep.kernel_dims == (dim,)
+        assert abs(rep.singular_gaps[0] - gap) <= 1e-12 * gap
+    # constant (1, 1) data is the control: its kernel is the real constants
+    assert dim == 1
+    # inertia counts at shifts between separated singular values
+    op = realize_l(lead, n)
+    sv = np.sort(op.singular_values())
+    for i in rng.choice(sv.size - 1, size=min(8, sv.size - 1), replace=False):
+        if sv[i + 1] > sv[i] * (1.0 + 1e-6):
+            assert op.count_singular_values_below(0.5 * (sv[i] + sv[i + 1])) == i + 1
