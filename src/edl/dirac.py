@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .series import FourierSeries1D, TWO_PI, multiply
 
@@ -154,33 +153,40 @@ class RadialGrid:
         return float(np.log(self.r[1] / self.r[0]))
 
     @cached_property
-    def _dmat(self):
-        """d/ds on the log grid, built on first use.
+    def _stencils(self):
+        """d/ds weights on the log grid, built on first use; row j is offset j.
 
-        Row i differentiates at offset i - lo(i) within the window of `width`
-        nodes starting at lo(i). The grid is uniform in s, so the weights
-        depend only on that offset: `width` distinct stencils serve all rows.
+        Row i of d/ds differentiates at offset i - lo(i) within the window of
+        `width` nodes starting at lo(i) = clip(i - width // 2, 0, n - width).
+        The grid is uniform in s, so the weights depend only on that offset:
+        `width` distinct stencils serve all rows.
         """
-        n = self.r.size
-        width = min(FD_ORDER, n - 1) + 1
+        width = min(FD_ORDER, self.r.size - 1) + 1
         s = np.arange(width) * self.ds
-        stencils = np.array([_fornberg_weights(z, s, 1) for z in s])
-        i = np.arange(n)
-        lo = np.clip(i - width // 2, 0, n - width)
-        rows = np.repeat(i, width)
-        cols = (lo[:, None] + np.arange(width)).ravel()
-        vals = stencils[i - lo].ravel()
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return np.array([_fornberg_weights(z, s, 1) for z in s])
 
     def derivative(self, values, axis=0):
-        """d/dr via the log-grid stencil: d/dr = (1/r) d/ds."""
-        values = np.asarray(values)
-        moved = np.moveaxis(values, axis, 0)
+        """d/dr via the log-grid stencil: d/dr = (1/r) d/ds.
+
+        The band is applied as shifted slices: the interior rows share the
+        centred stencil, while the first width // 2 rows and the last
+        width - 1 - width // 2 rows keep the first and the last window.  Every
+        row sums its terms from zero in ascending k, as a CSR product does.
+        """
+        moved = np.moveaxis(np.asarray(values), axis, 0)
         flat = moved.reshape(moved.shape[0], -1)
-        dflat = self._dmat @ flat
+        w = self._stencils
+        n, width = flat.shape[0], len(w)
+        h, m = width // 2, n - width + 1
+        dflat = np.zeros(flat.shape, np.result_type(w, flat))
+        mid, head, tail = dflat[h:h + m], dflat[:h], dflat[h + m:]
+        for k in range(width):
+            mid += w[h, k] * flat[k:k + m]
+            head += w[:h, k, None] * flat[k]
+            tail += w[h + 1:, k, None] * flat[n - width + k]
         out = dflat.reshape(moved.shape)
         shape = [1] * out.ndim
-        shape[0] = self.r.size
+        shape[0] = n
         out = out / self.r.reshape(shape)
         return np.moveaxis(out, 0, axis)
 

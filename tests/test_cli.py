@@ -331,6 +331,55 @@ def test_deform_op_imports_nothing_beyond_the_cli(tmp_path):
     assert _last_line_of_python(code, cfgfile, tmp_path) == "0 []"
 
 
+def test_cli_import_stops_at_numpy_and_scipy_linalg():
+    # the CLI needs only scipy.linalg; scipy.optimize pulled in scipy.special,
+    # scipy.fft, scipy.spatial and scipy.sparse
+    code = (
+        "import sys\n"
+        "import edl.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize',\n"
+        "    'scipy.sparse', 'scipy.special', 'scipy.fft', 'scipy.spatial'))))\n"
+    )
+    assert _last_line_of_python(code) == "[]"
+
+
+SMALL_CONFIGS = {
+    "modes": "l_max = 3",
+    "obstruction": "l_max = 8",
+    "conormal": "l_max = 64",
+    "gram": "l_max = 32",
+    "deform-op": "n_modes = 16\nsamples = 2",
+    "bg-check": "l_min = 8\nl_max = 32",
+    "decay": "l_min = 4\nl_max = 16\nsamples = 10",
+    "nash-moser": "n_modes = 48",
+    "continuation": "n_modes = 12",
+}
+
+
+def test_no_command_imports_beyond_the_cli(tmp_path):
+    # every command runs inside the timed window; an import it triggers
+    # itself would be paid there on every pass
+    assert set(SMALL_CONFIGS) == set(EXPERIMENTS)
+    args = []
+    for command, text in SMALL_CONFIGS.items():
+        cfgfile = tmp_path / f"{command}.cfg"
+        cfgfile.write_text(text + "\n")
+        args += [command, cfgfile]
+    code = (
+        "import json, sys\n"
+        "from edl.cli import main\n"
+        "loaded = set(sys.modules)\n"
+        "out, pairs = sys.argv[1], sys.argv[2:]\n"
+        "report = {}\n"
+        "for command, cfg in zip(pairs[::2], pairs[1::2]):\n"
+        "    rc = main([command, '--no-assert', '--config', cfg, '--out', out])\n"
+        "    report[command] = [rc, sorted(set(sys.modules) - loaded)]\n"
+        "print(json.dumps(report))\n"
+    )
+    report = json.loads(_last_line_of_python(code, tmp_path / "out", *args))
+    assert report == {command: [0, []] for command in SMALL_CONFIGS}
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

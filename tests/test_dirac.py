@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from edl.dirac import (
     AdjointnessReport,
@@ -59,6 +60,41 @@ def test_radial_grid_derivative_and_quadrature():
     assert np.max(np.abs(d - 3.0 * g.r**2) / (3.0 * g.r**2)) < 1e-9
     exact = (2.0**4 - (2.0 * 1e-3) ** 4) / 4.0
     assert abs(g.integrate(g.r**2) - exact) / exact < 1e-3
+
+
+def csr_derivative(g, values, axis):
+    """d/dr as a CSR matrix of the grid's own Fornberg rows times the data."""
+    w = g._stencils
+    n, width = g.r.size, len(w)
+    i = np.arange(n)
+    lo = np.clip(i - width // 2, 0, n - width)
+    cols = (lo[:, None] + np.arange(width)).ravel()
+    dmat = sp.csr_matrix((w[i - lo].ravel(), (np.repeat(i, width), cols)), shape=(n, n))
+    moved = np.moveaxis(values, axis, 0)
+    out = (dmat @ moved.reshape(n, -1)).reshape(moved.shape)
+    out = out / g.r.reshape((n,) + (1,) * (out.ndim - 1))
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 10, 1500])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("others, axis", [
+    ((), 0), ((3,), 0), ((3,), 1), ((2, 3), 0), ((2, 3), 1), ((2, 3), 2),
+])
+def test_banded_stencil_is_bitwise_the_csr_product(n, dtype, others, axis):
+    # the slices sum every row in the CSR product's order, so not even the
+    # last bit or the sign of a zero moves
+    g = RadialGrid.geometric(3.0, n, r_min_factor=1e-3)
+    shape = list(others)
+    shape.insert(axis, n)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal(shape)
+    values.flat[::5] = -0.0
+    got, want = g.derivative(values, axis=axis), csr_derivative(g, values, axis)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- mode matrices and Clifford relations -------------------------------------

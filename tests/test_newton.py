@@ -1,9 +1,11 @@
 """Plain vs smoothed Newton: tame estimates, presets, and continuation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from edl.series import FourierSeries1D, TWO_PI, multiply
 from edl.deform import ExtendedSystem
@@ -13,6 +15,7 @@ from edl.newton import (
     IterationTrace,
     LinearizedSpinorProblem,
     ToyProblem,
+    _brentq,
     eigenvalue_continuation,
     fd_derivative_order,
     nash_moser_solve,
@@ -268,6 +271,97 @@ def test_continuation_rejects_sign_preserving_bracket():
         eigenvalue_continuation(data_family, g, 24, 0.1, 0.3)
     with pytest.raises(ValueError, match="bracket"):
         eigenvalue_continuation(data_family, g, 24, 0.3, 0.1)
+
+
+# -- Brent's method: the port against scipy's brentq ------------------------------------
+
+
+def continuation_multiplier():
+    data_family, g = continuation_family(24)
+    cache = {}
+
+    def lam(s):
+        if s not in cache:
+            cache[s] = float(ExtendedSystem.from_data(data_family(s), 24).solve(g)[1])
+        return cache[s]
+
+    return lam
+
+
+def step(x):
+    return 1.0 if x > 0.123 else -1.0
+
+
+def nan_inside(x):
+    return math.nan if 0.0 < x < 1.0 else x - 0.5
+
+
+BRENT_CASES = {
+    # name: (f, a, b, keyword arguments)
+    "secant": (lambda x: 3.0 * x - 1.0, 0.0, 1.0, {}),
+    "inverse quadratic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
+    "inverse quadratic, tight": (lambda x: math.cos(x) - x, 0.0, 1.0, {"xtol": 1e-300}),
+    "bisection, |f| not decreasing": (step, -1.0, 1.0, {}),
+    "bisection, interpolation rejected": (lambda x: x**9 - 1e-3, -1.0, 4.0, {"rtol": 1e-3}),
+    "step bound near xtol": (lambda x: math.exp(5.0 * (x - 0.37)) - 1.0, 0.0, 1.0, {"xtol": 0.05}),
+    "root at a": (lambda x: x, 0.0, 1.0, {}),
+    "root at b": (lambda x: x - 1.0, 0.0, 1.0, {}),
+    "no sign change": (lambda x: x * x + 1.0, -1.0, 1.0, {}),
+    "NaN value": (nan_inside, 0.0, 1.0, {}),
+    "maxiter": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {"xtol": 1e-300, "maxiter": 3}),
+}
+
+
+def brent_run(solver, f, a, b, **kwargs):
+    """The root (or the exception type) and every point f was evaluated at."""
+    points = []
+
+    def g(x):
+        points.append(float(x).hex())
+        return f(x)
+
+    try:
+        out = float(solver(g, a, b, **kwargs)).hex()
+    except (RuntimeError, ValueError) as exc:
+        out = type(exc)
+    return out, points
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_brentq_port_matches_scipy_on_the_continuation_multiplier(tol):
+    lam = continuation_multiplier()
+    mine = brent_run(_brentq, lam, -0.2, 0.3, xtol=tol)
+    assert mine == brent_run(brentq, lam, -0.2, 0.3, xtol=tol)
+
+
+@pytest.mark.parametrize("name", BRENT_CASES)
+def test_brentq_port_matches_scipy(name):
+    f, a, b, kwargs = BRENT_CASES[name]
+    assert brent_run(_brentq, f, a, b, **kwargs) == brent_run(brentq, f, a, b, **kwargs)
+
+
+def test_brentq_cases_reach_every_line_of_the_port():
+    # so the cases above take every branch of the port, errors included
+    codes = [_brentq.__code__]
+    codes += [c for c in _brentq.__code__.co_consts if isinstance(c, type(codes[0]))]
+    reached = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code in codes:
+            reached.add((frame.f_code, frame.f_lineno))
+            return tracer
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for f, a, b, kwargs in BRENT_CASES.values():
+            brent_run(_brentq, f, a, b, **kwargs)
+    finally:
+        sys.settrace(outer)
+    body = {(c, line) for c in codes for _, _, line in c.co_lines()
+            if line is not None and line > c.co_firstlineno}
+    assert sorted(line for _, line in body - reached) == []
 
 
 def test_trace_records_residual_decline():
