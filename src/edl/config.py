@@ -72,7 +72,10 @@ def dense_array_bound(cfg):
     """(key, bytes): the config key that sizes the largest dense arrays an
     experiment builds, and their bytes at cfg's values.
 
-    deform-op: the real T of the loss profile at band 2N, side 2(4N+1);
+    deform-op: thirteen 8-byte arrays the size of the band of the loss
+    profile's T at band 2N, 31 rows by 2(4N+1) columns: its assembly holds
+    nine at once, and traced, the whole run peaks at 85 bytes per band entry
+    from N = 64 up and at most 102 below;
     nash-moser: the complex toy Jacobian, side 2N+1;
     continuation: the real T behind the bordered system, side 2(2N+1);
     obstruction: the two complex (nt, 1200, 4) tensors of the synthesized
@@ -83,7 +86,7 @@ def dense_array_bound(cfg):
     """
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
-        "deform-op": ("n_modes", 8 * (2 * (4 * n + 1)) ** 2),
+        "deform-op": ("n_modes", 13 * 8 * 31 * 2 * (4 * n + 1)),
         "nash-moser": ("n_modes", 16 * (2 * n + 1) ** 2),
         "continuation": ("n_modes", 8 * (2 * (2 * n + 1)) ** 2),
         "obstruction": ("l_max", 16 * 1200 * (2 * 4 * nt + 4 * 8 * 13)),

@@ -5,32 +5,30 @@ truncation diagnostics, and the bordered extended system.
 
 Complex series are realized as real matrices on stacked [Re, Im] mode
 coordinates because conjugation is anti-linear: every operator here is
-real-linear, not complex-linear.  Each matrix is assembled in closed form
-from Toeplitz/Hankel blocks of the data coefficients: multiplication by c is
-Toeplitz in c, the sign multiplier H is diagonal, and xi -> conj(xi) d is
-Hankel in d acting on the conjugated coefficients.  Probing a series map
-with unit vectors (RealizedOperator.realize) is kept as the test oracle
-these assemblies are checked against; nothing here calls it.
+real-linear, not complex-linear.  Each is xi -> A xi + B conj(xi) with A_lm
+= w a_{l-m} Toeplitz and B_lm = w b_{l+m} Hankel in data series a, b and a
+weight w of l and m, and is held as its band: with the modes ordered by |l|
+(0, 1, -1, 2, -2, ...) and Re/Im interleaved, both lie within 4 band + 3 of
+the diagonal, so L and T of band-3 data have half-bandwidth 15 and their Gram
+matrices G^T G 27.  Each band entry is gathered straight from the data
+coefficients, and the dense matrix is expanded only on first use.  Probing
+a series map with unit vectors (RealizedOperator.realize) is kept as the
+test oracle these assemblies are checked against; nothing here calls it.
 
-The spectral diagnostics work on bands.  With the modes ordered by |l|
-(0, 1, -1, 2, -2, ...) and Re/Im interleaved, Toeplitz entries (|l - m| <=
-band) and Hankel entries (|l + m| <= band) both lie within 4 band + 3 of the
-diagonal, so L and T of band-3 data have half-bandwidth 15 and their Gram
-matrices G^T G 27.  Each band is gathered from the dense closed-form matrix
-with one fancy index.  sigma_max is the top eigenvalue of the banded Gram,
-found by bisection on whether a banded Cholesky factors t I - G^T G.  Kernel
-counts do not square: with JW = [[0, L], [L^T, 0]], whose eigenvalues are
-+-sigma, #{sigma < tau} = nu_-(JW - tau I) - n, and nu_- is summed over the
-pivot blocks of a block LDL^T of the block-tridiagonal JW (Haynsworth
-inertia additivity).  The dense SVD and Gram routes stay as test oracles.
+sigma_max is the top eigenvalue of the banded Gram, found by bisection on
+whether a banded Cholesky factors t I - G^T G.  Kernel counts do not square:
+with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma, #{sigma < tau} =
+nu_-(JW - tau I) - n, and nu_- is summed over the pivot blocks of a block
+LDL^T of the block-tridiagonal JW (Haynsworth inertia additivity).  The dense
+SVD and Gram routes stay as test oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, hankel, toeplitz
-from scipy.linalg.blas import dsyrk
+from scipy.linalg import eig_banded, eigh
 from scipy.linalg.lapack import dpbtrf, dsytrf, dsytrs
 
 from .series import (
@@ -69,69 +67,69 @@ def _graded_weights(n_modes, m):
     return np.concatenate([w, w])
 
 
-def _signs(n_modes):
-    return sign_with_positive_zero(np.arange(-n_modes, n_modes + 1))
+def _window(n_in, n_out, kd):
+    """Index arrays of the windows win[t, q] = M[q - kd + t, q] of a matrix
+    M from modes |m| <= n_in onto |l| <= n_out, rows and columns in the band
+    order (modes 0, 1, -1, 2, -2, ... with Re/Im interleaved, so truncations
+    are leading principal blocks of one another): the stacked row of each
+    entry, clipped outside M, the stacked column of each window column, and
+    whether the entry lies inside M.
+    """
+    rows, cols = (np.argsort(_band_positions(n)) for n in (n_out, n_in))
+    offset = np.arange(-kd, kd + 1)[:, None] + np.arange(cols.size)[None, :]
+    inside = (offset >= 0) & (offset < rows.size)
+    return rows[np.clip(offset, 0, rows.size - 1)], cols, inside
 
 
 def _band_positions(n_modes):
-    """Position of each stacked [Re, Im] coordinate once the modes are
-    ordered 0, 1, -1, 2, -2, ... and Re/Im interleaved.
-
-    A mode's position does not depend on n_modes, so truncations are
-    leading principal blocks of one another.
-    """
+    """Band position of each stacked [Re, Im] coordinate."""
     l = np.arange(-n_modes, n_modes + 1)
     k = np.where(l > 0, 2 * l - 1, -2 * l)
     return np.concatenate([2 * k, 2 * k + 1])
 
 
-# -- closed-form blocks ------------------------------------------------------------
+def _coeff(a, k):
+    """a_k at each integer of the array k, zero outside a's band."""
+    reach = int(np.abs(k).max())
+    return a.truncate(reach).coeffs[k + reach]
 
 
-def toeplitz_block(a, n_out, n_in):
-    """Complex matrix of xi -> P_{n_out}(a xi) on modes |m| <= n_in.
-
-    Entry (l, m) is a_{l-m}, zero outside a's band.
+def _assemble(n_in, n_out, band, entries):
+    """Windows of xi -> A xi + B conj(xi), conj taken entrywise, from modes
+    |m| <= n_in onto |l| <= n_out; entries(l, m) gives (A_lm, B_lm) at
+    arrays of modes, both zero unless |l - m| <= band or |l + m| <= band.
     """
-    p = a.truncate(n_out + n_in).coeffs  # a_k at index k + n_out + n_in
-    return toeplitz(p[2 * n_in:], p[2 * n_in::-1])
-
-
-def hankel_block(a, n_out, n_in):
-    """Complex matrix with entry (l, m) = a_{l+m}.
-
-    Applied to the conjugated coefficients of xi it gives P_{n_out}(conj(xi) a),
-    since (conj xi)_k = conj(xi_{-k}).
-    """
-    p = a.truncate(n_out + n_in).coeffs
-    return hankel(p[: 2 * n_out + 1], p[2 * n_out:])
-
-
-def _real_form(a, b=0.0):
-    """Real [Re, Im] matrix of xi -> a xi + b conj(xi), conj taken entrywise."""
-    m, n = a.shape
-    out = np.empty((2 * m, 2 * n))
-    np.add(a.real, b.real, out=out[:m, :n])
-    np.subtract(b.imag, a.imag, out=out[:m, n:])
-    np.add(a.imag, b.imag, out=out[m:, :n])
-    np.subtract(a.real, b.real, out=out[m:, n:])
-    return out
+    widest = 2 * (2 * max(n_in, n_out) + 1) - 1
+    rows, cols, inside = _window(n_in, n_out, min(4 * band + 3, widest))
+    half_out, half_in = 2 * n_out + 1, 2 * n_in + 1
+    a, b = entries(rows % half_out - n_out, cols % half_in - n_in)
+    re_in = cols < half_in
+    win = np.where(
+        rows < half_out,
+        np.where(re_in, np.add(a.real, b.real), np.subtract(b.imag, a.imag)),
+        np.where(re_in, np.add(a.imag, b.imag), np.subtract(a.real, b.real)),
+    )
+    return np.where(inside, win, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class RealizedOperator:
-    """Dense real matrix acting on stacked mode coordinates.
-
-    band: entry (l, m) vanishes unless |l - m| <= band or |l + m| <= band, so
-    the matrix lies within 4 band + 3 of the diagonal in the band order; None
-    for a matrix of unknown structure, whose band is then the whole matrix.
+    """Real matrix M on stacked mode coordinates, held as its band win[t, q]
+    = M[q - kd + t, q] over the band order, kd = len(win) // 2, zero outside
+    M.  A matrix of unknown structure has kd spanning the whole matrix.
     """
 
-    matrix: np.ndarray
+    win: np.ndarray
     n_in: int
     n_out: int
     circumference: float = TWO_PI
-    band: int | None = None
+
+    @staticmethod
+    def from_matrix(matrix, n_in, n_out, circumference=TWO_PI):
+        """The band of a dense matrix of unknown structure."""
+        rows, cols, inside = _window(n_in, n_out, max(matrix.shape) - 1)
+        win = np.where(inside, matrix[rows, cols], 0.0)
+        return RealizedOperator(win, n_in, n_out, circumference)
 
     @staticmethod
     def realize(fn, n_in, n_out=None, circumference=TWO_PI):
@@ -152,37 +150,33 @@ class RealizedOperator:
                 basis = FourierSeries1D.single_mode(l, unit, circumference)
                 out = fn(basis).truncate(n_out)
                 cols[:, part * (2 * n_in + 1) + j] = real_coords(out)
-        return RealizedOperator(cols, n_in, n_out, circumference)
+        return RealizedOperator.from_matrix(cols, n_in, n_out, circumference)
+
+    @cached_property
+    def matrix(self):
+        """The dense matrix, expanded from the band on first use."""
+        rows, cols, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
+        out = np.zeros((2 * (2 * self.n_out + 1), 2 * (2 * self.n_in + 1)))
+        out[rows[inside], np.broadcast_to(cols, rows.shape)[inside]] = self.win[inside]
+        return out
 
     def apply(self, series):
         series = series.truncate(self.n_in)
         return series_from_real(self.matrix @ real_coords(series), self.circumference)
 
-    def _band(self):
-        """(rows, cols, kd): dense row and column index of each band position,
-        and the half-bandwidth kd."""
-        widest = max(self.matrix.shape) - 1
-        kd = widest if self.band is None else min(4 * self.band + 3, widest)
-        rows, cols = _band_positions(self.n_out), _band_positions(self.n_in)
-        return np.argsort(rows), np.argsort(cols), kd
-
     def gram_band(self, m_out=0.0, m_in=0.0):
         """G^T G of the graded matrix G = W_out M W_in^{-1} in lower band
         storage over the band order: entry [s, q] is (G^T G)[q + s, q].
 
-        The columns of G are gathered as windows win[t, q] = G[q - kd + t, q],
-        so diagonal s of the Gram sums win[t, q] win[t - s, q + s] over the
-        rows the two windows share; diagonals that come out zero are dropped.
+        Diagonal s of the Gram sums win[t, q] win[t - s, q + s] over the rows
+        the two windows share; diagonals that come out zero are dropped.
         """
-        rows, cols, kd = self._band()
+        rows, cols, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
         n = cols.size
-        offset = np.arange(-kd, kd + 1)[:, None] + np.arange(n)[None, :]
-        inside = (offset >= 0) & (offset < rows.size)
-        src = rows[np.clip(offset, 0, rows.size - 1)]
         w_out = _graded_weights(self.n_out, m_out)
         w_in = _graded_weights(self.n_in, m_in)
-        win = np.where(inside, self.matrix[src, cols] * w_out[src], 0.0) / w_in[cols]
-        width = 2 * kd + 1
+        win = np.where(inside, self.win * w_out[rows], 0.0) / w_in[cols]
+        width = len(self.win)
         ab = np.zeros((min(width, n), n))
         for shift in range(ab.shape[0]):
             ab[shift, :n - shift] = np.einsum(
@@ -230,16 +224,17 @@ class RealizedOperator:
         """
         if self.n_in != self.n_out:
             raise ValueError("singular value counts need a square operator")
-        rows, _, kd = self._band()
-        n = rows.size
+        kd, n = len(self.win) // 2, self.win.shape[1]
         size = max(kd, MIN_PIVOT_BLOCK)
         blocks = -(-n // size)
         pad = blocks * size - n
         r = np.arange(blocks * size).reshape(blocks, size)
         c = r[:, :1] - size + np.arange(3 * size)  # blocks m-1, m, m+1
+        t = r[:, :, None] - c[:, None, :] + kd  # window row of entry (r, c)
         keep = (r < n)[:, :, None] & ((c >= 0) & (c < n))[:, None, :]
-        src_r, src_c = rows[np.minimum(r, n - 1)], rows[np.clip(c, 0, n - 1)]
-        slab = np.where(keep, self.matrix[src_r[:, :, None], src_c[:, None, :]], 0.0)
+        keep &= (t >= 0) & (t <= 2 * kd)
+        src = self.win[np.clip(t, 0, 2 * kd), np.clip(c, 0, n - 1)[:, None, :]]
+        slab = np.where(keep, src, 0.0)
         # block m of JW - tau I on [rows of L; columns of L] at its positions,
         # and its coupling to block m + 1
         diag = np.zeros((blocks, 2 * size, 2 * size))
@@ -262,24 +257,12 @@ class RealizedOperator:
 
     def dense_operator_norm(self, m_out=0.0, m_in=0.0):
         """sigma_max from the dense Gram matrix: the test oracle for
-        operator_norm.
-
-        The upper triangle of G^T G is accumulated in place from
-        quarter-height row blocks of the graded matrix G, so G is never held
-        whole next to the matrix, and its top eigenvalue is taken with eigh.
-        """
+        operator_norm."""
         w_out = _graded_weights(self.n_out, m_out)
         w_in = _graded_weights(self.n_in, m_in)
-        n = self.matrix.shape[1]
-        gram = np.zeros((n, n), order="F")
-        step = (self.matrix.shape[0] + 3) // 4
-        for start in range(0, self.matrix.shape[0], step):
-            block = self.matrix[start:start + step] * w_out[start:start + step, None]
-            block /= w_in[None, :]
-            # block.T is Fortran-ordered, so BLAS reads it without a copy
-            gram = dsyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
-        top = eigh(gram, lower=False, subset_by_index=[n - 1, n - 1],
-                   eigvals_only=True, overwrite_a=True)[0]
+        graded = self.matrix * w_out[:, None] / w_in[None, :]
+        n = graded.shape[1]
+        top = eigh(graded.T @ graded, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
         return float(np.sqrt(max(top, 0.0)))
 
     def singular_values(self):
@@ -306,15 +289,15 @@ def l_star(data, xi):
 def realize_l(data, n_modes, n_out=None):
     """L xi = A xi + B conj(xi) from modes |m| <= n_modes onto |l| <= n_out.
 
-    A = diag(sgn) Toep(c) and B = -Hank(d).
+    A_lm = sgn(l) c_{l-m} and B_lm = -d_{l+m}.
     """
     n_out = n_modes if n_out is None else n_out
-    a = toeplitz_block(data.c, n_out, n_modes)
-    a *= _signs(n_out)[:, None]
-    b = hankel_block(data.d, n_out, n_modes)
-    b *= -1.0
-    return RealizedOperator(_real_form(a, b), n_modes, n_out, data.circumference,
-                            max(data.c.n_modes, data.d.n_modes))
+
+    def entries(l, m):
+        return _coeff(data.c, l - m) * sign_with_positive_zero(l), _coeff(data.d, l + m) * -1.0
+
+    win = _assemble(n_modes, n_out, max(data.c.n_modes, data.d.n_modes), entries)
+    return RealizedOperator(win, n_modes, n_out, data.circumference)
 
 
 def ll_star_defect_operator(data, n_modes):
@@ -328,14 +311,14 @@ def ll_star_defect_operator(data, n_modes):
     between L* and L at N instead would inject spurious boundary terms that
     grow with N.
     """
-    s = _signs(n_modes)
     mod2, cd = multiply(data.c, data.c.conjugate()), multiply(data.c, data.d)
-    a = toeplitz_block(mod2, n_modes, n_modes)
-    a *= s[:, None] * s[None, :] - 1.0
-    b = hankel_block(cd, n_modes, n_modes)
-    b *= -(s[:, None] + s[None, :])
-    return RealizedOperator(_real_form(a, b), n_modes, n_modes, data.circumference,
-                            max(mod2.n_modes, cd.n_modes))
+
+    def entries(l, m):
+        s_l, s_m = sign_with_positive_zero(l), sign_with_positive_zero(m)
+        return _coeff(mod2, l - m) * (s_l * s_m - 1.0), _coeff(cd, l + m) * -(s_l + s_m)
+
+    win = _assemble(n_modes, n_modes, max(mod2.n_modes, cd.n_modes), entries)
+    return RealizedOperator(win, n_modes, n_modes, data.circumference)
 
 
 def commutator_with_sign_multiplier(a_series, n_modes):
@@ -347,10 +330,13 @@ def commutator_with_sign_multiplier(a_series, n_modes):
     one full degree of smoothness.
     """
     n_out = n_modes + a_series.n_modes
-    a = toeplitz_block(a_series, n_out, n_modes)
-    a *= _signs(n_out)[:, None] - _signs(n_modes)[None, :]
-    return RealizedOperator(_real_form(a), n_modes, n_out, a_series.circumference,
-                            a_series.n_modes)
+
+    def entries(l, m):
+        sign = sign_with_positive_zero(l) - sign_with_positive_zero(m)
+        return _coeff(a_series, l - m) * sign, 0.0
+
+    win = _assemble(n_modes, n_out, a_series.n_modes, entries)
+    return RealizedOperator(win, n_modes, n_out, a_series.circumference)
 
 
 # -- the normal-direction operator ----------------------------------------------------
@@ -372,14 +358,14 @@ def t_op(data, eta):
 def realize_t(data, n_modes, n_out=None):
     """T as L with columns scaled by -omega_m^2 and rows by scale (l^2+1)^{-3/4}."""
     n_out = n_modes if n_out is None else n_out
-    op = realize_l(data, n_modes, n_out)
-    mat = op.matrix
+    win = realize_l(data, n_modes, n_out).win
+    rows, cols, _ = _window(n_modes, n_out, len(win) // 2)
     omega = TWO_PI * np.arange(-n_modes, n_modes + 1) / data.circumference
     l_out = np.arange(-n_out, n_out + 1, dtype=float)
     row = T_SYMBOL_SCALE * data.circumference * (l_out**2 + 1.0) ** (-0.75)
-    mat *= np.concatenate([row, row])[:, None]
-    mat *= -np.concatenate([omega, omega])[None, :] ** 2
-    return RealizedOperator(mat, n_modes, n_out, data.circumference, op.band)
+    win *= np.concatenate([row, row])[rows]
+    win *= -np.concatenate([omega, omega])[cols] ** 2
+    return RealizedOperator(win, n_modes, n_out, data.circumference)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .series import (
     FourierSeries1D,
@@ -39,7 +40,6 @@ from .deform import (
     ExtendedSystem,
     real_coords,
     series_from_real,
-    toeplitz_block,
 )
 
 
@@ -175,6 +175,15 @@ def nash_moser_solve(problem, f, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
 
 
 # -- toy derivative-losing problem ----------------------------------------------------
+
+
+def toeplitz_block(a, n_out, n_in):
+    """Complex matrix of xi -> P_{n_out}(a xi) on modes |m| <= n_in.
+
+    Entry (l, m) is a_{l-m}, zero outside a's band.
+    """
+    p = a.truncate(n_out + n_in).coeffs  # a_k at index k + n_out + n_in
+    return toeplitz(p[2 * n_in:], p[2 * n_in::-1])
 
 
 @dataclass(eq=False)

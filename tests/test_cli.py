@@ -237,10 +237,12 @@ def test_exit_two_on_config_error(tmp_path, capsys, line):
 
 
 def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
-    # only validated, never run: deform-op's loss profile builds a real T of
-    # side 2(4N+1) at band 2N
-    largest = max(n for n in range(1, 4096)
-                  if 8 * (2 * (4 * n + 1)) ** 2 <= MATRIX_BYTE_BUDGET)
+    # only validated, never run: deform-op's loss profile holds thirteen
+    # 8-byte arrays the size of the 31-row window of T at band 2N, whose
+    # 2(4N+1) columns grow linearly
+    largest = max(n for n in range(1, 2**15)
+                  if 13 * 8 * 31 * 2 * (4 * n + 1) <= MATRIX_BYTE_BUDGET)
+    assert largest == 10407
     assert build_config("deform-op", {"n_modes": largest}).n_modes == largest
     with pytest.raises(ConfigError, match="n_modes.*MiB"):
         build_config("deform-op", {"n_modes": largest + 1})

@@ -1,11 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from edl.config import build_config
+from edl.config import build_config, dense_array_bound
 from edl.dirac import LeadingData
 from edl.deform import (
     ExtendedSystem,
@@ -48,6 +49,12 @@ def test_real_coordinate_round_trip(rng):
     s = random_series(rng, 5)
     back = series_from_real(real_coords(s))
     assert np.array_equal(back.coeffs, s.coeffs)
+    # a dense matrix of unknown structure survives its band bit for bit
+    for n_in, n_out in ((3, 3), (2, 5), (6, 1)):
+        m = rng.normal(size=(2 * (2 * n_out + 1), 2 * (2 * n_in + 1)))
+        m[m < -1.0] = -0.0
+        back = RealizedOperator.from_matrix(m, n_in, n_out).matrix
+        assert back.tobytes() == m.tobytes()
     with pytest.raises(ValueError):
         series_from_real(np.zeros(12))  # 6 complex modes cannot be 2N+1
     with pytest.raises(ValueError):
@@ -131,7 +138,7 @@ def test_naive_inner_truncation_grows():
         lm = RealizedOperator.realize(lambda x: l_op(data, x), n, n).matrix
         lsm = RealizedOperator.realize(lambda x: l_star(data, x), n, n).matrix
         mm = RealizedOperator.realize(lambda x: multiply(mod2, x), n, n).matrix
-        naive = RealizedOperator(lm @ lsm - mm, n, n)
+        naive = RealizedOperator.from_matrix(lm @ lsm - mm, n, n)
         naive_norms.append(naive.operator_norm(1.0, 0.0))
     assert naive_norms[-1] > 2.0 * naive_norms[0]
 
@@ -248,6 +255,24 @@ def test_deform_op_runs_no_dense_spectral_routine(monkeypatch):
     outcome = run_deform_op(build_config("deform-op", {"n_modes": 24, "samples": 2}))
     assert outcome.metrics["constant_kernel_dim"] == 1
     assert outcome.metrics["unstable_samples"] == 0
+
+
+def test_deform_op_memory_grows_linearly():
+    # the operators are bands, so the traced peak doubles with n_modes where
+    # an n x n matrix would quadruple it, and the budget's count bounds it
+    def traced_peak(n_modes):
+        cfg = build_config("deform-op", {"n_modes": n_modes, "samples": 1})
+        tracemalloc.start()
+        try:
+            run_deform_op(cfg)
+            return tracemalloc.get_traced_memory()[1], dense_array_bound(cfg)[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(8)  # first calls import and cache outside the measurement
+    (peak64, bound64), (peak128, bound128) = traced_peak(64), traced_peak(128)
+    assert peak128 / peak64 < 3.0
+    assert peak64 <= bound64 and peak128 <= bound128
 
 
 # -- bordered extended system -----------------------------------------------------------

@@ -6,10 +6,14 @@ KeyError. These checks read the tracer's tables without installing it
 import importlib
 import importlib.util
 import os
+from collections import Counter
 
 import pytest
 
+from edl.deform import RealizedOperator, realize_l
+from edl.dirac import LeadingData
 from edl.experiments import EXPERIMENTS
+from edl.series import hilbert_transform
 
 TRACING_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "edlbench", "tracing.py"
@@ -40,3 +44,17 @@ def test_traced_methods_are_defined_on_their_class(tracing):
 
 def test_traced_commands_are_the_experiments(tracing):
     assert sorted(tracing.EXPERIMENT_COMMANDS) == sorted(EXPERIMENTS)
+
+
+def test_traced_operators_expose_their_matrix_shape(tracing):
+    # the realize and operator_norm hooks read .matrix.shape, which a banded
+    # operator expands on first use
+    assembled = realize_l(LeadingData.constant(1.0, 0.5), 3, 5)
+    probed = RealizedOperator.realize(hilbert_transform, 4, 2)
+    assert assembled.matrix.shape == (22, 14)
+    assert probed.matrix.shape == (10, 18)
+    counts = Counter()
+    tracing._realize_columns(counts, (), {}, probed)
+    assert counts["deform.realize_columns"] == 18
+    tracing._svd_flops(counts, (assembled,), {}, None)
+    assert counts["deform.svd_flops"] == 4 * 22 * 14**2 - (4 * 14**3) // 3
