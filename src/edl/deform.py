@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh
+from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dpbtrf, dsytrf, dsytrs
 
 from .series import (
@@ -261,8 +261,7 @@ class RealizedOperator:
         w_out = _graded_weights(self.n_out, m_out)
         w_in = _graded_weights(self.n_in, m_in)
         graded = self.matrix * w_out[:, None] / w_in[None, :]
-        n = graded.shape[1]
-        top = eigh(graded.T @ graded, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
+        top = np.linalg.eigvalsh(graded.T @ graded)[-1]
         return float(np.sqrt(max(top, 0.0)))
 
     def singular_values(self):

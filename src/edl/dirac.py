@@ -38,36 +38,6 @@ def sgn(l):
 # -- Clifford frame -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliffordFrame:
-    """Flat-frame Clifford matrices; each squares to -Id, pairwise anticommuting."""
-
-    sigma_t: np.ndarray
-    sigma_x: np.ndarray
-    sigma_y: np.ndarray
-
-    @staticmethod
-    def standard():
-        return CliffordFrame(
-            sigma_t=np.array([[1j, 0.0], [0.0, -1j]]),
-            sigma_x=np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
-            sigma_y=np.array([[0.0, 1j], [1j, 0.0]]),
-        )
-
-    def matrices(self):
-        return (self.sigma_t, self.sigma_x, self.sigma_y)
-
-    def relations_defect(self):
-        mats = self.matrices()
-        worst = 0.0
-        eye = np.eye(2)
-        for i, a in enumerate(mats):
-            worst = max(worst, float(np.max(np.abs(a @ a + eye))))
-            for b in mats[i + 1 :]:
-                worst = max(worst, float(np.max(np.abs(a @ b + b @ a))))
-        return worst
-
-
 def twisted_clifford_apply(axis, theta, plus, minus):
     """Clifford action of dt/dx/dy on stored components sampled at theta."""
     phase = np.exp(1j * theta)
@@ -77,9 +47,14 @@ def twisted_clifford_apply(axis, theta, plus, minus):
 def clifford_action(axis, e_th, e_mth, plus, minus):
     """Clifford action of dt/dx/dy given e^{i theta} and e^{-i theta}.
 
-    In the twisted frame the x and y actions pick up e^{+-i*theta} factors
-    from conjugating the constant matrices by the basis twist. Any
-    representation with products works: sampled arrays or separable terms.
+    The flat frame acts by the constant matrices
+
+        sigma_t = diag(i, -i),  sigma_x = [[0, -1], [1, 0]],  sigma_y = [[0, i], [i, 0]],
+
+    which square to -Id and anticommute pairwise.  In the twisted frame the
+    x and y actions pick up e^{+-i*theta} factors from conjugating them by
+    the basis twist. Any representation with products works: sampled arrays
+    or separable terms.
     """
     if axis == "t":
         return 1j * plus, -1j * minus
@@ -271,19 +246,26 @@ class ModeSpinor:
         return -float(slope)
 
 
-def euclidean_obstruction_mode(l, rgrid):
-    """Closed-form decaying kernel mode at k = 0: sqrt|l| e^{-|l| r} r^{-1/2}
-    with psi_- = sgn(l) psi_+.
+def obstruction_profiles(l_values, rgrid):
+    """Rows psi_l(r) = sqrt|l| e^{-|l| r} r^{-1/2} for each requested l.
 
     l = 0 is rejected: the profile is not square integrable on the plane and
     enters only through compact-disk pairings.
     """
-    w = float(l)
-    if w == 0.0:
+    l_arr = np.asarray(l_values, dtype=float)
+    if np.any(l_arr == 0):
         raise ValueError("mode 0 is excluded on the plane")
-    r = rgrid.r
-    prof = math.sqrt(abs(w)) * np.exp(-abs(w) * r) / np.sqrt(r)
-    dprof = prof * (-abs(w) - 0.5 / r)
+    r = rgrid.r[None, :]
+    a = np.abs(l_arr)[:, None]
+    return np.sqrt(a) * np.exp(-a * r) / np.sqrt(r)
+
+
+def euclidean_obstruction_mode(l, rgrid):
+    """Closed-form decaying kernel mode at k = 0: the profile
+    obstruction_profiles([l]) with psi_- = sgn(l) psi_+."""
+    w = float(l)
+    prof = obstruction_profiles([w], rgrid)[0]
+    dprof = prof * (-abs(w) - 0.5 / rgrid.r)
     return ModeSpinor(
         k=0,
         l=w,
@@ -410,30 +392,6 @@ def growth_rate(mode):
     mag = np.sqrt(np.abs(mode.psi_plus) ** 2 + np.abs(mode.psi_minus) ** 2)
     mask = (r >= 0.5 * r[-1]) & (r <= 0.95 * r[-1]) & (mag > 0)
     return float(np.polyfit(r[mask], np.log(mag[mask]), 1)[0])
-
-
-def wronskian_mismatch(k, l, rgrid):
-    """Determinant of the normalized (regular, decaying) solution pair at the
-    grid radius nearest 2/|l|.
-
-    For k != 0 no radial mode is both square integrable at the axis and
-    decaying at infinity; the two shooting branches stay transverse and the
-    normalized determinant is bounded away from zero.
-    """
-    if k == 0:
-        raise ValueError("k = 0 branches coincide; the mismatch is defined for k != 0")
-    reg = solve_mode_ode(k, l, rgrid, branch="regular")
-    dec = solve_mode_ode(k, l, rgrid, branch="decaying")
-    r = rgrid.r
-    target = 2.0 / max(abs(l), 1e-12)
-    i = int(np.argmin(np.abs(r - target)))
-    a = np.array([reg.psi_plus[i].real, reg.psi_minus[i].real])
-    b = np.array([dec.psi_plus[i].real, dec.psi_minus[i].real])
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    a, b = a / na, b / nb
-    return abs(float(a[0] * b[1] - a[1] * b[0]))
 
 
 # -- leading data ------------------------------------------------------------------

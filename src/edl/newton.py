@@ -15,15 +15,17 @@ or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
 one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
 is complex-linear and assembled from a Toeplitz block of u, so each step
 solves one (2N+1) complex system; probing by unit vectors is a test oracle
-only.  The linearized spinor problem is the bordered deformation system as
-an affine problem whose state is the system's own [Re, Im] coordinates, so
-each of its maps is one product or one solve with the bordered matrix.
+only.  The solvers ask a problem for apply, solve_linearized, project,
+smooth, norm, zero_state and the control level m0; ToyProblem is the one
+problem that provides them.
+
+Eigenvalue continuation locates the parameter where the multiplier of the
+bordered deformation system crosses zero, by Brent's method.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,51 +38,7 @@ from .series import (
     derivative,
     multiply,
 )
-from .deform import (
-    ExtendedSystem,
-    real_coords,
-    series_from_real,
-)
-
-
-# -- problem interface ---------------------------------------------------------------
-
-
-SMOOTHING = SmoothingFamily()
-
-
-class TameProblem(ABC):
-    """A nonlinear map on modes |l| <= n_modes with graded-norm bookkeeping.
-
-    m0 is the control norm the iteration monitors.
-    """
-
-    m0 = 2
-
-    @abstractmethod
-    def apply(self, u):
-        """F(u)."""
-
-    @abstractmethod
-    def derivative_apply(self, u, v):
-        """dF(u) v."""
-
-    @abstractmethod
-    def solve_linearized(self, u, g):
-        """dF(u)^{-1} g; raises numpy.linalg.LinAlgError when singular."""
-
-    def project(self, u):
-        """Pad or truncate a series to the working band."""
-        return u.truncate(self.n_modes)
-
-    def smooth(self, u, eps):
-        return SMOOTHING.apply(self.project(u), min(1.0, eps))
-
-    def norm(self, u, m):
-        return u.sobolev_norm(m)
-
-    def zero_state(self, circumference=TWO_PI):
-        return FourierSeries1D.zero(self.n_modes, circumference)
+from .deform import ExtendedSystem
 
 
 # -- iteration records ---------------------------------------------------------------
@@ -186,12 +144,32 @@ def toeplitz_block(a, n_out, n_in):
     return toeplitz(p[2 * n_in:], p[2 * n_in::-1])
 
 
+SMOOTHING = SmoothingFamily()
+
+
 @dataclass(eq=False)
-class ToyProblem(TameProblem):
-    """F(u) = u + strength * d_t P_N(u^2) on modes |l| <= n_modes."""
+class ToyProblem:
+    """F(u) = u + strength * d_t P_N(u^2) on modes |l| <= n_modes.
+
+    m0 is the control norm the iteration monitors.
+    """
 
     n_modes: int = 96
     strength: float = 1.0
+    m0 = 2
+
+    def project(self, u):
+        """Pad or truncate a series to the working band."""
+        return u.truncate(self.n_modes)
+
+    def smooth(self, u, eps):
+        return SMOOTHING.apply(self.project(u), min(1.0, eps))
+
+    def norm(self, u, m):
+        return u.sobolev_norm(m)
+
+    def zero_state(self, circumference=TWO_PI):
+        return FourierSeries1D.zero(self.n_modes, circumference)
 
     def apply(self, u):
         u = self.project(u)
@@ -247,31 +225,7 @@ def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
     return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
 
 
-# -- derivative and tame diagnostics --------------------------------------------------
-
-
-FD_STEPS = (1e-3, 5e-4, 2.5e-4)
-
-
-def fd_derivative_order(problem, u, v):
-    """Observed order of the central difference against derivative_apply,
-    fitted over the steps FD_STEPS.
-
-    Returns inf when the map has no cubic part (the central difference is
-    then exact and the errors sit at the roundoff floor).
-    """
-    u, v = problem.project(u), problem.project(v)
-    dv = problem.derivative_apply(u, v)
-    errs = []
-    for h in FD_STEPS:
-        diff = (problem.apply(u + h * v) - problem.apply(u - h * v)) * (0.5 / h)
-        errs.append(problem.norm(diff - dv, problem.m0))
-    floor = 1e-11 * max(problem.norm(dv, problem.m0), 1.0)
-    if max(errs) < floor:
-        return math.inf
-    xs = np.log(np.asarray(FD_STEPS, dtype=float))
-    ys = np.log(np.maximum(errs, 1e-300))
-    return float(np.polyfit(xs, ys, 1)[0])
+# -- tame diagnostics ----------------------------------------------------------------
 
 
 @dataclass
@@ -281,9 +235,9 @@ class TameSweepReport:
     constants: dict
 
 
-def tame_estimate_sweep(problem_factory, n_values):
+def tame_estimate_sweep(n_values):
     """Measure sup ||dF(u)^{-1} g||_m / (||g||_{m+1} + ||u||_{m+2} ||g||_{m0})
-    at levels m = 1, 2, 3.
+    for ToyProblem(n_modes=n) at levels m = 1, 2, 3.
 
     The supremum is over six random pairs per band and level, with states u
     of scale 0.05. The estimate is tame when the measured constants stay
@@ -294,7 +248,7 @@ def tame_estimate_sweep(problem_factory, n_values):
     m_values = (1, 2, 3)
     ratios = {m: {} for m in m_values}
     for n in n_values:
-        problem = problem_factory(n)
+        problem = ToyProblem(n_modes=n)
         for m in m_values:
             worst = 0.0
             for _ in range(6):
@@ -316,55 +270,6 @@ def _random_decaying_series(rng, n_modes, scale, decay):
         modes[-l] = np.conj(c)
     modes[0] = scale * rng.standard_normal()
     return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
-
-
-# -- linearized spinor problem --------------------------------------------------------
-
-
-@dataclass(eq=False)
-class LinearizedSpinorProblem(TameProblem):
-    """The bordered deformation system as an affine tame problem.
-
-    The state is the system's own coordinate vector as a series: modes
-    l != 0 hold eta, the real part of mode 0 holds the bordering multiplier
-    lambda and the imaginary part is pinned to zero.  F(u) = M u - g for the
-    bordered matrix M, so dF is M everywhere.
-    """
-
-    system: ExtendedSystem
-    rhs: FourierSeries1D
-
-    @staticmethod
-    def from_data(data, rhs, n_modes):
-        system = ExtendedSystem.from_data(data, n_modes)
-        return LinearizedSpinorProblem(system, rhs.truncate(n_modes))
-
-    @property
-    def n_modes(self):
-        return self.system.n_modes
-
-    def apply(self, u):
-        return series_from_real(
-            self.system.matrix @ real_coords(self.project(u))
-            - self.system.rhs_coords(self.rhs),
-            u.circumference,
-        )
-
-    def derivative_apply(self, u, w):
-        w = self.project(w)
-        return series_from_real(self.system.matrix @ real_coords(w), w.circumference)
-
-    def solve_linearized(self, u, g):
-        g = self.project(g)
-        sol = np.linalg.solve(self.system.matrix, real_coords(g))
-        return series_from_real(sol, g.circumference)
-
-    def unpack(self, u):
-        """State -> (eta, lambda), read off as ExtendedSystem.solve does."""
-        v = real_coords(self.project(u))
-        lam = float(v[self.n_modes])
-        v[self.n_modes] = 0.0
-        return series_from_real(v, u.circumference), lam
 
 
 # -- eigenvalue continuation ----------------------------------------------------------

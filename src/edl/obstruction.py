@@ -13,20 +13,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .series import FourierSeries1D, TWO_PI, cutoff_c2
-from .dirac import RadialGrid, SpinorField, radial_bump
+from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
 
 
 # -- projection ---------------------------------------------------------------
-
-
-def obstruction_profiles(l_values, rgrid):
-    """Rows psi_l(r) = sqrt|l| e^{-|l| r} r^{-1/2} for each requested l."""
-    l_arr = np.asarray(l_values, dtype=float)
-    if np.any(l_arr == 0):
-        raise ValueError("mode 0 is excluded on the plane")
-    r = rgrid.r[None, :]
-    a = np.abs(l_arr)[:, None]
-    return np.sqrt(a) * np.exp(-a * r) / np.sqrt(r)
 
 
 def family_field(coeffs, rgrid, nt, ntheta):

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from edl.series import FourierSeries1D, TWO_PI, multiply
+from edl.series import FourierSeries1D, TWO_PI
 from edl.deform import ExtendedSystem
 from edl.experiments import continuation_family
 from edl.newton import (
     ContinuationResult,
     IterationTrace,
-    LinearizedSpinorProblem,
     ToyProblem,
     _brentq,
     eigenvalue_continuation,
-    fd_derivative_order,
     nash_moser_solve,
     plain_newton_solve,
     rough_f_preset,
@@ -48,37 +46,6 @@ def test_toy_derivative_matches_quadratic_expansion():
     assert (lhs - quad).sobolev_norm(0) < 1e-12
 
 
-def test_fd_order_exact_for_quadratic_map():
-    rng = np.random.default_rng(12)
-    prob = ToyProblem(n_modes=24)
-    u = random_state(rng, 24, 0.1)
-    v = random_state(rng, 24, 0.1)
-    assert fd_derivative_order(prob, u, v) == math.inf
-
-
-class CubicProblem(ToyProblem):
-    """Adds 0.1 P_N(u^3) so the central difference has a genuine h^2 error."""
-
-    def apply(self, u):
-        u = self.project(u)
-        cubic = multiply(multiply(u, u), u).truncate(self.n_modes)
-        return super().apply(u) + 0.1 * cubic
-
-    def derivative_apply(self, u, v):
-        u, v = self.project(u), self.project(v)
-        extra = multiply(multiply(u, u), v).truncate(self.n_modes)
-        return super().derivative_apply(u, v) + 0.3 * extra
-
-
-def test_fd_order_near_two_with_cubic_term():
-    rng = np.random.default_rng(13)
-    prob = CubicProblem(n_modes=24)
-    u = random_state(rng, 24, 0.5, decay=1.5)
-    v = random_state(rng, 24, 0.5, decay=1.5)
-    order = fd_derivative_order(prob, u, v)
-    assert 1.9 <= order <= 2.1
-
-
 def test_realized_operator_agrees_with_derivative_apply():
     rng = np.random.default_rng(14)
     prob = ToyProblem(n_modes=20)
@@ -103,7 +70,7 @@ def test_solve_then_apply_is_identity():
 
 
 def test_tame_constants_bounded_across_bands():
-    report = tame_estimate_sweep(lambda n: ToyProblem(n_modes=n), (24, 48, 96))
+    report = tame_estimate_sweep((24, 48, 96))
     for m in (1, 2, 3):
         per_n = report.ratios[m]
         assert max(per_n.values()) < 0.05
@@ -201,44 +168,6 @@ def test_preset_series_are_real_and_frozen():
     defect = np.max(np.abs(f.coeffs - np.conj(f.coeffs[::-1])))
     assert defect < 1e-15
     assert abs(f.coeff(0)) == 0.0
-
-
-# -- affine spinor problem -------------------------------------------------------------
-
-
-def spinor_fixture():
-    data_family, g = continuation_family(24)
-    return data_family(0.0), g
-
-
-def test_spinor_problem_one_step_newton():
-    data, g = spinor_fixture()
-    prob = LinearizedSpinorProblem.from_data(data, g, 24)
-    u, trace = plain_newton_solve(prob, prob.zero_state(), tol=1e-9)
-    assert trace.status == "converged"
-    assert trace.iterations == 1
-    eta_hat, lam_hat = prob.unpack(u)
-    eta_ref, lam_ref, _ = ExtendedSystem.from_data(data, 24).solve(g)
-    assert (eta_hat - eta_ref).sobolev_norm(0) < 1e-9
-    assert abs(lam_hat - lam_ref) < 1e-9
-    assert prob.norm(prob.apply(u), prob.m0) < 1e-9
-
-
-def test_spinor_problem_smoothed_iteration_converges():
-    data, g = spinor_fixture()
-    prob = LinearizedSpinorProblem.from_data(data, g, 24)
-    u, trace = nash_moser_solve(prob, prob.zero_state(), max_steps=40, tol=1e-9)
-    assert trace.status == "converged"
-    eta_hat, lam_hat = prob.unpack(u)
-    eta_ref, lam_ref, _ = ExtendedSystem.from_data(data, 24).solve(g)
-    assert (eta_hat - eta_ref).sobolev_norm(0) < 1e-8
-    assert abs(lam_hat - lam_ref) < 1e-8
-
-
-def test_spinor_problem_is_affine():
-    data, g = spinor_fixture()
-    prob = LinearizedSpinorProblem.from_data(data, g, 24)
-    assert fd_derivative_order(prob, prob.zero_state(), g) == math.inf
 
 
 # -- eigenvalue continuation -----------------------------------------------------------

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from edl.dirac import RadialGrid, SpinorField, euclidean_obstruction_field, radial_bump
+from edl.dirac import (
+    RadialGrid,
+    SpinorField,
+    euclidean_obstruction_field,
+    obstruction_profiles,
+    radial_bump,
+)
 from edl.obstruction import (
     AnnuliPartition,
     ConormalReport,
@@ -17,7 +23,6 @@ from edl.obstruction import (
     family_field,
     gram_matrix,
     gram_tail_trend,
-    obstruction_profiles,
     project_to_obstruction,
     sample_max_principle_instance,
     solve_mode_bvp,
