@@ -77,7 +77,10 @@ def dense_array_bound(cfg):
     nine at once, and traced, the whole run peaks at 85 bytes per band entry
     from N = 64 up and at most 102 below;
     nash-moser: the complex toy Jacobian, side 2N+1;
-    continuation: the real T behind the bordered system, side 2(2N+1);
+    continuation: thirteen 8-byte arrays the size of the band of T that
+    holds the bordered system, 39 rows (band 4 data) by 2(2N+1) columns;
+    traced, the run peaks at 9.4 band arrays from N = 64 up and at most 12.7
+    at N = 6, the smallest n_modes whose family builds;
     obstruction: the two complex (nt, 1200, 4) tensors of the synthesized
     field at nt = 2 l_max + 3, and the four (13, 1200, 8) of the l = 2
     cross-talk field, which keeps its own alias-free nt whatever l_max is;
@@ -88,7 +91,7 @@ def dense_array_bound(cfg):
     return {
         "deform-op": ("n_modes", 13 * 8 * 31 * 2 * (4 * n + 1)),
         "nash-moser": ("n_modes", 16 * (2 * n + 1) ** 2),
-        "continuation": ("n_modes", 8 * (2 * (2 * n + 1)) ** 2),
+        "continuation": ("n_modes", 13 * 8 * 39 * 2 * (2 * n + 1)),
         "obstruction": ("l_max", 16 * 1200 * (2 * 4 * nt + 4 * 8 * 13)),
         "gram": ("l_max", 16 * big_l * 2000 + 64 * big_l**2),
     }.get(cfg.experiment, ("n_modes", 0))

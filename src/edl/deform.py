@@ -3,24 +3,26 @@ their almost-multiplication defect, the normal-direction operator T with its
 fractional symbol, matrix realizations over real coordinates, Fredholm
 truncation diagnostics, and the bordered extended system.
 
-Complex series are realized as real matrices on stacked [Re, Im] mode
-coordinates because conjugation is anti-linear: every operator here is
-real-linear, not complex-linear.  Each is xi -> A xi + B conj(xi) with A_lm
-= w a_{l-m} Toeplitz and B_lm = w b_{l+m} Hankel in data series a, b and a
-weight w of l and m, and is held as its band: with the modes ordered by |l|
-(0, 1, -1, 2, -2, ...) and Re/Im interleaved, both lie within 4 band + 3 of
-the diagonal, so L and T of band-3 data have half-bandwidth 15 and their Gram
-matrices G^T G 27.  Each band entry is gathered straight from the data
-coefficients, and the dense matrix is expanded only on first use.  Probing
-a series map with unit vectors (RealizedOperator.realize) is kept as the
-test oracle these assemblies are checked against; nothing here calls it.
+Complex series are realized as real matrices because conjugation is
+anti-linear: every operator here is real-linear, not complex-linear.  Real
+coordinates follow one order, the band order: modes 0, 1, -1, 2, -2, ...
+with Re and Im interleaved, so truncations are leading principal blocks of
+one another.  Each operator is xi -> A xi + B conj(xi) with A_lm = w a_{l-m}
+Toeplitz and B_lm = w b_{l+m} Hankel in data series a, b and a weight w of l
+and m; in the band order both lie within 4 band + 3 of the diagonal, so L
+and T of band-3 data have half-bandwidth 15 and their Gram matrices G^T G
+27.  Each operator is held as that band, gathered straight from the data
+coefficients.  The dense matrix, expanded on first use, and probing a series
+map with unit vectors (RealizedOperator.realize) are the test oracles these
+assemblies are checked against; no command reads them.
 
 sigma_max is the top eigenvalue of the banded Gram, found by bisection on
 whether a banded Cholesky factors t I - G^T G.  Kernel counts do not square:
 with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma, #{sigma < tau} =
 nu_-(JW - tau I) - n, and nu_- is summed over the pivot blocks of a block
 LDL^T of the block-tridiagonal JW (Haynsworth inertia additivity).  The dense
-SVD and Gram routes stay as test oracles.
+SVD and Gram routes stay as test oracles.  The bordered system is written
+into T's band and solved by banded LU.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, solve_banded
 from scipy.linalg.lapack import dpbtrf, dsytrf, dsytrs
 
 from .series import (
@@ -46,46 +48,44 @@ T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
 MIN_PIVOT_BLOCK = 16  # side floor of the inertia count's blocks: few, short loop steps
 
 
-# -- real coordinates --------------------------------------------------------------
+# -- real coordinates in the band order ---------------------------------------------
+
+
+def _modes(n_modes):
+    """Mode of each real coordinate: 0, 0, 1, 1, -1, -1, 2, 2, ... (Re, Im)."""
+    k = np.arange(2 * (2 * n_modes + 1)) // 2
+    return np.where(k % 2 == 1, (k + 1) // 2, -(k // 2))
 
 
 def real_coords(series):
-    return np.concatenate([series.coeffs.real, series.coeffs.imag])
+    c = series.coeffs[_modes(series.n_modes) + series.n_modes]
+    return np.where(np.arange(c.size) % 2 == 1, c.imag, c.real)
 
 
 def series_from_real(vec, circumference=TWO_PI):
     vec = np.asarray(vec, dtype=float)
     if vec.size % 2 != 0 or (vec.size // 2) % 2 != 1:
-        raise ValueError("expected stacked [Re, Im] coordinates of odd mode count")
-    half = vec.size // 2
-    return FourierSeries1D(vec[:half] + 1j * vec[half:], circumference)
+        raise ValueError("expected Re/Im coordinate pairs of an odd mode count")
+    n = vec.size // 4
+    coeffs = np.empty(2 * n + 1, dtype=complex)
+    coeffs[_modes(n)[::2] + n] = vec[0::2] + 1j * vec[1::2]
+    return FourierSeries1D(coeffs, circumference)
 
 
 def _graded_weights(n_modes, m):
-    l = np.arange(-n_modes, n_modes + 1, dtype=float)
-    w = (1.0 + l * l) ** (m / 2.0)
-    return np.concatenate([w, w])
+    l = _modes(n_modes).astype(float)
+    return (1.0 + l * l) ** (m / 2.0)
 
 
 def _window(n_in, n_out, kd):
-    """Index arrays of the windows win[t, q] = M[q - kd + t, q] of a matrix
-    M from modes |m| <= n_in onto |l| <= n_out, rows and columns in the band
-    order (modes 0, 1, -1, 2, -2, ... with Re/Im interleaved, so truncations
-    are leading principal blocks of one another): the stacked row of each
-    entry, clipped outside M, the stacked column of each window column, and
-    whether the entry lies inside M.
+    """Row indices of the windows win[t, q] = M[q - kd + t, q] of a matrix M
+    from modes |m| <= n_in onto |l| <= n_out, clipped to M, and whether each
+    entry lies inside M.
     """
-    rows, cols = (np.argsort(_band_positions(n)) for n in (n_out, n_in))
-    offset = np.arange(-kd, kd + 1)[:, None] + np.arange(cols.size)[None, :]
-    inside = (offset >= 0) & (offset < rows.size)
-    return rows[np.clip(offset, 0, rows.size - 1)], cols, inside
-
-
-def _band_positions(n_modes):
-    """Band position of each stacked [Re, Im] coordinate."""
-    l = np.arange(-n_modes, n_modes + 1)
-    k = np.where(l > 0, 2 * l - 1, -2 * l)
-    return np.concatenate([2 * k, 2 * k + 1])
+    n_rows = 2 * (2 * n_out + 1)
+    offset = np.arange(-kd, kd + 1)[:, None] + np.arange(2 * (2 * n_in + 1))[None, :]
+    inside = (offset >= 0) & (offset < n_rows)
+    return np.clip(offset, 0, n_rows - 1), inside
 
 
 def _coeff(a, k):
@@ -100,12 +100,11 @@ def _assemble(n_in, n_out, band, entries):
     arrays of modes, both zero unless |l - m| <= band or |l + m| <= band.
     """
     widest = 2 * (2 * max(n_in, n_out) + 1) - 1
-    rows, cols, inside = _window(n_in, n_out, min(4 * band + 3, widest))
-    half_out, half_in = 2 * n_out + 1, 2 * n_in + 1
-    a, b = entries(rows % half_out - n_out, cols % half_in - n_in)
-    re_in = cols < half_in
+    rows, inside = _window(n_in, n_out, min(4 * band + 3, widest))
+    a, b = entries(_modes(n_out)[rows], _modes(n_in))
+    re_in = np.arange(rows.shape[1]) % 2 == 0
     win = np.where(
-        rows < half_out,
+        rows % 2 == 0,
         np.where(re_in, np.add(a.real, b.real), np.subtract(b.imag, a.imag)),
         np.where(re_in, np.add(a.imag, b.imag), np.subtract(a.real, b.real)),
     )
@@ -114,9 +113,9 @@ def _assemble(n_in, n_out, band, entries):
 
 @dataclass(frozen=True, eq=False)
 class RealizedOperator:
-    """Real matrix M on stacked mode coordinates, held as its band win[t, q]
-    = M[q - kd + t, q] over the band order, kd = len(win) // 2, zero outside
-    M.  A matrix of unknown structure has kd spanning the whole matrix.
+    """Real matrix M on band-order coordinates, held as its band win[t, q] =
+    M[q - kd + t, q], kd = len(win) // 2, zero outside M: LAPACK's band
+    storage.  A matrix of unknown structure has kd spanning the whole matrix.
     """
 
     win: np.ndarray
@@ -127,8 +126,8 @@ class RealizedOperator:
     @staticmethod
     def from_matrix(matrix, n_in, n_out, circumference=TWO_PI):
         """The band of a dense matrix of unknown structure."""
-        rows, cols, inside = _window(n_in, n_out, max(matrix.shape) - 1)
-        win = np.where(inside, matrix[rows, cols], 0.0)
+        rows, inside = _window(n_in, n_out, max(matrix.shape) - 1)
+        win = np.where(inside, matrix[rows, np.arange(rows.shape[1])], 0.0)
         return RealizedOperator(win, n_in, n_out, circumference)
 
     @staticmethod
@@ -143,21 +142,19 @@ class RealizedOperator:
         """
         if n_out is None:
             n_out = n_in
-        dim_in = 2 * (2 * n_in + 1)
-        cols = np.zeros((2 * (2 * n_out + 1), dim_in))
-        for j, l in enumerate(range(-n_in, n_in + 1)):
-            for part, unit in enumerate((1.0, 1.0j)):
-                basis = FourierSeries1D.single_mode(l, unit, circumference)
-                out = fn(basis).truncate(n_out)
-                cols[:, part * (2 * n_in + 1) + j] = real_coords(out)
+        modes = _modes(n_in)
+        cols = np.zeros((2 * (2 * n_out + 1), modes.size))
+        for j, l in enumerate(modes):
+            basis = FourierSeries1D.single_mode(int(l), (1.0, 1.0j)[j % 2], circumference)
+            cols[:, j] = real_coords(fn(basis).truncate(n_out))
         return RealizedOperator.from_matrix(cols, n_in, n_out, circumference)
 
     @cached_property
     def matrix(self):
         """The dense matrix, expanded from the band on first use."""
-        rows, cols, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
-        out = np.zeros((2 * (2 * self.n_out + 1), 2 * (2 * self.n_in + 1)))
-        out[rows[inside], np.broadcast_to(cols, rows.shape)[inside]] = self.win[inside]
+        rows, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
+        out = np.zeros((2 * (2 * self.n_out + 1), rows.shape[1]))
+        out[rows[inside], np.nonzero(inside)[1]] = self.win[inside]
         return out
 
     def apply(self, series):
@@ -171,11 +168,11 @@ class RealizedOperator:
         Diagonal s of the Gram sums win[t, q] win[t - s, q + s] over the rows
         the two windows share; diagonals that come out zero are dropped.
         """
-        rows, cols, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
-        n = cols.size
+        rows, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
+        n = rows.shape[1]
         w_out = _graded_weights(self.n_out, m_out)
         w_in = _graded_weights(self.n_in, m_in)
-        win = np.where(inside, self.win * w_out[rows], 0.0) / w_in[cols]
+        win = np.where(inside, self.win * w_out[rows], 0.0) / w_in
         width = len(self.win)
         ab = np.zeros((min(width, n), n))
         for shift in range(ab.shape[0]):
@@ -358,12 +355,12 @@ def realize_t(data, n_modes, n_out=None):
     """T as L with columns scaled by -omega_m^2 and rows by scale (l^2+1)^{-3/4}."""
     n_out = n_modes if n_out is None else n_out
     win = realize_l(data, n_modes, n_out).win
-    rows, cols, _ = _window(n_modes, n_out, len(win) // 2)
-    omega = TWO_PI * np.arange(-n_modes, n_modes + 1) / data.circumference
-    l_out = np.arange(-n_out, n_out + 1, dtype=float)
+    rows, _ = _window(n_modes, n_out, len(win) // 2)
+    omega = TWO_PI * _modes(n_modes) / data.circumference
+    l_out = _modes(n_out).astype(float)
     row = T_SYMBOL_SCALE * data.circumference * (l_out**2 + 1.0) ** (-0.75)
-    win *= np.concatenate([row, row])[rows]
-    win *= -np.concatenate([omega, omega])[cols] ** 2
+    win *= row[rows]
+    win *= -omega ** 2
     return RealizedOperator(win, n_modes, n_out, data.circumference)
 
 
@@ -488,18 +485,20 @@ def obstruction_direction_series(data, n_modes):
 
 @dataclass(eq=False)
 class ExtendedSystem:
-    """Bordered realization of T on the full [Re, Im] mode coordinates.
+    """Bordered realization of T, held in T's band.
 
     Constant translations (mode 0 of eta) are gauge and the family carries no
     mode-0 member.  Since omega_0 = 0, both mode-0 columns of T vanish, so the
-    mode-0 pair of slots is free: the Re slot holds the scalar unknown lambda,
-    with column -phi and the normalization row <., phi> in place of T's Re
-    mode-0 row, and the Im row pins its slot to zero.
+    mode-0 pair of slots, band positions 0 and 1, is free: the Re slot holds
+    the scalar unknown lambda, with column -phi and the normalization row
+    <., phi> in place of T's Re mode-0 row, and the Im row pins its slot to
+    zero.  phi lives on the data's modes |l| <= b, positions <= 4 b + 1, so
+    the bordering fits inside T's half-bandwidth 4 b + 3.
     """
 
     data: LeadingData
     n_modes: int
-    matrix: np.ndarray
+    operator: RealizedOperator
     phi: FourierSeries1D
 
     @staticmethod
@@ -510,29 +509,29 @@ class ExtendedSystem:
             raise ValueError(
                 "degenerate bordering: the data has no nonconstant modes"
             )
-        big = realize_t(data, n_modes, n_modes).matrix
-        re0, im0 = n_modes, 3 * n_modes + 1
-        big[:, re0] = -phi_vec
-        big[re0] = phi_vec
-        big[im0] = 0.0
-        big[im0, im0] = 1.0
-        return ExtendedSystem(data, n_modes, big, phi)
+        op = realize_t(data, n_modes, n_modes)
+        kd, n = len(op.win) // 2, op.win.shape[1]
+        assert not phi_vec[kd + 1:].any(), "phi reaches outside T's band"
 
-    def rhs_coords(self, g_series):
-        """[Re, Im] coordinates of g with its mode-0 pair, whose rows carry
-        the bordering, set to zero."""
-        g = g_series.truncate(self.n_modes).coeffs.copy()
-        g[self.n_modes] = 0.0
-        return np.concatenate([g.real, g.imag])
+        def put(i, j, value):  # M[i, j] = value
+            op.win[kd + i - j, j] = value
+
+        reach = np.arange(kd + 1)
+        put(reach, 0, -phi_vec[:kd + 1])
+        put(0, reach, phi_vec[:kd + 1])
+        put(1, np.arange(min(kd + 2, n)), 0.0)
+        put(1, 1, 1.0)
+        return ExtendedSystem(data, n_modes, op, phi)
 
     def solve(self, g_series):
-        """Solve T eta - lambda phi = g off mode 0 with <eta, phi> = 0.
-
-        lambda is read from the Re mode-0 slot, which is then cleared.
+        """(eta, lambda) with T eta - lambda phi = g off mode 0 and
+        <eta, phi> = 0; g's mode-0 pair, whose rows carry the bordering, is
+        not read.
         """
-        rhs = self.rhs_coords(g_series)
-        sol = np.linalg.solve(self.matrix, rhs)
-        residual = float(np.linalg.norm(self.matrix @ sol - rhs))
-        lam = float(sol[self.n_modes])
-        sol[self.n_modes] = 0.0
-        return series_from_real(sol, self.data.circumference), lam, residual
+        rhs = real_coords(g_series.truncate(self.n_modes))
+        rhs[:2] = 0.0
+        kd = len(self.operator.win) // 2
+        sol = solve_banded((kd, kd), self.operator.win, rhs)
+        lam = float(sol[0])
+        sol[0] = 0.0
+        return series_from_real(sol, self.data.circumference), lam

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import (
     FourierSeries1D,
@@ -135,15 +135,6 @@ def nash_moser_solve(problem, f, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
 # -- toy derivative-losing problem ----------------------------------------------------
 
 
-def toeplitz_block(a, n_out, n_in):
-    """Complex matrix of xi -> P_{n_out}(a xi) on modes |m| <= n_in.
-
-    Entry (l, m) is a_{l-m}, zero outside a's band.
-    """
-    p = a.truncate(n_out + n_in).coeffs  # a_k at index k + n_out + n_in
-    return toeplitz(p[2 * n_in:], p[2 * n_in::-1])
-
-
 SMOOTHING = SmoothingFamily()
 
 
@@ -180,10 +171,15 @@ class ToyProblem:
         return v + 2.0 * self.strength * derivative(multiply(u, v)).truncate(self.n_modes)
 
     def jacobian(self, u):
-        """Complex matrix of dF(u): I + 2 strength diag(i omega) Toep_N(u)."""
+        """Complex matrix of dF(u): I + 2 strength diag(i omega) Toep_N(u).
+
+        Row l of Toep_N(u) is u_{l-m}, m = -N..N: a window of u_{2N}, ...,
+        u_{-2N}, read as a strided view so the only array built is the result.
+        """
         u = self.project(u)
-        jac = toeplitz_block(u, self.n_modes, self.n_modes)
-        jac *= (2.0j * self.strength * u.angular_frequencies())[:, None]
+        n = self.n_modes
+        windows = sliding_window_view(u.truncate(2 * n).coeffs[::-1], 2 * n + 1)
+        jac = windows[::-1] * (2.0j * self.strength * u.angular_frequencies())[:, None]
         jac[np.diag_indices_from(jac)] += 1.0
         return jac
 

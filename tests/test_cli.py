@@ -302,45 +302,17 @@ def _last_line_of_python(code, *args):
     return done.stdout.strip().splitlines()[-1]
 
 
-def test_decay_imports_no_adaptive_ode_solver(tmp_path):
-    # the radial solve is one banded system; scipy.integrate's solve_bvp and
-    # the scipy.interpolate it loads lazily must not come back
-    cfgfile = tmp_path / "small.cfg"
-    cfgfile.write_text("l_min = 4\nl_max = 16\nsamples = 10\n")
-    code = (
-        "import sys\n"
-        "from edl.cli import main\n"
-        "rc = main(['decay', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(rc, sorted(m for m in sys.modules\n"
-        "                 if m.startswith(('scipy.integrate', 'scipy.interpolate'))))\n"
-    )
-    assert _last_line_of_python(code, cfgfile, tmp_path) == "0 []"
-
-
-def test_deform_op_imports_nothing_beyond_the_cli(tmp_path):
-    # the banded diagnostics use scipy.linalg, which the CLI already loads;
-    # a module loaded only at run time would be paid for in every pass
-    cfgfile = tmp_path / "small.cfg"
-    cfgfile.write_text("n_modes = 16\nsamples = 2\n")
-    code = (
-        "import sys\n"
-        "from edl.cli import main\n"
-        "loaded = set(sys.modules)\n"
-        "rc = main(['deform-op', '--no-assert', '--config', sys.argv[1],\n"
-        "           '--out', sys.argv[2]])\n"
-        "print(rc, sorted(set(sys.modules) - loaded))\n"
-    )
-    assert _last_line_of_python(code, cfgfile, tmp_path) == "0 []"
-
-
 def test_cli_import_stops_at_numpy_and_scipy_linalg():
     # the CLI needs only scipy.linalg; scipy.optimize pulled in scipy.special,
-    # scipy.fft, scipy.spatial and scipy.sparse
+    # scipy.fft, scipy.spatial and scipy.sparse, and the radial solve of decay
+    # is one banded system, so scipy.integrate's solve_bvp and the
+    # scipy.interpolate it loads must not come back
     code = (
         "import sys\n"
         "import edl.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize',\n"
-        "    'scipy.sparse', 'scipy.special', 'scipy.fft', 'scipy.spatial'))))\n"
+        "    'scipy.sparse', 'scipy.special', 'scipy.fft', 'scipy.spatial',\n"
+        "    'scipy.integrate', 'scipy.interpolate'))))\n"
     )
     assert _last_line_of_python(code) == "[]"
 

@@ -24,7 +24,7 @@ from edl.deform import (
     series_from_real,
     t_op,
 )
-from edl.experiments import run_deform_op
+from edl.experiments import run_continuation, run_deform_op
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 
 
@@ -58,7 +58,7 @@ def test_real_coordinate_round_trip(rng):
     with pytest.raises(ValueError):
         series_from_real(np.zeros(12))  # 6 complex modes cannot be 2N+1
     with pytest.raises(ValueError):
-        series_from_real(np.zeros(7))  # cannot split into [Re, Im] halves
+        series_from_real(np.zeros(7))  # cannot pair each Re with an Im
 
 
 def test_realize_reproduces_function(rng):
@@ -238,13 +238,15 @@ def test_fredholm_homotopy_keeps_index(rng):
         assert rep.stable
 
 
-def test_deform_op_runs_no_dense_spectral_routine(monkeypatch):
-    # the diagnostics are banded: a dense SVD or eigh on the deform-op path
-    # raises here, wherever it is looked up
-    dense = (np.linalg.svd, np.linalg.eigh, scipy.linalg.svd, scipy.linalg.eigh)
+def test_circle_operators_run_no_dense_routine(monkeypatch):
+    # the diagnostics and the bordered solve are banded: a dense SVD, eigh or
+    # solve on the deform-op or continuation path raises here, wherever it
+    # is looked up
+    dense = (np.linalg.svd, np.linalg.eigh, np.linalg.solve,
+             scipy.linalg.svd, scipy.linalg.eigh, scipy.linalg.solve)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense spectral routine on the deform-op path")
+        raise AssertionError("dense routine on a circle-operator path")
 
     modules = [np.linalg, scipy.linalg]
     modules += [m for name, m in sys.modules.items() if name.startswith("edl.")]
@@ -255,24 +257,29 @@ def test_deform_op_runs_no_dense_spectral_routine(monkeypatch):
     outcome = run_deform_op(build_config("deform-op", {"n_modes": 24, "samples": 2}))
     assert outcome.metrics["constant_kernel_dim"] == 1
     assert outcome.metrics["unstable_samples"] == 0
+    assert run_continuation(build_config("continuation", {"n_modes": 12})).passed
 
 
 def test_deform_op_memory_grows_linearly():
     # the operators are bands, so the traced peak doubles with n_modes where
-    # an n x n matrix would quadruple it, and the budget's count bounds it
-    def traced_peak(n_modes):
-        cfg = build_config("deform-op", {"n_modes": n_modes, "samples": 1})
+    # an n x n matrix would quadruple it, and the budget's count bounds it;
+    # the bordered system of continuation is held in T's band as well
+    def traced_peak(run, command, n_modes, **keys):
+        cfg = build_config(command, {"n_modes": n_modes, **keys})
         tracemalloc.start()
         try:
-            run_deform_op(cfg)
+            run(cfg)
             return tracemalloc.get_traced_memory()[1], dense_array_bound(cfg)[1]
         finally:
             tracemalloc.stop()
 
-    traced_peak(8)  # first calls import and cache outside the measurement
-    (peak64, bound64), (peak128, bound128) = traced_peak(64), traced_peak(128)
-    assert peak128 / peak64 < 3.0
-    assert peak64 <= bound64 and peak128 <= bound128
+    for run, command, small, keys in ((run_deform_op, "deform-op", 64, {"samples": 1}),
+                                      (run_continuation, "continuation", 128, {})):
+        traced_peak(run, command, 8, **keys)  # first calls import and cache outside
+        (peak_s, bound_s), (peak_l, bound_l) = (
+            traced_peak(run, command, n, **keys) for n in (small, 2 * small))
+        assert peak_l / peak_s < 3.0, command
+        assert peak_s <= bound_s and peak_l <= bound_l, command
 
 
 # -- bordered extended system -----------------------------------------------------------
@@ -303,9 +310,9 @@ def test_extended_system_borders_the_mode0_slots():
     # omega_0 = 0 leaves T's mode-0 columns empty; the bordering takes over
     # the mode-0 rows and columns and leaves every other entry of T as it is
     data, n = _bordered_data(), 8
-    re0, im0 = n, 3 * n + 1
+    re0, im0 = 0, 1
     t_mat = realize_t(data, n, n).matrix
-    big = ExtendedSystem.from_data(data, n).matrix
+    big = ExtendedSystem.from_data(data, n).operator.matrix
     phi_vec = real_coords(obstruction_direction_series(data, n))
     assert not t_mat[:, [re0, im0]].any()
     assert np.array_equal(big[:, re0], -phi_vec)
@@ -313,6 +320,14 @@ def test_extended_system_borders_the_mode0_slots():
     assert np.array_equal(big[im0], np.eye(big.shape[0])[im0])
     keep = np.setdiff1d(np.arange(big.shape[0]), [re0, im0])
     assert np.array_equal(big[np.ix_(keep, keep)], t_mat[np.ix_(keep, keep)])
+
+
+def bordered_residual(system, eta, lam, g):
+    """Largest defect of T eta - lambda phi = g off mode 0 and of <eta, phi> = 0."""
+    n, phi = system.n_modes, system.phi
+    defect = (t_op(system.data, eta).truncate(n) - lam * phi - g.truncate(n)).coeffs
+    defect[n] = 0.0
+    return max(np.max(np.abs(defect)), abs(real_coords(eta) @ real_coords(phi)))
 
 
 def test_extended_solve_recovers_plain_preimage(rng):
@@ -326,8 +341,8 @@ def test_extended_solve_recovers_plain_preimage(rng):
     e_vec -= phi_vec * (e_vec @ phi_vec) / (phi_vec @ phi_vec)
     eta0 = series_from_real(e_vec)
     g = t_op(data, eta0).truncate(12)
-    eta, lam, residual = sys.solve(g)
-    assert residual < 1e-9
+    eta, lam = sys.solve(g)
+    assert bordered_residual(sys, eta, lam, g) < 1e-9
     assert abs(lam) < 1e-9
     assert np.max(np.abs(eta.coeffs - eta0.coeffs)) < 1e-8
 
@@ -335,10 +350,11 @@ def test_extended_solve_recovers_plain_preimage(rng):
 def test_extended_solve_forced_along_direction():
     data = _bordered_data()
     sys = ExtendedSystem.from_data(data, n_modes=12)
-    eta, lam, residual = sys.solve(sys.phi)
-    assert residual < 1e-9
+    eta, lam = sys.solve(sys.phi)
+    assert bordered_residual(sys, eta, lam, sys.phi) < 1e-9
     assert abs(lam) > 1e-4
-    zero, lam0, res0 = sys.solve(FourierSeries1D.zero(12))
-    assert res0 < 1e-12
+    zero_rhs = FourierSeries1D.zero(12)
+    zero, lam0 = sys.solve(zero_rhs)
+    assert bordered_residual(sys, zero, lam0, zero_rhs) < 1e-12
     assert lam0 == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(zero.coeffs)) < 1e-12

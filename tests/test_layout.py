@@ -1,4 +1,4 @@
-"""What `src/edl` carries beyond the CLI.
+"""What `src/edl` carries beyond the CLI, and which of its modules load scipy.
 
 The walk starts at every top-level statement of `cli.py` and follows the
 names that each reached top-level definition mentions, through the package's
@@ -103,3 +103,24 @@ def test_code_only_tests_reach_is_in_the_ledger():
         if (module, name) not in reached
     }
     assert unreached == set(LEDGER)
+
+
+def test_only_the_lapack_modules_import_scipy():
+    # deform and obstruction call LAPACK routines numpy lacks; any other
+    # scipy import is a new dependency of the CLI and takes an edit here
+    importers = set()
+    for f in os.listdir(SRC):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, f)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(f[:-3])
+    assert importers == {"deform", "obstruction"}

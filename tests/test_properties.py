@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from edl.series import FourierSeries1D, hilbert_transform, multiply
+from edl.series import FourierSeries1D, SmoothingFamily, hilbert_transform, multiply
 from edl.dirac import LeadingData, RadialGrid
 from edl.deform import (
     KERNEL_REL_THRESHOLD,
@@ -102,6 +102,19 @@ def test_parseval_defect_vanishes_on_alias_free_grids(u, extra):
     assert u.parseval_defect(2 * u.n_modes + 1 + extra) <= 1e-12
 
 
+@PROPERTY
+@given(series(max_band=64), seeds)
+def test_smoothing_is_monotone_in_eps(u, seed):
+    # rho is nonincreasing, so a larger eps damps every mode at least as much
+    eps1, eps2 = np.sort(1.0 - np.random.default_rng(seed).uniform(0.0, 1.0, 2))
+    family = SmoothingFamily()
+    for eps in (eps1, eps2):
+        multiplier = family.multiplier(u.modes(), eps)
+        assert np.all((multiplier >= 0.0) & (multiplier <= 1.0))
+    rough, smooth = (np.abs(family.apply(u, eps).coeffs) for eps in (eps1, eps2))
+    assert np.all(smooth <= rough)
+
+
 # -- separable B(gdot) Phi0 against the dense tensor path --------------------------
 
 
@@ -191,9 +204,9 @@ def test_assembled_operators_match_probing(data, length, n_in, n_out):
 def test_toy_jacobian_matches_probing(u, n, seed):
     prob = ToyProblem(n_modes=n, strength=np.random.default_rng(seed).uniform(0.1, 2.0))
     jac = prob.jacobian(u)
-    real_form = np.block([[jac.real, -jac.imag], [jac.imag, jac.real]])
     assert_matches_oracle(
-        real_form,
+        probed(lambda v: FourierSeries1D(jac @ v.truncate(n).coeffs, v.circumference),
+               n, n, u.circumference),
         probed(lambda v: prob.derivative_apply(u, v), n, n, u.circumference),
     )
 
