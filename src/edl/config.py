@@ -40,6 +40,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_modes <= 0:
             raise ConfigError(f"n_modes must be positive, got {self.n_modes}")
+        least = MIN_N_MODES.get(self.experiment, 1)
+        if self.n_modes < least:
+            raise ConfigError(
+                f"n_modes must be at least {least} for {self.experiment}, got {self.n_modes}"
+            )
         if self.l_min <= 0:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
@@ -67,6 +72,10 @@ class ConfigError(ValueError):
 
 MATRIX_BYTE_BUDGET = 256 * 2**20
 
+# deform-op fits log-log slopes over truncations down to n_modes // 2, which
+# must not be 0; continuation's right-hand side lives on modes |l| <= 6
+MIN_N_MODES = {"deform-op": 2, "continuation": 6}
+
 
 def dense_array_bound(cfg):
     """(key, bytes): the config key that sizes the largest dense arrays an
@@ -75,7 +84,10 @@ def dense_array_bound(cfg):
     deform-op: thirteen 8-byte arrays the size of the band of the loss
     profile's T at band 2N, 31 rows by 2(4N+1) columns: its assembly holds
     nine at once, and traced, the whole run peaks at 85 bytes per band entry
-    from N = 64 up and at most 102 below;
+    from N = 64 up, at most 102 from N = 4 and 170 at N = 2, where fixed
+    costs of 0.1 MiB dominate; the Fredholm diagnostics, whose Lanczos basis
+    holds at most 128 vectors of their largest truncation, 2(2N+1) long,
+    peak at 45 to 50 bytes per entry from N = 48 up;
     nash-moser: the complex toy Jacobian, side 2N+1;
     continuation: thirteen 8-byte arrays the size of the band of T that
     holds the bordered system, 39 rows (band 4 data) by 2(2N+1) columns;

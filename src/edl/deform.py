@@ -16,13 +16,16 @@ coefficients.  The dense matrix, expanded on first use, and probing a series
 map with unit vectors (RealizedOperator.realize) are the test oracles these
 assemblies are checked against; no command reads them.
 
-sigma_max is the top eigenvalue of the banded Gram, found by bisection on
-whether a banded Cholesky factors t I - G^T G.  Kernel counts do not square:
-with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma, #{sigma < tau} =
-nu_-(JW - tau I) - n, and nu_- is summed over the pivot blocks of a block
-LDL^T of the block-tridiagonal JW (Haynsworth inertia additivity).  The dense
-SVD and Gram routes stay as test oracles.  The bordered system is written
-into T's band and solved by banded LU.
+Operator norms are the top eigenvalue of the banded Gram, found by bisection
+on whether a banded Cholesky factors t I - G^T G.  Kernel counts do not
+square: with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma,
+#{sigma < tau} = nu_-(JW - tau I) - n, and nu_- is summed over the pivot
+blocks of a block LDL^T of the block-tridiagonal JW (Haynsworth inertia
+additivity).  The Fredholm diagnostics read two values of each truncation's
+Gram, sigma_max^2 and sigma_{k+1}^2, from a short certified Lanczos run
+(bandeig.py), warm-started from the previous truncation's Ritz vectors.
+The dense SVD and Gram routes stay as test oracles.  The bordered system is
+written into T's band and solved by banded LU.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded
-from scipy.linalg.lapack import dpbtrf, dsytrf, dsytrs
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .series import (
     FourierSeries1D,
@@ -43,6 +46,7 @@ from .series import (
     sign_with_positive_zero,
 )
 from .dirac import LeadingData, sgn
+from .bandeig import bisect_top, certified_spectrum
 
 T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
 MIN_PIVOT_BLOCK = 16  # side floor of the inertia count's blocks: few, short loop steps
@@ -185,27 +189,8 @@ class RealizedOperator:
     def operator_norm(self, m_out=0.0, m_in=0.0):
         """sigma_max of the graded matrix: the square root of the top
         eigenvalue of its banded Gram, bisected on whether a banded Cholesky
-        (dpbtrf) factors t I - G^T G.
-
-        The bracket runs from the largest diagonal entry to the largest
-        Gershgorin row sum and is halved until its ends are adjacent floats.
-        """
-        ab = self.gram_band(m_out, m_in)
-        row_sums = np.abs(ab[0])
-        for shift in range(1, ab.shape[0]):
-            row_sums[shift:] += np.abs(ab[shift, :-shift])
-            row_sums[:-shift] += np.abs(ab[shift, :-shift])
-        lo, hi = float(ab[0].max()), float(row_sums.max())
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            shifted = -ab
-            shifted[0] += mid
-            if dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        return float(np.sqrt(hi))
+        (dpbtrf) factors t I - G^T G."""
+        return float(np.sqrt(bisect_top(self.gram_band(m_out, m_in))))
 
     def count_singular_values_below(self, tau):
         """#{sigma < tau} for a square operator, without squaring sigma.
@@ -406,32 +391,6 @@ class FredholmReport:
 
 
 KERNEL_REL_THRESHOLD = 1e-8  # singular values below this times sigma_max count as kernel
-GRAM_EIGEN_SLACK = 16 * np.finfo(float).eps  # eig_banded's error bound, times lambda_max
-
-
-def _next_singular_value(op, gram, kernel, tau):
-    """sigma_{k+1}, the smallest singular value at or above tau, k = kernel.
-
-    Its square is Gram eigenvalue k, known to GRAM_EIGEN_SLACK lambda_max,
-    so a relative precision of about eps / gap^2 after the square root. Where
-    that bracket is wider than 1e-13 relative (gaps below about 0.2), it is
-    halved by inertia counts, which resolve sigma to eps sigma_max like a
-    dense SVD; the Gram value is then clipped into the narrowed bracket.
-    """
-    if kernel == gram.size:
-        return 0.0
-    slack = GRAM_EIGEN_SLACK * gram[-1]
-    lo = max(tau, float(np.sqrt(max(gram[kernel] - slack, 0.0))))
-    hi = float(np.sqrt(gram[kernel] + slack))
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if op.count_singular_values_below(mid) > kernel:
-            hi = mid
-        else:
-            lo = mid
-    return min(max(float(np.sqrt(max(gram[kernel], 0.0))), lo), hi)
-
-
 def fredholm_diagnostics(data, truncations=(16, 24, 32)):
     """Kernel/cokernel count of square truncations of L with a stability vote.
 
@@ -439,28 +398,25 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32)):
     reported index is 0 whenever the kernel dimension is stable across the
     three truncations; an unstable count is reported as not stable instead
     of averaged. The kernel is #{sigma < KERNEL_REL_THRESHOLD sigma_max},
-    counted by inertia. sigma_max is the top eigenvalue of the banded Gram,
-    and singular_gaps records sigma_{k+1} / sigma_max, the margin the count
-    rests on.
+    counted by inertia, and singular_gaps records sigma_{k+1} / sigma_max,
+    the margin the count rests on: both values are certified Lanczos
+    estimates (certified_spectrum), each truncation warm-started from the
+    Ritz vectors of the one before.
     """
-    dims, gaps = [], []
+    dims, gaps, warm = [], [], None
     for n in truncations:
-        op = realize_l(data, int(n))
-        gram = eig_banded(op.gram_band(), lower=True, eigvals_only=True)
-        top = max(float(np.sqrt(max(gram[-1], 0.0))), 1e-300)
-        tau = KERNEL_REL_THRESHOLD * top
-        kernel = op.count_singular_values_below(tau)
+        sigma_max, kernel, sigma_next, warm = certified_spectrum(
+            realize_l(data, int(n)), KERNEL_REL_THRESHOLD, warm
+        )
         dims.append(kernel)
-        gaps.append(_next_singular_value(op, gram, kernel, tau) / top)
-    stable = len(set(dims)) == 1
-    kernel = dims[-1]
+        gaps.append(sigma_next / sigma_max)
     return FredholmReport(
         truncations=tuple(int(n) for n in truncations),
         kernel_dims=tuple(dims),
         singular_gaps=tuple(gaps),
-        kernel_dim=kernel,
+        kernel_dim=dims[-1],
         index=0,
-        stable=stable,
+        stable=len(set(dims)) == 1,
     )
 
 
@@ -471,10 +427,12 @@ def obstruction_direction_series(data, n_modes):
     """phi_l = 2 pi |l|^{-3/2} (c_l + sgn(l) d_l) on modes l != 0.
 
     This is the leading pairing of the family against the data's first-order
-    variation; constant data makes it vanish identically.
+    variation; constant data makes it vanish identically.  Modes beyond the
+    data's band are zero and not visited.
     """
+    reach = min(max(data.c.n_modes, data.d.n_modes), n_modes)
     modes = {}
-    for l in range(-n_modes, n_modes + 1):
+    for l in range(-reach, reach + 1):
         if l == 0:
             continue
         val = TWO_PI * abs(l) ** (-1.5) * (data.c.coeff(l) + sgn(l) * data.d.coeff(l))

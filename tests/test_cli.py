@@ -260,6 +260,24 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
     assert not (tmp_path / "deform-op").exists()
 
 
+def test_n_modes_floor_of_the_circle_commands(tmp_path, capsys):
+    # only validated, never run: deform-op at n_modes 1 fits a log-log slope
+    # through truncation 0, and continuation's right-hand side has modes
+    # up to |l| = 6
+    for command, least in (("deform-op", 2), ("continuation", 6)):
+        for n in range(1, least):
+            with pytest.raises(ConfigError, match=f"at least {least} for {command}"):
+                build_config(command, {"n_modes": n})
+        assert build_config(command, {"n_modes": least}).n_modes == least
+    assert build_config("nash-moser", {"n_modes": 1}).n_modes == 1
+    cfgfile = tmp_path / "small.cfg"
+    cfgfile.write_text("n_modes = 5\n")
+    rc = main(["continuation", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "at least 6" in capsys.readouterr().err
+    assert not (tmp_path / "continuation").exists()
+
+
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     # only validated, never run. obstruction holds its synthesized field,
     # 8 complex (2 l_max + 3) x 1200 slabs, and a cross-talk field of 32

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from edl.bandeig import certified_spectrum
 from edl.config import build_config, dense_array_bound
 from edl.dirac import LeadingData
 from edl.deform import (
+    KERNEL_REL_THRESHOLD,
     ExtendedSystem,
     RealizedOperator,
     T_SYMBOL_SCALE,
@@ -20,6 +22,7 @@ from edl.deform import (
     loss_of_regularity_profile,
     obstruction_direction_series,
     real_coords,
+    realize_l,
     realize_t,
     series_from_real,
     t_op,
@@ -238,12 +241,41 @@ def test_fredholm_homotopy_keeps_index(rng):
         assert rep.stable
 
 
+def test_warm_started_truncations_match_cold_runs(rng):
+    # fredholm_diagnostics starts each truncation's Lanczos run from the Ritz
+    # vectors of the one before; a lone truncation starts cold
+    for data in (generic_data(rng), _bordered_data(), LeadingData.constant(1.0, 1.0)):
+        warm = fredholm_diagnostics(data, (16, 24, 32))
+        for n, dim, gap in zip(warm.truncations, warm.kernel_dims, warm.singular_gaps):
+            cold = fredholm_diagnostics(data, (n,))
+            assert cold.kernel_dims == (dim,)
+            assert abs(cold.singular_gaps[0] - gap) <= 1e-13 * gap
+
+
+def test_failed_certificates_fall_back_to_bisection():
+    # constant (1, 1) data has the diagonal Gram diag(0, 4, 2, 2, ...), so a
+    # unit start vector closes the Krylov space at once: on the kernel there
+    # is no Ritz value above it, on the top eigenvector sigma_{k+1} fails its
+    # inertia certificate, and on an interior one sigma_max fails its Cholesky
+    # certificate; each falls back to bisection from the wide bracket
+    op = realize_l(LeadingData.constant(1.0, 1.0), 4)
+    assert np.array_equal(op.gram_band()[0, :3], [0.0, 4.0, 2.0])
+    for i in range(3):
+        sigma_max, kernel, sigma_next, _ = certified_spectrum(
+            op, KERNEL_REL_THRESHOLD, np.eye(18)[i]
+        )
+        assert kernel == 1
+        assert abs(sigma_max - 2.0) <= 1e-13 * 2.0
+        assert abs(sigma_next - math.sqrt(2.0)) <= 1e-13 * 2.0
+
+
 def test_circle_operators_run_no_dense_routine(monkeypatch):
     # the diagnostics and the bordered solve are banded: a dense SVD, eigh or
-    # solve on the deform-op or continuation path raises here, wherever it
-    # is looked up
+    # solve, or a full banded spectrum, on the deform-op or continuation path
+    # raises here, wherever it is looked up
     dense = (np.linalg.svd, np.linalg.eigh, np.linalg.solve,
-             scipy.linalg.svd, scipy.linalg.eigh, scipy.linalg.solve)
+             scipy.linalg.svd, scipy.linalg.eigh, scipy.linalg.solve,
+             scipy.linalg.eig_banded)
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense routine on a circle-operator path")

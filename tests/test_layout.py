@@ -106,8 +106,8 @@ def test_code_only_tests_reach_is_in_the_ledger():
 
 
 def test_only_the_lapack_modules_import_scipy():
-    # deform and obstruction call LAPACK routines numpy lacks; any other
-    # scipy import is a new dependency of the CLI and takes an edit here
+    # bandeig, deform and obstruction call LAPACK routines numpy lacks; any
+    # other scipy import is a new dependency of the CLI and takes an edit here
     importers = set()
     for f in os.listdir(SRC):
         if not f.endswith(".py"):
@@ -123,4 +123,27 @@ def test_only_the_lapack_modules_import_scipy():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(f[:-3])
-    assert importers == {"deform", "obstruction"}
+    assert importers == {"bandeig", "deform", "obstruction"}
+
+
+def test_the_circle_modules_import_only_the_lapack_routines_they_call():
+    # the Fredholm diagnostics read two eigenvalues of each Gram; a routine
+    # that computes the whole spectrum (eig_banded, eigh) takes an edit here
+    want = {
+        "bandeig": {"dpbtrf", "dsbmv", "dstev"},
+        "deform": {"dsytrf", "dsytrs", "solve_banded"},
+    }
+    for module, names in want.items():
+        with open(os.path.join(SRC, module + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+            for alias in node.names
+        }
+        assert not any(
+            isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
+            for node in ast.walk(tree)
+        ), module
+        assert imported == names, module

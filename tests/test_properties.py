@@ -21,6 +21,7 @@ from edl.deform import (
     t_op,
 )
 from edl.newton import ToyProblem
+from edl.bandeig import certified_spectrum
 from edl.bgvar import (
     CutoffProfile,
     MetricVariation,
@@ -268,3 +269,30 @@ def test_banded_spectra_match_dense_oracles(seed, n):
     for i in rng.choice(sv.size - 1, size=min(8, sv.size - 1), replace=False):
         if sv[i + 1] > sv[i] * (1.0 + 1e-6):
             assert op.count_singular_values_below(0.5 * (sv[i] + sv[i + 1])) == i + 1
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 64))
+def test_certified_extremes_match_dense_eigvalsh(seed, n):
+    # sigma_max^2 and sigma_{k+1}^2 from the certified Lanczos run against the
+    # dense Gram's eigenvalues, to a few eps lambda_max, which is what
+    # eigvalsh resolves; the cases include the diagonal (kd = 0) Gram of
+    # constant (1, 1) data, whose sigma_{k+1} is interior (k = 1), and a point
+    # near it on the homotopy to the drawn data, whose small gap the inertia
+    # counts refine
+    lead, _ = seeded_leading_data(seed)
+    one = FourierSeries1D.from_modes({0: 1.0}, lead.circumference)
+    near = LeadingData(one * 0.95 + lead.c * 0.05, one * 0.95 + lead.d * 0.05)
+    flat = LeadingData.constant(1.0, 1.0)
+    assert len(realize_l(flat, n).gram_band()) == 1
+    for data in (lead, flat, near):
+        op = realize_l(data, n)
+        sigma_max, kernel, sigma_next, _ = certified_spectrum(op, KERNEL_REL_THRESHOLD)
+        lam = np.linalg.eigvalsh(op.matrix.T @ op.matrix)
+        assert kernel == dense_kernel_and_gap(op.singular_values())[0]
+        assert abs(sigma_max**2 - lam[-1]) <= 1e-14 * lam[-1]
+        assert abs(sigma_next**2 - lam[kernel]) <= 1e-14 * lam[-1]
+        if data is flat:
+            assert kernel == 1
+        if data is near:
+            assert sigma_next < 0.2 * sigma_max
