@@ -413,7 +413,6 @@ def _require_real_series(u, name):
 class BGComparisonReport:
     l_values: tuple
     measured: dict
-    base: dict
     khat: dict
     fitted_constant: float
     candidate_distances: dict
@@ -455,7 +454,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
         raise ValueError("displacement and data circumferences differ")
     mult = l_op(data, second_derivative(eta))
 
-    measured, base, khat = {}, {}, {}
+    measured, khat = {}, {}
     for l in l_values:
         l = int(l)
         b = L * TWO_PI * abs(l) ** -1.5 * mult.coeff(l)
@@ -468,7 +467,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
         bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
         bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
         m = L * TWO_PI * bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))
-        measured[l], base[l], khat[l] = m, b, m / b
+        measured[l], khat[l] = m, m / b
 
     ls = sorted(khat, key=abs)
     doubling = [(l, 2 * l) for l in ls if 2 * l in khat]
@@ -490,7 +489,6 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
     return BGComparisonReport(
         l_values=tuple(int(l) for l in l_values),
         measured=measured,
-        base=base,
         khat=khat,
         fitted_constant=fitted,
         candidate_distances=distances,

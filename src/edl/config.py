@@ -72,14 +72,18 @@ class ConfigError(ValueError):
 
 MATRIX_BYTE_BUDGET = 256 * 2**20
 
-# deform-op fits log-log slopes over truncations down to n_modes // 2, which
-# must not be 0; continuation's right-hand side lives on modes |l| <= 6
-MIN_N_MODES = {"deform-op": 2, "continuation": 6}
+# deform-op fits its loss exponents over truncations max(8, N/4) .. 2N, which
+# are pre-asymptotic below N = 10: n_modes 8 fails at 5 of 6 seeds, 9 at 4;
+# continuation's right-hand side lives on modes |l| <= 6
+MIN_N_MODES = {"deform-op": 10, "continuation": 6}
 
 
 def dense_array_bound(cfg):
     """(key, bytes): the config key that sizes the largest dense arrays an
     experiment builds, and their bytes at cfg's values.
+
+    Each count bounds the run's traced peak (tracemalloc) from the sizes
+    where these arrays dominate:
 
     deform-op: thirteen 8-byte arrays the size of the band of the loss
     profile's T at band 2N, 31 rows by 2(4N+1) columns: its assembly holds
@@ -88,24 +92,37 @@ def dense_array_bound(cfg):
     costs of 0.1 MiB dominate; the Fredholm diagnostics, whose Lanczos basis
     holds at most 128 vectors of their largest truncation, 2(2N+1) long,
     peak at 45 to 50 bytes per entry from N = 48 up;
-    nash-moser: the complex toy Jacobian, side 2N+1;
+    nash-moser: two complex toy Jacobians, side 2N+1: the one the step
+    builds, which the traced peak exceeds by 4 to 10 % from N = 250 up, and
+    the copy np.linalg.solve factors, which it allocates outside
+    tracemalloc's view (one solve on a 34.4 MiB matrix raised the peak RSS
+    by 39 MiB while tracemalloc saw 0.02 MiB);
     continuation: thirteen 8-byte arrays the size of the band of T that
     holds the bordered system, 39 rows (band 4 data) by 2(2N+1) columns;
     traced, the run peaks at 9.4 band arrays from N = 64 up and at most 12.7
     at N = 6, the smallest n_modes whose family builds;
-    obstruction: the two complex (nt, 1200, 4) tensors of the synthesized
-    field at nt = 2 l_max + 3, and the four (13, 1200, 8) of the l = 2
-    cross-talk field, which keeps its own alias-free nt whatever l_max is;
-    gram: two (L, 2000) profile arrays and four complex L x L matrices,
-    L = l_max - l_min + 1.
+    obstruction: eight complex (nt, 1200) slabs at nt = 2 l_max + 3, the
+    t grid of the synthesized field: its two components, their two t
+    transforms and three mode-gathered products in the projection, and the
+    real (2 l_max, 1200) profile array; traced, the run peaks at 7.38 to
+    7.51 slabs from l_max 8 to 800 (the 13-row cross-talk field is built
+    after the projection of the synthesized one and sits below that peak);
+    gram: two (L, 2000) profile arrays and fifteen 8-byte L x L matrices,
+    L = l_max - l_min + 1, one more than the fourteen and a boolean mask
+    the run holds at once: run_gram holds five and the mask (the
+    complex Gram matrix under a.real counts two, K = A - I, the weak and
+    strong envelopes) while gram_tail_trend's second gram_matrix holds nine
+    (three radial overlaps, the complex g, and the complex result and its
+    normalized copy); traced, the run peaks at 113 bytes per matrix entry
+    plus one profile array, 0.81 to 0.89 of the count from L = 100 to 2000.
     """
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
         "deform-op": ("n_modes", 13 * 8 * 31 * 2 * (4 * n + 1)),
-        "nash-moser": ("n_modes", 16 * (2 * n + 1) ** 2),
+        "nash-moser": ("n_modes", 2 * 16 * (2 * n + 1) ** 2),
         "continuation": ("n_modes", 13 * 8 * 39 * 2 * (2 * n + 1)),
-        "obstruction": ("l_max", 16 * 1200 * (2 * 4 * nt + 4 * 8 * 13)),
-        "gram": ("l_max", 16 * big_l * 2000 + 64 * big_l**2),
+        "obstruction": ("l_max", 8 * 16 * 1200 * nt),
+        "gram": ("l_max", 16 * big_l * 2000 + 15 * 8 * big_l**2),
     }.get(cfg.experiment, ("n_modes", 0))
 
 

@@ -609,7 +609,6 @@ def l2_pairing(psi, phi):
 @dataclass
 class AdjointnessReport:
     defect: float
-    tolerance: float
     boundary_flagged: bool
 
 
@@ -629,7 +628,6 @@ def adjointness_check(psi, phi):
     defect = abs(lhs - rhs) / denom
     return AdjointnessReport(
         defect=defect,
-        tolerance=ADJOINTNESS_TOLERANCE,
         boundary_flagged=defect > ADJOINTNESS_TOLERANCE,
     )
 

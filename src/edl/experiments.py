@@ -17,7 +17,6 @@ from .series import FourierSeries1D, TWO_PI
 from .dirac import (
     LeadingData,
     RadialGrid,
-    euclidean_obstruction_field,
     euclidean_obstruction_mode,
 )
 from .obstruction import (
@@ -137,7 +136,7 @@ def run_obstruction(cfg):
     }
     grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=1e-9)
     nt = 2 * cfg.l_max + 3
-    field_ = family_field(coeffs, grid, nt, 4)
+    field_ = family_field(coeffs, grid, nt)
     recovered = project_to_obstruction(field_, l_values)
     norm_const = 4.0 * math.pi**2
     errs = []
@@ -148,7 +147,8 @@ def run_obstruction(cfg):
         rows.append((l, abs(coeffs[l]), abs(got / norm_const), rel))
         _check(failures, rel < cfg.tol,
                f"mode {l}: projection error {rel:.3e} >= {cfg.tol:.1e}")
-    psi2 = euclidean_obstruction_field(2, grid)
+    # Psi_2 alone, psi_- = sgn(2) psi_+, on the alias-free t grid nt = 4 |l| + 5
+    psi2 = family_field({2: 1.0}, grid, 13)
     delta_row = project_to_obstruction(psi2, [1, 2, 3, -2])
     cross = max(abs(delta_row[i]) for i in (0, 2, 3)) / norm_const
     _check(failures, abs(delta_row[1] - norm_const) / norm_const < 1e-4,

@@ -19,15 +19,19 @@ from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
 # -- projection ---------------------------------------------------------------
 
 
-def family_field(coeffs, rgrid, nt, ntheta):
-    """sum_l a_l e^{ilt} Psi_l on the (t, r, theta) grid, coeffs = {l: a_l}: per
+def family_field(coeffs, rgrid, nt):
+    """sum_l a_l e^{ilt} Psi_l on the (t, r) grid, coeffs = {l: a_l}: per
     component one (nt, L) phase matrix, its columns scaled by sgn(l) for minus,
-    times the (L, nr) profile array, repeated over theta (the family has k = 0)."""
+    times the (L, nr) profile array, at one theta sample.
+
+    One sample is exact: the family has k = 0, so the field is constant in
+    theta, and the theta mean that project_to_obstruction takes of a single
+    sample is that sample."""
     l_arr = np.array(list(coeffs))
     t = np.arange(nt) * (TWO_PI / nt)
     phase = np.exp(1j * np.outer(t, l_arr)) * np.array(list(coeffs.values()))
     prof = obstruction_profiles(l_arr, rgrid)
-    return SpinorField(rgrid, *(np.repeat((p @ prof)[:, :, None], ntheta, axis=2)
+    return SpinorField(rgrid, *((p @ prof)[:, :, None]
                                 for p in (phase, phase * np.sign(l_arr))))
 
 
@@ -183,7 +187,6 @@ def gram_matrix(l_values, weight):
 class GramTailReport:
     cutoffs: np.ndarray
     tail_norms: np.ndarray
-    envelope_constant: float
     decay_power: float
     envelope_ok: bool
     monotone: bool
@@ -227,7 +230,6 @@ def gram_tail_trend(l_values, weight, cutoffs=None):
     return GramTailReport(
         cutoffs=np.asarray(cutoffs),
         tail_norms=norms,
-        envelope_constant=base_n,
         decay_power=GRAM_DECAY_POWER,
         envelope_ok=ok,
         monotone=mono,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from edl.config import (
     ConfigError,
     ExperimentConfig,
     build_config,
+    dense_array_bound,
     load_config,
     parse_config_text,
     with_overrides,
@@ -239,13 +241,19 @@ def test_exit_two_on_config_error(tmp_path, capsys, line):
 def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
     # only validated, never run: deform-op's loss profile holds thirteen
     # 8-byte arrays the size of the 31-row window of T at band 2N, whose
-    # 2(4N+1) columns grow linearly
+    # 2(4N+1) columns grow linearly; nash-moser holds two complex Jacobians
+    # of side 2N+1, the one it builds and the copy the solve factors
     largest = max(n for n in range(1, 2**15)
                   if 13 * 8 * 31 * 2 * (4 * n + 1) <= MATRIX_BYTE_BUDGET)
     assert largest == 10407
     assert build_config("deform-op", {"n_modes": largest}).n_modes == largest
     with pytest.raises(ConfigError, match="n_modes.*MiB"):
         build_config("deform-op", {"n_modes": largest + 1})
+    newton_cap = max(n for n in range(1, 4096) if 32 * (2 * n + 1) ** 2 <= MATRIX_BYTE_BUDGET)
+    assert newton_cap == 1447
+    assert build_config("nash-moser", {"n_modes": newton_cap}).n_modes == newton_cap
+    with pytest.raises(ConfigError, match="n_modes.*MiB"):
+        build_config("nash-moser", {"n_modes": newton_cap + 1})
     with pytest.raises(ConfigError, match="n_modes"):
         with_overrides(build_config("nash-moser"), n_modes=10**6)
     with pytest.raises(ConfigError, match="n_modes"):
@@ -261,36 +269,38 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
 
 
 def test_n_modes_floor_of_the_circle_commands(tmp_path, capsys):
-    # only validated, never run: deform-op at n_modes 1 fits a log-log slope
-    # through truncation 0, and continuation's right-hand side has modes
-    # up to |l| = 6
-    for command, least in (("deform-op", 2), ("continuation", 6)):
+    # only validated, never run: deform-op below n_modes 10 fits its loss
+    # exponents over pre-asymptotic truncations and fails at most seeds (at
+    # n_modes 1 the fit crashes), and continuation's right-hand side has
+    # modes up to |l| = 6
+    for command, least in (("deform-op", 10), ("continuation", 6)):
         for n in range(1, least):
             with pytest.raises(ConfigError, match=f"at least {least} for {command}"):
                 build_config(command, {"n_modes": n})
         assert build_config(command, {"n_modes": least}).n_modes == least
     assert build_config("nash-moser", {"n_modes": 1}).n_modes == 1
     cfgfile = tmp_path / "small.cfg"
-    cfgfile.write_text("n_modes = 5\n")
-    rc = main(["continuation", "--config", str(cfgfile), "--out", str(tmp_path)])
+    cfgfile.write_text("n_modes = 9\n")
+    rc = main(["deform-op", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 2
-    assert "at least 6" in capsys.readouterr().err
-    assert not (tmp_path / "continuation").exists()
+    assert "at least 10" in capsys.readouterr().err
+    assert not (tmp_path / "deform-op").exists()
 
 
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
-    # only validated, never run. obstruction holds its synthesized field,
-    # 8 complex (2 l_max + 3) x 1200 slabs, and a cross-talk field of 32
-    # complex 13 x 1200 slabs that does not grow with l_max; gram two
-    # (L, 2000) profile arrays and four complex L x L matrices
+    # only validated, never run. obstruction holds eight complex
+    # (2 l_max + 3) x 1200 slabs: its synthesized field at one theta sample,
+    # the field's t transforms and the projection's products; gram two
+    # (L, 2000) profile arrays and fifteen 8-byte L x L matrices
     top = max(l for l in range(1, 4096)
-              if 16 * 1200 * (8 * (2 * l + 3) + 32 * 13) <= MATRIX_BYTE_BUDGET)
-    assert top == 846
+              if 8 * 16 * 1200 * (2 * l + 3) <= MATRIX_BYTE_BUDGET)
+    assert top == 872
     assert build_config("obstruction", {"l_max": top}).l_max == top
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
         build_config("obstruction", {"l_max": top + 1})
     span = max(n for n in range(1, 8192)
-               if 16 * n * 2000 + 64 * n * n <= MATRIX_BYTE_BUDGET)
+               if 16 * n * 2000 + 15 * 8 * n * n <= MATRIX_BYTE_BUDGET)
+    assert span == 1368
     assert build_config("gram", {"l_min": 1, "l_max": span}).l_max == span
     assert build_config("gram", {"l_min": 500, "l_max": 499 + span}).l_max == 499 + span
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
@@ -307,6 +317,27 @@ def test_l_range_bounded_by_array_budget(tmp_path, capsys):
         assert rc == 2
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("obstruction", {"l_max": 100}),
+    ("gram", {"l_min": 1, "l_max": 600}),
+    ("nash-moser", {"n_modes": 250}),
+    ("deform-op", {"n_modes": 256, "samples": 1}),
+    ("continuation", {"n_modes": 512}),
+])
+def test_every_array_budget_bounds_its_run(command, keys):
+    # at these sizes the arrays the budget counts dominate the run; a first
+    # small run imports and caches outside the trace
+    run_experiment(build_config(command))
+    cfg = build_config(command, keys)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dense_array_bound(cfg)[1]
 
 
 def _last_line_of_python(code, *args):

@@ -26,7 +26,10 @@ LEDGER = {
     "dirac.covariant_gradient": "reference for the live frame_gradient",
     "dirac.dirac_apply": "criterion 1",
     "dirac.dirac_apply_via_clifford": "reference for the live clifford_action",
+    "dirac.euclidean_obstruction_field": "dense reference field of criterion 1 and the field tests",
     "dirac.fft_mode_derivative": "criterion 1: the spectral derivatives of dirac_apply",
+    "dirac.field_from_mode": "dense reference fields of criterion 1 and the field tests",
+    "dirac.field_from_mode_spinor": "dense reference fields of criterion 1 and the field tests",
     "dirac.frobenius_start": "criterion 2: the seed of the regular branch",
     "dirac.growth_rate": "criterion 2",
     "dirac.mode_ode_matrix": "reference for the radial mode system",

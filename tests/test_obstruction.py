@@ -78,15 +78,15 @@ def test_family_field_matches_per_mode_sum(rng):
     g = RadialGrid.geometric(8.0, 300, r_min_factor=1e-6)
     l_values = [1, -1, 2, 5, -3, -7, 4]
     coeffs = {l: complex(*rng.standard_normal(2)) for l in l_values}
-    nt, ntheta = 17, 4
+    nt = 17
     t = np.arange(nt) * (2.0 * math.pi / nt)
-    plus = np.zeros((nt, g.n_points, ntheta), dtype=complex)
+    plus = np.zeros((nt, g.n_points, 1), dtype=complex)
     minus = np.zeros_like(plus)
     for (l, a), prof in zip(coeffs.items(), obstruction_profiles(l_values, g)):
         phase = a * np.exp(1j * l * t)[:, None, None]
         plus += phase * prof[None, :, None]
         minus += np.sign(l) * phase * prof[None, :, None]
-    got = family_field(coeffs, g, nt, ntheta)
+    got = family_field(coeffs, g, nt)
     for have, want in ((got.plus, plus), (got.minus, minus)):
         assert have.shape == want.shape
         assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
