@@ -9,6 +9,9 @@ aside, from a short Lanczos run with full reorthogonalization on the band,
 and certifies each before use: an end by one banded Cholesky of the Gram
 shifted just past it, an interior sigma_{k+1} by two inertia counts of the
 operator (Parlett, The Symmetric Eigenvalue Problem; Golub & Van Loan 10.1).
+The Cholesky that certifies the lowest end also settles k = 0 once its shift
+lies above threshold^2 sigma_max^2; only otherwise is the kernel counted by
+inertia.
 """
 from __future__ import annotations
 
@@ -93,14 +96,15 @@ def _lanczos(ab, start):
         basis[j + 1] = w / beta[j]
 
 
-def _next_singular_value(op, ab, low, kernel, tau, upper):
+def _next_singular_value(op, ab, low, kernel, tau, upper, floor_factors):
     """sigma_{k+1}, the smallest singular value at or above tau, k = kernel,
     from the Gram's lowest Ritz pair above the kernel, low = (value, residual
     bound r, vector) or None; upper is a certified bound on lambda_max.
 
     Its square lies within r + GRAM_EIGEN_SLACK lambda_max of the Ritz value
     once that bracket is certified: for k = 0 by one banded Cholesky of
-    G - (value - r - slack) I, which leaves no eigenvalue below, and for
+    G - (value - r - slack) I, which leaves no eigenvalue below and which
+    certified_spectrum has run (floor_factors is its outcome), and for
     k >= 1 by inertia counts at both ends.  Without a pair or a certificate
     the bracket is the wide one from tau to sqrt(upper).  Where the bracket
     is wider than 1e-13 relative (gaps below about 0.2), it is halved by
@@ -116,7 +120,7 @@ def _next_singular_value(op, ab, low, kernel, tau, upper):
         lo_c = max(tau, float(np.sqrt(max(value - slack, 0.0))))
         hi_c = float(np.sqrt(value + slack))
         if kernel == 0:
-            certified = _positive_definite(ab, 1.0, value - slack)
+            certified = floor_factors
         else:
             certified = (
                 (lo_c == tau or op.count_singular_values_below(lo_c) == kernel)
@@ -135,14 +139,17 @@ def _next_singular_value(op, ab, low, kernel, tau, upper):
 
 def certified_spectrum(op, threshold, start=None):
     """(sigma_max, k, sigma_{k+1}, warm) of a square RealizedOperator, with k
-    the kernel count #{sigma < threshold sigma_max} by inertia.
+    the kernel count #{sigma < tau}, tau = threshold sigma_max.
 
     Both values come from _lanczos on the banded Gram, started at start
     (zero-padded or cut to the Gram's side) or, if None, at a fixed
     pseudo-random vector.  sigma_max is certified by one banded Cholesky of
-    (value + r + slack) I - G; if it fails, bisect_top replaces it.  warm,
-    the sum of the two Ritz vectors, starts the next truncation of the same
-    operator: truncations are leading blocks in the band order.
+    (value + r + slack) I - G; if it fails, bisect_top replaces it.  When
+    the lowest Ritz pair's floor, value - r - slack, lies above tau^2 and
+    G - floor I factors, every sigma^2 exceeds tau^2 and k = 0; otherwise k
+    is counted by inertia.  warm, the sum of the two Ritz vectors, starts
+    the next truncation of the same operator: truncations are leading
+    blocks in the band order.
     """
     ab = op.gram_band()
     n = ab.shape[1]
@@ -158,6 +165,11 @@ def certified_spectrum(op, threshold, start=None):
         lam = upper = bisect_top(ab)
     sigma_max = max(float(np.sqrt(max(lam, 0.0))), 1e-300)
     tau = threshold * sigma_max
-    kernel = op.count_singular_values_below(tau)
-    sigma_next = _next_singular_value(op, ab, low, kernel, tau, upper)
+    floor = -np.inf if low is None else low[0] - (low[1] + GRAM_EIGEN_SLACK * upper)
+    floor_factors = low is not None and _positive_definite(ab, 1.0, floor)
+    if floor_factors and floor > tau * tau:
+        kernel = 0
+    else:
+        kernel = op.count_singular_values_below(tau)
+    sigma_next = _next_singular_value(op, ab, low, kernel, tau, upper, floor_factors)
     return sigma_max, kernel, sigma_next, warm if low is None else warm + low[2]

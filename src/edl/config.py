@@ -92,11 +92,11 @@ def dense_array_bound(cfg):
     costs of 0.1 MiB dominate; the Fredholm diagnostics, whose Lanczos basis
     holds at most 128 vectors of their largest truncation, 2(2N+1) long,
     peak at 45 to 50 bytes per entry from N = 48 up;
-    nash-moser: two complex toy Jacobians, side 2N+1: the one the step
-    builds, which the traced peak exceeds by 4 to 10 % from N = 250 up, and
-    the copy np.linalg.solve factors, which it allocates outside
-    tracemalloc's view (one solve on a 34.4 MiB matrix raised the peak RSS
-    by 39 MiB while tracemalloc saw 0.02 MiB);
+    nash-moser: one complex band array of the toy Jacobian, 3N+1 rows by
+    2N+1 columns at the widest band b = N, which zgbsv factors in place, and
+    1 MiB for what does not grow with it: numpy's ufunc buffers while the
+    band is written (0.4 MiB) and the series of the iteration; traced, the
+    run exceeds the band array by 0.52 MiB at N = 250 and 0.57 MiB at 600;
     continuation: thirteen 8-byte arrays the size of the band of T that
     holds the bordered system, 39 rows (band 4 data) by 2(2N+1) columns;
     traced, the run peaks at 9.4 band arrays from N = 64 up and at most 12.7
@@ -119,7 +119,7 @@ def dense_array_bound(cfg):
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
         "deform-op": ("n_modes", 13 * 8 * 31 * 2 * (4 * n + 1)),
-        "nash-moser": ("n_modes", 2 * 16 * (2 * n + 1) ** 2),
+        "nash-moser": ("n_modes", 16 * (3 * n + 1) * (2 * n + 1) + 2**20),
         "continuation": ("n_modes", 13 * 8 * 39 * 2 * (2 * n + 1)),
         "obstruction": ("l_max", 8 * 16 * 1200 * nt),
         "gram": ("l_max", 16 * big_l * 2000 + 15 * 8 * big_l**2),

@@ -398,7 +398,7 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32)):
     reported index is 0 whenever the kernel dimension is stable across the
     three truncations; an unstable count is reported as not stable instead
     of averaged. The kernel is #{sigma < KERNEL_REL_THRESHOLD sigma_max},
-    counted by inertia, and singular_gaps records sigma_{k+1} / sigma_max,
+    certified empty or counted, and singular_gaps records sigma_{k+1} / sigma_max,
     the margin the count rests on: both values are certified Lanczos
     estimates (certified_spectrum), each truncation warm-started from the
     Ritz vectors of the one before.

@@ -134,7 +134,7 @@ def run_obstruction(cfg):
         l: (rng.standard_normal() + 1j * rng.standard_normal()) / (abs(l) ** 2)
         for l in l_values
     }
-    grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=1e-9)
+    grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=1e-9 / cfg.l_max)
     nt = 2 * cfg.l_max + 3
     field_ = family_field(coeffs, grid, nt)
     recovered = project_to_obstruction(field_, l_values)

@@ -13,11 +13,15 @@ Both solvers share one loop and report a typed trace: converged, diverged
 (residual above 1e3 x initial for five consecutive steps), budget_exhausted,
 or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
 one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
-is complex-linear and assembled from a Toeplitz block of u, so each step
-solves one (2N+1) complex system; probing by unit vectors is a test oracle
-only.  The solvers ask a problem for apply, solve_linearized, project,
-smooth, norm, zero_state and the control level m0; ToyProblem is the one
-problem that provides them.
+is complex-linear, I + 2 strength diag(i omega) Toep_N(u), and lies within
+b = max{|l| : u_l != 0} of the diagonal.  S_eps cuts every mode above 2/eps,
+so the first smoothed steps are narrow bands, and each step solves its
+system of side 2N+1 by one banded LU with partial pivoting (zgbsv, Golub &
+Van Loan 4.3) written straight from the coefficients of u.  The dense
+Jacobian and probing by unit vectors are test oracles only.  The solvers
+ask a problem for apply, solve_linearized, project, smooth, norm,
+zero_state and the control level m0; ToyProblem is the one problem that
+provides them.
 
 Eigenvalue continuation locates the parameter where the multiplier of the
 bordered deformation system crosses zero, by Brent's method.
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import zgbsv
 
 from .series import (
     FourierSeries1D,
@@ -171,7 +176,8 @@ class ToyProblem:
         return v + 2.0 * self.strength * derivative(multiply(u, v)).truncate(self.n_modes)
 
     def jacobian(self, u):
-        """Complex matrix of dF(u): I + 2 strength diag(i omega) Toep_N(u).
+        """Complex matrix of dF(u): I + 2 strength diag(i omega) Toep_N(u),
+        the dense test oracle of solve_linearized.
 
         Row l of Toep_N(u) is u_{l-m}, m = -N..N: a window of u_{2N}, ...,
         u_{-2N}, read as a strided view so the only array built is the result.
@@ -184,8 +190,29 @@ class ToyProblem:
         return jac
 
     def solve_linearized(self, u, g):
-        g = self.project(g)
-        sol = np.linalg.solve(self.jacobian(u), g.coeffs)
+        """dF(u)^{-1} g by banded LU on the band b = max{|l| : u_l != 0}.
+
+        Entry (l, m) of the Jacobian is 2 strength i omega_l u_{l-m}, plus 1
+        on the diagonal, so column m of LAPACK's general band storage,
+        ab[2b + d, m] = J[m + d, m] for |d| <= b, is a window of omega
+        zero-padded by b times u_{-b}, ..., u_b: one strided view writes it.
+        The top b rows are zgbsv's room for the fill-in of row interchanges.
+        An exactly singular pivot raises LinAlgError.
+        """
+        u, g = self.project(u), self.project(g)
+        n = self.n_modes
+        live = np.flatnonzero(u.coeffs)
+        b = int(np.abs(live - n).max()) if live.size else 0
+        windows = sliding_window_view(np.pad(u.angular_frequencies(), b), 2 * b + 1)
+        ab = np.zeros((3 * b + 1, 2 * n + 1), dtype=complex, order="F")
+        scale = 2.0j * self.strength * u.coeffs[n - b : n + b + 1]
+        np.multiply(windows.T, scale[:, None], out=ab[b:])
+        ab[2 * b] += 1.0
+        _, _, sol, info = zgbsv(b, b, ab, g.coeffs.copy(), overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular linearization: zero pivot at mode {info - 1 - n}"
+            )
         return FourierSeries1D(sol, g.circumference)
 
 

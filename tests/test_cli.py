@@ -241,16 +241,17 @@ def test_exit_two_on_config_error(tmp_path, capsys, line):
 def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
     # only validated, never run: deform-op's loss profile holds thirteen
     # 8-byte arrays the size of the 31-row window of T at band 2N, whose
-    # 2(4N+1) columns grow linearly; nash-moser holds two complex Jacobians
-    # of side 2N+1, the one it builds and the copy the solve factors
+    # 2(4N+1) columns grow linearly; nash-moser holds one complex band of
+    # its Jacobian, 3N+1 rows by 2N+1 columns, and 1 MiB that does not grow
     largest = max(n for n in range(1, 2**15)
                   if 13 * 8 * 31 * 2 * (4 * n + 1) <= MATRIX_BYTE_BUDGET)
     assert largest == 10407
     assert build_config("deform-op", {"n_modes": largest}).n_modes == largest
     with pytest.raises(ConfigError, match="n_modes.*MiB"):
         build_config("deform-op", {"n_modes": largest + 1})
-    newton_cap = max(n for n in range(1, 4096) if 32 * (2 * n + 1) ** 2 <= MATRIX_BYTE_BUDGET)
-    assert newton_cap == 1447
+    newton_cap = max(n for n in range(1, 4096)
+                     if 16 * (3 * n + 1) * (2 * n + 1) + 2**20 <= MATRIX_BYTE_BUDGET)
+    assert newton_cap == 1668
     assert build_config("nash-moser", {"n_modes": newton_cap}).n_modes == newton_cap
     with pytest.raises(ConfigError, match="n_modes.*MiB"):
         build_config("nash-moser", {"n_modes": newton_cap + 1})

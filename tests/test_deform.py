@@ -27,7 +27,8 @@ from edl.deform import (
     series_from_real,
     t_op,
 )
-from edl.experiments import run_continuation, run_deform_op
+from edl import experiments
+from edl.experiments import run_continuation, run_deform_op, run_nash_moser
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 
 
@@ -270,9 +271,9 @@ def test_failed_certificates_fall_back_to_bisection():
 
 
 def test_circle_operators_run_no_dense_routine(monkeypatch):
-    # the diagnostics and the bordered solve are banded: a dense SVD, eigh or
-    # solve, or a full banded spectrum, on the deform-op or continuation path
-    # raises here, wherever it is looked up
+    # the diagnostics, the bordered solve and the Newton steps are banded: a
+    # dense SVD, eigh or solve, or a full banded spectrum, on the deform-op,
+    # continuation or nash-moser path raises here, wherever it is looked up
     dense = (np.linalg.svd, np.linalg.eigh, np.linalg.solve,
              scipy.linalg.svd, scipy.linalg.eigh, scipy.linalg.solve,
              scipy.linalg.eig_banded)
@@ -290,6 +291,34 @@ def test_circle_operators_run_no_dense_routine(monkeypatch):
     assert outcome.metrics["constant_kernel_dim"] == 1
     assert outcome.metrics["unstable_samples"] == 0
     assert run_continuation(build_config("continuation", {"n_modes": 12})).passed
+    assert run_nash_moser(build_config("nash-moser")).passed
+
+
+def test_certificate_settles_the_random_kernels(monkeypatch):
+    # at the defaults the banded Cholesky that certifies each random sample's
+    # lowest Ritz value proves k = 0, and no inertia count runs for it; the
+    # constant (1, 1) data, whose kernel is the real constants, still count
+    # it and certify their interior sigma_2 by two counts per truncation
+    calls, per_data = [], []
+    count = RealizedOperator.count_singular_values_below
+    diagnose = experiments.fredholm_diagnostics
+
+    def counted(self, tau):
+        calls.append(tau)
+        return count(self, tau)
+
+    def tagged(data, truncations):
+        before = len(calls)
+        rep = diagnose(data, truncations=truncations)
+        per_data.append((rep.kernel_dims, len(calls) - before))
+        return rep
+
+    monkeypatch.setattr(RealizedOperator, "count_singular_values_below", counted)
+    monkeypatch.setattr(experiments, "fredholm_diagnostics", tagged)
+    outcome = run_deform_op(build_config("deform-op"))
+    assert outcome.passed
+    assert per_data == [((0, 0, 0), 0)] * 6 + [((1, 1, 1), 9)]
+    assert len(calls) == 9
 
 
 def test_deform_op_memory_grows_linearly():

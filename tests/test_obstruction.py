@@ -27,6 +27,8 @@ from edl.obstruction import (
     sample_max_principle_instance,
     solve_mode_bvp,
 )
+from edl.config import build_config
+from edl.experiments import run_obstruction
 from edl.series import FourierSeries1D
 
 
@@ -41,6 +43,15 @@ def test_projection_is_delta_on_the_family():
     assert abs(coefs[1] - want) / want < 1e-4
     for i in (0, 2, 3):
         assert abs(coefs[i]) < 1e-10 * want
+
+
+def test_obstruction_run_holds_its_tol_at_high_modes():
+    # |Psi_l|^2 r is about |l| near r = 0, so the grid's lost [0, r_min]
+    # piece costs 2 |l| r_min relative; r_min = 1e-9 r_max / l_max keeps that
+    # at 6e-8 for every mode, where a fixed 1e-9 r_max cost 1.2e-5 at l = 200
+    outcome = run_obstruction(build_config("obstruction", {"l_min": 200, "l_max": 200}))
+    assert outcome.passed, outcome.failures
+    assert outcome.metrics["max_recovery_error"] < 1e-7
 
 
 def test_projection_validates_t_resolution():

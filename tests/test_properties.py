@@ -4,6 +4,7 @@ the closed-form operator assemblies against unit-vector probing."""
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from edl.series import FourierSeries1D, SmoothingFamily, hilbert_transform, multiply
@@ -20,7 +21,7 @@ from edl.deform import (
     realize_t,
     t_op,
 )
-from edl.newton import ToyProblem
+from edl.newton import ToyProblem, nash_moser_solve
 from edl.bandeig import certified_spectrum
 from edl.bgvar import (
     CutoffProfile,
@@ -210,6 +211,49 @@ def test_toy_jacobian_matches_probing(u, n, seed):
                n, n, u.circumference),
         probed(lambda v: prob.derivative_apply(u, v), n, n, u.circumference),
     )
+
+
+@PROPERTY
+@given(st.integers(0, 48), st.integers(0, 48), seeds)
+def test_banded_newton_solve_matches_dense_oracle(n, b, seed):
+    # a real state u of full band n, the same cut sharply at band b and cut by
+    # S_eps at 2/eps just above b (eps = 1 keeps modes 0 and +-1): the banded
+    # LU on the band of each against a dense solve of the Jacobian
+    rng = np.random.default_rng(seed)
+    b = min(b, n)
+    prob = ToyProblem(n_modes=n, strength=rng.uniform(0.1, 2.0))
+    modes = {0: rng.uniform(-0.1, 0.1)}
+    for l, a in enumerate(unit_coefficients(rng, n), start=1):
+        modes[l], modes[-l] = 0.1 * a / l, 0.1 * np.conj(a) / l
+    full = FourierSeries1D.from_modes(modes, n_modes=n)
+    sharp = FourierSeries1D.from_modes({l: a for l, a in modes.items() if abs(l) <= b}, n_modes=n)
+    cut = SmoothingFamily().apply(full, min(1.0, 2.0 / (b + 0.5)))
+    assert not cut.coeffs[np.abs(cut.modes()) > max(b, 1)].any()
+    g = FourierSeries1D(unit_coefficients(rng, 2 * n + 1))
+    for u in (full, sharp, cut):
+        want = np.linalg.solve(prob.jacobian(u), g.coeffs)
+        got = prob.solve_linearized(u, g).coeffs
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@PROPERTY
+@given(st.integers(0, 5), st.integers(-2, 2), st.integers(0, 8))
+def test_singular_diagonal_newton_step_fails(k, j, extra):
+    # u_0 = i / (2 strength l) makes row l of the diagonal Jacobian exactly
+    # zero (l and strength powers of two keep every product exact); the
+    # smoothed iteration on f = u_0 + 0.01 e^{2it} steps to u = u_0, as
+    # S_1 cuts mode 2, and its next linear solve fails
+    l, strength = 2**k, 2.0**j
+    n = max(l, 2) + extra
+    prob = ToyProblem(n_modes=n, strength=strength)
+    u0 = 1j / (2.0 * strength * l)
+    with pytest.raises(np.linalg.LinAlgError, match=f"at mode {l}$"):
+        prob.solve_linearized(FourierSeries1D.from_modes({0: u0}, n_modes=n),
+                              FourierSeries1D.from_modes({0: 1.0}, n_modes=n))
+    _, trace = nash_moser_solve(prob, FourierSeries1D.from_modes({0: u0, 2: 0.01}, n_modes=n))
+    assert trace.status == "solver_failed"
+    assert trace.iterations == 1
+    assert trace.message.endswith(f"at mode {l}")
 
 
 # -- banded spectral diagnostics against the dense oracles ---------------------------
