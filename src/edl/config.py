@@ -107,14 +107,15 @@ def dense_array_bound(cfg):
     real (2 l_max, 1200) profile array; traced, the run peaks at 7.38 to
     7.51 slabs from l_max 8 to 800 (the 13-row cross-talk field is built
     after the projection of the synthesized one and sits below that peak);
-    gram: two (L, 2000) profile arrays and fifteen 8-byte L x L matrices,
-    L = l_max - l_min + 1, one more than the fourteen and a boolean mask
-    the run holds at once: run_gram holds five and the mask (the
-    complex Gram matrix under a.real counts two, K = A - I, the weak and
-    strong envelopes) while gram_tail_trend's second gram_matrix holds nine
-    (three radial overlaps, the complex g, and the complex result and its
-    normalized copy); traced, the run peaks at 113 bytes per matrix entry
-    plus one profile array, 0.81 to 0.89 of the count from L = 100 to 2000.
+    gram: seven 8-byte L x L matrices, L = l_max - l_min + 1, one more than
+    the six and a boolean mask the run holds at once, and 1 MiB that does
+    not grow with them: the run peaks inside gram_matrix, which holds the
+    real s = |j| + |k| and radial overlap, the complex g_{j-k}, the complex
+    product that becomes A and the boolean identity; traced, the run peaks
+    at 49.1 to 49.5 bytes per entry from L = 600 to 1200. Below
+    L = 128 numpy does not reuse the temporaries of that product in place,
+    and the run peaks at 0.74 MB for L = 96, under the 1 MiB; run_gram's
+    envelopes (32 bytes per entry) and gram_tail_trend (24) sit below.
     """
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
@@ -122,7 +123,7 @@ def dense_array_bound(cfg):
         "nash-moser": ("n_modes", 16 * (3 * n + 1) * (2 * n + 1) + 2**20),
         "continuation": ("n_modes", 13 * 8 * 39 * 2 * (2 * n + 1)),
         "obstruction": ("l_max", 8 * 16 * 1200 * nt),
-        "gram": ("l_max", 16 * big_l * 2000 + 15 * 8 * big_l**2),
+        "gram": ("l_max", 7 * 8 * big_l**2 + 2**20),
     }.get(cfg.experiment, ("n_modes", 0))
 
 

@@ -20,6 +20,7 @@ from .dirac import (
     euclidean_obstruction_mode,
 )
 from .obstruction import (
+    GRAM_DECAY_POWER,
     WeightProfile,
     annuli_decay,
     conormal_rate,
@@ -220,19 +221,18 @@ def run_gram(cfg):
     failures, rows = [], []
     weight = WeightProfile.cosine(amplitude=0.1)
     l_values = list(range(cfg.l_min, cfg.l_max + 1))
-    a = gram_matrix(l_values, weight).real
-    k_block = a - np.eye(len(l_values))
+    k_block = gram_matrix(l_values, weight).real - np.eye(len(l_values))
     ls = np.asarray(l_values, dtype=float)
     weak = np.abs(k_block) * np.sqrt(ls[:, None] * ls[None, :])
     weak_const = float(np.max(weak))
     far = np.abs(ls[:, None] - ls[None, :]) >= (ls[:, None] * ls[None, :]) ** 0.25
     strong = np.abs(k_block) * (ls[:, None] * ls[None, :]) ** 2
     strong_const = float(np.max(strong[far])) if far.any() else 0.0
-    trend = gram_tail_trend(l_values, weight)
+    trend = gram_tail_trend(k_block, l_values)
     for c, n in zip(trend.cutoffs, trend.tail_norms):
         rows.append((int(c), float(n)))
     # the graded-norm prediction: tail(L0) <= smoothing_norm * L0^{-1/8}
-    envelope = trend.smoothing_norm * trend.cutoffs.astype(float) ** (-trend.decay_power)
+    envelope = trend.smoothing_norm * trend.cutoffs.astype(float) ** (-GRAM_DECAY_POWER)
     ratio = float(np.max(trend.tail_norms / np.maximum(envelope, 1e-300)))
     _check(failures, weak_const < 10.0,
            f"weak envelope constant {weak_const:.3f} unexpectedly large")

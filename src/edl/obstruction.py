@@ -158,47 +158,45 @@ class WeightProfile:
 def gram_matrix(l_values, weight):
     """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w / (2 pi L) of the family.
 
-    The t integral is analytic in the weight's modes, the theta integral is
-    2 pi (the family sits at k = 0), and the radial integrals are quadrature
-    on a geometric grid out to r = 12.
-    Opposite-sign pairs vanish identically through the (1 + sgn sgn) spinor
-    factor; same-sign pairs couple through g_{j-k} times a radial overlap.
+    Exact on the plane: the t integral picks the weight's mode g_{j-k}, the
+    theta integral is 2 pi (the family sits at k = 0), and with s = |j| + |k|
+    the radial overlaps are int psi_j psi_k r dr = sqrt|jk| / s, which is 1/2
+    on the diagonal, and int min(r, 1) psi_j psi_k r dr = sqrt|jk| (1 - e^{-s})
+    / s^2. Opposite-sign pairs vanish identically through the
+    (1 + sgn sgn) spinor factor; same-sign pairs carry that factor 2, so
+    A = I + K with K_jk = 2 g_{j-k} sqrt|jk| (1 - e^{-s}) / s^2; the diagonal
+    is exactly 1, since g has zero mean.
     """
     l_values = [int(l) for l in l_values]
     if any(l == 0 for l in l_values):
         raise ValueError("mode 0 is excluded on the plane")
     lmax = max(abs(l) for l in l_values)
-    rgrid = RadialGrid.geometric(12.0, 2000, r_min_factor=1e-7 / lmax)
-    prof = obstruction_profiles(l_values, rgrid)
-    ramp = np.minimum(rgrid.r, 1.0)
-    w = rgrid.area_weights()
-    plain = prof @ (w[:, None] * prof.T)          # int psi_j psi_k r dr
-    ramped = prof @ ((w * ramp)[:, None] * prof.T)
-    L = weight.g.circumference
     l_arr = np.asarray(l_values)
-    base = np.where(l_arr[:, None] == l_arr[None, :], L, 0.0)
+    size = np.abs(l_arr).astype(float)
+    s = size[:, None] + size[None, :]
+    ramped = np.sqrt(size[:, None] * size[None, :]) * -np.expm1(-s) / s**2
     g = weight.g.truncate(2 * lmax).coeffs[l_arr[:, None] - l_arr[None, :] + 2 * lmax]
-    out = TWO_PI * 2.0 * (base * plain + L * g * ramped)  # spinor factor 2 on same-sign pairs
+    out = (l_arr[:, None] == l_arr[None, :]) + 2.0 * g * ramped
     out[np.sign(l_arr)[:, None] != np.sign(l_arr)[None, :]] = 0.0
-    return out / (TWO_PI * L)
+    return out
 
 
 @dataclass
 class GramTailReport:
     cutoffs: np.ndarray
     tail_norms: np.ndarray
-    decay_power: float
     envelope_ok: bool
     monotone: bool
-    tightness_at_base: float
     smoothing_norm: float
 
 
 GRAM_DECAY_POWER = 0.125  # the graded-norm gain 0 -> 1/8 the envelope rests on
 
 
-def gram_tail_trend(l_values, weight, cutoffs=None):
-    """Tail behavior of K = A - Id over increasing low-mode cutoffs.
+def gram_tail_trend(k_block, l_values, cutoffs=None):
+    """Tail behavior of K = A - Id over increasing low-mode cutoffs; k_block
+    is the K of the caller's gram_matrix, its rows and columns in the order
+    of the positive modes l_values.
 
     tail_norms[i] is the spectral norm of K restricted to modes >= cutoff.
     The envelope C * (cutoff/base)^{-GRAM_DECAY_POWER} is calibrated at the first
@@ -206,35 +204,26 @@ def gram_tail_trend(l_values, weight, cutoffs=None):
     whether the sequence is monotone. smoothing_norm is the graded 0 -> 1/8
     norm of the full K block, the constant the envelope prediction rests on.
     """
-    l_values = np.asarray(sorted(int(l) for l in l_values))
+    l_values = np.asarray(l_values)
     if np.any(l_values <= 0):
         raise ValueError("tail trend is taken over the positive-mode block")
-    a = gram_matrix(l_values, weight).real
-    k_block = a - np.eye(len(l_values))
     if cutoffs is None:
-        lm = int(l_values[-1])
-        cutoffs = np.unique(np.geomspace(l_values[0], max(lm // 2, l_values[0] + 1), 6).astype(int))
+        lo, hi = int(l_values.min()), int(l_values.max())
+        cutoffs = np.unique(np.geomspace(lo, max(hi // 2, lo + 1), 6).astype(int))
     norms = []
     for c in cutoffs:
         keep = l_values >= c
         sub = k_block[np.ix_(keep, keep)]
         norms.append(float(np.linalg.norm(sub, 2)) if sub.size else 0.0)
     norms = np.array(norms)
-    base_c, base_n = float(cutoffs[0]), norms[0]
-    envelope = base_n * (np.asarray(cutoffs, float) / base_c) ** (-GRAM_DECAY_POWER)
-    ok = bool(np.all(norms <= envelope * (1.0 + 1e-12)))
-    mono = bool(np.all(np.diff(norms) <= 1e-12))
+    envelope = norms[0] * (np.asarray(cutoffs, float) / float(cutoffs[0])) ** (-GRAM_DECAY_POWER)
     wgt = (1.0 + l_values.astype(float) ** 2) ** (GRAM_DECAY_POWER / 2.0)
-    smoothing = float(np.linalg.norm(wgt[:, None] * k_block, 2))
-    tight = float(norms[0] / envelope[0]) if envelope[0] > 0 else 0.0
     return GramTailReport(
         cutoffs=np.asarray(cutoffs),
         tail_norms=norms,
-        decay_power=GRAM_DECAY_POWER,
-        envelope_ok=ok,
-        monotone=mono,
-        tightness_at_base=tight,
-        smoothing_norm=smoothing,
+        envelope_ok=bool(np.all(norms <= envelope * (1.0 + 1e-12))),
+        monotone=bool(np.all(np.diff(norms) <= 1e-12)),
+        smoothing_norm=float(np.linalg.norm(wgt[:, None] * k_block, 2)),
     )
 
 

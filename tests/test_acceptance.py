@@ -32,12 +32,9 @@ from edl.dirac import (
     solve_mode_ode,
 )
 from edl.obstruction import (
-    WeightProfile,
     annuli_decay,
     conormal_rate,
     discrete_max_principle,
-    gram_matrix,
-    gram_tail_trend,
     sample_max_principle_instance,
 )
 from edl.deform import (
@@ -54,7 +51,8 @@ from edl.newton import (
     smooth_f_preset,
 )
 from edl.cli import main
-from edl.experiments import bg_probe_design, random_nondegenerate_data
+from edl.config import build_config
+from edl.experiments import bg_probe_design, random_nondegenerate_data, run_experiment
 
 SEED = 20260815
 
@@ -248,18 +246,12 @@ def test_criterion_10_comparison_principle_and_annuli():
 
 
 def test_criterion_11_gram_envelopes():
-    weight = WeightProfile.cosine(amplitude=0.1)
-    l_values = list(range(1, 97))
-    a = gram_matrix(l_values, weight).real
-    k_block = a - np.eye(len(l_values))
-    ls = np.asarray(l_values, dtype=float)
-    weak = float(np.max(np.abs(k_block) * np.sqrt(ls[:, None] * ls[None, :])))
-    far = np.abs(ls[:, None] - ls[None, :]) >= (ls[:, None] * ls[None, :]) ** 0.25
-    strong = float(np.max((np.abs(k_block) * (ls[:, None] * ls[None, :]) ** 2)[far]))
-    trend = gram_tail_trend(l_values, weight)
-    envelope = trend.smoothing_norm * trend.cutoffs.astype(float) ** (-0.125)
-    ratio = float(np.max(trend.tail_norms / np.maximum(envelope, 1e-300)))
-    ok = (weak < 10.0 and strong < 10.0 and trend.monotone and ratio <= 2.0)
+    outcome = run_experiment(build_config("gram"))
+    m = outcome.metrics
+    weak, strong = m["weak_envelope_constant"], m["strong_envelope_constant"]
+    ratio = m["envelope_ratio_max"]
+    # the runner also checks monotone tails and the fitted envelope
+    ok = (not outcome.failures and weak < 10.0 and strong < 10.0 and ratio <= 2.0)
     _report(11, ok,
             f"1+0.1cos weight: off-diagonal envelope constants weak {weak:.3f}, "
             f"far-pair {strong:.3f}; tail norms monotone, within factor "

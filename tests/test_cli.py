@@ -194,6 +194,19 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
                 assert h1.read() == h2.read(), name
 
 
+def test_gram_summary_independent_of_blas_threads(tmp_path):
+    # the gram entries are closed-form and elementwise, so only the LAPACK
+    # norms see the thread count; the summary must not
+    code = "import sys\nfrom edl.cli import main\nprint(main(['gram', '--out', sys.argv[1]]))\n"
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert _last_line_of_python(code, out, OPENBLAS_NUM_THREADS=threads,
+                                    OMP_NUM_THREADS=threads) == "0"
+        summaries.append((out / "gram" / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
 # -- exit codes ---------------------------------------------------------------------------
 
 
@@ -291,8 +304,8 @@ def test_n_modes_floor_of_the_circle_commands(tmp_path, capsys):
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     # only validated, never run. obstruction holds eight complex
     # (2 l_max + 3) x 1200 slabs: its synthesized field at one theta sample,
-    # the field's t transforms and the projection's products; gram two
-    # (L, 2000) profile arrays and fifteen 8-byte L x L matrices
+    # the field's t transforms and the projection's products; gram seven
+    # 8-byte L x L matrices and 1 MiB
     top = max(l for l in range(1, 4096)
               if 8 * 16 * 1200 * (2 * l + 3) <= MATRIX_BYTE_BUDGET)
     assert top == 872
@@ -300,8 +313,8 @@ def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
         build_config("obstruction", {"l_max": top + 1})
     span = max(n for n in range(1, 8192)
-               if 16 * n * 2000 + 15 * 8 * n * n <= MATRIX_BYTE_BUDGET)
-    assert span == 1368
+               if 7 * 8 * n * n + 2**20 <= MATRIX_BYTE_BUDGET)
+    assert span == 2185
     assert build_config("gram", {"l_min": 1, "l_max": span}).l_max == span
     assert build_config("gram", {"l_min": 500, "l_max": 499 + span}).l_max == 499 + span
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
@@ -341,11 +354,12 @@ def test_every_array_budget_bounds_its_run(command, keys):
     assert peak <= dense_array_bound(cfg)[1]
 
 
-def _last_line_of_python(code, *args):
-    """Run code in a fresh interpreter on this checkout's src; its last line."""
+def _last_line_of_python(code, *args, **env_vars):
+    """Run code in a fresh interpreter on this checkout's src, with env_vars
+    added to its environment; its last line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
+from scipy.integrate import quad, solve_bvp
 
 from edl.dirac import (
     RadialGrid,
@@ -28,7 +28,7 @@ from edl.obstruction import (
     solve_mode_bvp,
 )
 from edl.config import build_config
-from edl.experiments import run_obstruction
+from edl.experiments import run_gram, run_obstruction
 from edl.series import FourierSeries1D
 
 
@@ -157,10 +157,9 @@ def test_gram_diagonal_and_sign_structure():
     w = WeightProfile.cosine(amplitude=0.1)
     ls = [1, 2, 3, -1, -2, -3]
     a = gram_matrix(ls, w)
-    # diagonal: weight fluctuation integrates to zero in t, so only the
-    # truncated-axis quadrature separates it from 1
-    for i in range(6):
-        assert abs(a[i, i] - 1.0) < 1e-5
+    # diagonal: the weight fluctuation integrates to zero in t, so each mode
+    # pairs to exactly 1 with itself
+    assert np.array_equal(np.diag(a), np.ones(6))
     # opposite-sign pairs vanish identically
     for i, j in ((0, 3), (1, 4), (0, 4), (2, 3)):
         assert a[i, j] == 0.0
@@ -183,26 +182,77 @@ def test_gram_adjacent_entries_scale_like_inverse_mode():
         # exact ramped overlap: amp sqrt(k(k+1)) (1 - e^{-(2k+1)}) / (2k+1)^2
         aa = 2.0 * k + 1.0
         want = 0.1 * math.sqrt(k * (k + 1.0)) * (1.0 - math.exp(-aa)) / aa**2
-        assert got == pytest.approx(want, rel=1e-3)
+        assert got == pytest.approx(want, rel=1e-12)
     # ~ amp/(4k) for large k: quadrupling the mode quarters the coupling
     assert abs(a[1, 2]) / abs(a[7, 8]) == pytest.approx(4.0, rel=0.25)
     # only adjacent modes couple for a single-harmonic weight
     assert abs(a[0, 5]) == 0.0
 
 
-def test_gram_tail_trend_envelope():
+def _twelve_mode_weight():
     # amplitude spread over modes 1..12 with weights (1 + m^2)^-4
-    w = WeightProfile(g=FourierSeries1D.from_modes(
+    return WeightProfile(g=FourierSeries1D.from_modes(
         {s * m: 0.05 * (1.0 + m * m) ** -4.0 for m in range(1, 13) for s in (1, -1)}))
+
+
+def test_gram_matches_quadrature_of_the_radial_pairing():
+    # an independent quad of <Psi_j, Psi_k>_w / (2 pi L) on the plane: the t
+    # integral picks g_{j-k}, the spinor factor (1 + sgn j sgn k) is 2, and
+    # the radial pairing against 1 + g min(r, 1) is integrated by quad
+    w = _twelve_mode_weight()
+    ls = [1, 2, 3, 5, 9, 20, -1, -2, -4, -13]
+    a = gram_matrix(ls, w)
+
+    def psi(l, r):
+        return math.sqrt(abs(l)) * math.exp(-abs(l) * r) / math.sqrt(r)
+
+    def radial(j, k, ramp):
+        def f(r):
+            return psi(j, r) * psi(k, r) * r * ramp(r)
+        return (quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                + quad(f, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+
+    checked = 0
+    for i, j in enumerate(ls):
+        for m, k in enumerate(ls):
+            if (j > 0) != (k > 0):
+                assert a[i, m] == 0.0
+                continue
+            want = 2.0 * w.g.coeff(j - k) * radial(j, k, lambda r: min(r, 1.0))
+            if j == k:
+                want += 2.0 * radial(j, k, lambda r: 1.0)
+            if want != 0.0:
+                assert abs(a[i, m] - want) <= 1e-12 * abs(want), (j, k)
+                checked += 1
+            else:
+                assert a[i, m] == 0.0
+    assert checked > len(ls)  # off-diagonal pairs were compared, not only the diagonal
+
+
+def test_gram_tail_trend_envelope():
+    w = _twelve_mode_weight()
     ls = list(range(1, 49))
-    rep = gram_tail_trend(ls, w, cutoffs=[1, 2, 4, 8, 16, 24])
+    k_block = gram_matrix(ls, w).real - np.eye(len(ls))
+    rep = gram_tail_trend(k_block, ls, cutoffs=[1, 2, 4, 8, 16, 24])
     assert np.all(rep.tail_norms > 0.0)  # non-vacuous: every tail still couples
     assert rep.envelope_ok
     assert rep.monotone
-    assert rep.tightness_at_base == pytest.approx(1.0)
     assert np.isfinite(rep.smoothing_norm) and rep.smoothing_norm > 0.0
     # honest decay is much faster than the certified envelope
     assert rep.tail_norms[-1] < 0.2 * rep.tail_norms[0]
+
+
+def test_run_gram_builds_the_gram_matrix_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gram_matrix(*args)
+
+    monkeypatch.setattr("edl.experiments.gram_matrix", counted)
+    monkeypatch.setattr("edl.obstruction.gram_matrix", counted)
+    assert run_gram(build_config("gram")).failures == []
+    assert len(calls) == 1
 
 
 # -- radial solves and annuli -------------------------------------------------------
