@@ -2,9 +2,9 @@
 
 Exit status: 0 when every configured assertion passes (or assertions are
 disabled), 1 with a machine-readable failure list when an assertion fails,
-2 on configuration or usage errors, 3 when the runner crashes (a solver
-failure, a singular matrix); the crash leaves only a `summary.json` with
-`pass: false` and `error: "<Type>: <message>"`.
+2 on configuration or usage errors, 3 when the runner or the artifact
+writer crashes (a singular matrix, a full disk): that leaves only a
+`summary.json` with `pass: false` and `error: "<Type>: <message>"`.
 """
 
 from __future__ import annotations
@@ -80,18 +80,18 @@ def main(argv=None):
         return 2
     try:
         outcome = run_experiment(cfg)
+        folder = write_artifacts(outcome, cfg.out_dir)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         summary = ExperimentOutcome(cfg.experiment, {}, [error], [], []).summary()
         summary["error"] = error
         folder = os.path.join(cfg.out_dir, cfg.experiment)
-        for stale in ("results.csv", "plot.svg"):  # an earlier run's, not this one's
+        for stale in ("results.csv", "plot.svg"):  # an earlier run's, or half-written
             if os.path.exists(os.path.join(folder, stale)):
                 os.remove(os.path.join(folder, stale))
         atomic_write_json(os.path.join(folder, "summary.json"), summary)
         print(f"edl: {cfg.experiment} crashed: {error}", file=sys.stderr)
         return 3
-    folder = write_artifacts(outcome, cfg.out_dir)
     status = "pass" if outcome.passed else "FAIL"
     print(f"{cfg.experiment}: {status} ({len(outcome.rows)} rows -> {folder})")
     if not outcome.passed and cfg.do_assert:

@@ -49,6 +49,9 @@ class ExperimentConfig:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
             raise ConfigError(f"l_max {self.l_max} below l_min {self.l_min}")
+        span = self.l_max - self.l_min + 1
+        if self.experiment == "gram" and span < MIN_GRAM_MODES:
+            raise ConfigError(f"gram needs at least {MIN_GRAM_MODES} modes, got {span}")
         for name in ("r0", "r_max", "eps0", "tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -76,6 +79,7 @@ MATRIX_BYTE_BUDGET = 256 * 2**20
 # are pre-asymptotic below N = 10: n_modes 8 fails at 5 of 6 seeds, 9 at 4;
 # continuation's right-hand side lives on modes |l| <= 6
 MIN_N_MODES = {"deform-op": 10, "continuation": 6}
+MIN_GRAM_MODES = 3  # so that gram's last tail cutoff keeps a coupled pair of modes
 
 
 def dense_array_bound(cfg):

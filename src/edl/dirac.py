@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -94,6 +94,13 @@ def _fornberg_weights(z, x, m):
 FD_ORDER = 8  # accuracy order of the log-grid derivative stencils
 
 
+@cache
+def _unit_stencils(width):
+    """d/ds weights on `width` nodes of unit spacing; row j is offset j."""
+    s = np.arange(width, dtype=float)
+    return np.array([_fornberg_weights(z, s, 1) for z in s])
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Geometric grid on (0, R]; uniform in s = log r.
@@ -133,12 +140,10 @@ class RadialGrid:
 
         Row i of d/ds differentiates at offset i - lo(i) within the window of
         `width` nodes starting at lo(i) = clip(i - width // 2, 0, n - width).
-        The grid is uniform in s, so the weights depend only on that offset:
-        `width` distinct stencils serve all rows.
+        The grid is uniform in s, so the weights depend only on that offset,
+        and scale as 1/ds: one unit-spacing table, over ds, serves all rows.
         """
-        width = min(FD_ORDER, self.r.size - 1) + 1
-        s = np.arange(width) * self.ds
-        return np.array([_fornberg_weights(z, s, 1) for z in s])
+        return _unit_stencils(min(FD_ORDER, self.r.size - 1) + 1) / self.ds
 
     def derivative(self, values, axis=0):
         """d/dr via the log-grid stencil: d/dr = (1/r) d/ds.

@@ -60,7 +60,6 @@ def project_to_obstruction(field, l_values):
 
 @dataclass
 class ConormalReport:
-    p: float
     l_values: np.ndarray
     coefficients: np.ndarray
     slope: float
@@ -119,7 +118,6 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     prefactor = float(np.mean(ratios)) / gamma
 
     return ConormalReport(
-        p=float(p),
         l_values=l_values,
         coefficients=coefs,
         slope=float(slope),
@@ -315,7 +313,6 @@ def annulus_energy_norms(u, nu, l, rgrid, partition):
 @dataclass
 class AnnuliDecayReport:
     l: float
-    norms: np.ndarray
     rate_per_annulus: float
     n_used: int
 
@@ -345,7 +342,7 @@ def annuli_decay(nu, l, r_scale=1.0):
     usable = norms > 1e-14 * norms[0]
     idx = np.arange(len(norms))[usable]
     rate = -float(np.polyfit(idx, np.log(norms[usable]), 1)[0])
-    return AnnuliDecayReport(l=l, norms=norms, rate_per_annulus=rate, n_used=int(usable.sum()))
+    return AnnuliDecayReport(l=l, rate_per_annulus=rate, n_used=int(usable.sum()))
 
 
 # -- discrete maximum principle ------------------------------------------------------

@@ -270,7 +270,6 @@ class SmoothingAxiomRow:
 @dataclass
 class SmoothingAxiomReport:
     rows: list
-    ceiling: float
     passed: bool
 
     def worst(self):
@@ -332,7 +331,7 @@ def verify_smoothing_axioms(family, m_max, eps_grid):
     passed = all(
         np.isfinite(r.max_ratio) and r.max_ratio <= SMOOTHING_RATIO_CEILING for r in rows
     )
-    return SmoothingAxiomReport(rows=rows, ceiling=SMOOTHING_RATIO_CEILING, passed=passed)
+    return SmoothingAxiomReport(rows=rows, passed=passed)
 
 
 # -- pointwise bound on radial profiles -------------------------------------------
@@ -344,7 +343,6 @@ class DyadicBoundReport:
     b_norm: float
     ratio: float
     chain_bound: float
-    shell_norms: list
     integrable: bool
 
 
@@ -400,6 +398,5 @@ def dyadic_pointwise_bound(r, values, alpha):
         b_norm=b_norm,
         ratio=ratio,
         chain_bound=chain_bound,
-        shell_norms=shell_norms,
         integrable=integrable,
     )

@@ -5,6 +5,16 @@ Twelve numbered criteria, one per test, each printing a single
 condition. Together they pin the closed-form kernel family, the radial
 solver, pairing decay rates, operator diagnostics, the smoothing axioms,
 the two-solver comparison, and artifact determinism.
+
+Criteria 3, 7, 9, 10 and 11 run the runner of their command (`conormal`,
+`bg-check`, `nash-moser`, `decay`, `gram`) once, so each of those claims has
+its inputs and acceptance rule in one place; they pass when the runner
+reports no failure and restate the bounds of the numbers they print.
+Criteria 1, 2, 4, 5, 6, 8 and 12 check library results against closed forms
+or against their own references. Criteria 5 and 6 stay off the `deform-op`
+runner on purpose: they test truncations (64, 128, 256) and 32..512, which
+no `deform-op` config reproduces, and a constant-data margin of 0.1 where
+the runner checks 1e-3, so reading the runner would loosen them.
 """
 
 import math
@@ -31,28 +41,14 @@ from edl.dirac import (
     mu_perturbed_mode,
     solve_mode_ode,
 )
-from edl.obstruction import (
-    annuli_decay,
-    conormal_rate,
-    discrete_max_principle,
-    sample_max_principle_instance,
-)
 from edl.deform import (
     fredholm_diagnostics,
     ll_star_defect_operator,
     loss_of_regularity_profile,
 )
-from edl.bgvar import bg_pairing_comparison
-from edl.newton import (
-    ToyProblem,
-    nash_moser_solve,
-    plain_newton_solve,
-    rough_f_preset,
-    smooth_f_preset,
-)
 from edl.cli import main
 from edl.config import build_config
-from edl.experiments import bg_probe_design, random_nondegenerate_data, run_experiment
+from edl.experiments import random_nondegenerate_data, run_experiment
 
 SEED = 20260815
 
@@ -101,15 +97,13 @@ def test_criterion_02_radial_ode_branches():
 
 
 def test_criterion_03_conormal_rates():
-    l_values = sorted(set(np.geomspace(8, 256, 12).astype(int)))
-    f = FourierSeries1D.from_modes({int(l): 1.0 for l in l_values})
-    details, ok = [], True
-    for p in (0.5, 1.5, 2.5):
-        rep = conormal_rate(p, f, l_values)
-        target = -(p + 1.0)
-        ok = ok and rep.fit_valid and abs(rep.slope - target) <= 0.05
-        details.append(f"p={p}: {rep.slope:.3f}")
-    _report(3, ok, "pairing decay slopes " + ", ".join(details)
+    # the runner fits 12 geometric probes in [8, 256] and flags invalid fits
+    outcome = run_experiment(build_config("conormal"))
+    slopes = outcome.metrics["slopes"]
+    ok = not outcome.failures and all(
+        abs(s + float(p) + 1.0) <= 0.05 for p, s in slopes.items())
+    _report(3, ok, "pairing decay slopes "
+            + ", ".join(f"p={p}: {s:.3f}" for p, s in slopes.items())
             + " match -(p+1) within 0.05 over l in [8, 256]")
 
 
@@ -163,17 +157,17 @@ def test_criterion_06_loss_of_regularity():
 
 
 def test_criterion_07_metric_variation_cross_check():
-    data, eta = bg_probe_design(128)
-    report = bg_pairing_comparison(data, eta, l_values=(8, 16, 32, 64, 128))
-    exp_ok = math.isfinite(report.deviation_exponent) and \
-        -1.2 <= report.deviation_exponent <= -0.8
-    const_ok = report.closest_candidate == -0.75 and report.max_imag < 1e-6
-    dist = report.candidate_distances
-    _report(7, exp_ok and const_ok,
-            f"pairing/prediction ratio -> {report.fitted_constant:.5f} "
-            f"(candidates: -3/4 at {dist[-0.75]:.2e}, -3/2 at {dist[-1.5]:.2f}), "
-            f"deviation exponent {report.deviation_exponent:.3f} in [-1.2, -0.8] "
-            f"over l in [8, 128]")
+    # the runner also checks that -3/4 is the closest candidate and that the
+    # ratio is real to 1e-6
+    outcome = run_experiment(build_config("bg-check"))
+    m = outcome.metrics
+    exponent, dist = m["deviation_exponent"], m["candidate_distances"]
+    ok = not outcome.failures and exponent is not None and -1.2 <= exponent <= -0.8
+    shown = "undefined" if exponent is None else f"{exponent:.3f}"
+    _report(7, ok,
+            f"pairing/prediction ratio -> {m['fitted_constant']:.5f} "
+            f"(candidates: -3/4 at {dist['-0.75']:.2e}, -3/2 at {dist['-1.5']:.2f}), "
+            f"deviation exponent {shown} in [-1.2, -0.8] over l in [8, 128]")
 
 
 def test_criterion_08_smoothing_axioms():
@@ -201,45 +195,27 @@ def test_criterion_08_smoothing_axioms():
 
 
 def test_criterion_09_newton_comparison():
-    problem = ToyProblem(n_modes=96)
-    rough = rough_f_preset()
-    _, plain_trace = plain_newton_solve(problem, rough, max_steps=30, tol=1e-10)
-    u_nm, nm_trace = nash_moser_solve(problem, rough, max_steps=30, tol=1e-10)
-    rough_ok = (plain_trace.status == "diverged"
-                and nm_trace.status == "converged"
-                and nm_trace.final_residual < 1e-8
-                and nm_trace.iterations <= 30)
-    smooth = smooth_f_preset()
-    u_p, tr_p = plain_newton_solve(problem, smooth, max_steps=30, tol=1e-12)
-    u_n, tr_n = nash_moser_solve(problem, smooth, max_steps=40, tol=1e-12)
-    gap = (u_p - u_n).sobolev_norm(problem.m0)
-    smooth_ok = tr_p.status == tr_n.status == "converged" and gap < 1e-8
-    _report(9, rough_ok and smooth_ok,
+    # rough preset: both solvers at 30 steps, the smoothed residual checked
+    # against tol; smooth preset: both converge to 1e-12
+    outcome = run_experiment(build_config("nash-moser", {"tol": 1e-10}))
+    m = outcome.metrics
+    gap = m["smooth_solution_gap"]
+    ok = not outcome.failures and m["plain_rough_diverged"] and gap < 1e-8
+    _report(9, ok,
             f"rough preset: plain diverged (certificate), smoothed residual "
-            f"{nm_trace.final_residual:.1e} in {nm_trace.iterations} steps; "
-            f"smooth preset: both converge, gap {gap:.1e} < 1e-8")
+            f"{m['smoothed_rough_residual']:.1e} in {m['smoothed_rough_iterations']} "
+            f"steps; smooth preset: both converge, gap {gap:.1e} < 1e-8")
 
 
 def test_criterion_10_comparison_principle_and_annuli():
-    rng = np.random.default_rng(SEED + 3)
-    valid = sum(
-        discrete_max_principle(*sample_max_principle_instance(rng), 0.4).certified
-        for _ in range(1000)
-    )
-    pinpointed = 0
-    for _ in range(100):
-        seq, barrier = sample_max_principle_instance(rng)
-        bad = np.array(seq, dtype=float)
-        idx = int(rng.integers(1, len(bad) - 1))
-        bad[idx] = barrier[idx] + rng.uniform(0.5, 2.0)
-        res = discrete_max_principle(bad, barrier, 0.4)
-        if not res.certified and (res.hypothesis_violation is not None
-                                  or res.conclusion_violation is not None):
-            pinpointed += 1
-    rates = [annuli_decay(0.5, l, r_scale=1.0).rate_per_annulus
-             for l in (4, 8, 16, 32, 64)]
-    spread = (max(rates) - min(rates)) / float(np.mean(rates))
-    _report(10, valid == 1000 and pinpointed == 100 and spread < 0.2,
+    # 1000 valid instances, then min(100, samples) perturbed ones; the annuli
+    # rates at l = 4..64 draw no random numbers
+    outcome = run_experiment(build_config("decay", {"samples": 1000, "seed": SEED + 3}))
+    m = outcome.metrics
+    valid, pinpointed = m["valid_certified"], m["invalid_detected"]
+    spread = m["rate_spread"]
+    _report(10, not outcome.failures and valid == 1000 and pinpointed == 100
+            and spread < 0.2,
             f"comparison principle: {valid}/1000 valid certified, "
             f"{pinpointed}/100 violations pinpointed; annuli rate spread "
             f"{spread:.3f} < 0.2 over l in {{4..64}}")

@@ -333,6 +333,23 @@ def test_l_range_bounded_by_array_budget(tmp_path, capsys):
         assert not (tmp_path / command).exists()
 
 
+def test_gram_range_floor(tmp_path, capsys):
+    # on one or two modes the last tail cutoff leaves no coupled pair, its
+    # tail norm is 0 and the log-scale plot of the trend cannot be drawn
+    for l_min, l_max in ((5, 5), (1, 2)):
+        with pytest.raises(ConfigError, match="at least 3 modes"):
+            build_config("gram", {"l_min": l_min, "l_max": l_max})
+        cfgfile = tmp_path / "short.cfg"
+        cfgfile.write_text(f"l_min = {l_min}\nl_max = {l_max}\n")
+        rc = main(["gram", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "at least 3 modes" in capsys.readouterr().err
+        assert not (tmp_path / "gram").exists()
+    cfgfile.write_text("l_min = 1\nl_max = 3\n")
+    assert main(["gram", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "gram" / "plot.svg").exists()
+
+
 @pytest.mark.parametrize("command, keys", [
     ("obstruction", {"l_max": 100}),
     ("gram", {"l_min": 1, "l_max": 600}),
@@ -455,6 +472,21 @@ def test_exit_three_on_runner_crash(tmp_path, capsys, monkeypatch):
     assert summary["experiment"] == "conormal"
     assert summary["paper_anchor"] == PAPER_ANCHORS["conormal"]
     assert summary["failures"] == [summary["error"]]
+
+
+def test_exit_three_when_artifacts_cannot_be_written(tmp_path, capsys, monkeypatch):
+    def broken_plot(path, **plot):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("edl.cli.write_line_plot", broken_plot)
+    rc = main(["conormal", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "OSError: disk full" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "conormal")) == ["summary.json"]
+    with open(tmp_path / "conormal" / "summary.json") as handle:
+        summary = json.loads(handle.read(), parse_constant=_reject_constant)
+    assert summary["pass"] is False
+    assert summary["error"] == "OSError: disk full"
 
 
 def test_exit_two_on_unknown_command():

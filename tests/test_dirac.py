@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from edl import dirac
 from edl.dirac import (
     AdjointnessReport,
     LeadingData,
@@ -93,6 +94,23 @@ def test_banded_stencil_is_bitwise_the_csr_product(n, dtype, others, axis):
     got, want = g.derivative(values, axis=axis), csr_derivative(g, values, axis)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def test_stencils_built_once_per_width(monkeypatch):
+    # the weights scale as 1/ds, so grids of one width share one unit table
+    calls = []
+
+    def counting(z, x, m):
+        calls.append(z)
+        return fornberg(z, x, m)
+
+    fornberg = dirac._fornberg_weights
+    dirac._unit_stencils.cache_clear()
+    monkeypatch.setattr(dirac, "_fornberg_weights", counting)
+    for r_max in (1.0, 2.0, 3.0, 5.0, 8.0):
+        g = RadialGrid.geometric(r_max, 1500, r_min_factor=1e-4 / r_max)
+        assert np.allclose(g._stencils * g.ds, dirac._unit_stencils(9))
+    assert len(calls) <= 9
 
 
 # -- mode matrices and Clifford relations -------------------------------------
