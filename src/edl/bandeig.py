@@ -16,8 +16,9 @@ inertia.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dstev
+import numpy.random  # numpy loads it lazily: load it here, not during a command
+
+from .lapack import dpbtrf, dsbmv, dstev
 
 # rounding allowance of a Gram Ritz value and of the shifted Cholesky that
 # certifies it, times lambda_max; also the residual a Ritz pair converges to

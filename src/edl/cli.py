@@ -4,13 +4,16 @@ Exit status: 0 when every configured assertion passes (or assertions are
 disabled), 1 with a machine-readable failure list when an assertion fails,
 2 on configuration or usage errors, 3 when the runner or the artifact
 writer crashes (a singular matrix, a full disk): that leaves only a
-`summary.json` with `pass: false` and `error: "<Type>: <message>"`.
+`summary.json` with `pass: false` and `error: "<Type>: <message>"`, or
+no file at all when the artifact folder itself cannot be made (`--out`
+names a regular file); either way one `edl:` line on stderr says why.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's gettext loads it when main builds the parser: load it here
 import os
 import sys
 
@@ -86,10 +89,13 @@ def main(argv=None):
         summary = ExperimentOutcome(cfg.experiment, {}, [error], [], []).summary()
         summary["error"] = error
         folder = os.path.join(cfg.out_dir, cfg.experiment)
-        for stale in ("results.csv", "plot.svg"):  # an earlier run's, or half-written
-            if os.path.exists(os.path.join(folder, stale)):
-                os.remove(os.path.join(folder, stale))
-        atomic_write_json(os.path.join(folder, "summary.json"), summary)
+        try:
+            for stale in ("results.csv", "plot.svg"):  # an earlier run's, or half-written
+                if os.path.exists(os.path.join(folder, stale)):
+                    os.remove(os.path.join(folder, stale))
+            atomic_write_json(os.path.join(folder, "summary.json"), summary)
+        except OSError as unwritable:  # the folder itself cannot be made
+            error += f"; no summary.json written ({type(unwritable).__name__})"
         print(f"edl: {cfg.experiment} crashed: {error}", file=sys.stderr)
         return 3
     status = "pass" if outcome.passed else "FAIL"

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .series import (
     FourierSeries1D,
@@ -47,6 +45,7 @@ from .series import (
 )
 from .dirac import LeadingData, sgn
 from .bandeig import bisect_top, certified_spectrum
+from .lapack import dsytrf, dsytrs, solve_banded
 
 T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
 MIN_PIVOT_BLOCK = 16  # side floor of the inertia count's blocks: few, short loop steps

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
 from .series import FourierSeries1D, TWO_PI, multiply
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not during a command
 
 from .series import FourierSeries1D, TWO_PI
 from .dirac import (

@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it here, not during a command
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import zgbsv
 
 from .series import (
     FourierSeries1D,
@@ -44,6 +44,7 @@ from .series import (
     multiply,
 )
 from .deform import ExtendedSystem
+from .lapack import zgbsv
 
 
 # -- iteration records ---------------------------------------------------------------

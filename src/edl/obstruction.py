@@ -10,10 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
 from .series import FourierSeries1D, TWO_PI, cutoff_c2
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
+from .lapack import solve_banded
 
 
 # -- projection ---------------------------------------------------------------
@@ -207,7 +208,10 @@ def gram_tail_trend(k_block, l_values, cutoffs=None):
         raise ValueError("tail trend is taken over the positive-mode block")
     if cutoffs is None:
         lo, hi = int(l_values.min()), int(l_values.max())
-        cutoffs = np.unique(np.geomspace(lo, max(hi // 2, lo + 1), 6).astype(int))
+        # the rounded geometric steps are sorted: drop repeats without
+        # np.unique, whose import of numpy.ma no command needs
+        steps = np.geomspace(lo, max(hi // 2, lo + 1), 6).astype(int).tolist()
+        cutoffs = np.array(sorted(set(steps)))
     norms = []
     for c in cutoffs:
         keep = l_values >= c

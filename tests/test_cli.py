@@ -383,19 +383,19 @@ def _last_line_of_python(code, *args, **env_vars):
     return done.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_stops_at_numpy_and_scipy_linalg():
-    # the CLI needs only scipy.linalg; scipy.optimize pulled in scipy.special,
-    # scipy.fft, scipy.spatial and scipy.sparse, and the radial solve of decay
-    # is one banded system, so scipy.integrate's solve_bvp and the
-    # scipy.interpolate it loads must not come back
+def test_cli_import_stops_at_numpy_and_the_lapack_wrappers():
+    # the CLI needs only scipy's two compiled LAPACK/BLAS wrappers, loaded by
+    # edl.lapack from their files: the scipy and scipy.linalg packages, and
+    # the numpy.f2py, numpy.testing and numpy.ma their initialisers clone
+    # numpy's namespace with, cost every run about 0.2 s and must not come
+    # back, nor any scipy subpackage (scipy.optimize, scipy.integrate, ...)
     code = (
         "import sys\n"
         "import edl.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize',\n"
-        "    'scipy.sparse', 'scipy.special', 'scipy.fft', 'scipy.spatial',\n"
-        "    'scipy.integrate', 'scipy.interpolate'))))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "    or m.split('.')[:2] in (['numpy', 'f2py'], ['numpy', 'testing'], ['numpy', 'ma'])))\n"
     )
-    assert _last_line_of_python(code) == "[]"
+    assert _last_line_of_python(code) == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
 
 
 SMALL_CONFIGS = {
@@ -487,6 +487,19 @@ def test_exit_three_when_artifacts_cannot_be_written(tmp_path, capsys, monkeypat
         summary = json.loads(handle.read(), parse_constant=_reject_constant)
     assert summary["pass"] is False
     assert summary["error"] == "OSError: disk full"
+
+
+def test_exit_three_when_the_artifact_folder_cannot_be_made(tmp_path, capsys):
+    # --out names a regular file: neither the artifacts nor the crash
+    # summary can be written, and the run still ends in one line and exit 3
+    out = tmp_path / "f"
+    out.write_text("")
+    rc = main(["conormal", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("edl:") == 1 and "Traceback" not in err
+    assert "NotADirectoryError" in err and "no summary.json written" in err
+    assert out.read_text() == ""
 
 
 def test_exit_two_on_unknown_command():

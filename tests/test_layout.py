@@ -1,4 +1,4 @@
-"""What `src/edl` carries beyond the CLI, and which of its modules load scipy.
+"""What `src/edl` carries beyond the CLI, and how it reaches scipy's LAPACK.
 
 The walk starts at every top-level statement of `cli.py` and follows the
 names that each reached top-level definition mentions, through the package's
@@ -8,6 +8,7 @@ it needs an entry in LEDGER that says which check keeps it."""
 
 import ast
 import os
+import re
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "edl")
 
@@ -108,47 +109,71 @@ def test_code_only_tests_reach_is_in_the_ledger():
     assert unreached == set(LEDGER)
 
 
+def _scipy_references(tree):
+    """The imports of tree that name scipy, and its string constants that
+    are a whole scipy module name (as import_module or find_spec take)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "scipy":
+                found.append(node.module)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"scipy(\.\w+)*", node.value):
+                found.append(node.value)
+    return found
+
+
 def test_only_the_lapack_modules_import_scipy():
-    # bandeig, deform, newton and obstruction call LAPACK routines numpy
-    # lacks; any other scipy import is a new dependency of the CLI and takes
-    # an edit here
+    # lapack.py alone names scipy: it loads the two compiled wrappers, not
+    # the scipy or scipy.linalg packages, whose initialisers cost every run
+    # about 0.2 s; another scipy import is a new dependency of the CLI and
+    # takes an edit here
     importers = set()
+    for f in os.listdir(SRC):
+        if f.endswith(".py"):
+            with open(os.path.join(SRC, f)) as fh:
+                if _scipy_references(ast.parse(fh.read())):
+                    importers.add(f[:-3])
+    assert importers == {"lapack"}
+    with open(os.path.join(SRC, "lapack.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert set(_scipy_references(tree)) == {"scipy"}  # find_spec, to locate the wrappers
+    loaded = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load"
+    }
+    assert loaded == {"_flapack", "_fblas"}
+
+
+def test_the_circle_modules_import_only_the_lapack_routines_they_call():
+    # the Fredholm diagnostics read two eigenvalues of each Gram; a routine
+    # that computes the whole spectrum (eig_banded, eigh) takes an edit here,
+    # in lapack.py's exports and in the importers below
+    want = {
+        "bandeig": {"dpbtrf", "dsbmv", "dstev"},
+        "deform": {"dsytrf", "dsytrs", "solve_banded"},
+        "newton": {"zgbsv"},
+        "obstruction": {"solve_banded"},
+    }
+    imported = {}
     for f in os.listdir(SRC):
         if not f.endswith(".py"):
             continue
         with open(os.path.join(SRC, f)) as fh:
             tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(f[:-3])
-    assert importers == {"bandeig", "deform", "newton", "obstruction"}
-
-
-def test_the_circle_modules_import_only_the_lapack_routines_they_call():
-    # the Fredholm diagnostics read two eigenvalues of each Gram; a routine
-    # that computes the whole spectrum (eig_banded, eigh) takes an edit here
-    want = {
-        "bandeig": {"dpbtrf", "dsbmv", "dstev"},
-        "deform": {"dsytrf", "dsytrs", "solve_banded"},
-        "newton": {"zgbsv"},
-    }
-    for module, names in want.items():
-        with open(os.path.join(SRC, module + ".py")) as fh:
-            tree = ast.parse(fh.read())
-        imported = {
+        names = {
             alias.name
             for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "lapack"
             for alias in node.names
         }
-        assert not any(
-            isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
-            for node in ast.walk(tree)
-        ), module
-        assert imported == names, module
+        if names:
+            imported[f[:-3]] = names
+    assert imported == want
+    defs, uses, _, _ = read_module(os.path.join(SRC, "lapack.py"))
+    exported = {name for name in set(uses) | defs if not name.startswith("_")}
+    assert exported == {"dgbsv", "dgtsv", "dpbtrf", "dsbmv", "dstev", "dsytrf", "dsytrs",
+                        "zgbsv", "solve_banded"}
