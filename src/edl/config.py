@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import difflib
 import math
-import os
 from dataclasses import dataclass, fields, replace
 
 
@@ -59,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError(f"theta must exceed 1, got {self.theta}")
         if self.max_steps <= 0 or self.samples <= 0:
             raise ConfigError("max_steps and samples must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         key, need = dense_array_bound(self)
         if need > MATRIX_BYTE_BUDGET:
             raise ConfigError(
@@ -207,10 +208,14 @@ def build_config(experiment, overrides=None):
 
 
 def load_config(path, experiment=""):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as handle:
-        return parse_config_text(handle.read(), experiment)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, experiment)
 
 
 def with_overrides(config, **kwargs):

@@ -45,7 +45,7 @@ from .series import (
 )
 from .dirac import LeadingData, sgn
 from .bandeig import bisect_top, certified_spectrum
-from .lapack import dsytrf, dsytrs, solve_banded
+from .lapack import dgbsv, dsytrf, dsytrs
 
 T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
 MIN_PIVOT_BLOCK = 16  # side floor of the inertia count's blocks: few, short loop steps
@@ -487,8 +487,13 @@ class ExtendedSystem:
         """
         rhs = real_coords(g_series.truncate(self.n_modes))
         rhs[:2] = 0.0
-        kd = len(self.operator.win) // 2
-        sol = solve_banded((kd, kd), self.operator.win, rhs)
+        win = self.operator.win
+        kd = len(win) // 2
+        lu = np.zeros((3 * kd + 1, win.shape[1]))  # kd more rows for dgbsv's fill-in
+        lu[kd:] = np.asarray_chkfinite(win)
+        sol, info = dgbsv(kd, kd, lu, np.asarray_chkfinite(rhs), overwrite_ab=1)[2:]
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         lam = float(sol[0])
         sol[0] = 0.0
         return series_from_real(sol, self.data.circumference), lam

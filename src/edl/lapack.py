@@ -1,38 +1,37 @@
-"""The LAPACK and BLAS routines of the banded solvers, from scipy's two
-compiled f2py wrappers, scipy.linalg._flapack and scipy.linalg._fblas.
+"""The compiled scipy routines edl calls: LAPACK and BLAS from the f2py
+wrappers scipy.linalg._flapack and scipy.linalg._fblas, and Brent's method
+from scipy.optimize._zeros.
 
-Both are loaded straight from their extension files, so neither scipy's nor
-scipy.linalg's package initialiser runs: those clone numpy's namespace
+All three extensions are loaded straight from their files, so no scipy
+package initialiser runs: scipy's and scipy.linalg's clone numpy's namespace
 (numpy.f2py, numpy.testing, numpy.ma) and cost a process about 0.2 s and
-17 MiB, while the wrappers need only numpy.  The routines are the very
-objects that scipy.linalg.lapack and scipy.linalg.blas hand out: a wrapper
-already in sys.modules is reused, and one loaded here is registered there,
-so a later import of scipy.linalg reuses it in turn.
-
-solve_banded is scipy's solve_banded (1.17) for one real right-hand side:
-dgtsv for one sub- and one superdiagonal, otherwise dgbsv on a copy of the
-band with nlower more rows for the fill-in of row interchanges.
+17 MiB, while the wrappers need only numpy and _zeros only libc and libm.
+The routines are the very objects that scipy.linalg.lapack, scipy.linalg.blas
+and scipy.optimize hand out: an extension already in sys.modules is reused,
+and one loaded here is registered there, so a later import of scipy.linalg
+or scipy.optimize reuses it in turn.
 """
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
 import numpy as np
 
 
-def _load(name):
-    """scipy.linalg.<name> from its extension file, without importing the
-    scipy or scipy.linalg packages."""
-    fullname = f"scipy.linalg.{name}"
+def _load(package, name):
+    """scipy.<package>.<name> from its extension file, without importing the
+    scipy or scipy.<package> packages."""
+    fullname = f"scipy.{package}.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], package)
     finder = importlib.machinery.FileFinder(
         folder,
         (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
@@ -46,8 +45,9 @@ def _load(name):
     return module
 
 
-_flapack = _load("_flapack")
-_fblas = _load("_fblas")
+_flapack = _load("linalg", "_flapack")
+_fblas = _load("linalg", "_fblas")
+_zeros = _load("optimize", "_zeros")
 
 dgbsv = _flapack.dgbsv
 dgtsv = _flapack.dgtsv
@@ -59,20 +59,16 @@ zgbsv = _flapack.zgbsv
 dsbmv = _fblas.dsbmv
 
 
-def solve_banded(l_and_u, ab, b, check_finite=True):
-    """x with A x = b, for the banded A stored as ab[u + i - j, j] = A[i, j]
-    with (l, u) = l_and_u, and one real right-hand side b; neither ab nor b
-    is overwritten.  Raises LinAlgError on an exactly singular pivot and,
-    with check_finite, ValueError on a non-finite entry of ab or b."""
-    nlower, nupper = l_and_u
-    as_array = np.asarray_chkfinite if check_finite else np.asarray
-    ab, b = as_array(ab, dtype=float), as_array(b, dtype=float)
-    if nlower == nupper == 1:
-        x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
-    else:
-        lu = np.zeros((2 * nlower + nupper + 1, ab.shape[1]))
-        lu[nlower:] = ab
-        x, info = dgbsv(nlower, nupper, lu, b, overwrite_ab=1)[2:]
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
+def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """A root of f in [xa, xb] by Brent's method: scipy.optimize.brentq's
+    compiled loop, so the same evaluation points, root and errors:
+    ValueError for a bracket without a sign change or a NaN value,
+    RuntimeError after maxiter steps."""
+
+    def f_checked(x):
+        value = f(x)
+        if math.isnan(value):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return value
+
+    return _zeros._brentq(f_checked, xa, xb, xtol, rtol, maxiter, (), False, True)

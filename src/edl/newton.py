@@ -24,7 +24,8 @@ zero_state and the control level m0; ToyProblem is the one problem that
 provides them.
 
 Eigenvalue continuation locates the parameter where the multiplier of the
-bordered deformation system crosses zero, by Brent's method.
+bordered deformation system crosses zero, by Brent's method (scipy's
+compiled brentq, from lapack.py).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .series import (
     multiply,
 )
 from .deform import ExtendedSystem
-from .lapack import zgbsv
+from .lapack import brentq, zgbsv
 
 
 # -- iteration records ---------------------------------------------------------------
@@ -296,60 +297,6 @@ def _random_decaying_series(rng, n_modes, scale, decay):
 # -- eigenvalue continuation ----------------------------------------------------------
 
 
-def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
-    """A root of f in [xa, xb] by Brent's method.
-
-    A step-for-step port of scipy's brentq.c, so it evaluates f at the same
-    points and returns the same root; it spares the CLI importing
-    scipy.optimize.  Errors are scipy's: ValueError for a bracket without a
-    sign change or a NaN value, RuntimeError after maxiter steps.
-    """
-
-    def fx(x):
-        value = f(x)
-        if math.isnan(value):
-            raise ValueError(f"The function value at x={x:f} is NaN; solver cannot converge.")
-        return value
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
-
-
 @dataclass
 class ContinuationResult:
     s_star: float
@@ -384,5 +331,5 @@ def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8):
             "multiplier does not change sign across the bracket: "
             f"lambda({s_lo}) = {fa:.3e}, lambda({s_hi}) = {fb:.3e}"
         )
-    s_star = _brentq(lam, s_lo, s_hi, xtol=tol)
+    s_star = brentq(lam, s_lo, s_hi, xtol=tol)
     return ContinuationResult(s_star, (s_lo, s_hi), len(history), list(history.items()))

@@ -14,7 +14,7 @@ import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
 from .series import FourierSeries1D, TWO_PI, cutoff_c2
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
-from .lapack import solve_banded
+from .lapack import dgtsv
 
 
 # -- projection ---------------------------------------------------------------
@@ -251,20 +251,21 @@ def solve_mode_bvp(nu, l, rgrid, forcing, boundary="natural"):
     q = nu_a**2 + (l_a * r) ** 2
     g = r**2 * np.asarray(forcing(r), dtype=float)
     k = h * h / 12.0
-    ab = np.zeros((3, r.size))  # solve_banded layout: upper, main, lower diagonal
-    ab[0, 2:] = k * q[2:] - 1.0
-    ab[1, 1:-1] = 2.0 + 10.0 * k * q[1:-1]
-    ab[2, :-2] = k * q[:-2] - 1.0
+    # sub-, main and superdiagonal; the end rows' entries are set below
+    lower, diag, upper = k * q[:-1] - 1.0, 2.0 + 10.0 * k * q, k * q[1:] - 1.0
     rhs = np.pad(k * (g[:-2] + 10.0 * g[1:-1] + g[2:]), 1)
     if boundary == "natural":
-        ab[0, 1] = ab[2, -2] = 1.0
-        ab[1, 0], rhs[0] = _taylor_step(nu_a, q[0], q[0] - nu_a**2, g[:4], h)
-        ab[1, -1], rhs[-1] = _taylor_step(
+        upper[0] = lower[-1] = 1.0
+        diag[0], rhs[0] = _taylor_step(nu_a, q[0], q[0] - nu_a**2, g[:4], h)
+        diag[-1], rhs[-1] = _taylor_step(
             -(l_a * r[-1] + 0.5), q[-1], q[-1] - nu_a**2, g[:-5:-1], -h)
     else:
-        ab[1, 0] = ab[1, -1] = 1.0
+        upper[0] = lower[-1] = 0.0
+        diag[0] = diag[-1] = 1.0
         rhs[0], rhs[-1] = boundary
-    u = solve_banded((1, 1), ab, rhs, check_finite=False)
+    u, info = dgtsv(lower, diag, upper, rhs)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
     if not np.all(np.isfinite(u)):
         raise RuntimeError("radial solve failed: non-finite solution")
     return u

@@ -128,6 +128,16 @@ def test_load_config_missing_file():
         load_config("/nonexistent/edl.cfg")
 
 
+def test_exit_two_on_unreadable_config(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"out_dir = caf\xe9\n")
+    for path in (tmp_path, undecodable):  # a directory, then a file that is not UTF-8
+        rc = main(["modes", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edl: config error: cannot read config file") and err.count("\n") == 1
+
+
 def test_with_overrides_keeps_none():
     cfg = build_config("gram")
     same = with_overrides(cfg, out_dir=None, seed=None)
@@ -242,13 +252,22 @@ def test_no_assert_downgrades_to_zero(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.parametrize("line", ["n_modes=-4", "r_max=nan", "tol=inf", "p=1.5"])
+@pytest.mark.parametrize("line", ["n_modes=-4", "r_max=nan", "tol=inf", "p=1.5", "seed=-1"])
 def test_exit_two_on_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(line + "\n")
     rc = main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_exit_two_on_negative_seed(tmp_path, capsys):
+    # numpy's default_rng refuses a negative seed: it must stop at the config,
+    # not crash the runner with exit 3
+    rc = main(["decay", "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "decay").exists()
 
 
 def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
@@ -384,18 +403,20 @@ def _last_line_of_python(code, *args, **env_vars):
 
 
 def test_cli_import_stops_at_numpy_and_the_lapack_wrappers():
-    # the CLI needs only scipy's two compiled LAPACK/BLAS wrappers, loaded by
-    # edl.lapack from their files: the scipy and scipy.linalg packages, and
-    # the numpy.f2py, numpy.testing and numpy.ma their initialisers clone
-    # numpy's namespace with, cost every run about 0.2 s and must not come
-    # back, nor any scipy subpackage (scipy.optimize, scipy.integrate, ...)
+    # the CLI needs only three compiled scipy extensions, the LAPACK/BLAS
+    # wrappers and Brent's root finder, loaded by edl.lapack from their
+    # files: the scipy, scipy.linalg and scipy.optimize packages, and the
+    # numpy.f2py, numpy.testing and numpy.ma their initialisers clone numpy's
+    # namespace with, cost every run about 0.2 s and must not come back, nor
+    # any other scipy subpackage (scipy.integrate, ...)
     code = (
         "import sys\n"
         "import edl.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "    or m.split('.')[:2] in (['numpy', 'f2py'], ['numpy', 'testing'], ['numpy', 'ma'])))\n"
     )
-    assert _last_line_of_python(code) == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+    assert _last_line_of_python(code) == (
+        "['scipy.linalg._fblas', 'scipy.linalg._flapack', 'scipy.optimize._zeros']")
 
 
 SMALL_CONFIGS = {

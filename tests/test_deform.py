@@ -419,3 +419,22 @@ def test_extended_solve_forced_along_direction():
     assert bordered_residual(sys, zero, lam0, zero_rhs) < 1e-12
     assert lam0 == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(zero.coeffs)) < 1e-12
+
+
+def test_extended_solve_refuses_non_finite_input():
+    system = ExtendedSystem.from_data(_bordered_data(), n_modes=12)
+    g = FourierSeries1D.from_modes({3: complex(math.nan, 1.0)}, n_modes=12)
+    with pytest.raises(ValueError):
+        system.solve(g)
+    system.operator.win[len(system.operator.win) // 2, 5] = math.inf
+    with pytest.raises(ValueError):
+        system.solve(system.phi)
+
+
+def test_extended_solve_raises_on_a_singular_band():
+    # a zero column stays zero under row interchanges and elimination, so
+    # the LU meets an exactly zero pivot whatever the pivot order
+    system = ExtendedSystem.from_data(_bordered_data(), n_modes=12)
+    system.operator.win[:, 6] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        system.solve(system.phi)

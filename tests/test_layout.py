@@ -126,10 +126,10 @@ def _scipy_references(tree):
 
 
 def test_only_the_lapack_modules_import_scipy():
-    # lapack.py alone names scipy: it loads the two compiled wrappers, not
-    # the scipy or scipy.linalg packages, whose initialisers cost every run
-    # about 0.2 s; another scipy import is a new dependency of the CLI and
-    # takes an edit here
+    # lapack.py alone names scipy: it loads three compiled extensions, not
+    # the scipy, scipy.linalg or scipy.optimize packages, whose initialisers
+    # cost every run about 0.2 s; another scipy import is a new dependency of
+    # the CLI and takes an edit here
     importers = set()
     for f in os.listdir(SRC):
         if f.endswith(".py"):
@@ -139,13 +139,13 @@ def test_only_the_lapack_modules_import_scipy():
     assert importers == {"lapack"}
     with open(os.path.join(SRC, "lapack.py")) as fh:
         tree = ast.parse(fh.read())
-    assert set(_scipy_references(tree)) == {"scipy"}  # find_spec, to locate the wrappers
+    assert set(_scipy_references(tree)) == {"scipy"}  # find_spec, to locate the extensions
     loaded = {
-        node.args[0].value
+        tuple(arg.value for arg in node.args)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load"
     }
-    assert loaded == {"_flapack", "_fblas"}
+    assert loaded == {("linalg", "_flapack"), ("linalg", "_fblas"), ("optimize", "_zeros")}
 
 
 def test_the_circle_modules_import_only_the_lapack_routines_they_call():
@@ -154,9 +154,9 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
     # in lapack.py's exports and in the importers below
     want = {
         "bandeig": {"dpbtrf", "dsbmv", "dstev"},
-        "deform": {"dsytrf", "dsytrs", "solve_banded"},
-        "newton": {"zgbsv"},
-        "obstruction": {"solve_banded"},
+        "deform": {"dgbsv", "dsytrf", "dsytrs"},
+        "newton": {"brentq", "zgbsv"},
+        "obstruction": {"dgtsv"},
     }
     imported = {}
     for f in os.listdir(SRC):
@@ -175,5 +175,5 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
     assert imported == want
     defs, uses, _, _ = read_module(os.path.join(SRC, "lapack.py"))
     exported = {name for name in set(uses) | defs if not name.startswith("_")}
-    assert exported == {"dgbsv", "dgtsv", "dpbtrf", "dsbmv", "dstev", "dsytrf", "dsytrs",
-                        "zgbsv", "solve_banded"}
+    assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbmv", "dstev", "dsytrf",
+                        "dsytrs", "zgbsv"}
