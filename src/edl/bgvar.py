@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -318,20 +319,9 @@ def _variation_pieces(g, plus, minus, grad, clifford):
     )
 
 
-@dataclass(eq=False)
-class VariationTerms:
-    tensor: SpinorField
-    trace: SpinorField
-    divergence: SpinorField
-
-    def total(self):
-        p = self.tensor.plus + self.trace.plus + self.divergence.plus
-        m = self.tensor.minus + self.trace.minus + self.divergence.minus
-        return SpinorField(self.tensor.rgrid, p, m, self.tensor.circumference)
-
-
 def bg_apply_terms(var, psi):
-    """The three pieces of B(gdot) psi on the common tensor grid."""
+    """The three pieces tensor, trace and divergence of B(gdot) psi, each a
+    SpinorField on the common tensor grid."""
     if var.shape != psi.shape:
         raise ValueError("variation and field live on different grids")
     th = psi.theta_points()[None, None, :]
@@ -339,13 +329,17 @@ def bg_apply_terms(var, psi):
         vars(var), psi.plus, psi.minus, covariant_gradient(psi),
         lambda axis, p, m: twisted_clifford_apply(axis, th, p, m),
     )
-    return VariationTerms(
-        *(SpinorField(psi.rgrid, p, m, psi.circumference) for p, m in pieces)
+    tensor, trace, divergence = (
+        SpinorField(psi.rgrid, p, m, psi.circumference) for p, m in pieces
     )
+    return SimpleNamespace(tensor=tensor, trace=trace, divergence=divergence)
 
 
 def bg_apply(var, psi):
-    return bg_apply_terms(var, psi).total()
+    t = bg_apply_terms(var, psi)
+    p = t.tensor.plus + t.trace.plus + t.divergence.plus
+    m = t.tensor.minus + t.trace.minus + t.divergence.minus
+    return SpinorField(psi.rgrid, p, m, psi.circumference)
 
 
 # -- leading field ------------------------------------------------------------------
@@ -409,19 +403,6 @@ def _require_real_series(u, name):
         raise ValueError(f"{name} must be a real-valued series (conjugate-symmetric)")
 
 
-@dataclass
-class BGComparisonReport:
-    l_values: tuple
-    measured: dict
-    khat: dict
-    fitted_constant: float
-    candidate_distances: dict
-    closest_candidate: float
-    deviation_values: dict
-    deviation_exponent: float
-    max_imag: float
-
-
 CANDIDATE_CONSTANTS = (-0.75, -1.5)
 PAIRING_RADIAL_POINTS = 500
 PAIRING_DECAY_BUDGET = 30.0  # |l| r_max: Psi_l has decayed by e^{-30} at the grid edge
@@ -442,6 +423,11 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
 
     The probe displacement must be real-valued and must contain every probe
     mode, otherwise the ratio is undefined.
+
+    Returns the probe l_values, per mode the measured pairing and khat (its
+    ratio to the prediction), fitted_constant, candidate_distances,
+    closest_candidate, deviation_values (per doubling l -> 2l the change of
+    khat), deviation_exponent and max_imag.
     """
     _require_real_series(eta_x, "eta_x")
     if eta_y is not None:
@@ -486,7 +472,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
 
     distances = {c: abs(fitted - c) for c in CANDIDATE_CONSTANTS}
     closest = min(distances, key=distances.get)
-    return BGComparisonReport(
+    return SimpleNamespace(
         l_values=tuple(int(l) for l in l_values),
         measured=measured,
         khat=khat,

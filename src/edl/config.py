@@ -49,11 +49,15 @@ class ExperimentConfig:
         if self.l_max < self.l_min:
             raise ConfigError(f"l_max {self.l_max} below l_min {self.l_min}")
         span = self.l_max - self.l_min + 1
-        if self.experiment == "gram" and span < MIN_GRAM_MODES:
-            raise ConfigError(f"gram needs at least {MIN_GRAM_MODES} modes, got {span}")
+        if self.experiment in ("gram", "conormal") and span < MIN_PROBE_MODES:
+            raise ConfigError(
+                f"{self.experiment} needs at least {MIN_PROBE_MODES} modes, got {span}"
+            )
         for name in ("r0", "r_max", "eps0", "tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.experiment == "decay" and self.r0 > MAX_DECAY_R0:
+            raise ConfigError(f"r0 must be at most {MAX_DECAY_R0} for decay, got {self.r0}")
         if self.theta <= 1.0:
             raise ConfigError(f"theta must exceed 1, got {self.theta}")
         if self.max_steps <= 0 or self.samples <= 0:
@@ -80,7 +84,13 @@ MATRIX_BYTE_BUDGET = 256 * 2**20
 # are pre-asymptotic below N = 10: n_modes 8 fails at 5 of 6 seeds, 9 at 4;
 # continuation's right-hand side lives on modes |l| <= 6
 MIN_N_MODES = {"deform-op": 10, "continuation": 6}
-MIN_GRAM_MODES = 3  # so that gram's last tail cutoff keeps a coupled pair of modes
+# so that gram's last tail cutoff keeps a coupled pair of modes, and conormal
+# fits its rate through at least three probe modes
+MIN_PROBE_MODES = 3
+# each of decay's annuli loses e^{-2 r0} and annuli_decay fits only the norms
+# above 1e-14 of the first, so a second annulus is left only for
+# r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit crashes in the SVD
+MAX_DECAY_R0 = 16.0
 
 
 def dense_array_bound(cfg):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -348,20 +349,14 @@ def realize_t(data, n_modes, n_out=None):
     return RealizedOperator(win, n_modes, n_out, data.circumference)
 
 
-@dataclass
-class RegularityLossReport:
-    n_values: np.ndarray
-    norms_2_to_2: np.ndarray
-    norms_2_to_32: np.ndarray
-    exponent_2_to_2: float
-    exponent_2_to_32: float
-
-
 def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
     """Truncation growth of T between grading levels.
 
     T costs half a derivative: the 2 -> 2 truncation norms grow like N^{1/2}
     while the 2 -> 3/2 norms stay bounded. Exponents are log-log slopes.
+
+    Returns the sorted n_values, norms_2_to_2, norms_2_to_32,
+    exponent_2_to_2 and exponent_2_to_32.
     """
     n_values = np.asarray(sorted(n_values))
     n22, n232 = [], []
@@ -373,20 +368,13 @@ def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
     logn = np.log(n_values.astype(float))
     e22 = float(np.polyfit(logn, np.log(n22), 1)[0])
     e232 = float(np.polyfit(logn, np.log(n232), 1)[0])
-    return RegularityLossReport(n_values, n22, n232, e22, e232)
+    return SimpleNamespace(
+        n_values=n_values, norms_2_to_2=n22, norms_2_to_32=n232,
+        exponent_2_to_2=e22, exponent_2_to_32=e232,
+    )
 
 
 # -- Fredholm truncation diagnostics ---------------------------------------------------
-
-
-@dataclass
-class FredholmReport:
-    truncations: tuple
-    kernel_dims: tuple
-    singular_gaps: tuple
-    kernel_dim: int
-    index: int
-    stable: bool
 
 
 KERNEL_REL_THRESHOLD = 1e-8  # singular values below this times sigma_max count as kernel
@@ -401,6 +389,9 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32)):
     the margin the count rests on: both values are certified Lanczos
     estimates (certified_spectrum), each truncation warm-started from the
     Ritz vectors of the one before.
+
+    Returns truncations, kernel_dims and singular_gaps (one per truncation),
+    kernel_dim (the last count), index and stable.
     """
     dims, gaps, warm = [], [], None
     for n in truncations:
@@ -409,7 +400,7 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32)):
         )
         dims.append(kernel)
         gaps.append(sigma_next / sigma_max)
-    return FredholmReport(
+    return SimpleNamespace(
         truncations=tuple(int(n) for n in truncations),
         kernel_dims=tuple(dims),
         singular_gaps=tuple(gaps),

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily: load it here, not during a command
@@ -612,12 +613,6 @@ def l2_pairing(psi, phi):
     return complex(np.sum(radial) * dt * dth)
 
 
-@dataclass
-class AdjointnessReport:
-    defect: float
-    boundary_flagged: bool
-
-
 ADJOINTNESS_TOLERANCE = 1e-6
 
 
@@ -627,15 +622,14 @@ def adjointness_check(psi, phi):
     Compactly supported fields sit below ADJOINTNESS_TOLERANCE on reference
     grids; a defect above it is reported as a boundary contribution along
     the axis (the operator has no other source of asymmetry).
+
+    Returns the defect and boundary_flagged.
     """
     lhs = l2_pairing(dirac_apply(psi), phi)
     rhs = l2_pairing(psi, dirac_apply(phi))
     denom = max(psi.norm() * phi.norm(), 1e-300)
     defect = abs(lhs - rhs) / denom
-    return AdjointnessReport(
-        defect=defect,
-        boundary_flagged=defect > ADJOINTNESS_TOLERANCE,
-    )
+    return SimpleNamespace(defect=defect, boundary_flagged=defect > ADJOINTNESS_TOLERANCE)
 
 
 def radial_bump(r, center, width):

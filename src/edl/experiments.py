@@ -537,7 +537,7 @@ def run_nash_moser(cfg):
         "smoothed_rough_status": nm_trace.status,
         "smoothed_rough_converged": nm_trace.status == "converged",
         "smoothed_rough_residual": nm_trace.final_residual,
-        "smoothed_rough_iterations": nm_trace.iterations,
+        "smoothed_rough_iterations": len(nm_trace.steps),
         "smooth_solution_gap": float(gap),
     }
     plot = {

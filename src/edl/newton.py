@@ -9,7 +9,7 @@ high modes enter the linearization only once the schedule opens them, which
 is what lets derivative-losing nonlinearities converge on rough data where
 the plain iteration amplifies its own high-mode error.
 
-Both solvers share one loop and report a typed trace: converged, diverged
+Both solvers share one loop and report its status: converged, diverged
 (residual above 1e3 x initial for five consecutive steps), budget_exhausted,
 or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
 one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not during a command
@@ -48,30 +49,7 @@ from .deform import ExtendedSystem
 from .lapack import brentq, zgbsv
 
 
-# -- iteration records ---------------------------------------------------------------
-
-
-@dataclass
-class NewtonStep:
-    step: int
-    eps: float
-    residual_norm: float
-    correction_norm: float
-
-
-@dataclass
-class IterationTrace:
-    status: str
-    steps: list
-    final_residual: float
-    message: str = ""
-
-    @property
-    def iterations(self):
-        return len(self.steps)
-
-    def correction_norms(self):
-        return [s.correction_norm for s in self.steps]
+# -- the shared loop -----------------------------------------------------------------
 
 
 DIVERGENCE_FACTOR = 1e3
@@ -79,31 +57,34 @@ DIVERGENCE_RUN = 5
 
 
 def _newton_loop(problem, f, schedule, max_steps, tol):
+    """(u, trace): trace.status, trace.steps (per step its step index, eps,
+    residual_norm and correction_norm), trace.final_residual and
+    trace.message."""
     u = problem.zero_state(f.circumference)
     f = problem.project(f)
     steps = []
     initial = None
     bad_run = 0
+
+    def done(status, message):  # reads u and rnorm at the time of the call
+        return u, SimpleNamespace(
+            status=status, steps=steps, final_residual=rnorm, message=message
+        )
+
     for k in range(max_steps):
         residual = f - problem.apply(u)
         rnorm = problem.norm(residual, problem.m0)
         if not math.isfinite(rnorm):
-            return u, IterationTrace(
-                "diverged", steps, rnorm, "residual norm left the representable range"
-            )
+            return done("diverged", "residual norm left the representable range")
         if initial is None:
             initial = max(rnorm, 1e-300)
         if rnorm <= tol:
-            return u, IterationTrace(
-                "converged", steps, rnorm, f"residual {rnorm:.3e} within tolerance"
-            )
+            return done("converged", f"residual {rnorm:.3e} within tolerance")
         if rnorm > DIVERGENCE_FACTOR * initial:
             bad_run += 1
             if bad_run >= DIVERGENCE_RUN:
-                return u, IterationTrace(
+                return done(
                     "diverged",
-                    steps,
-                    rnorm,
                     f"residual above {DIVERGENCE_FACTOR:.0e} x initial for "
                     f"{DIVERGENCE_RUN} consecutive steps",
                 )
@@ -117,13 +98,16 @@ def _newton_loop(problem, f, schedule, max_steps, tol):
         try:
             delta = problem.solve_linearized(base, rhs)
         except np.linalg.LinAlgError as exc:
-            return u, IterationTrace("solver_failed", steps, rnorm, str(exc))
-        steps.append(NewtonStep(k, eps, rnorm, problem.norm(delta, problem.m0)))
+            return done("solver_failed", str(exc))
+        steps.append(SimpleNamespace(
+            step=k, eps=eps, residual_norm=rnorm,
+            correction_norm=problem.norm(delta, problem.m0),
+        ))
         u = u + delta
     residual = f - problem.apply(u)
     rnorm = problem.norm(residual, problem.m0)
     status = "converged" if rnorm <= tol else "budget_exhausted"
-    return u, IterationTrace(status, steps, rnorm, f"stopped after {max_steps} steps")
+    return done(status, f"stopped after {max_steps} steps")
 
 
 def plain_newton_solve(problem, f, max_steps=30, tol=1e-10):
@@ -253,19 +237,14 @@ def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
 # -- tame diagnostics ----------------------------------------------------------------
 
 
-@dataclass
-class TameSweepReport:
-    ratios: dict
-
-
 def tame_estimate_sweep(n_values):
     """Measure sup ||dF(u)^{-1} g||_m / (||g||_{m+1} + ||u||_{m+2} ||g||_{m0})
     for ToyProblem(n_modes=n) at levels m = 1, 2, 3.
 
     The supremum is over six random pairs per band and level, with states u
     of scale 0.05. The estimate is tame when the measured constants stay
-    bounded as the working band grows; the sweep reports them per level and
-    band.
+    bounded as the working band grows; the sweep reports them as ratios,
+    ratios[m][n] per level m and band n.
     """
     rng = np.random.default_rng(ROUGH_PRESET_SEED)
     m_values = (1, 2, 3)
@@ -281,7 +260,7 @@ def tame_estimate_sweep(n_values):
                 denom = g.sobolev_norm(m + 1) + u.sobolev_norm(m + 2) * g.sobolev_norm(problem.m0)
                 worst = max(worst, problem.norm(sol, m) / denom)
             ratios[m][n] = worst
-    return TameSweepReport(ratios)
+    return SimpleNamespace(ratios=ratios)
 
 
 def _random_decaying_series(rng, n_modes, scale, decay):
@@ -297,14 +276,6 @@ def _random_decaying_series(rng, n_modes, scale, decay):
 # -- eigenvalue continuation ----------------------------------------------------------
 
 
-@dataclass
-class ContinuationResult:
-    s_star: float
-    bracket: tuple
-    evaluations: int
-    history: list
-
-
 def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8):
     """Locate the parameter where the bordering multiplier crosses zero.
 
@@ -313,6 +284,9 @@ def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8):
     multiplier recorded.  A bracket without a sign change means the crossing
     is absent or degenerate on this interval, which is an error, not a root.
     The root is refined by Brent's method to within tol in s.
+
+    Returns s_star, the bracket (s_lo, s_hi), the number of multiplier
+    evaluations and their history as (s, lambda) pairs.
     """
     if not s_hi > s_lo:
         raise ValueError("empty bracket")
@@ -332,4 +306,7 @@ def eigenvalue_continuation(data_family, rhs, n_modes, s_lo, s_hi, tol=1e-8):
             f"lambda({s_lo}) = {fa:.3e}, lambda({s_hi}) = {fb:.3e}"
         )
     s_star = brentq(lam, s_lo, s_hi, xtol=tol)
-    return ContinuationResult(s_star, (s_lo, s_hi), len(history), list(history.items()))
+    return SimpleNamespace(
+        s_star=s_star, bracket=(s_lo, s_hi), evaluations=len(history),
+        history=list(history.items()),
+    )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily: load it here, not during a command
@@ -59,18 +60,6 @@ def project_to_obstruction(field, l_values):
 # -- conormal-rate probe ---------------------------------------------------------
 
 
-@dataclass
-class ConormalReport:
-    l_values: np.ndarray
-    coefficients: np.ndarray
-    slope: float
-    slope_residual: float
-    prefactor_ratio: float
-    flagged_modes: list
-    super_polynomial: bool
-    fit_valid: bool
-
-
 def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     """Pairings of chi(r) f(t) r^p (plus component) against the decaying family.
 
@@ -84,6 +73,11 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     A custom radial_profile(r) replaces chi(r) r^p; profiles vanishing near
     the axis produce super-polynomial decay, which is detected and reported
     instead of a (meaningless) polynomial fit.
+
+    Returns the sorted l_values, their coefficients, the fitted slope and its
+    slope_residual, prefactor_ratio (the mean of |coefficient| |l|^{p+1}
+    against Gamma(p + 3/2)), flagged_modes (probe modes absent from f),
+    super_polynomial, and fit_valid.
     """
     l_values = np.asarray(sorted(int(l) for l in l_values))
     if np.any(l_values <= 0):
@@ -118,14 +112,9 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     ratios = np.abs(radial_ints[usable]) * l_values[usable].astype(float) ** (p + 1.0)
     prefactor = float(np.mean(ratios)) / gamma
 
-    return ConormalReport(
-        l_values=l_values,
-        coefficients=coefs,
-        slope=float(slope),
-        slope_residual=resid,
-        prefactor_ratio=prefactor,
-        flagged_modes=flagged,
-        super_polynomial=super_poly,
+    return SimpleNamespace(
+        l_values=l_values, coefficients=coefs, slope=float(slope), slope_residual=resid,
+        prefactor_ratio=prefactor, flagged_modes=flagged, super_polynomial=super_poly,
         fit_valid=bool(not super_poly and len(logl) >= 3),
     )
 
@@ -180,15 +169,6 @@ def gram_matrix(l_values, weight):
     return out
 
 
-@dataclass
-class GramTailReport:
-    cutoffs: np.ndarray
-    tail_norms: np.ndarray
-    envelope_ok: bool
-    monotone: bool
-    smoothing_norm: float
-
-
 GRAM_DECAY_POWER = 0.125  # the graded-norm gain 0 -> 1/8 the envelope rests on
 
 
@@ -197,6 +177,7 @@ def gram_tail_trend(k_block, l_values, cutoffs=None):
     is the K of the caller's gram_matrix, its rows and columns in the order
     of the positive modes l_values.
 
+    Returns cutoffs, tail_norms, envelope_ok, monotone and smoothing_norm.
     tail_norms[i] is the spectral norm of K restricted to modes >= cutoff.
     The envelope C * (cutoff/base)^{-GRAM_DECAY_POWER} is calibrated at the first
     cutoff; the report records whether every later tail sits below it and
@@ -220,7 +201,7 @@ def gram_tail_trend(k_block, l_values, cutoffs=None):
     norms = np.array(norms)
     envelope = norms[0] * (np.asarray(cutoffs, float) / float(cutoffs[0])) ** (-GRAM_DECAY_POWER)
     wgt = (1.0 + l_values.astype(float) ** 2) ** (GRAM_DECAY_POWER / 2.0)
-    return GramTailReport(
+    return SimpleNamespace(
         cutoffs=np.asarray(cutoffs),
         tail_norms=norms,
         envelope_ok=bool(np.all(norms <= envelope * (1.0 + 1e-12))),
@@ -315,19 +296,15 @@ def annulus_energy_norms(u, nu, l, rgrid, partition):
     return np.array(out)
 
 
-@dataclass
-class AnnuliDecayReport:
-    l: float
-    rate_per_annulus: float
-    n_used: int
-
-
 def annuli_decay(nu, l, r_scale=1.0):
     """Exponential decay rate of a forced mode solution across scaled annuli.
 
     The forcing is a bump at radius r_scale/|l|; eight annuli of width
     2 r_scale/|l| follow it, so a solution decaying like e^{-|l| r} loses a
     factor e^{-2 r_scale} per annulus regardless of |l|.
+
+    Returns l, rate_per_annulus and n_used, the annuli whose norm clears
+    1e-14 times the first one's and enter the fit.
     """
     l_a = abs(float(l))
     if l_a == 0:
@@ -347,17 +324,10 @@ def annuli_decay(nu, l, r_scale=1.0):
     usable = norms > 1e-14 * norms[0]
     idx = np.arange(len(norms))[usable]
     rate = -float(np.polyfit(idx, np.log(norms[usable]), 1)[0])
-    return AnnuliDecayReport(l=l, rate_per_annulus=rate, n_used=int(usable.sum()))
+    return SimpleNamespace(l=l, rate_per_annulus=rate, n_used=int(usable.sum()))
 
 
 # -- discrete maximum principle ------------------------------------------------------
-
-
-@dataclass
-class MaxPrincipleResult:
-    certified: bool
-    hypothesis_violation: tuple = None  # (kind, index)
-    conclusion_violation: int = None
 
 
 def discrete_max_principle(sequence, barrier, lam, verify_hypotheses=True):
@@ -369,7 +339,15 @@ def discrete_max_principle(sequence, barrier, lam, verify_hypotheses=True):
     r_max <= 2 lam r_max < r_max). The check reports the first violated
     hypothesis, or the first violated conclusion index when hypothesis
     checking is disabled and the conclusion happens to fail.
+
+    Returns certified, hypothesis_violation, a (kind, index) pair or None,
+    and conclusion_violation, an index or None.
     """
+    def result(hypothesis=None, conclusion=None):
+        return SimpleNamespace(certified=hypothesis is None and conclusion is None,
+                               hypothesis_violation=hypothesis,
+                               conclusion_violation=conclusion)
+
     if not (0.0 <= lam and 2.0 * lam < 1.0):
         raise ValueError("the comparison weight must satisfy 0 <= 2 lam < 1")
     r = np.asarray(sequence, dtype=float) - np.asarray(barrier, dtype=float)
@@ -377,19 +355,17 @@ def discrete_max_principle(sequence, barrier, lam, verify_hypotheses=True):
         raise ValueError("need at least three entries")
     if verify_hypotheses:
         if r[0] > 0.0:
-            return MaxPrincipleResult(False, hypothesis_violation=("endpoint", 0))
+            return result(hypothesis=("endpoint", 0))
         if r[-1] > 0.0:
-            return MaxPrincipleResult(False, hypothesis_violation=("endpoint", r.size - 1))
+            return result(hypothesis=("endpoint", r.size - 1))
         interior = r[1:-1] - lam * (r[:-2] + r[2:])
         bad = np.nonzero(interior > 0.0)[0]
         if bad.size:
-            return MaxPrincipleResult(
-                False, hypothesis_violation=("interior", int(bad[0]) + 1)
-            )
+            return result(hypothesis=("interior", int(bad[0]) + 1))
     above = np.nonzero(r > 0.0)[0]
     if above.size:
-        return MaxPrincipleResult(False, conclusion_violation=int(above[0]))
-    return MaxPrincipleResult(True)
+        return result(conclusion=int(above[0]))
+    return result()
 
 
 def sample_max_principle_instance(rng, size=40, lam=0.4):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -258,24 +259,6 @@ class SmoothingFamily:
         )
 
 
-@dataclass
-class SmoothingAxiomRow:
-    axiom: str
-    m: float
-    n: float
-    max_ratio: float
-    eps_spread: float  # max over eps grid divided by min over eps grid
-
-
-@dataclass
-class SmoothingAxiomReport:
-    rows: list
-    passed: bool
-
-    def worst(self):
-        return max(r.max_ratio for r in self.rows)
-
-
 SMOOTHING_PROBE_MODES = 600  # must exceed 2/min(eps) for the active band to be visible
 SMOOTHING_RATIO_CEILING = 100.0
 
@@ -291,6 +274,10 @@ def verify_smoothing_axioms(family, m_max, eps_grid):
           plain contraction norm(n) <= norm(m) for n <= m;
       (b) norm(m) of S_eps u - u against eps^{n-m} norm(n) for n >= m;
       (c) norm(n) of d/deps S_eps u against eps^{m-n-1} norm(m).
+
+    Returns rows, one per axiom and (m, n) with its axiom, m, n, max_ratio
+    (the max over the eps grid) and eps_spread (that max divided by the min
+    over the eps grid); worst, the largest max_ratio; and passed.
     """
     eps_grid = [float(e) for e in eps_grid]
     levels = [v / 2.0 for v in range(0, int(2 * m_max) + 1)]
@@ -319,31 +306,16 @@ def verify_smoothing_axioms(family, m_max, eps_grid):
                 if not vals:
                     continue
                 lo = min(v for v in vals if v > 0.0) if any(v > 0 for v in vals) else 1.0
-                rows.append(
-                    SmoothingAxiomRow(
-                        axiom=axiom,
-                        m=m,
-                        n=n,
-                        max_ratio=max(vals),
-                        eps_spread=max(vals) / lo,
-                    )
-                )
+                rows.append(SimpleNamespace(
+                    axiom=axiom, m=m, n=n, max_ratio=max(vals), eps_spread=max(vals) / lo
+                ))
     passed = all(
         np.isfinite(r.max_ratio) and r.max_ratio <= SMOOTHING_RATIO_CEILING for r in rows
     )
-    return SmoothingAxiomReport(rows=rows, passed=passed)
+    return SimpleNamespace(rows=rows, worst=max(r.max_ratio for r in rows), passed=passed)
 
 
 # -- pointwise bound on radial profiles -------------------------------------------
-
-
-@dataclass
-class DyadicBoundReport:
-    sup_abs: float
-    b_norm: float
-    ratio: float
-    chain_bound: float
-    integrable: bool
 
 
 def dyadic_pointwise_bound(r, values, alpha):
@@ -355,6 +327,8 @@ def dyadic_pointwise_bound(r, values, alpha):
     |phi|^2/r^2 * r dr integral is log-divergent) are flagged non-integrable.
     The chain bound |phi(x)| <= |phi(R)| + sqrt(log 2) * sum of shell norms is
     evaluated alongside as a certificate for the sup.
+
+    Returns sup_abs, b_norm, their ratio, chain_bound and integrable.
     """
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -393,10 +367,7 @@ def dyadic_pointwise_bound(r, values, alpha):
     chain_bound = float(abs(values[-1])) + math.sqrt(math.log(2.0)) * float(
         np.sum(shell_norms)
     )
-    return DyadicBoundReport(
-        sup_abs=sup_abs,
-        b_norm=b_norm,
-        ratio=ratio,
-        chain_bound=chain_bound,
+    return SimpleNamespace(
+        sup_abs=sup_abs, b_norm=b_norm, ratio=ratio, chain_bound=chain_bound,
         integrable=integrable,
     )

@@ -190,7 +190,7 @@ def test_criterion_08_smoothing_axioms():
     interp_ok = worst_interp <= 1.0 + 1e-12
     _report(8, axioms_ok and interp_ok,
             f"mollifier constants finite/stable over eps in 2^-1..2^-8, m,n <= 4 "
-            f"(worst {report.worst():.3f}); interpolation constant "
+            f"(worst {report.worst:.3f}); interpolation constant "
             f"{worst_interp:.12f} <= 1 + 1e-12 on 1000 random vectors")
 
 

@@ -21,7 +21,6 @@ from edl.dirac import (
     twisted_clifford_apply,
 )
 from edl.bgvar import (
-    BGComparisonReport,
     CutoffProfile,
     MetricVariation,
     bg_apply,
@@ -431,7 +430,10 @@ def test_pairing_report_is_serializable_shape():
     data = LeadingData.constant(1.0, 0.2)
     eta_x = real_series({2: 0.5, 4: 0.125})
     rep = bg_pairing_comparison(data, eta_x, l_values=(2, 4))
-    assert isinstance(rep, BGComparisonReport)
+    assert set(vars(rep)) == {
+        "l_values", "measured", "khat", "fitted_constant", "candidate_distances",
+        "closest_candidate", "deviation_values", "deviation_exponent", "max_imag",
+    }
     assert rep.l_values == (2, 4)
     assert set(rep.khat) == {2, 4}
     assert set(rep.candidate_distances) == {-0.75, -1.5}

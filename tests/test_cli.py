@@ -369,6 +369,32 @@ def test_gram_range_floor(tmp_path, capsys):
     assert (tmp_path / "gram" / "plot.svg").exists()
 
 
+def test_conormal_range_floor(tmp_path, capsys):
+    # two probe modes leave the rate fit flagged invalid at every p
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("l_min = 8\nl_max = 9\n")
+    rc = main(["conormal", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "conormal needs at least 3 modes" in capsys.readouterr().err
+    assert not (tmp_path / "conormal").exists()
+    cfgfile.write_text("l_min = 8\nl_max = 10\n")
+    assert main(["conormal", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+
+def test_decay_r0_cap(tmp_path, capsys):
+    # above r0 = 16 one annulus clears annuli_decay's 1e-14 mask and the
+    # one-point rate fit crashed in the SVD with exit 3
+    cfgfile = tmp_path / "far.cfg"
+    cfgfile.write_text("r0 = 17\n")
+    rc = main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edl: config error: r0 must be at most 16") and err.count("\n") == 1
+    assert not (tmp_path / "decay").exists()
+    cfgfile.write_text("r0 = 16\nsamples = 5\n")
+    assert main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("command, keys", [
     ("obstruction", {"l_max": 100}),
     ("gram", {"l_min": 1, "l_max": 600}),

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from edl import dirac
 from edl.dirac import (
-    AdjointnessReport,
     LeadingData,
     ModeSpinor,
     RadialGrid,
@@ -352,7 +351,7 @@ def test_adjointness_compact_support():
     psi = _bump_mode_field(1, 2, g, center=1.5, width=0.5)
     phi = _bump_mode_field(1, 2, g, center=1.8, width=0.6)
     rep = adjointness_check(psi, phi)
-    assert isinstance(rep, AdjointnessReport)
+    assert set(vars(rep)) == {"defect", "boundary_flagged"}
     assert rep.defect < 1e-6
     assert not rep.boundary_flagged
 

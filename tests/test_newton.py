@@ -11,8 +11,6 @@ from edl.deform import ExtendedSystem
 from edl.experiments import continuation_family
 from edl.lapack import brentq as edl_brentq
 from edl.newton import (
-    ContinuationResult,
-    IterationTrace,
     ToyProblem,
     eigenvalue_continuation,
     nash_moser_solve,
@@ -85,7 +83,7 @@ def test_smooth_preset_both_solvers_agree():
     u_plain, tr_plain = plain_newton_solve(prob, f, max_steps=30, tol=1e-12)
     u_nm, tr_nm = nash_moser_solve(prob, f, max_steps=40, tol=1e-12)
     assert tr_plain.status == "converged"
-    assert tr_plain.iterations <= 8
+    assert len(tr_plain.steps) <= 8
     assert tr_nm.status == "converged"
     assert (u_plain - u_nm).sobolev_norm(2) < 1e-8
 
@@ -98,7 +96,7 @@ def test_rough_preset_separates_the_iterations():
     assert tr_plain.status == "diverged"
     assert "consecutive" in tr_plain.message
     assert tr_nm.status == "converged"
-    assert tr_nm.iterations <= 30
+    assert len(tr_nm.steps) <= 30
     assert (f - prob.apply(u_nm)).sobolev_norm(2) < 1e-10
 
 
@@ -106,7 +104,7 @@ def test_rough_preset_corrections_collapse_after_opening():
     prob = ToyProblem(n_modes=96)
     f = rough_f_preset()
     _, trace = nash_moser_solve(prob, f, max_steps=30, tol=1e-10)
-    corrections = trace.correction_norms()
+    corrections = [s.correction_norm for s in trace.steps]
     assert sum(corrections) < 200.0
     assert corrections[-1] < 1e-8
     assert corrections[-2] < 1e-3
@@ -138,7 +136,7 @@ def test_budget_exhausted_status():
     f = rough_f_preset()
     _, trace = plain_newton_solve(prob, f, max_steps=3, tol=1e-10)
     assert trace.status == "budget_exhausted"
-    assert trace.iterations == 3
+    assert len(trace.steps) == 3
 
 
 def test_solver_failure_is_reported():
@@ -175,7 +173,7 @@ def test_preset_series_are_real_and_frozen():
 def test_continuation_locates_the_crossing():
     data_family, g = continuation_family(24)
     result = eigenvalue_continuation(data_family, g, 24, -0.2, 0.3, tol=1e-10)
-    assert isinstance(result, ContinuationResult)
+    assert set(vars(result)) == {"s_star", "bracket", "evaluations", "history"}
     assert abs(result.s_star) < 1e-6
     assert result.bracket == (-0.2, 0.3)
     assert result.evaluations == len(result.history)
@@ -274,7 +272,7 @@ def test_trace_records_residual_decline():
     prob = ToyProblem(n_modes=48)
     f = smooth_f_preset(n_modes=48, amplitude=0.02)
     _, trace = plain_newton_solve(prob, f, max_steps=30, tol=1e-12)
-    assert isinstance(trace, IterationTrace)
+    assert set(vars(trace)) == {"status", "steps", "final_residual", "message"}
     residuals = [s.residual_norm for s in trace.steps]
     assert residuals[0] > trace.final_residual
     assert residuals[-1] < 1e-6

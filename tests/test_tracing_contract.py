@@ -12,7 +12,8 @@ import pytest
 
 from edl.deform import RealizedOperator, realize_l
 from edl.dirac import LeadingData
-from edl.experiments import EXPERIMENTS
+from edl.experiments import EXPERIMENTS, continuation_family
+from edl.newton import ToyProblem, eigenvalue_continuation, plain_newton_solve, smooth_f_preset
 from edl.series import hilbert_transform
 
 TRACING_PATH = os.path.join(
@@ -58,3 +59,16 @@ def test_traced_operators_expose_their_matrix_shape(tracing):
     assert counts["deform.realize_columns"] == 18
     tracing._svd_flops(counts, (assembled,), {}, None)
     assert counts["deform.svd_flops"] == 4 * 22 * 14**2 - (4 * 14**3) // 3
+
+
+def test_traced_solver_results_expose_what_the_hooks_count(tracing):
+    # the newton hooks read the solvers' result fields: a renamed field would
+    # break only a traced run, which these tests otherwise never reach
+    counts = Counter()
+    solved = plain_newton_solve(ToyProblem(n_modes=8), smooth_f_preset(n_modes=8))
+    tracing._newton_steps(counts, (), {}, solved)
+    assert counts["newton.steps"] == len(solved[1].steps) > 0
+    data_family, g = continuation_family(12)
+    result = eigenvalue_continuation(data_family, g, 12, -0.2, 0.3)
+    tracing._continuation_evals(counts, (), {}, result)
+    assert counts["newton.continuation_evals"] == result.evaluations > 0
