@@ -2,28 +2,30 @@
 storage ab, ab[s, q] = G[q + s, q]: here the Gram matrices G = M^T M of the
 banded circle operators of deform.py.
 
-bisect_top brackets the top eigenvalue by whether a banded Cholesky (dpbtrf)
-factors t I - G.  certified_spectrum reads sigma_max and sigma_{k+1} of an
-operator, two isolated ends of its Gram spectrum once the kernel is set
-aside, from a short Lanczos run with full reorthogonalization on the band,
-and certifies each before use: an end by one banded Cholesky of the Gram
-shifted just past it, an interior sigma_{k+1} by two inertia counts of the
-operator (Parlett, The Symmetric Eigenvalue Problem; Golub & Van Loan 10.1).
-The Cholesky that certifies the lowest end also settles k = 0 once its shift
-lies above threshold^2 sigma_max^2; only otherwise is the kernel counted by
-inertia.
+A banded Cholesky (dpbtrf) of t I - G factors exactly when t lies above the
+spectrum (Sylvester inertia): an upper end of a bracket on the top where it
+succeeds, a lower end where it fails.  top_eigenvalue closes that bracket to
+adjacent floats by shift-and-invert, each factor also driving a short Lanczos
+run on (t I - G)^{-1} that places the next shift.  certified_spectrum reads
+sigma_max and sigma_{k+1} of an operator from a Lanczos run on the band and
+certifies each: an end by one Cholesky shifted just past it, an interior
+sigma_{k+1} by two inertia counts, and k = 0 by the Cholesky below the lowest
+end once its shift lies above threshold^2 sigma_max^2 (Parlett, The Symmetric
+Eigenvalue Problem; Golub & Van Loan 8.4 and 10.1).
 """
 from __future__ import annotations
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not during a command
 
-from .lapack import dpbtrf, dsbmv, dstev
+from .lapack import dpbtrf, dsbmv, dstev, dtbsv
 
+EPS = np.finfo(float).eps
 # rounding allowance of a Gram Ritz value and of the shifted Cholesky that
 # certifies it, times lambda_max; also the residual a Ritz pair converges to
-GRAM_EIGEN_SLACK = 16 * np.finfo(float).eps
+GRAM_EIGEN_SLACK = 16 * EPS
 LANCZOS_MAX_STEPS = 128  # rows of the Lanczos basis; the bracket refinement covers a cut run
+INVERSE_STEPS = 6  # Lanczos steps on (t I - G)^{-1} per factorization that succeeds
 
 
 def _positive_definite(ab, sign, shift):
@@ -34,50 +36,86 @@ def _positive_definite(ab, sign, shift):
     return dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
 
 
-def bisect_top(ab):
-    """The top eigenvalue of G in lower band storage ab, from above: the
-    bracket runs from the largest diagonal entry to the largest Gershgorin
-    row sum and is halved, on whether t I - G factors, until its ends are
-    adjacent floats; t I - G factors at the returned upper end.
+def top_eigenvalue(ab, floor=-np.inf, start=None):
+    """(t, lo), the top eigenvalue of G in lower band storage ab between
+    adjacent floats, lo < lambda_max <= t: t I - G factors at t, and lo is
+    certified by a failed factorization, a diagonal entry or floor, a lower
+    end from elsewhere (that of a leading block of G, whose top is no larger).
+
+    The first shift is the Gershgorin bound.  Each shift t that factors runs
+    INVERSE_STEPS Lanczos steps on (t I - G)^{-1} by solves with its factor,
+    from the last Ritz vector (start or a fixed pseudo-random one at first).
+    The top Ritz pair (nu, residual bound r) puts the top above
+    e = t - 1/nu and estimates it from above by u = t - 1/(nu + r); the next
+    shift is u + (u - e) if that goes at least halfway from t to e.  Once u
+    and e agree to about two floats, shifts step out from e by one float,
+    doubling, until the ends are adjacent; any other step bisects.  A
+    diagonal entry equal to the Gershgorin bound is the top and is returned
+    as both ends.
     """
+    kd = ab.shape[0] - 1
     row_sums = np.abs(ab[0])
-    for shift in range(1, ab.shape[0]):
+    for shift in range(1, kd + 1):
         row_sums[shift:] += np.abs(ab[shift, :-shift])
         row_sums[:-shift] += np.abs(ab[shift, :-shift])
-    lo, hi = float(ab[0].max()), float(row_sums.max())
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if _positive_definite(ab, -1.0, mid):
-            hi = mid
+    lo, hi = max(float(ab[0].max()), floor), float(row_sums.max())
+    if not lo < hi:
+        return hi, lo
+    x = np.random.default_rng(0).standard_normal(ab.shape[1]) if start is None else start
+    negated = np.negative(ab, order="F")
+    shifted = np.empty_like(negated)  # dpbtrf factors it in place
+    t, step = hi, None  # step: set once the estimate is settled
+    while True:
+        np.copyto(shifted, negated)
+        shifted[0] += t
+        factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
+        if info:
+            lo = t
         else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return hi
+            hi = t
+        if not lo < 0.5 * (lo + hi) < hi:
+            return hi, lo
+        if step is not None:
+            t = hi - step if t == hi else lo + step
+            step *= 2
+        elif not info:
+            (nu, resid, x), _ = _lanczos(  # L^{-T} L^{-1} v, as dpbtrs would
+                lambda v: dtbsv(kd, factor, dtbsv(kd, factor, v, lower=1), lower=1, trans=1),
+                x, INVERSE_STEPS, low=False,
+            )
+            if 3 * resid < nu:
+                below, above = t - 1.0 / nu, t - 1.0 / (nu + resid)
+                if above - below <= 2 * EPS * abs(above):
+                    step = 0.75 * EPS * abs(below)  # one float, rounded
+                    t = max(min(below, hi - step), lo + step)
+                else:
+                    t = above + (above - below)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
 
 
-def _lanczos(ab, start):
-    """The top Ritz pair of the Gram G in lower band storage ab and its lowest
-    pair above the kernel, each (value, residual bound, vector), from a
-    Lanczos run with full reorthogonalization started at start.
+def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS, low=True):
+    """The top Ritz pair of a symmetric operator applied by matvec and, if
+    low, its lowest pair above the kernel, each (value, residual bound,
+    vector), from a Lanczos run with full reorthogonalization started at
+    start.
 
-    Matvecs are dsbmv on the band.  At steps 2, 3, ..., 8, 10, 12, 15, ...
-    (a quarter more each time) dstev solves the tridiagonal Ritz problem,
-    and the run stops once the residual bounds |beta_j s_j| of both wanted
-    pairs are within GRAM_EIGEN_SLACK lambda_max, when the Krylov space
-    closes (beta_j below that) or after LANCZOS_MAX_STEPS.  Ritz values
-    up to that slack are the kernel's: the lowest pair is the first above,
-    the top one included, None if there is none.  Some eigenvalue of G lies
-    within the residual bound of each Ritz value; which one, the caller
-    certifies.
+    At steps 2, 3, ..., 8, 10, 12, 15, ... (a quarter more each time) dstev
+    solves the tridiagonal Ritz problem, and the run stops once the residual
+    bounds |beta_j s_j| of the wanted pairs are within GRAM_EIGEN_SLACK times
+    the top Ritz value, when the Krylov space closes (beta_j below that) or
+    after max_steps.  Ritz values up to that slack are the kernel's: the
+    lowest pair is the first above, the top one included, None if there is
+    none or low is false.  Some eigenvalue lies within the residual bound of
+    each Ritz value; which one, the caller certifies.
     """
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    band = np.asfortranarray(ab)
-    basis = np.zeros((min(n, LANCZOS_MAX_STEPS), n))
+    n = start.size
+    basis = np.zeros((min(n, max_steps), n))
     alpha, beta = np.zeros(len(basis)), np.zeros(len(basis))
     basis[0] = start / np.linalg.norm(start)
     check = 2
     for j in range(len(basis)):
-        w = dsbmv(kd, 1.0, band, basis[j], lower=1)
+        w = matvec(basis[j])
         alpha[j] = basis[j] @ w
         for _ in range(2):  # twice is enough (Parlett)
             w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
@@ -90,10 +128,10 @@ def _lanczos(ab, start):
             theta, vecs, _ = dstev(alpha[:steps], beta[:max(steps - 1, 1)])
             slack = GRAM_EIGEN_SLACK * theta[-1]
             resid = np.abs(beta[j] * vecs[-1])
-            wanted = [steps - 1, *np.flatnonzero(theta > slack)[:1]]
+            wanted = [steps - 1, *np.flatnonzero(theta > slack)[:1 if low else 0]]
             if closed or resid[wanted].max() <= slack:
-                top, *low = [(theta[i], resid[i], vecs[:, i] @ basis[:steps]) for i in wanted]
-                return top, (low[0] if low else None)
+                top, *rest = [(theta[i], resid[i], vecs[:, i] @ basis[:steps]) for i in wanted]
+                return top, (rest[0] if rest else None)
         basis[j + 1] = w / beta[j]
 
 
@@ -145,10 +183,10 @@ def certified_spectrum(op, threshold, start=None):
     Both values come from _lanczos on the banded Gram, started at start
     (zero-padded or cut to the Gram's side) or, if None, at a fixed
     pseudo-random vector.  sigma_max is certified by one banded Cholesky of
-    (value + r + slack) I - G; if it fails, bisect_top replaces it.  When
-    the lowest Ritz pair's floor, value - r - slack, lies above tau^2 and
-    G - floor I factors, every sigma^2 exceeds tau^2 and k = 0; otherwise k
-    is counted by inertia.  warm, the sum of the two Ritz vectors, starts
+    (value + r + slack) I - G; if it fails, top_eigenvalue, started at the
+    top Ritz vector, replaces it.  When the lowest Ritz pair's floor,
+    value - r - slack, lies above tau^2 and G - floor I factors, every
+    sigma^2 exceeds tau^2 and k = 0; otherwise k is counted by inertia.  warm, the sum of the two Ritz vectors, starts
     the next truncation of the same operator: truncations are leading
     blocks in the band order.
     """
@@ -159,11 +197,12 @@ def certified_spectrum(op, threshold, start=None):
         vec[:min(n, start.size)] = start[:n]
     if not vec.any():
         vec = np.random.default_rng(0).standard_normal(n)
-    top, low = _lanczos(ab, vec)
+    band, kd = np.asfortranarray(ab), ab.shape[0] - 1
+    top, low = _lanczos(lambda v: dsbmv(kd, 1.0, band, v, lower=1), vec)
     lam, resid, warm = top
     upper = lam + resid + GRAM_EIGEN_SLACK * lam
     if not _positive_definite(ab, -1.0, upper):
-        lam = upper = bisect_top(ab)
+        lam = upper = top_eigenvalue(ab, start=warm)[0]
     sigma_max = max(float(np.sqrt(max(lam, 0.0))), 1e-300)
     tau = threshold * sigma_max
     floor = -np.inf if low is None else low[0] - (low[1] + GRAM_EIGEN_SLACK * upper)

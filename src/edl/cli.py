@@ -12,6 +12,7 @@ names a regular file); either way one `edl:` line on stderr says why.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import locale  # argparse's gettext loads it when main builds the parser: load it here
 import os
@@ -35,7 +36,10 @@ _COMMAND_HELP = {
 }
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built on first use and then reused: its nine
+    sub-parsers cost a few milliseconds, and parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="edl",
         description="spectral experiments on the singular-circle model",
@@ -74,8 +78,7 @@ def write_artifacts(outcome, out_dir):
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
     except ConfigError as exc:

@@ -44,6 +44,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_modes must be at least {least} for {self.experiment}, got {self.n_modes}"
             )
+        most = MAX_N_MODES.get(self.experiment, self.n_modes)
+        if self.n_modes > most:
+            raise ConfigError(
+                f"n_modes must be at most {most} for {self.experiment}, got {self.n_modes}"
+            )
         if self.l_min <= 0:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
@@ -52,6 +57,10 @@ class ExperimentConfig:
         if self.experiment in ("gram", "conormal") and span < MIN_PROBE_MODES:
             raise ConfigError(
                 f"{self.experiment} needs at least {MIN_PROBE_MODES} modes, got {span}"
+            )
+        if self.experiment == "conormal" and self.l_min < MIN_CONORMAL_L:
+            raise ConfigError(
+                f"l_min must be at least {MIN_CONORMAL_L} for conormal, got {self.l_min}"
             )
         for name in ("r0", "r_max", "eps0", "tol"):
             if getattr(self, name) <= 0:
@@ -84,9 +93,17 @@ MATRIX_BYTE_BUDGET = 256 * 2**20
 # are pre-asymptotic below N = 10: n_modes 8 fails at 5 of 6 seeds, 9 at 4;
 # continuation's right-hand side lives on modes |l| <= 6
 MIN_N_MODES = {"deform-op": 10, "continuation": 6}
+# nash-moser's rough preset was tuned at n_modes 96 and its higher norms grow
+# with N: from 208 up the smoothed rough run exhausts its steps or diverges,
+# and 207 passes (so do not all smaller values: up to 41, for one)
+MAX_N_MODES = {"nash-moser": 207}
 # so that gram's last tail cutoff keeps a coupled pair of modes, and conormal
 # fits its rate through at least three probe modes
 MIN_PROBE_MODES = 3
+# conormal's slopes are pre-asymptotic on the lowest modes: l_min 1 to 3 fail
+# with l_max 256, 4 to 6 on short ranges (6..10); from 7 every l_max tried
+# passes, each of 9 to 1024 and up to 200000
+MIN_CONORMAL_L = 7
 # each of decay's annuli loses e^{-2 r0} and annuli_decay fits only the norms
 # above 1e-14 of the first, so a second annulus is left only for
 # r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit crashes in the SVD
@@ -102,9 +119,9 @@ def dense_array_bound(cfg):
 
     deform-op: thirteen 8-byte arrays the size of the band of the loss
     profile's T at band 2N, 31 rows by 2(4N+1) columns: its assembly holds
-    nine at once, and traced, the whole run peaks at 85 bytes per band entry
-    from N = 64 up, at most 102 from N = 4 and 170 at N = 2, where fixed
-    costs of 0.1 MiB dominate; the Fredholm diagnostics, whose Lanczos basis
+    nine at once, and traced, the whole run peaks at 74 bytes per band entry
+    from N = 128 up, 81 at N = 64 and at most 92 down to N = 10, where fixed
+    costs of 0.1 MiB weigh more; the Fredholm diagnostics, whose Lanczos basis
     holds at most 128 vectors of their largest truncation, 2(2N+1) long,
     peak at 45 to 50 bytes per entry from N = 48 up;
     nash-moser: one complex band array of the toy Jacobian, 3N+1 rows by

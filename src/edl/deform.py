@@ -16,8 +16,10 @@ coefficients.  The dense matrix, expanded on first use, and probing a series
 map with unit vectors (RealizedOperator.realize) are the test oracles these
 assemblies are checked against; no command reads them.
 
-Operator norms are the top eigenvalue of the banded Gram, found by bisection
-on whether a banded Cholesky factors t I - G^T G.  Kernel counts do not
+Operator norms are the top eigenvalue of the banded Gram, bracketed to
+adjacent floats by banded Choleskys of t I - G^T G whose shifts come from
+shift-and-invert Lanczos runs (bandeig.py); a truncation normed after a
+smaller one starts from its certified floor.  Kernel counts do not
 square: with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma,
 #{sigma < tau} = nu_-(JW - tau I) - n, and nu_- is summed over the pivot
 blocks of a block LDL^T of the block-tridiagonal JW (Haynsworth inertia
@@ -45,7 +47,7 @@ from .series import (
     sign_with_positive_zero,
 )
 from .dirac import LeadingData, sgn
-from .bandeig import bisect_top, certified_spectrum
+from .bandeig import certified_spectrum, top_eigenvalue
 from .lapack import dgbsv, dsytrf, dsytrs
 
 T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
@@ -186,11 +188,19 @@ class RealizedOperator:
         used = np.flatnonzero(ab.any(axis=1))
         return ab[: used[-1] + 1 if used.size else 1]
 
-    def operator_norm(self, m_out=0.0, m_in=0.0):
+    def operator_norm(self, m_out=0.0, m_in=0.0, floors=None):
         """sigma_max of the graded matrix: the square root of the top
-        eigenvalue of its banded Gram, bisected on whether a banded Cholesky
-        (dpbtrf) factors t I - G^T G."""
-        return float(np.sqrt(bisect_top(self.gram_band(m_out, m_in))))
+        eigenvalue of its banded Gram, certified to adjacent floats by banded
+        Choleskys (bandeig.top_eigenvalue).  floors, a dict the caller keeps,
+        passes the lower end of that top, keyed by (m_out, m_in), on to the
+        next larger truncation of the operator: a leading block in the band
+        order, whose top is no smaller.
+        """
+        floors = {} if floors is None else floors
+        top, floors[m_out, m_in] = top_eigenvalue(
+            self.gram_band(m_out, m_in), floors.get((m_out, m_in), -np.inf)
+        )
+        return float(np.sqrt(top))
 
     def count_singular_values_below(self, tau):
         """#{sigma < tau} for a square operator, without squaring sigma.
@@ -359,11 +369,12 @@ def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
     exponent_2_to_2 and exponent_2_to_32.
     """
     n_values = np.asarray(sorted(n_values))
-    n22, n232 = [], []
+    n22, n232, floors = [], [], {}
     for n in n_values:
         op = realize_t(data, int(n), int(n))
-        n22.append(op.operator_norm(2.0, 2.0))
-        n232.append(op.operator_norm(1.5, 2.0))
+        n22.append(op.operator_norm(2.0, 2.0, floors))
+        n232.append(op.operator_norm(1.5, 2.0, floors))
+        del op  # so that it is not held while the next, larger one is built
     n22, n232 = np.array(n22), np.array(n232)
     logn = np.log(n_values.astype(float))
     e22 = float(np.polyfit(logn, np.log(n22), 1)[0])

@@ -57,6 +57,7 @@ dsytrf = _flapack.dsytrf
 dsytrs = _flapack.dsytrs
 zgbsv = _flapack.zgbsv
 dsbmv = _fblas.dsbmv
+dtbsv = _fblas.dtbsv
 
 
 def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):

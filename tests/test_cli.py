@@ -16,6 +16,7 @@ from edl.cli import main, write_artifacts
 from edl.config import (
     COMMAND_DEFAULTS,
     MATRIX_BYTE_BUDGET,
+    MAX_N_MODES,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -252,6 +253,28 @@ def test_no_assert_downgrades_to_zero(tmp_path):
     assert rc == 0
 
 
+def test_reused_parser_carries_no_arguments_between_calls(tmp_path, monkeypatch):
+    # main builds its parser once per process: a second call with another
+    # command and no options must resolve that command's defaults alone
+    import edl.cli
+
+    resolved = []
+    real = edl.cli._resolve_config
+    monkeypatch.setattr(edl.cli, "_resolve_config",
+                        lambda args: resolved.append(real(args)) or resolved[-1])
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("l_min = 8\nl_max = 10\ntol = 0.5\n")
+    assert main(["conormal", "--config", str(cfgfile), "--seed", "5", "--no-assert",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["gram", "--out", str(tmp_path / "b")]) == 0
+    assert main(["conormal", "--out", str(tmp_path / "c")]) == 0
+    assert edl.cli.make_parser() is edl.cli.make_parser()
+    first, second, third = resolved
+    assert (first.experiment, first.l_max, first.seed, first.do_assert) == ("conormal", 10, 5, False)
+    assert second == with_overrides(build_config("gram"), out_dir=str(tmp_path / "b"))
+    assert third == with_overrides(build_config("conormal"), out_dir=str(tmp_path / "c"))
+
+
 @pytest.mark.parametrize("line", ["n_modes=-4", "r_max=nan", "tol=inf", "p=1.5", "seed=-1"])
 def test_exit_two_on_config_error(tmp_path, capsys, line):
     cfgfile = tmp_path / "bad.cfg"
@@ -284,9 +307,8 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
     newton_cap = max(n for n in range(1, 4096)
                      if 16 * (3 * n + 1) * (2 * n + 1) + 2**20 <= MATRIX_BYTE_BUDGET)
     assert newton_cap == 1668
-    assert build_config("nash-moser", {"n_modes": newton_cap}).n_modes == newton_cap
-    with pytest.raises(ConfigError, match="n_modes.*MiB"):
-        build_config("nash-moser", {"n_modes": newton_cap + 1})
+    # nash-moser's run cap (test_nash_moser_n_modes_cap) lies below its budget
+    assert MAX_N_MODES["nash-moser"] < newton_cap
     with pytest.raises(ConfigError, match="n_modes"):
         with_overrides(build_config("nash-moser"), n_modes=10**6)
     with pytest.raises(ConfigError, match="n_modes"):
@@ -318,6 +340,21 @@ def test_n_modes_floor_of_the_circle_commands(tmp_path, capsys):
     assert rc == 2
     assert "at least 10" in capsys.readouterr().err
     assert not (tmp_path / "deform-op").exists()
+
+
+def test_nash_moser_n_modes_cap(tmp_path, capsys):
+    # only validated, never run: from n_modes 208 up the smoothed iteration on
+    # the rough preset exhausts its step budget or diverges; 207 passes
+    assert build_config("nash-moser", {"n_modes": 207}).n_modes == 207
+    with pytest.raises(ConfigError, match="at most 207 for nash-moser"):
+        build_config("nash-moser", {"n_modes": 208})
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text("n_modes = 208\n")
+    rc = main(["nash-moser", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edl: config error: n_modes must be at most 207") and err.count("\n") == 1
+    assert not (tmp_path / "nash-moser").exists()
 
 
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
@@ -381,6 +418,25 @@ def test_conormal_range_floor(tmp_path, capsys):
     assert main(["conormal", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
 
 
+def test_conormal_l_min_floor(tmp_path, capsys):
+    # the lowest modes' slopes are pre-asymptotic: l 1..256 to 3..256 and
+    # short ranges from l_min 4 to 6 (6..10) exited 1 with slope failures
+    for l_min in range(1, 7):
+        with pytest.raises(ConfigError, match="l_min must be at least 7 for conormal"):
+            build_config("conormal", {"l_min": l_min})
+    cfgfile = tmp_path / "low.cfg"
+    cfgfile.write_text("l_min = 6\nl_max = 10\n")
+    rc = main(["conormal", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edl: config error: l_min must be at least 7") and err.count("\n") == 1
+    assert not (tmp_path / "conormal").exists()
+    cfgfile.write_text("l_min = 7\nl_max = 9\n")
+    assert main(["conormal", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    # the floor is conormal's alone
+    assert build_config("gram", {"l_min": 1}).l_min == 1
+
+
 def test_decay_r0_cap(tmp_path, capsys):
     # above r0 = 16 one annulus clears annuli_decay's 1e-14 mask and the
     # one-point rate fit crashed in the SVD with exit 3
@@ -398,7 +454,7 @@ def test_decay_r0_cap(tmp_path, capsys):
 @pytest.mark.parametrize("command, keys", [
     ("obstruction", {"l_max": 100}),
     ("gram", {"l_min": 1, "l_max": 600}),
-    ("nash-moser", {"n_modes": 250}),
+    ("nash-moser", {"n_modes": 207}),
     ("deform-op", {"n_modes": 256, "samples": 1}),
     ("continuation", {"n_modes": 512}),
 ])

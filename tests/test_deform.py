@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from edl.bandeig import certified_spectrum
+from edl.bandeig import _positive_definite, certified_spectrum
 from edl.config import build_config, dense_array_bound
 from edl.dirac import LeadingData
 from edl.deform import (
@@ -27,7 +27,7 @@ from edl.deform import (
     series_from_real,
     t_op,
 )
-from edl import experiments
+from edl import bandeig, deform, experiments
 from edl.experiments import run_continuation, run_deform_op, run_nash_moser
 from edl.series import FourierSeries1D, hilbert_transform, multiply
 
@@ -113,6 +113,54 @@ def test_ll_star_defect_flat_unit_data(rng):
     want = np.zeros(13, dtype=complex)
     want[6] = -2.0 * np.conj(s.coeff(0))
     assert np.allclose(out.coeffs, want, atol=1e-13)
+
+
+def bisection_top(ab):
+    """The top eigenvalue of a band by the bisection operator_norm used
+    before: from the largest diagonal entry to the Gershgorin bound, halved
+    on whether t I - G factors until the ends are adjacent floats."""
+    dense = np.zeros((ab.shape[1],) * 2)
+    for s in range(ab.shape[0]):
+        q = np.arange(ab.shape[1] - s)
+        dense[q + s, q] = dense[q, q + s] = ab[s, q]
+    lo, hi = ab[0].max(), np.abs(dense).sum(axis=1).max()
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _positive_definite(ab, -1.0, mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def test_default_norms_match_bisection_bitwise(monkeypatch):
+    # the 11 graded norms of a default deform-op run, 3 defect norms and 8
+    # of the loss profile, chained through leading-block floors: each ends on
+    # the float the bisection ends on, one float above its certified floor,
+    # and they take at most 12 factorizations each on average (the bisection
+    # took about 52)
+    factorizations, norms = [0], []
+    real_dpbtrf, real_top = bandeig.dpbtrf, deform.top_eigenvalue
+
+    def counted(*args, **kwargs):
+        factorizations[0] += 1
+        return real_dpbtrf(*args, **kwargs)
+
+    def recorded(ab, floor):
+        before = factorizations[0]
+        top, lower = real_top(ab, floor)
+        norms.append((ab, top, lower, factorizations[0] - before))
+        return top, lower
+
+    monkeypatch.setattr(bandeig, "dpbtrf", counted)
+    monkeypatch.setattr(deform, "top_eigenvalue", recorded)
+    assert run_deform_op(build_config("deform-op")).passed
+    assert len(norms) == 11
+    for ab, top, lower, _ in norms:
+        assert top == bisection_top(ab)
+        assert lower == np.nextafter(top, -np.inf)
+    assert sum(count for *_, count in norms) <= 12 * len(norms)
 
 
 def test_ll_star_defect_norm_uniform_in_truncation():

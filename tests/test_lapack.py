@@ -16,7 +16,7 @@ from edl import lapack
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ROUTINES = {
     "lapack": ["dgbsv", "dgtsv", "dpbtrf", "dstev", "dsytrf", "dsytrs", "zgbsv"],
-    "blas": ["dsbmv"],
+    "blas": ["dsbmv", "dtbsv"],
 }
 
 

@@ -165,7 +165,7 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
     # that computes the whole spectrum (eig_banded, eigh) takes an edit here,
     # in lapack.py's exports and in the importers below
     want = {
-        "bandeig": {"dpbtrf", "dsbmv", "dstev"},
+        "bandeig": {"dpbtrf", "dsbmv", "dstev", "dtbsv"},
         "deform": {"dgbsv", "dsytrf", "dsytrs"},
         "newton": {"brentq", "zgbsv"},
         "obstruction": {"dgtsv"},
@@ -188,4 +188,4 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
     defs, uses, _, _ = read_module(os.path.join(SRC, "lapack.py"))
     exported = {name for name in set(uses) | defs if not name.startswith("_")}
     assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbmv", "dstev", "dsytrf",
-                        "dsytrs", "zgbsv"}
+                        "dsytrs", "dtbsv", "zgbsv"}

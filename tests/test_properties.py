@@ -22,7 +22,7 @@ from edl.deform import (
     t_op,
 )
 from edl.newton import ToyProblem, nash_moser_solve
-from edl.bandeig import certified_spectrum
+from edl.bandeig import _positive_definite, certified_spectrum, top_eigenvalue
 from edl.bgvar import (
     CutoffProfile,
     MetricVariation,
@@ -340,3 +340,71 @@ def test_certified_extremes_match_dense_eigvalsh(seed, n):
             assert kernel == 1
         if data is near:
             assert sigma_next < 0.2 * sigma_max
+
+
+def random_band(rng, n, kd, top):
+    """A symmetric band in lower band storage, n columns, kd subdiagonals,
+    with standard normal entries: for top "double" the direct sum of two
+    copies of one band, for "near" of a band and the same band plus
+    delta I, delta from 1e-14 to 1e-6 of its largest entry (for odd n the
+    second copy loses its last row and column)."""
+    half = -(-n // 2) if top in ("double", "near") else n
+    ab = rng.standard_normal((kd + 1, half))
+    for s in range(1, kd + 1):
+        ab[s, max(half - s, 0):] = 0.0  # entries past the block's last row
+    if half < n:
+        twin = ab.copy()
+        if top == "near":
+            twin[0] += 10.0 ** rng.uniform(-14, -6) * np.abs(ab).max()
+        ab = np.concatenate([ab, twin], axis=1)[:, :n]
+        for s in range(1, kd + 1):
+            ab[s, n - s:] = 0.0
+    return ab
+
+
+def dense_from_band(ab):
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for s in range(ab.shape[0]):
+        q = np.arange(n - s)
+        dense[q + s, q] = dense[q, q + s] = ab[s, :n - s]
+    return dense
+
+
+def assert_certified_top(ab, t, lo):
+    # t I - G factors and lo I - G does not, at adjacent floats; or lo = t is
+    # a diagonal entry equal to the Gershgorin bound, hence exactly lambda_max
+    lam = np.linalg.eigvalsh(dense_from_band(ab))
+    scale = np.abs(lam).max()
+    assert abs(t - lam[-1]) <= 1e-14 * scale
+    assert not _positive_definite(ab, -1.0, lo)
+    if lo == t:
+        assert t == ab[0].max() == np.abs(dense_from_band(ab)).sum(axis=1).max()
+    else:
+        assert np.nextafter(lo, np.inf) == t
+        assert _positive_definite(ab, -1.0, t)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 48), st.integers(0, 6),
+       st.sampled_from(["single", "double", "near"]))
+def test_top_eigenvalue_is_certified_on_random_bands(seed, n, kd, top):
+    # both certificates and eigvalsh's top to 1e-14 of the spectral radius,
+    # for diagonal (kd = 0) and 1 x 1 matrices, exactly double tops and tops
+    # split by 1e-14 to 1e-6; then again from a floor certified on a leading
+    # block, whose top is no larger (Cauchy interlacing), and from a start
+    # vector
+    rng = np.random.default_rng(seed)
+    ab = random_band(rng, n, min(kd, n - 1), top)
+    t, lo = top_eigenvalue(ab)
+    assert_certified_top(ab, t, lo)
+    m = int(rng.integers(1, n + 1))
+    lead = ab[:, :m].copy()
+    for s in range(1, lead.shape[0]):
+        lead[s, max(m - s, 0):] = 0.0
+    _, floor = top_eigenvalue(lead)
+    t_floor, lo_floor = top_eigenvalue(ab, floor)
+    assert_certified_top(ab, t_floor, lo_floor)
+    assert lo_floor >= floor
+    t_start, lo_start = top_eigenvalue(ab, start=rng.standard_normal(n))
+    assert_certified_top(ab, t_start, lo_start)
