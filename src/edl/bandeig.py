@@ -36,15 +36,14 @@ def _positive_definite(ab, sign, shift):
     return dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
 
 
-def top_eigenvalue(ab, floor=-np.inf, start=None):
+def top_eigenvalue(ab):
     """(t, lo), the top eigenvalue of G in lower band storage ab between
     adjacent floats, lo < lambda_max <= t: t I - G factors at t, and lo is
-    certified by a failed factorization, a diagonal entry or floor, a lower
-    end from elsewhere (that of a leading block of G, whose top is no larger).
+    certified by a failed factorization or a diagonal entry.
 
     The first shift is the Gershgorin bound.  Each shift t that factors runs
     INVERSE_STEPS Lanczos steps on (t I - G)^{-1} by solves with its factor,
-    from the last Ritz vector (start or a fixed pseudo-random one at first).
+    from the last Ritz vector (a fixed pseudo-random one at first).
     The top Ritz pair (nu, residual bound r) puts the top above
     e = t - 1/nu and estimates it from above by u = t - 1/(nu + r); the next
     shift is u + (u - e) if that goes at least halfway from t to e.  Once u
@@ -58,10 +57,10 @@ def top_eigenvalue(ab, floor=-np.inf, start=None):
     for shift in range(1, kd + 1):
         row_sums[shift:] += np.abs(ab[shift, :-shift])
         row_sums[:-shift] += np.abs(ab[shift, :-shift])
-    lo, hi = max(float(ab[0].max()), floor), float(row_sums.max())
+    lo, hi = float(ab[0].max()), float(row_sums.max())
     if not lo < hi:
         return hi, lo
-    x = np.random.default_rng(0).standard_normal(ab.shape[1]) if start is None else start
+    x = np.random.default_rng(0).standard_normal(ab.shape[1])
     negated = np.negative(ab, order="F")
     shifted = np.empty_like(negated)  # dpbtrf factors it in place
     t, step = hi, None  # step: set once the estimate is settled
@@ -81,7 +80,7 @@ def top_eigenvalue(ab, floor=-np.inf, start=None):
         elif not info:
             (nu, resid, x), _ = _lanczos(  # L^{-T} L^{-1} v, as dpbtrs would
                 lambda v: dtbsv(kd, factor, dtbsv(kd, factor, v, lower=1), lower=1, trans=1),
-                x, INVERSE_STEPS, low=False,
+                x, INVERSE_STEPS,
             )
             if 3 * resid < nu:
                 below, above = t - 1.0 / nu, t - 1.0 / (nu + resid)
@@ -94,11 +93,10 @@ def top_eigenvalue(ab, floor=-np.inf, start=None):
             t = 0.5 * (lo + hi)
 
 
-def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS, low=True):
-    """The top Ritz pair of a symmetric operator applied by matvec and, if
-    low, its lowest pair above the kernel, each (value, residual bound,
-    vector), from a Lanczos run with full reorthogonalization started at
-    start.
+def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS):
+    """The top Ritz pair of a symmetric operator applied by matvec and its
+    lowest pair above the kernel, each (value, residual bound, vector), from
+    a Lanczos run with full reorthogonalization started at start.
 
     At steps 2, 3, ..., 8, 10, 12, 15, ... (a quarter more each time) dstev
     solves the tridiagonal Ritz problem, and the run stops once the residual
@@ -106,8 +104,8 @@ def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS, low=True):
     the top Ritz value, when the Krylov space closes (beta_j below that) or
     after max_steps.  Ritz values up to that slack are the kernel's: the
     lowest pair is the first above, the top one included, None if there is
-    none or low is false.  Some eigenvalue lies within the residual bound of
-    each Ritz value; which one, the caller certifies.
+    none.  Some eigenvalue lies within the residual bound of each Ritz value;
+    which one, the caller certifies.
     """
     n = start.size
     basis = np.zeros((min(n, max_steps), n))
@@ -128,34 +126,63 @@ def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS, low=True):
             theta, vecs, _ = dstev(alpha[:steps], beta[:max(steps - 1, 1)])
             slack = GRAM_EIGEN_SLACK * theta[-1]
             resid = np.abs(beta[j] * vecs[-1])
-            wanted = [steps - 1, *np.flatnonzero(theta > slack)[:1 if low else 0]]
+            wanted = [steps - 1, *np.flatnonzero(theta > slack)[:1]]
             if closed or resid[wanted].max() <= slack:
                 top, *rest = [(theta[i], resid[i], vecs[:, i] @ basis[:steps]) for i in wanted]
                 return top, (rest[0] if rest else None)
         basis[j + 1] = w / beta[j]
 
 
-def _next_singular_value(op, ab, low, kernel, tau, upper, floor_factors):
-    """sigma_{k+1}, the smallest singular value at or above tau, k = kernel,
-    from the Gram's lowest Ritz pair above the kernel, low = (value, residual
-    bound r, vector) or None; upper is a certified bound on lambda_max.
+def certified_spectrum(op, threshold, start=None):
+    """(sigma_max, k, sigma_{k+1}, warm) of a square RealizedOperator, with k
+    the kernel count #{sigma < tau}, tau = threshold sigma_max.
 
-    Its square lies within r + GRAM_EIGEN_SLACK lambda_max of the Ritz value
-    once that bracket is certified: for k = 0 by one banded Cholesky of
-    G - (value - r - slack) I, which leaves no eigenvalue below and which
-    certified_spectrum has run (floor_factors is its outcome), and for
-    k >= 1 by inertia counts at both ends.  Without a pair or a certificate
-    the bracket is the wide one from tau to sqrt(upper).  Where the bracket
-    is wider than 1e-13 relative (gaps below about 0.2), it is halved by
-    inertia counts, which resolve sigma to eps sigma_max like a dense SVD;
-    the Ritz value is then clipped into the narrowed bracket.
+    Both values come from _lanczos on the banded Gram, started at start
+    (zero-padded or cut to the Gram's side) or, if None, at a fixed
+    pseudo-random vector.  sigma_max is certified by one banded Cholesky of
+    (value + r + slack) I - G; if it fails, top_eigenvalue replaces it.
+    When the lowest Ritz pair's floor, value - r - slack, lies above tau^2
+    and G - floor I factors, every sigma^2 exceeds tau^2 and k = 0;
+    otherwise k is counted by inertia.  warm, the sum of the two Ritz
+    vectors, starts the next truncation of the same operator: truncations
+    are leading blocks in the band order.
     """
-    if kernel == ab.shape[1]:
-        return 0.0
+    ab = op.gram_band()
+    n = ab.shape[1]
+    vec = np.zeros(n)
+    if start is not None:
+        vec[:min(n, start.size)] = start[:n]
+    if not vec.any():
+        vec = np.random.default_rng(0).standard_normal(n)
+    band, kd = np.asfortranarray(ab), ab.shape[0] - 1
+    (lam, resid, warm), low = _lanczos(lambda v: dsbmv(kd, 1.0, band, v, lower=1), vec)
+    if low is not None:
+        warm = warm + low[2]
+    upper = lam + resid + GRAM_EIGEN_SLACK * lam
+    if not _positive_definite(ab, -1.0, upper):
+        lam = upper = top_eigenvalue(ab)[0]
+    sigma_max = max(float(np.sqrt(max(lam, 0.0))), 1e-300)
+    tau = threshold * sigma_max
+    floor = -np.inf if low is None else low[0] - (low[1] + GRAM_EIGEN_SLACK * upper)
+    floor_factors = low is not None and _positive_definite(ab, 1.0, floor)
+    if floor_factors and floor > tau * tau:
+        kernel = 0
+    else:
+        kernel = op.count_singular_values_below(tau)
+    if kernel == n:
+        return sigma_max, kernel, 0.0, warm
+    # sigma_{k+1}, the smallest singular value at or above tau: its square lies
+    # within r + slack of the lowest Ritz value above the kernel once that
+    # bracket is certified, for k = 0 by the Cholesky below it that factored
+    # (floor_factors) and for k >= 1 by inertia counts at both ends; without a
+    # pair or a certificate the bracket runs from tau to sqrt(upper).  Brackets
+    # wider than 1e-13 relative (gaps below about 0.2) are halved by inertia
+    # counts, which resolve sigma to eps sigma_max like a dense SVD, and the
+    # Ritz value is clipped into what is left.
     lo, hi, guess = tau, float(np.sqrt(upper)), tau
     if low is not None:
-        value, resid, _ = low
-        slack = resid + GRAM_EIGEN_SLACK * upper
+        value, r, _ = low
+        slack = r + GRAM_EIGEN_SLACK * upper
         lo_c = max(tau, float(np.sqrt(max(value - slack, 0.0))))
         hi_c = float(np.sqrt(value + slack))
         if kernel == 0:
@@ -173,43 +200,4 @@ def _next_singular_value(op, ab, low, kernel, tau, upper, floor_factors):
             hi = mid
         else:
             lo = mid
-    return min(max(guess, lo), hi)
-
-
-def certified_spectrum(op, threshold, start=None):
-    """(sigma_max, k, sigma_{k+1}, warm) of a square RealizedOperator, with k
-    the kernel count #{sigma < tau}, tau = threshold sigma_max.
-
-    Both values come from _lanczos on the banded Gram, started at start
-    (zero-padded or cut to the Gram's side) or, if None, at a fixed
-    pseudo-random vector.  sigma_max is certified by one banded Cholesky of
-    (value + r + slack) I - G; if it fails, top_eigenvalue, started at the
-    top Ritz vector, replaces it.  When the lowest Ritz pair's floor,
-    value - r - slack, lies above tau^2 and G - floor I factors, every
-    sigma^2 exceeds tau^2 and k = 0; otherwise k is counted by inertia.  warm, the sum of the two Ritz vectors, starts
-    the next truncation of the same operator: truncations are leading
-    blocks in the band order.
-    """
-    ab = op.gram_band()
-    n = ab.shape[1]
-    vec = np.zeros(n)
-    if start is not None:
-        vec[:min(n, start.size)] = start[:n]
-    if not vec.any():
-        vec = np.random.default_rng(0).standard_normal(n)
-    band, kd = np.asfortranarray(ab), ab.shape[0] - 1
-    top, low = _lanczos(lambda v: dsbmv(kd, 1.0, band, v, lower=1), vec)
-    lam, resid, warm = top
-    upper = lam + resid + GRAM_EIGEN_SLACK * lam
-    if not _positive_definite(ab, -1.0, upper):
-        lam = upper = top_eigenvalue(ab, start=warm)[0]
-    sigma_max = max(float(np.sqrt(max(lam, 0.0))), 1e-300)
-    tau = threshold * sigma_max
-    floor = -np.inf if low is None else low[0] - (low[1] + GRAM_EIGEN_SLACK * upper)
-    floor_factors = low is not None and _positive_definite(ab, 1.0, floor)
-    if floor_factors and floor > tau * tau:
-        kernel = 0
-    else:
-        kernel = op.count_singular_values_below(tau)
-    sigma_next = _next_singular_value(op, ab, low, kernel, tau, upper, floor_factors)
-    return sigma_max, kernel, sigma_next, warm if low is None else warm + low[2]
+    return sigma_max, kernel, min(max(guess, lo), hi), warm

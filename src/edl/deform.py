@@ -18,16 +18,15 @@ assemblies are checked against; no command reads them.
 
 Operator norms are the top eigenvalue of the banded Gram, bracketed to
 adjacent floats by banded Choleskys of t I - G^T G whose shifts come from
-shift-and-invert Lanczos runs (bandeig.py); a truncation normed after a
-smaller one starts from its certified floor.  Kernel counts do not
-square: with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma,
-#{sigma < tau} = nu_-(JW - tau I) - n, and nu_- is summed over the pivot
-blocks of a block LDL^T of the block-tridiagonal JW (Haynsworth inertia
-additivity).  The Fredholm diagnostics read two values of each truncation's
-Gram, sigma_max^2 and sigma_{k+1}^2, from a short certified Lanczos run
-(bandeig.py), warm-started from the previous truncation's Ritz vectors.
-The dense SVD and Gram routes stay as test oracles.  The bordered system is
-written into T's band and solved by banded LU.
+shift-and-invert Lanczos runs (bandeig.py).  Kernel counts do not square:
+with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma, #{sigma < tau}
+= nu_-(JW - tau I) - n, and nu_- is summed over the pivot blocks of a block
+LDL^T of the block-tridiagonal JW (Haynsworth inertia additivity).  The
+Fredholm diagnostics read two values of each truncation's Gram, sigma_max^2
+and sigma_{k+1}^2, from a short certified Lanczos run (bandeig.py),
+warm-started from the previous truncation's Ritz vectors.  The dense SVD and
+Gram routes stay as test oracles.  The bordered system is written into T's
+band and solved by banded LU.
 """
 from __future__ import annotations
 
@@ -44,9 +43,9 @@ from .series import (
     hilbert_transform,
     multiply,
     second_derivative,
-    sign_with_positive_zero,
+    sgn,
 )
-from .dirac import LeadingData, sgn
+from .dirac import LeadingData
 from .bandeig import certified_spectrum, top_eigenvalue
 from .lapack import dgbsv, dsytrf, dsytrs
 
@@ -188,19 +187,11 @@ class RealizedOperator:
         used = np.flatnonzero(ab.any(axis=1))
         return ab[: used[-1] + 1 if used.size else 1]
 
-    def operator_norm(self, m_out=0.0, m_in=0.0, floors=None):
+    def operator_norm(self, m_out=0.0, m_in=0.0):
         """sigma_max of the graded matrix: the square root of the top
         eigenvalue of its banded Gram, certified to adjacent floats by banded
-        Choleskys (bandeig.top_eigenvalue).  floors, a dict the caller keeps,
-        passes the lower end of that top, keyed by (m_out, m_in), on to the
-        next larger truncation of the operator: a leading block in the band
-        order, whose top is no smaller.
-        """
-        floors = {} if floors is None else floors
-        top, floors[m_out, m_in] = top_eigenvalue(
-            self.gram_band(m_out, m_in), floors.get((m_out, m_in), -np.inf)
-        )
-        return float(np.sqrt(top))
+        Choleskys (bandeig.top_eigenvalue)."""
+        return float(np.sqrt(top_eigenvalue(self.gram_band(m_out, m_in))[0]))
 
     def count_singular_values_below(self, tau):
         """#{sigma < tau} for a square operator, without squaring sigma.
@@ -285,7 +276,7 @@ def realize_l(data, n_modes, n_out=None):
     n_out = n_modes if n_out is None else n_out
 
     def entries(l, m):
-        return _coeff(data.c, l - m) * sign_with_positive_zero(l), _coeff(data.d, l + m) * -1.0
+        return _coeff(data.c, l - m) * sgn(l), _coeff(data.d, l + m) * -1.0
 
     win = _assemble(n_modes, n_out, max(data.c.n_modes, data.d.n_modes), entries)
     return RealizedOperator(win, n_modes, n_out, data.circumference)
@@ -305,7 +296,7 @@ def ll_star_defect_operator(data, n_modes):
     mod2, cd = multiply(data.c, data.c.conjugate()), multiply(data.c, data.d)
 
     def entries(l, m):
-        s_l, s_m = sign_with_positive_zero(l), sign_with_positive_zero(m)
+        s_l, s_m = sgn(l), sgn(m)
         return _coeff(mod2, l - m) * (s_l * s_m - 1.0), _coeff(cd, l + m) * -(s_l + s_m)
 
     win = _assemble(n_modes, n_modes, max(mod2.n_modes, cd.n_modes), entries)
@@ -323,7 +314,7 @@ def commutator_with_sign_multiplier(a_series, n_modes):
     n_out = n_modes + a_series.n_modes
 
     def entries(l, m):
-        sign = sign_with_positive_zero(l) - sign_with_positive_zero(m)
+        sign = sgn(l) - sgn(m)
         return _coeff(a_series, l - m) * sign, 0.0
 
     win = _assemble(n_modes, n_out, a_series.n_modes, entries)
@@ -369,11 +360,11 @@ def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
     exponent_2_to_2 and exponent_2_to_32.
     """
     n_values = np.asarray(sorted(n_values))
-    n22, n232, floors = [], [], {}
+    n22, n232 = [], []
     for n in n_values:
         op = realize_t(data, int(n), int(n))
-        n22.append(op.operator_norm(2.0, 2.0, floors))
-        n232.append(op.operator_norm(1.5, 2.0, floors))
+        n22.append(op.operator_norm(2.0, 2.0))
+        n232.append(op.operator_norm(1.5, 2.0))
         del op  # so that it is not held while the next, larger one is built
     n22, n232 = np.array(n22), np.array(n232)
     logn = np.log(n_values.astype(float))

@@ -30,11 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
-from .series import FourierSeries1D, TWO_PI, multiply
-
-
-def sgn(l):
-    return 1.0 if l >= 0 else -1.0
+from .series import FourierSeries1D, TWO_PI, multiply, sgn
 
 
 # -- Clifford frame -------------------------------------------------------------

@@ -315,8 +315,8 @@ def run_deform_op(cfg):
     gap = min(rep1.singular_gaps)
     _check(failures, gap > 1e-3,
            f"constant data complement margin {gap:.2e} too small")
-    floors, generic = {}, random_nondegenerate_data(rng)
-    defect_norms = [ll_star_defect_operator(generic, int(n)).operator_norm(1.0, 0.0, floors)
+    generic = random_nondegenerate_data(rng)
+    defect_norms = [ll_star_defect_operator(generic, int(n)).operator_norm(1.0, 0.0)
                     for n in truncations]
     spread = max(defect_norms) / max(min(defect_norms), 1e-300)
     _check(failures, spread < 2.0,
@@ -538,18 +538,19 @@ def run_nash_moser(cfg):
         "smoothed_rough_iterations": len(nm_trace.steps),
         "smooth_solution_gap": float(gap),
     }
+    series = [  # a tol at or above the rough residual stops a run before its first step
+        (label, [float(s.step) for s in trace.steps],
+         [max(s.residual_norm, 1e-16) for s in trace.steps])
+        for label, trace in (("plain/rough", plain_trace), ("smoothed/rough", nm_trace))
+        if trace.steps
+    ]
     plot = {
-        "series": [
-            ("plain/rough", [float(s.step) for s in plain_trace.steps],
-             [max(s.residual_norm, 1e-16) for s in plain_trace.steps]),
-            ("smoothed/rough", [float(s.step) for s in nm_trace.steps],
-             [max(s.residual_norm, 1e-16) for s in nm_trace.steps]),
-        ],
+        "series": series,
         "title": "newton residual histories",
         "xlabel": "step",
         "ylabel": "residual at m0",
         "logy": True,
-    }
+    } if series else None
     return ExperimentOutcome(
         "nash-moser", metrics, failures,
         ["solver", "preset", "step", "eps", "residual"], rows, plot,

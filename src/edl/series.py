@@ -20,11 +20,9 @@ TWO_PI = 2.0 * math.pi
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def sign_with_positive_zero(modes):
-    # the transform below needs sgn(0) = +1, not numpy's 0
-    s = np.sign(modes).astype(float)
-    s[np.asarray(modes) == 0] = 1.0
-    return s
+def sgn(l):
+    """sgn(l) with sgn(0) = +1, not numpy's 0, elementwise."""
+    return np.where(np.asarray(l) >= 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +172,7 @@ def multiply(u, v):
 
 def hilbert_transform(u):
     """Multiplier sgn(l) with sgn(0) = +1; an exact involution."""
-    return FourierSeries1D(
-        u.coeffs * sign_with_positive_zero(u.modes()), u.circumference
-    )
+    return FourierSeries1D(u.coeffs * sgn(u.modes()), u.circumference)
 
 
 def fractional_resolvent(u, s):

@@ -357,6 +357,23 @@ def test_nash_moser_n_modes_cap(tmp_path, capsys):
     assert not (tmp_path / "nash-moser").exists()
 
 
+def test_nash_moser_tol_above_the_rough_residual(tmp_path, capsys):
+    # tol 100 lies above the rough preset's first residual (30.45 at the
+    # default n_modes): both rough runs stop before a step, so plain Newton
+    # cannot diverge; the run fails its check instead of crashing on an
+    # empty plot
+    cfgfile = tmp_path / "loose.cfg"
+    cfgfile.write_text("tol = 100\n")
+    rc = main(["nash-moser", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    payload = json.loads(out[-1])
+    assert payload == {"failures": ["plain iteration on rough data: converged, want diverged"]}
+    folder = tmp_path / "nash-moser"
+    assert (folder / "results.csv").exists() and (folder / "summary.json").exists()
+    assert not (folder / "plot.svg").exists()
+
+
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     # only validated, never run. obstruction holds eight complex
     # (2 l_max + 3) x 1200 slabs: its synthesized field at one theta sample,

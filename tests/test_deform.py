@@ -136,8 +136,8 @@ def bisection_top(ab):
 
 def test_default_norms_match_bisection_bitwise(monkeypatch):
     # the 11 graded norms of a default deform-op run, 3 defect norms and 8
-    # of the loss profile, chained through leading-block floors: each ends on
-    # the float the bisection ends on, one float above its certified floor,
+    # of the loss profile, each normed from its own band: each ends on the
+    # float the bisection ends on, one float above its certified lower end,
     # and they take at most 12 factorizations each on average (the bisection
     # took about 52)
     factorizations, norms = [0], []
@@ -147,9 +147,9 @@ def test_default_norms_match_bisection_bitwise(monkeypatch):
         factorizations[0] += 1
         return real_dpbtrf(*args, **kwargs)
 
-    def recorded(ab, floor):
+    def recorded(ab):
         before = factorizations[0]
-        top, lower = real_top(ab, floor)
+        top, lower = real_top(ab)
         norms.append((ab, top, lower, factorizations[0] - before))
         return top, lower
 
@@ -306,7 +306,8 @@ def test_failed_certificates_fall_back_to_bisection():
     # unit start vector closes the Krylov space at once: on the kernel there
     # is no Ritz value above it, on the top eigenvector sigma_{k+1} fails its
     # inertia certificate, and on an interior one sigma_max fails its Cholesky
-    # certificate; each falls back to bisection from the wide bracket
+    # certificate; sigma_{k+1} then falls back to bisection by inertia counts
+    # from the wide bracket, and sigma_max to top_eigenvalue
     op = realize_l(LeadingData.constant(1.0, 1.0), 4)
     assert np.array_equal(op.gram_band()[0, :3], [0.0, 4.0, 2.0])
     for i in range(3):
