@@ -24,7 +24,9 @@ add harmonics, so each (l, k) coefficient of B(gdot) Phi0 is exact.
 Phi0 of a data pair (c, d) from the (l, k = 0) coefficient alone, against the
 closed-form prediction
 
-    base_l = L * 2pi * |l|^{-3/2} * (H(c eta'') - conj(eta'') d)_l,
+    base_l = 4 pi^2 * |l|^{-3/2} * (H(c eta'') - conj(eta'') d)_l,
+
+where 4 pi^2 is the area of the (t, theta) torus,
 
 and reports the fitted ratio next to the two candidate constants -3/4 and
 -3/2 together with the decay exponent of its mode-doubling deviations.
@@ -44,6 +46,7 @@ import numpy as np
 
 from .series import (
     FourierSeries1D,
+    TORUS_AREA,
     TWO_PI,
     cutoff_c2,
     cutoff_c2_prime,
@@ -145,7 +148,7 @@ class Separable:
         return Separable((s, da, None, j) for s, _, da, j in self.terms)
 
     def coeff(self, l, k):
-        """Radial profile of the e^{2 pi i l t / L} e^{i k theta} component."""
+        """Radial profile of the e^{i l t} e^{i k theta} component."""
         return sum(s.coeff(l) * a for s, a, _, j in self.terms if j == k)
 
     def sample(self, t, n_radial, theta):
@@ -160,9 +163,9 @@ class Separable:
         return out
 
 
-def _factors(circumference, r):
+def _factors(r):
     """e^{i theta}, e^{-i theta}, cos(theta), sin(theta) and 1/r as separable fields."""
-    one = FourierSeries1D.from_modes({0: 1.0}, circumference)
+    one = FourierSeries1D.from_modes({0: 1.0})
     e_th = Separable([(one, 1.0, None, 1)])
     e_mth = Separable([(one, 1.0, None, -1)])
     inv_r = Separable([(one, 1.0 / r, None, 0)])
@@ -177,10 +180,8 @@ def _pullback(eta_x, eta_y, r, cutoff):
     chain rule for d(tr gdot) and div(gdot) is assembled here in closed form.
     """
     if eta_y is None:
-        eta_y = FourierSeries1D.zero(0, eta_x.circumference)
-    eta_x._check_compatible(eta_y)
-    L = eta_x.circumference
-    one = FourierSeries1D.from_modes({0: 1.0}, L)
+        eta_y = FourierSeries1D.zero(0)
+    one = FourierSeries1D.from_modes({0: 1.0})
 
     def series(u):
         return Separable([(u, 1.0, None, 0)])
@@ -196,7 +197,7 @@ def _pullback(eta_x, eta_y, r, cutoff):
     else:
         chi = radial(cutoff.chi(r))
         dchi, d2chi = radial(cutoff.dchi(r)), radial(cutoff.d2chi(r))
-    _, _, cos_t, sin_t, inv_r = _factors(L, r)
+    _, _, cos_t, sin_t, inv_r = _factors(r)
 
     dchi_x = dchi * cos_t
     dchi_y = dchi * sin_t
@@ -237,7 +238,6 @@ class MetricVariation:
     """
 
     rgrid: RadialGrid
-    circumference: float
     g_tx: np.ndarray
     g_ty: np.ndarray
     g_xx: np.ndarray
@@ -262,8 +262,7 @@ class MetricVariation:
         band = max(eta_x.n_modes, 0 if eta_y is None else eta_y.n_modes)
         if nt < 2 * band + 2:
             raise ValueError("t-grid cannot represent the displacement alias-free")
-        L = eta_x.circumference
-        t = np.arange(nt) * (L / nt)
+        t = np.arange(nt) * (TWO_PI / nt)
         th = np.arange(ntheta) * (TWO_PI / ntheta)
 
         def full(field):
@@ -272,9 +271,7 @@ class MetricVariation:
             return field.sample(t, rgrid.n_points, th)
 
         pull = _pullback(eta_x, eta_y, rgrid.r, cutoff)
-        return MetricVariation(
-            rgrid=rgrid, circumference=L, **{k: full(f) for k, f in pull.items()}
-        )
+        return MetricVariation(rgrid=rgrid, **{k: full(f) for k, f in pull.items()})
 
 
 # -- operator variation -------------------------------------------------------------
@@ -330,7 +327,7 @@ def bg_apply_terms(var, psi):
         lambda axis, p, m: twisted_clifford_apply(axis, th, p, m),
     )
     tensor, trace, divergence = (
-        SpinorField(psi.rgrid, p, m, psi.circumference) for p, m in pieces
+        SpinorField(psi.rgrid, p, m) for p, m in pieces
     )
     return SimpleNamespace(tensor=tensor, trace=trace, divergence=divergence)
 
@@ -339,7 +336,7 @@ def bg_apply(var, psi):
     t = bg_apply_terms(var, psi)
     p = t.tensor.plus + t.trace.plus + t.divergence.plus
     m = t.tensor.minus + t.trace.minus + t.divergence.minus
-    return SpinorField(psi.rgrid, p, m, psi.circumference)
+    return SpinorField(psi.rgrid, p, m)
 
 
 # -- leading field ------------------------------------------------------------------
@@ -356,8 +353,7 @@ def leading_term_field(data, rgrid, nt, ntheta=8):
         raise ValueError("t-grid cannot represent the data alias-free")
     if ntheta < 4:
         raise ValueError("theta grid cannot represent k = +-1 alias-free")
-    L = data.circumference
-    t = np.arange(nt) * (L / nt)
+    t = np.arange(nt) * (TWO_PI / nt)
     th = np.arange(ntheta) * (TWO_PI / ntheta)
     c_t = data.c.evaluate(t)[:, None, None]
     d_t = data.d.evaluate(t)[:, None, None]
@@ -366,9 +362,7 @@ def leading_term_field(data, rgrid, nt, ntheta=8):
     plus = c_t * root * e_th
     minus = d_t * root * np.conj(e_th)
     inv_2r = (0.5 / rgrid.r)[None, :, None]
-    return SpinorField(
-        rgrid, plus, minus, L, plus_dr=plus * inv_2r, minus_dr=minus * inv_2r
-    )
+    return SpinorField(rgrid, plus, minus, plus_dr=plus * inv_2r, minus_dr=minus * inv_2r)
 
 
 def leading_variation(data, eta_x, eta_y, r, cutoff):
@@ -381,7 +375,7 @@ def leading_variation(data, eta_x, eta_y, r, cutoff):
     root = np.sqrt(r)
     plus = Separable([(data.c, root, 0.5 / root, 1)])
     minus = Separable([(data.d, root, 0.5 / root, -1)])
-    e_th, e_mth, cos_t, sin_t, inv_r = _factors(data.circumference, r)
+    e_th, e_mth, cos_t, sin_t, inv_r = _factors(r)
     grad = frame_gradient(
         plus, minus, (plus.dt(), minus.dt()), (plus.dr(), minus.dr()),
         (plus.dtheta(), minus.dtheta()), cos_t, sin_t, inv_r,
@@ -397,8 +391,7 @@ def leading_variation(data, eta_x, eta_y, r, cutoff):
 
 
 def _require_real_series(u, name):
-    n = u.n_modes
-    defect = np.max(np.abs(np.conj(u.coeffs[::-1]) - u.coeffs)) if n >= 0 else 0.0
+    defect = np.max(np.abs(np.conj(u.coeffs[::-1]) - u.coeffs))
     if defect > 1e-12 * max(1.0, np.max(np.abs(u.coeffs))):
         raise ValueError(f"{name} must be a real-valued series (conjugate-symmetric)")
 
@@ -412,7 +405,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
     """Per-mode pairings <B(gdot) Phi0, Psi_l> against the multiplier prediction.
 
     Psi_l lives on the single mode (l, k = 0), so the pairing is
-    L * 2pi * int (B_+ + sgn(l) B_-)_{l,0} prof_l r dr, read off the separable
+    4 pi^2 * int (B_+ + sgn(l) B_-)_{l,0} prof_l r dr, read off the separable
     (l, 0) coefficient of B(gdot) Phi0 with one radial quadrature on a
     geometric grid of PAIRING_RADIAL_POINTS radii out to
     PAIRING_DECAY_BUDGET / |l|.
@@ -435,15 +428,12 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
         eta = eta_x + eta_y * 1j
     else:
         eta = eta_x
-    L = data.circumference
-    if abs(eta.circumference - L) > 1e-12 * L:
-        raise ValueError("displacement and data circumferences differ")
     mult = l_op(data, second_derivative(eta))
 
     measured, khat = {}, {}
     for l in l_values:
         l = int(l)
-        b = L * TWO_PI * abs(l) ** -1.5 * mult.coeff(l)
+        b = TORUS_AREA * abs(l) ** -1.5 * mult.coeff(l)
         if abs(b) < 1e-14:
             raise ValueError(f"probe mode {l} is absent from the displacement")
         r_max = PAIRING_DECAY_BUDGET / abs(l)
@@ -452,7 +442,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
         rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
         bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
         bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
-        m = L * TWO_PI * bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))
+        m = TORUS_AREA * bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))
         measured[l], khat[l] = m, m / b
 
     ls = sorted(khat, key=abs)

@@ -49,7 +49,7 @@ from .dirac import LeadingData
 from .bandeig import certified_spectrum, top_eigenvalue
 from .lapack import dgbsv, dsytrf, dsytrs
 
-T_SYMBOL_SCALE = -1.5  # prefactor of T is this times the circumference
+T_SYMBOL_SCALE = -1.5 * TWO_PI  # prefactor of T: -3/2 times the circle's length
 MIN_PIVOT_BLOCK = 16  # side floor of the inertia count's blocks: few, short loop steps
 
 
@@ -67,14 +67,14 @@ def real_coords(series):
     return np.where(np.arange(c.size) % 2 == 1, c.imag, c.real)
 
 
-def series_from_real(vec, circumference=TWO_PI):
+def series_from_real(vec):
     vec = np.asarray(vec, dtype=float)
     if vec.size % 2 != 0 or (vec.size // 2) % 2 != 1:
         raise ValueError("expected Re/Im coordinate pairs of an odd mode count")
     n = vec.size // 4
     coeffs = np.empty(2 * n + 1, dtype=complex)
     coeffs[_modes(n)[::2] + n] = vec[0::2] + 1j * vec[1::2]
-    return FourierSeries1D(coeffs, circumference)
+    return FourierSeries1D(coeffs)
 
 
 def _graded_weights(n_modes, m):
@@ -126,17 +126,16 @@ class RealizedOperator:
     win: np.ndarray
     n_in: int
     n_out: int
-    circumference: float = TWO_PI
 
     @staticmethod
-    def from_matrix(matrix, n_in, n_out, circumference=TWO_PI):
+    def from_matrix(matrix, n_in, n_out):
         """The band of a dense matrix of unknown structure."""
         rows, inside = _window(n_in, n_out, max(matrix.shape) - 1)
         win = np.where(inside, matrix[rows, np.arange(rows.shape[1])], 0.0)
-        return RealizedOperator(win, n_in, n_out, circumference)
+        return RealizedOperator(win, n_in, n_out)
 
     @staticmethod
-    def realize(fn, n_in, n_out=None, circumference=TWO_PI):
+    def realize(fn, n_in, n_out=None):
         """Column-by-column realization of a series map by unit-vector probes.
 
         fn must be real-linear on series with modes up to n_in; its output is
@@ -150,9 +149,9 @@ class RealizedOperator:
         modes = _modes(n_in)
         cols = np.zeros((2 * (2 * n_out + 1), modes.size))
         for j, l in enumerate(modes):
-            basis = FourierSeries1D.single_mode(int(l), (1.0, 1.0j)[j % 2], circumference)
+            basis = FourierSeries1D.single_mode(int(l), (1.0, 1.0j)[j % 2])
             cols[:, j] = real_coords(fn(basis).truncate(n_out))
-        return RealizedOperator.from_matrix(cols, n_in, n_out, circumference)
+        return RealizedOperator.from_matrix(cols, n_in, n_out)
 
     @cached_property
     def matrix(self):
@@ -164,7 +163,7 @@ class RealizedOperator:
 
     def apply(self, series):
         series = series.truncate(self.n_in)
-        return series_from_real(self.matrix @ real_coords(series), self.circumference)
+        return series_from_real(self.matrix @ real_coords(series))
 
     def gram_band(self, m_out=0.0, m_in=0.0):
         """G^T G of the graded matrix G = W_out M W_in^{-1} in lower band
@@ -279,7 +278,7 @@ def realize_l(data, n_modes, n_out=None):
         return _coeff(data.c, l - m) * sgn(l), _coeff(data.d, l + m) * -1.0
 
     win = _assemble(n_modes, n_out, max(data.c.n_modes, data.d.n_modes), entries)
-    return RealizedOperator(win, n_modes, n_out, data.circumference)
+    return RealizedOperator(win, n_modes, n_out)
 
 
 def ll_star_defect_operator(data, n_modes):
@@ -300,7 +299,7 @@ def ll_star_defect_operator(data, n_modes):
         return _coeff(mod2, l - m) * (s_l * s_m - 1.0), _coeff(cd, l + m) * -(s_l + s_m)
 
     win = _assemble(n_modes, n_modes, max(mod2.n_modes, cd.n_modes), entries)
-    return RealizedOperator(win, n_modes, n_modes, data.circumference)
+    return RealizedOperator(win, n_modes, n_modes)
 
 
 def commutator_with_sign_multiplier(a_series, n_modes):
@@ -318,36 +317,31 @@ def commutator_with_sign_multiplier(a_series, n_modes):
         return _coeff(a_series, l - m) * sign, 0.0
 
     win = _assemble(n_modes, n_out, a_series.n_modes, entries)
-    return RealizedOperator(win, n_modes, n_out, a_series.circumference)
+    return RealizedOperator(win, n_modes, n_out)
 
 
 # -- the normal-direction operator ----------------------------------------------------
 
 
 def t_op(data, eta):
-    """T eta = (T_SYMBOL_SCALE * L) R_{3/4} L(eta''), the normal-direction map.
+    """T eta = T_SYMBOL_SCALE R_{3/4} L(eta''), the normal-direction map.
 
-    R_{3/4} is the fractional resolvent (l^2+1)^{-3/4}; eta'' uses angular
-    frequencies, so at circumference 2 pi a single mode e^{i l t} with l > 0
-    and flat data (c, d) = (1, 0) returns 3 pi l^2 (l^2+1)^{-3/4} e^{i l t}.
+    R_{3/4} is the fractional resolvent (l^2+1)^{-3/4}, so a single mode
+    e^{i l t} with l > 0 and flat data (c, d) = (1, 0) returns
+    3 pi l^2 (l^2+1)^{-3/4} e^{i l t}.
     """
-    scale = T_SYMBOL_SCALE * data.circumference
-    return fractional_resolvent(
-        l_op(data, second_derivative(eta)), 0.75
-    ) * scale
+    return fractional_resolvent(l_op(data, second_derivative(eta)), 0.75) * T_SYMBOL_SCALE
 
 
 def realize_t(data, n_modes, n_out=None):
-    """T as L with columns scaled by -omega_m^2 and rows by scale (l^2+1)^{-3/4}."""
+    """T as L with columns scaled by -m^2 and rows by T_SYMBOL_SCALE (l^2+1)^{-3/4}."""
     n_out = n_modes if n_out is None else n_out
     win = realize_l(data, n_modes, n_out).win
     rows, _ = _window(n_modes, n_out, len(win) // 2)
-    omega = TWO_PI * _modes(n_modes) / data.circumference
     l_out = _modes(n_out).astype(float)
-    row = T_SYMBOL_SCALE * data.circumference * (l_out**2 + 1.0) ** (-0.75)
-    win *= row[rows]
-    win *= -omega ** 2
-    return RealizedOperator(win, n_modes, n_out, data.circumference)
+    win *= (T_SYMBOL_SCALE * (l_out**2 + 1.0) ** (-0.75))[rows]
+    win *= -_modes(n_modes).astype(float) ** 2
+    return RealizedOperator(win, n_modes, n_out)
 
 
 def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
@@ -430,7 +424,7 @@ def obstruction_direction_series(data, n_modes):
         val = TWO_PI * abs(l) ** (-1.5) * (data.c.coeff(l) + sgn(l) * data.d.coeff(l))
         if val != 0.0:
             modes[l] = val
-    return FourierSeries1D.from_modes(modes, data.circumference, n_modes=n_modes)
+    return FourierSeries1D.from_modes(modes, n_modes)
 
 
 @dataclass(eq=False)
@@ -438,8 +432,8 @@ class ExtendedSystem:
     """Bordered realization of T, held in T's band.
 
     Constant translations (mode 0 of eta) are gauge and the family carries no
-    mode-0 member.  Since omega_0 = 0, both mode-0 columns of T vanish, so the
-    mode-0 pair of slots, band positions 0 and 1, is free: the Re slot holds
+    mode-0 member.  T scales column m by -m^2, so both mode-0 columns vanish
+    and the mode-0 pair of slots, band positions 0 and 1, is free: the Re slot holds
     the scalar unknown lambda, with column -phi and the normalization row
     <., phi> in place of T's Re mode-0 row, and the Im row pins its slot to
     zero.  phi lives on the data's modes |l| <= b, positions <= 4 b + 1, so
@@ -489,4 +483,4 @@ class ExtendedSystem:
             raise np.linalg.LinAlgError("singular matrix")
         lam = float(sol[0])
         sol[0] = 0.0
-        return series_from_real(sol, self.data.circumference), lam
+        return series_from_real(sol), lam

@@ -3,8 +3,10 @@ its radial mode problems, and quadrature pairings.
 
 Conventions fixed here and used by every downstream module:
 
-  * polar coordinates (t, r, theta), t on a circle of circumference L,
-    theta of period 2*pi, r > 0 strictly (grids never touch the axis);
+  * polar coordinates (t, r, theta), t and theta both of period 2*pi (a
+    homothety of the flat product rescales the operator by a constant, so
+    the circle's length is fixed), r > 0 strictly (grids never touch the
+    axis);
   * spinor fields are stored in the twisted trivialization where the true
     components carry basis factors e^{-i*theta/2} (plus component) and
     e^{+i*theta/2} (minus component), so stored theta-modes are integers;
@@ -412,18 +414,13 @@ class LeadingData:
     d: FourierSeries1D
 
     def __post_init__(self):
-        self.c._check_compatible(self.d)
         if self.nondegeneracy_min() <= 1e-12:
             raise ValueError("degenerate leading data: min |c|^2+|d|^2 vanishes")
-
-    @property
-    def circumference(self):
-        return self.c.circumference
 
     def nondegeneracy_min(self):
         n = max(self.c.n_modes, self.d.n_modes, 1)
         n_pts = max(256, 16 * n)  # divisible by 4 so quarter-period zeros are sampled
-        t = np.arange(n_pts) * (self.c.circumference / n_pts)
+        t = np.arange(n_pts) * (TWO_PI / n_pts)
         dens = np.abs(self.c.evaluate(t)) ** 2 + np.abs(self.d.evaluate(t)) ** 2
         return float(np.min(dens))
 
@@ -440,9 +437,10 @@ class LeadingData:
 # -- spinor fields ---------------------------------------------------------------
 
 
-def fft_mode_derivative(values, axis, period):
+def fft_mode_derivative(values, axis):
+    """Spectral derivative along a uniformly sampled axis of period 2 pi."""
     n = values.shape[axis]
-    freq = 2j * math.pi * np.fft.fftfreq(n, d=period / n)
+    freq = 2j * math.pi * np.fft.fftfreq(n, d=TWO_PI / n)
     shape = [1] * values.ndim
     shape[axis] = n
     return np.fft.ifft(np.fft.fft(values, axis=axis) * freq.reshape(shape), axis=axis)
@@ -460,7 +458,6 @@ class SpinorField:
     rgrid: RadialGrid
     plus: np.ndarray
     minus: np.ndarray
-    circumference: float = TWO_PI
     plus_dr: np.ndarray = None
     minus_dr: np.ndarray = None
 
@@ -492,8 +489,7 @@ class SpinorField:
 
 def field_from_mode(k, l, rgrid, prof_plus, prof_minus, nt, ntheta,
                     dprof_plus=None, dprof_minus=None):
-    """Tensor field profile(r) * e^{i l t} * e^{i k theta} in stored components,
-    on the circle of circumference 2 pi."""
+    """Tensor field profile(r) * e^{i l t} * e^{i k theta} in stored components."""
     if nt < 2 * abs(l) + 2 or ntheta < 2 * abs(k) + 2:
         raise ValueError("grid cannot represent the requested mode alias-free")
     t = np.arange(nt) * (TWO_PI / nt)
@@ -531,14 +527,14 @@ def dirac_apply(psi):
     analytic when the field carries one and the log-grid stencil otherwise.
     """
     r = psi.rgrid.r[None, :, None]
-    dt_p = fft_mode_derivative(psi.plus, 0, psi.circumference)
-    dt_m = fft_mode_derivative(psi.minus, 0, psi.circumference)
-    dth_p = fft_mode_derivative(psi.plus, 2, TWO_PI)
-    dth_m = fft_mode_derivative(psi.minus, 2, TWO_PI)
+    dt_p = fft_mode_derivative(psi.plus, 0)
+    dt_m = fft_mode_derivative(psi.minus, 0)
+    dth_p = fft_mode_derivative(psi.plus, 2)
+    dth_m = fft_mode_derivative(psi.minus, 2)
     dr_p, dr_m = psi.radial_derivative()
     out_plus = 1j * dt_p - (dr_m - 1j * dth_m / r + psi.minus / (2.0 * r))
     out_minus = (dr_p + 1j * dth_p / r + psi.plus / (2.0 * r)) - 1j * dt_m
-    return SpinorField(psi.rgrid, out_plus, out_minus, psi.circumference)
+    return SpinorField(psi.rgrid, out_plus, out_minus)
 
 
 def covariant_gradient(psi):
@@ -549,8 +545,8 @@ def covariant_gradient(psi):
     half-angle basis factors e^{-+ i theta/2}.
     """
     th = psi.theta_points()[None, None, :]
-    dt = tuple(fft_mode_derivative(a, 0, psi.circumference) for a in (psi.plus, psi.minus))
-    dth = tuple(fft_mode_derivative(a, 2, TWO_PI) for a in (psi.plus, psi.minus))
+    dt = tuple(fft_mode_derivative(a, 0) for a in (psi.plus, psi.minus))
+    dth = tuple(fft_mode_derivative(a, 2) for a in (psi.plus, psi.minus))
     return frame_gradient(
         psi.plus, psi.minus, dt, psi.radial_derivative(), dth,
         np.cos(th), np.sin(th), 1.0 / psi.rgrid.r[None, :, None],
@@ -594,7 +590,7 @@ def dirac_apply_via_clifford(psi):
         cp, cm = twisted_clifford_apply(axis, th, gp, gm)
         out_p = out_p + cp
         out_m = out_m + cm
-    return SpinorField(psi.rgrid, out_p, out_m, psi.circumference)
+    return SpinorField(psi.rgrid, out_p, out_m)
 
 
 def l2_pairing(psi, phi):
@@ -604,7 +600,7 @@ def l2_pairing(psi, phi):
     dens = psi.plus * np.conj(phi.plus) + psi.minus * np.conj(phi.minus)
     radial = psi.rgrid.integrate(dens, axis=1)
     nt, nth = psi.shape[0], psi.shape[2]
-    dt = psi.circumference / nt
+    dt = TWO_PI / nt
     dth = TWO_PI / nth
     return complex(np.sum(radial) * dt * dth)
 

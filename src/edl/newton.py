@@ -13,7 +13,7 @@ Both solvers share one loop and report its status: converged, diverged
 (residual above 1e3 x initial for five consecutive steps), budget_exhausted,
 or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
 one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
-is complex-linear, I + 2 strength diag(i omega) Toep_N(u), and lies within
+is complex-linear, I + 2 strength diag(i l) Toep_N(u), and lies within
 b = max{|l| : u_l != 0} of the diagonal.  S_eps cuts every mode above 2/eps,
 so the first smoothed steps are narrow bands, and each step solves its
 system of side 2N+1 by one banded LU with partial pivoting (zgbsv, Golub &
@@ -60,7 +60,7 @@ def _newton_loop(problem, f, schedule, max_steps, tol):
     """(u, trace): trace.status, trace.steps (per step its step index, eps,
     residual_norm and correction_norm), trace.final_residual and
     trace.message."""
-    u = problem.zero_state(f.circumference)
+    u = problem.zero_state()
     f = problem.project(f)
     steps = []
     initial = None
@@ -150,8 +150,8 @@ class ToyProblem:
     def norm(self, u, m):
         return u.sobolev_norm(m)
 
-    def zero_state(self, circumference=TWO_PI):
-        return FourierSeries1D.zero(self.n_modes, circumference)
+    def zero_state(self):
+        return FourierSeries1D.zero(self.n_modes)
 
     def apply(self, u):
         u = self.project(u)
@@ -162,7 +162,7 @@ class ToyProblem:
         return v + 2.0 * self.strength * derivative(multiply(u, v)).truncate(self.n_modes)
 
     def jacobian(self, u):
-        """Complex matrix of dF(u): I + 2 strength diag(i omega) Toep_N(u),
+        """Complex matrix of dF(u): I + 2 strength diag(i l) Toep_N(u),
         the dense test oracle of solve_linearized.
 
         Row l of Toep_N(u) is u_{l-m}, m = -N..N: a window of u_{2N}, ...,
@@ -171,16 +171,16 @@ class ToyProblem:
         u = self.project(u)
         n = self.n_modes
         windows = sliding_window_view(u.truncate(2 * n).coeffs[::-1], 2 * n + 1)
-        jac = windows[::-1] * (2.0j * self.strength * u.angular_frequencies())[:, None]
+        jac = windows[::-1] * (2.0j * self.strength * u.modes())[:, None]
         jac[np.diag_indices_from(jac)] += 1.0
         return jac
 
     def solve_linearized(self, u, g):
         """dF(u)^{-1} g by banded LU on the band b = max{|l| : u_l != 0}.
 
-        Entry (l, m) of the Jacobian is 2 strength i omega_l u_{l-m}, plus 1
-        on the diagonal, so column m of LAPACK's general band storage,
-        ab[2b + d, m] = J[m + d, m] for |d| <= b, is a window of omega
+        Entry (l, m) of the Jacobian is 2 strength i l u_{l-m}, plus 1 on
+        the diagonal, so column m of LAPACK's general band storage,
+        ab[2b + d, m] = J[m + d, m] for |d| <= b, is a window of the modes
         zero-padded by b times u_{-b}, ..., u_b: one strided view writes it.
         The top b rows are zgbsv's room for the fill-in of row interchanges.
         An exactly singular pivot raises LinAlgError.
@@ -189,7 +189,7 @@ class ToyProblem:
         n = self.n_modes
         live = np.flatnonzero(u.coeffs)
         b = int(np.abs(live - n).max()) if live.size else 0
-        windows = sliding_window_view(np.pad(u.angular_frequencies(), b), 2 * b + 1)
+        windows = sliding_window_view(np.pad(u.modes(), b), 2 * b + 1)
         ab = np.zeros((3 * b + 1, 2 * n + 1), dtype=complex, order="F")
         scale = 2.0j * self.strength * u.coeffs[n - b : n + b + 1]
         np.multiply(windows.T, scale[:, None], out=ab[b:])
@@ -199,7 +199,7 @@ class ToyProblem:
             raise np.linalg.LinAlgError(
                 f"singular linearization: zero pivot at mode {info - 1 - n}"
             )
-        return FourierSeries1D(sol, g.circumference)
+        return FourierSeries1D(sol)
 
 
 def smooth_f_preset(n_modes=96, amplitude=0.02):
@@ -209,7 +209,7 @@ def smooth_f_preset(n_modes=96, amplitude=0.02):
         c = amplitude * math.exp(-0.6 * l) * np.exp(0.7j * l)
         modes[l] = c
         modes[-l] = np.conj(c)
-    return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
+    return FourierSeries1D.from_modes(modes, n_modes)
 
 
 ROUGH_PRESET_SEED = 20260815
@@ -231,7 +231,7 @@ def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
         c = amplitude * l ** (-ROUGH_PRESET_DECAY) * np.exp(1j * phases[l - 1])
         modes[l] = c
         modes[-l] = np.conj(c)
-    return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
+    return FourierSeries1D.from_modes(modes, n_modes)
 
 
 # -- tame diagnostics ----------------------------------------------------------------
@@ -270,7 +270,7 @@ def _random_decaying_series(rng, n_modes, scale, decay):
         modes[l] = c
         modes[-l] = np.conj(c)
     modes[0] = scale * rng.standard_normal()
-    return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
+    return FourierSeries1D.from_modes(modes, n_modes)
 
 
 # -- eigenvalue continuation ----------------------------------------------------------

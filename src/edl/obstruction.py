@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
-from .series import FourierSeries1D, TWO_PI, cutoff_c2
+from .series import FourierSeries1D, TORUS_AREA, TWO_PI, cutoff_c2
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
 from .lapack import dgtsv
 
@@ -54,7 +54,8 @@ def project_to_obstruction(field, l_values):
     idx = np.array(l_values) % nt
     comb = hat_plus[idx] + np.sign(l_values)[:, None] * hat_minus[idx]
     w = field.rgrid.area_weights()
-    return np.sum(comb * prof * w, axis=1) * field.circumference * TWO_PI
+    # the torus area one factor at a time: TORUS_AREA would round differently
+    return np.sum(comb * prof * w, axis=1) * TWO_PI * TWO_PI
 
 
 # -- conormal-rate probe ---------------------------------------------------------
@@ -93,7 +94,7 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     radial_ints = prof @ (radial * w)
 
     f_hat = np.array([f_series.coeff(l) for l in l_values])
-    coefs = f_series.circumference * TWO_PI * f_hat * radial_ints
+    coefs = TORUS_AREA * f_hat * radial_ints
 
     flagged = [int(l) for l, fh in zip(l_values, f_hat) if abs(fh) < 1e-13]
     usable = np.array([abs(fh) >= 1e-13 for fh in f_hat])
@@ -124,7 +125,7 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Volume weight w(t, r) = 1 + sum_m g_m e^{i m t 2pi/L} * min(r, 1).
+    """Volume weight w(t, r) = 1 + sum_m g_m e^{i m t} * min(r, 1).
 
     The radial factor vanishes linearly at the axis: the perturbation is a
     density fluctuation of the ambient volume and must not see the axis
@@ -144,7 +145,7 @@ class WeightProfile:
 
 
 def gram_matrix(l_values, weight):
-    """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w / (2 pi L) of the family.
+    """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w / (4 pi^2) of the family.
 
     Exact on the plane: the t integral picks the weight's mode g_{j-k}, the
     theta integral is 2 pi (the family sits at k = 0), and with s = |j| + |k|

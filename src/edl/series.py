@@ -1,10 +1,13 @@
-"""Fourier series on a circle of configurable circumference, graded norms,
-multiplier operators, and mollifier families.
+"""Fourier series on the circle of length 2 pi, graded norms, multiplier
+operators, and mollifier families.
 
 Everything downstream (mode solvers, deformation operators, the smoothed
 Newton iteration) is built on the representation fixed here: a truncated
-complex Fourier series u(t) = sum_{|l| <= N} u_l exp(2*pi*i*l*t/L) stored as
-a dense coefficient vector in mode order -N..N.
+complex Fourier series u(t) = sum_{|l| <= N} u_l exp(i*l*t) stored as a dense
+coefficient vector in mode order -N..N.  The length is fixed because a
+homothety of the flat S^1 x R^2 multiplies the Dirac operator by a constant,
+so no kernel, obstruction, Fredholm or regularity statement depends on it;
+angular frequencies are the integer modes.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+TORUS_AREA = TWO_PI * TWO_PI  # of the (t, theta) torus, in the pairings over it
 
 # numpy renamed trapz -> trapezoid in 2.0
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -30,24 +34,21 @@ class FourierSeries1D:
     """Truncated Fourier series; coeffs has length 2N+1 in mode order -N..N."""
 
     coeffs: np.ndarray
-    circumference: float = TWO_PI
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError("coeffs must be a 1-d array of odd length (modes -N..N)")
-        if not self.circumference > 0:
-            raise ValueError("circumference must be positive")
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(n_modes, circumference=TWO_PI):
-        return FourierSeries1D(np.zeros(2 * n_modes + 1, dtype=complex), circumference)
+    def zero(n_modes):
+        return FourierSeries1D(np.zeros(2 * n_modes + 1, dtype=complex))
 
     @staticmethod
-    def from_modes(mode_dict, circumference=TWO_PI, n_modes=None):
+    def from_modes(mode_dict, n_modes=None):
         if n_modes is None:
             n_modes = max((abs(int(l)) for l in mode_dict), default=0)
         out = np.zeros(2 * n_modes + 1, dtype=complex)
@@ -55,11 +56,11 @@ class FourierSeries1D:
             if abs(int(l)) > n_modes:
                 raise ValueError(f"mode {l} exceeds truncation {n_modes}")
             out[int(l) + n_modes] = a
-        return FourierSeries1D(out, circumference)
+        return FourierSeries1D(out)
 
     @staticmethod
-    def single_mode(l, amplitude=1.0, circumference=TWO_PI, n_modes=None):
-        return FourierSeries1D.from_modes({l: amplitude}, circumference, n_modes)
+    def single_mode(l, amplitude=1.0, n_modes=None):
+        return FourierSeries1D.from_modes({l: amplitude}, n_modes)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -77,23 +78,12 @@ class FourierSeries1D:
             return 0.0 + 0.0j
         return complex(self.coeffs[l + n])
 
-    def angular_frequencies(self):
-        return TWO_PI * self.modes() / self.circumference
-
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(t, self.angular_frequencies()))
+        phase = np.exp(1j * np.multiply.outer(t, self.modes()))
         return phase @ self.coeffs
 
     # -- structural ops ----------------------------------------------------
-
-    def pad_to(self, n_modes):
-        n = self.n_modes
-        if n_modes < n:
-            raise ValueError("pad_to cannot shrink; use truncate")
-        out = np.zeros(2 * n_modes + 1, dtype=complex)
-        out[n_modes - n : n_modes + n + 1] = self.coeffs
-        return FourierSeries1D(out, self.circumference)
 
     def truncate(self, n_modes):
         """Keep modes |l| <= n_modes, zero-padding when n_modes exceeds N.
@@ -104,27 +94,20 @@ class FourierSeries1D:
         if n_modes == n:
             return self
         if n_modes > n:
-            return self.pad_to(n_modes)
-        return FourierSeries1D(
-            self.coeffs[n - n_modes : n + n_modes + 1].copy(), self.circumference
-        )
+            out = np.zeros(2 * n_modes + 1, dtype=complex)
+            out[n_modes - n : n_modes + n + 1] = self.coeffs
+            return FourierSeries1D(out)
+        return FourierSeries1D(self.coeffs[n - n_modes : n + n_modes + 1].copy())
 
     def conjugate(self):
         # (conj u)_l = conj(u_{-l}); an antilinear involution on coefficients
-        return FourierSeries1D(np.conj(self.coeffs[::-1]), self.circumference)
+        return FourierSeries1D(np.conj(self.coeffs[::-1]))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_compatible(self, other):
-        if not math.isclose(self.circumference, other.circumference, rel_tol=1e-12):
-            raise ValueError("circumference mismatch")
-
     def __add__(self, other):
-        self._check_compatible(other)
         n = max(self.n_modes, other.n_modes)
-        return FourierSeries1D(
-            self.pad_to(n).coeffs + other.pad_to(n).coeffs, self.circumference
-        )
+        return FourierSeries1D(self.truncate(n).coeffs + other.truncate(n).coeffs)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -133,7 +116,7 @@ class FourierSeries1D:
         return (-1.0) * self
 
     def __mul__(self, scalar):
-        return FourierSeries1D(self.coeffs * complex(scalar), self.circumference)
+        return FourierSeries1D(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -147,7 +130,7 @@ class FourierSeries1D:
         # |u|^2 has band 2N, so >= 2N+1 uniform points integrate it exactly
         if n_points is None:
             n_points = 2 * self.n_modes + 1
-        return np.arange(n_points) * (self.circumference / n_points)
+        return np.arange(n_points) * (TWO_PI / n_points)
 
     def quadrature_mean_square(self, n_points=None):
         t = self.quadrature_points(n_points)
@@ -163,8 +146,7 @@ class FourierSeries1D:
 
 def multiply(u, v):
     """Exact product of two truncated series (full convolution)."""
-    u._check_compatible(v)
-    return FourierSeries1D(np.convolve(u.coeffs, v.coeffs), u.circumference)
+    return FourierSeries1D(np.convolve(u.coeffs, v.coeffs))
 
 
 # -- multiplier operators ------------------------------------------------------
@@ -172,22 +154,22 @@ def multiply(u, v):
 
 def hilbert_transform(u):
     """Multiplier sgn(l) with sgn(0) = +1; an exact involution."""
-    return FourierSeries1D(u.coeffs * sgn(u.modes()), u.circumference)
+    return FourierSeries1D(u.coeffs * sgn(u.modes()))
 
 
 def fractional_resolvent(u, s):
     """Multiplier (l^2+1)^{-s} on the integer mode index."""
     mult = (u.modes().astype(float) ** 2 + 1.0) ** (-s)
-    return FourierSeries1D(u.coeffs * mult, u.circumference)
+    return FourierSeries1D(u.coeffs * mult)
 
 
 def second_derivative(u):
-    """Multiplier -(2*pi*l/L)^2."""
-    return FourierSeries1D(u.coeffs * -(u.angular_frequencies() ** 2), u.circumference)
+    """Multiplier -l^2."""
+    return FourierSeries1D(u.coeffs * -(u.modes() ** 2))
 
 
 def derivative(u):
-    return FourierSeries1D(u.coeffs * (1j * u.angular_frequencies()), u.circumference)
+    return FourierSeries1D(u.coeffs * (1j * u.modes()))
 
 
 def interpolation_ratio(u, m, m1, m2):
@@ -250,9 +232,7 @@ class SmoothingFamily:
     def apply(self, u, eps):
         if not 0.0 < eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        return FourierSeries1D(
-            u.coeffs * self.multiplier(u.modes(), eps), u.circumference
-        )
+        return FourierSeries1D(u.coeffs * self.multiplier(u.modes(), eps))
 
 
 SMOOTHING_PROBE_MODES = 600  # must exceed 2/min(eps) for the active band to be visible

@@ -140,13 +140,13 @@ def test_divergence_and_trace_differential_match_stencils():
     sin_t = np.sin(th)[None, None, :]
 
     def d_t(arr):
-        return fft_mode_derivative(arr, 0, TWO_PI)
+        return fft_mode_derivative(arr, 0)
 
     def d_x(arr):
-        return cos_t * rgrid.derivative(arr, axis=1) - sin_t / r * fft_mode_derivative(arr, 2, TWO_PI)
+        return cos_t * rgrid.derivative(arr, axis=1) - sin_t / r * fft_mode_derivative(arr, 2)
 
     def d_y(arr):
-        return sin_t * rgrid.derivative(arr, axis=1) + cos_t / r * fft_mode_derivative(arr, 2, TWO_PI)
+        return sin_t * rgrid.derivative(arr, axis=1) + cos_t / r * fft_mode_derivative(arr, 2)
 
     zero = np.zeros_like(var.g_tx)
     num_div = {

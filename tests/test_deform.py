@@ -209,7 +209,7 @@ def test_commutator_single_harmonic_pattern():
     a = FourierSeries1D.single_mode(2, 1.0)
     op = commutator_with_sign_multiplier(a, 4)
     for l_in in range(-4, 5):
-        out = op.apply(FourierSeries1D.single_mode(l_in, 1.0).pad_to(4))
+        out = op.apply(FourierSeries1D.single_mode(l_in, 1.0).truncate(4))
         # sign straddling: only l_in in {-2, -1} is lifted (sgn 0 = +1)
         want = 2.0 if l_in in (-2, -1) else 0.0
         assert out.coeff(l_in + 2) == want
@@ -232,7 +232,7 @@ def test_commutator_norm_stabilizes():
 
 
 def test_t_symbol_oracle():
-    assert T_SYMBOL_SCALE == -1.5
+    assert T_SYMBOL_SCALE == -3.0 * math.pi
     data = LeadingData.constant(1.0, 0.0)
     for l in (1, 4):
         out = t_op(data, FourierSeries1D.single_mode(l, 1.0))

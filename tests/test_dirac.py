@@ -282,7 +282,7 @@ def test_clifford_assembly_matches_polar_rows():
     a = dirac_apply(psi)
     b = dirac_apply_via_clifford(psi)
     scale = a.norm()
-    diff = SpinorField(g, a.plus - b.plus, a.minus - b.minus, a.circumference)
+    diff = SpinorField(g, a.plus - b.plus, a.minus - b.minus)
     assert diff.norm() / scale < 1e-10
 
 

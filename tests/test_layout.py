@@ -103,22 +103,44 @@ def test_code_only_tests_reach_is_in_the_ledger():
     assert unreached == set(LEDGER)
 
 
+def source_trees():
+    """(module, AST) for every module of the package, in name order."""
+    for f in sorted(os.listdir(SRC)):
+        if f.endswith(".py"):
+            with open(os.path.join(SRC, f)) as fh:
+                yield f[:-3], ast.parse(fh.read())
+
+
 def test_no_class_is_only_a_record():
     # a result a caller only unpacks is a SimpleNamespace: a class of bare
     # annotated fields costs every CLI start its dataclass code generation
     records = []
-    for f in sorted(os.listdir(SRC)):
-        if not f.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, f)) as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in source_trees():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             body = node.body[1:] if ast.get_docstring(node) is not None else node.body
             if body and all(isinstance(stmt, ast.AnnAssign) for stmt in body):
-                records.append(f"{f[:-3]}.{node.name}")
+                records.append(f"{module}.{node.name}")
     assert records == []
+
+
+def test_the_circle_length_is_not_a_knob():
+    # the singular circle has length 2 pi: a homothety of the flat S^1 x R^2
+    # multiplies the operator by a constant, so a length that a parameter,
+    # field, property or attribute carries changes no result
+    named = []
+    for module, tree in source_trees():
+        for node in ast.walk(tree):
+            name = (
+                getattr(node, "arg", None)  # parameters and keyword arguments
+                or getattr(node, "attr", None)
+                or getattr(getattr(node, "target", None), "id", None)  # class fields
+                or (node.name if isinstance(node, ast.FunctionDef) else None)
+            )
+            if name == "circumference":
+                named.append(f"{module}:{getattr(node, 'lineno', '?')}")
+    assert named == []
 
 
 def _scipy_references(tree):
@@ -142,12 +164,7 @@ def test_only_the_lapack_modules_import_scipy():
     # the scipy, scipy.linalg or scipy.optimize packages, whose initialisers
     # cost every run about 0.2 s; another scipy import is a new dependency of
     # the CLI and takes an edit here
-    importers = set()
-    for f in os.listdir(SRC):
-        if f.endswith(".py"):
-            with open(os.path.join(SRC, f)) as fh:
-                if _scipy_references(ast.parse(fh.read())):
-                    importers.add(f[:-3])
+    importers = {module for module, tree in source_trees() if _scipy_references(tree)}
     assert importers == {"lapack"}
     with open(os.path.join(SRC, "lapack.py")) as fh:
         tree = ast.parse(fh.read())
@@ -171,11 +188,7 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
         "obstruction": {"dgtsv"},
     }
     imported = {}
-    for f in os.listdir(SRC):
-        if not f.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, f)) as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in source_trees():
         names = {
             alias.name
             for node in ast.walk(tree)
@@ -183,7 +196,7 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
             for alias in node.names
         }
         if names:
-            imported[f[:-3]] = names
+            imported[module] = names
     assert imported == want
     defs, uses, _, _ = read_module(os.path.join(SRC, "lapack.py"))
     exported = {name for name in set(uses) | defs if not name.startswith("_")}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from edl.series import FourierSeries1D, TWO_PI
+from edl.series import FourierSeries1D
 from edl.deform import ExtendedSystem
 from edl.experiments import continuation_family
 from edl.lapack import brentq as edl_brentq
@@ -27,7 +27,7 @@ def random_state(rng, n_modes, scale, decay=2.0):
         c = scale * l ** (-decay) * np.exp(2j * np.pi * rng.uniform())
         modes[l] = c
         modes[-l] = np.conj(c)
-    return FourierSeries1D.from_modes(modes, TWO_PI, n_modes)
+    return FourierSeries1D.from_modes(modes, n_modes)
 
 
 # -- derivative bookkeeping ------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_realized_operator_agrees_with_derivative_apply():
     jac = prob.jacobian(u)
     for _ in range(3):
         v = random_state(rng, 20, 1.0, decay=1.0)
-        got = FourierSeries1D(jac @ v.coeffs, v.circumference)
+        got = FourierSeries1D(jac @ v.coeffs)
         assert (got - prob.derivative_apply(u, v)).sobolev_norm(0) < 1e-12
 
 

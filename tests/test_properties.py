@@ -38,7 +38,6 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 # in every loaded local module, so a literal added anywhere in src/ would
 # re-draw them.
 seeds = st.integers(0, 2**32 - 1)
-circumference = seeds.map(lambda seed: np.random.default_rng(seed).uniform(0.5, 10.0))
 
 
 def unit_coefficients(rng, size):
@@ -46,20 +45,20 @@ def unit_coefficients(rng, size):
 
 
 @st.composite
-def series(draw, max_band=6, length=None):
+def series(draw, max_band=6):
     n = draw(st.integers(0, max_band))
     rng = np.random.default_rng(draw(seeds))
-    return FourierSeries1D(unit_coefficients(rng, 2 * n + 1), length or 2.0 * np.pi)
+    return FourierSeries1D(unit_coefficients(rng, 2 * n + 1))
 
 
 @st.composite
-def real_series(draw, max_band, length):
+def real_series(draw, max_band):
     n = draw(st.integers(1, max_band))
     rng = np.random.default_rng(draw(seeds))
     modes = {0: rng.uniform(-1.0, 1.0)}
     for l, a in enumerate(unit_coefficients(rng, n), start=1):
         modes[l], modes[-l] = a, np.conj(a)
-    return FourierSeries1D.from_modes(modes, length)
+    return FourierSeries1D.from_modes(modes)
 
 
 def close(a, b, scale=1.0):
@@ -86,7 +85,7 @@ def test_hilbert_transform_is_an_involution(u):
 @given(series(), series(), st.integers(0, 5))
 def test_multiply_is_the_sampled_pointwise_product(u, v, extra):
     n_points = 2 * (u.n_modes + v.n_modes) + 1 + extra
-    t = np.arange(n_points) * (u.circumference / n_points)
+    t = np.arange(n_points) * (2.0 * np.pi / n_points)
     uv = multiply(u, v)
     samples = u.evaluate(t) * v.evaluate(t)
     assert close(uv.evaluate(t), samples, 10.0)
@@ -121,20 +120,20 @@ def test_smoothing_is_monotone_in_eps(u, seed):
 
 
 @st.composite
-def leading_data(draw, length):
-    c = draw(series(max_band=3, length=length))
-    d = draw(series(max_band=3, length=length))
+def leading_data(draw):
+    c = draw(series(max_band=3))
+    d = draw(series(max_band=3))
     # a dominant constant keeps min |c|^2 + |d|^2 away from zero
-    c = c * 0.1 + FourierSeries1D.from_modes({0: 1.5}, length)
+    c = c * 0.1 + FourierSeries1D.from_modes({0: 1.5})
     return LeadingData(c, d)
 
 
 @PROPERTY
-@given(st.data(), circumference, st.booleans(), st.booleans())
-def test_separable_coefficients_match_dense_dft(data, length, with_y, with_cutoff):
-    lead = data.draw(leading_data(length))
-    eta_x = data.draw(real_series(6, length))
-    eta_y = data.draw(real_series(6, length)) if with_y else None
+@given(st.data(), st.booleans(), st.booleans())
+def test_separable_coefficients_match_dense_dft(data, with_y, with_cutoff):
+    lead = data.draw(leading_data())
+    eta_x = data.draw(real_series(6))
+    eta_y = data.draw(real_series(6)) if with_y else None
     cutoff = CutoffProfile(1.0) if with_cutoff else None
     rgrid = RadialGrid.geometric(1.2, 48, r_min_factor=1e-3)
     band = max(lead.c.n_modes, lead.d.n_modes) + 6
@@ -154,11 +153,11 @@ def test_separable_coefficients_match_dense_dft(data, length, with_y, with_cutof
 # -- closed-form assembly against the probing oracle -------------------------------
 
 
-def probed(fn, n_in, n_out, length):
-    return RealizedOperator.realize(fn, n_in, n_out, length).matrix
+def probed(fn, n_in, n_out):
+    return RealizedOperator.realize(fn, n_in, n_out).matrix
 
 
-def probed_ll_star_defect(lead, n, length):
+def probed_ll_star_defect(lead, n):
     """L L* - |c|^2 - |d|^2 by probing, summed over the c- and d-parts of L.
 
     L is linear in (c, d). Each product of two parts is probed apart, the two
@@ -167,14 +166,14 @@ def probed_ll_star_defect(lead, n, length):
     multiplied in the order the composition multiplies it, c conj(c) and
     conj(d) d, so the diagonal products cancel exactly where the defect is 0.
     """
-    zero = FourierSeries1D.zero(0, length)
+    zero = FourierSeries1D.zero(0)
     parts = (SimpleNamespace(c=lead.c, d=zero), SimpleNamespace(c=zero, d=lead.d))
     out = 0.0
     for p in parts:
         mod2 = multiply(p.c, p.c.conjugate()) + multiply(p.d.conjugate(), p.d)
-        out = out + probed(lambda x: l_op(p, l_star(p, x)) - multiply(mod2, x), n, n, length)
+        out = out + probed(lambda x: l_op(p, l_star(p, x)) - multiply(mod2, x), n, n)
         q = parts[1] if p is parts[0] else parts[0]
-        out = out + probed(lambda x: l_op(p, l_star(q, x)), n, n, length)
+        out = out + probed(lambda x: l_op(p, l_star(q, x)), n, n)
     return out
 
 
@@ -184,20 +183,20 @@ def assert_matches_oracle(assembled, oracle):
 
 
 @PROPERTY
-@given(st.data(), circumference, st.integers(0, 64), st.integers(0, 64))
-def test_assembled_operators_match_probing(data, length, n_in, n_out):
-    lead = data.draw(leading_data(length))
+@given(st.data(), st.integers(0, 64), st.integers(0, 64))
+def test_assembled_operators_match_probing(data, n_in, n_out):
+    lead = data.draw(leading_data())
     assert_matches_oracle(realize_l(lead, n_in, n_out).matrix,
-                          probed(lambda x: l_op(lead, x), n_in, n_out, length))
+                          probed(lambda x: l_op(lead, x), n_in, n_out))
     assert_matches_oracle(realize_t(lead, n_in, n_out).matrix,
-                          probed(lambda x: t_op(lead, x), n_in, n_out, length))
+                          probed(lambda x: t_op(lead, x), n_in, n_out))
     assert_matches_oracle(ll_star_defect_operator(lead, n_in).matrix,
-                          probed_ll_star_defect(lead, n_in, length))
+                          probed_ll_star_defect(lead, n_in))
     a = lead.d
     assert_matches_oracle(
         commutator_with_sign_multiplier(a, n_in).matrix,
         probed(lambda x: hilbert_transform(multiply(a, x))
-               - multiply(a, hilbert_transform(x)), n_in, n_in + a.n_modes, length),
+               - multiply(a, hilbert_transform(x)), n_in, n_in + a.n_modes),
     )
 
 
@@ -207,9 +206,8 @@ def test_toy_jacobian_matches_probing(u, n, seed):
     prob = ToyProblem(n_modes=n, strength=np.random.default_rng(seed).uniform(0.1, 2.0))
     jac = prob.jacobian(u)
     assert_matches_oracle(
-        probed(lambda v: FourierSeries1D(jac @ v.truncate(n).coeffs, v.circumference),
-               n, n, u.circumference),
-        probed(lambda v: prob.derivative_apply(u, v), n, n, u.circumference),
+        probed(lambda v: FourierSeries1D(jac @ v.truncate(n).coeffs), n, n),
+        probed(lambda v: prob.derivative_apply(u, v), n, n),
     )
 
 
@@ -260,7 +258,7 @@ def test_singular_diagonal_newton_step_fails(k, j, extra):
 
 
 def seeded_leading_data(seed):
-    """Complex (c, d) of random bands <= 3 on a random circumference.
+    """Complex (c, d) of random bands <= 3.
 
     Every float comes from np.random.default_rng(seed), so the examples do
     not move with the numeric literals Hypothesis collects from loaded
@@ -269,14 +267,13 @@ def seeded_leading_data(seed):
     eigenvalues alone would miss 1e-12.
     """
     rng = np.random.default_rng(seed)
-    length = rng.uniform(0.5, 10.0)
 
     def draw(scale):
         n = int(rng.integers(0, 4))
         coeffs = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-        return FourierSeries1D(scale * coeffs, length)
+        return FourierSeries1D(scale * coeffs)
 
-    mean = FourierSeries1D.from_modes({0: 1.5 * np.exp(2j * np.pi * rng.uniform())}, length)
+    mean = FourierSeries1D.from_modes({0: 1.5 * np.exp(2j * np.pi * rng.uniform())})
     return LeadingData(draw(0.1) + mean, draw(0.5)), rng
 
 
@@ -325,7 +322,7 @@ def test_certified_extremes_match_dense_eigvalsh(seed, n):
     # near it on the homotopy to the drawn data, whose small gap the inertia
     # counts refine
     lead, _ = seeded_leading_data(seed)
-    one = FourierSeries1D.from_modes({0: 1.0}, lead.circumference)
+    one = FourierSeries1D.from_modes({0: 1.0})
     near = LeadingData(one * 0.95 + lead.c * 0.05, one * 0.95 + lead.d * 0.05)
     flat = LeadingData.constant(1.0, 1.0)
     assert len(realize_l(flat, n).gram_band()) == 1

@@ -17,11 +17,11 @@ from edl.series import (
 )
 
 
-def random_series(rng, n_modes, circumference=2 * math.pi, decay=0.0):
+def random_series(rng, n_modes, decay=0.0):
     l = np.arange(-n_modes, n_modes + 1, dtype=float)
     scale = (1.0 + np.abs(l)) ** (-decay)
     c = scale * (rng.standard_normal(2 * n_modes + 1) + 1j * rng.standard_normal(2 * n_modes + 1))
-    return FourierSeries1D(c, circumference)
+    return FourierSeries1D(c)
 
 
 # -- multiplier oracles -------------------------------------------------------
@@ -60,12 +60,6 @@ def test_second_derivative_values():
     out = second_derivative(sin3)
     assert out.coeff(3) == pytest.approx(-9.0 * (1 / 2j))
     assert out.coeff(-3) == pytest.approx(-9.0 * (-1 / 2j))
-
-
-def test_second_derivative_respects_circumference():
-    u = FourierSeries1D.single_mode(2, circumference=4 * math.pi)
-    # angular frequency is 2*pi*l/L = 1 here
-    assert second_derivative(u).coeff(2) == pytest.approx(-1.0)
 
 
 def test_multipliers_commute_exactly(rng):
