@@ -1,6 +1,6 @@
 """Extreme eigenvalues of symmetric band matrices in LAPACK's lower band
-storage ab, ab[s, q] = G[q + s, q]: here the Gram matrices G = M^T M of the
-banded circle operators of deform.py.
+storage ab, ab[s, q] = G[q + s, q]: the Gram matrices G = M^T M of the banded
+circle operators of deform.py, and band_norm for the family's weighted Gram.
 
 A banded Cholesky (dpbtrf) of t I - G factors exactly when t lies above the
 spectrum (Sylvester inertia): an upper end of a bracket on the top where it
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not during a command
 
-from .lapack import dpbtrf, dsbmv, dstev, dtbsv
+from .lapack import dpbtrf, dsbevx, dsbmv, dstev, dtbsv
 
 EPS = np.finfo(float).eps
 # rounding allowance of a Gram Ritz value and of the shifted Cholesky that
@@ -91,6 +91,18 @@ def top_eigenvalue(ab):
                     t = above + (above - below)
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
+
+
+def band_norm(ab):
+    """max |lambda| of the symmetric matrix in lower band storage ab, from its
+    lowest and top eigenvalues: dsbevx reduces the band to tridiagonal form
+    and bisects by Sturm counts to the eigenvalue of the one requested index."""
+    n = ab.shape[1]
+    ends = [dsbevx(ab[:n], 0.0, 0.0, i, i, compute_v=0, range=2, lower=1,
+                   abstol=2 * np.finfo(float).tiny, overwrite_ab=0) for i in (1, n)]
+    if any(info or found != 1 for _, _, found, _, info in ends):
+        raise np.linalg.LinAlgError("dsbevx found no eigenvalue")
+    return max(-ends[0][0][0], ends[1][0][0])
 
 
 def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS):

@@ -133,12 +133,12 @@ def dense_array_bound(cfg):
     holds the bordered system, 39 rows (band 4 data) by 2(2N+1) columns;
     traced, the run peaks at 9.4 band arrays from N = 64 up and at most 12.7
     at N = 6, the smallest n_modes whose family builds;
-    obstruction: eight complex (nt, 1200) slabs at nt = 2 l_max + 3, the
-    t grid of the synthesized field: its two components, their two t
-    transforms and three mode-gathered products in the projection, and the
-    real (2 l_max, 1200) profile array; traced, the run peaks at 7.38 to
-    7.51 slabs from l_max 8 to 800 (the 13-row cross-talk field is built
-    after the projection of the synthesized one and sits below that peak);
+    obstruction: four complex (nt, 1200) slabs at nt = 2 l_max + 3, the t
+    grid of the synthesized field, five 8-byte (nt, L) arrays, L = 2 (l_max -
+    l_min + 1) modes, and 1 MiB: the field's build holds both components, a
+    real part and two profile arrays; the projection the field, its complex
+    (nt, L) pairing, the complex DFT rows and their index; traced, the run
+    peaks at 0.56 to 0.81 of the count from l_max 1 to 897;
     gram: seven 8-byte L x L matrices, L = l_max - l_min + 1, one more than
     the six and a boolean mask the run holds at once, and 1 MiB that does
     not grow with them: the run peaks inside gram_matrix, which holds the
@@ -147,14 +147,14 @@ def dense_array_bound(cfg):
     at 49.1 to 49.5 bytes per entry from L = 600 to 1200. Below
     L = 128 numpy does not reuse the temporaries of that product in place,
     and the run peaks at 0.74 MB for L = 96, under the 1 MiB; run_gram's
-    envelopes (32 bytes per entry) and gram_tail_trend (24) sit below.
+    envelopes (32 bytes per entry) and gram_tail_trend (0.15) sit below.
     """
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
         "deform-op": ("n_modes", 13 * 8 * 31 * 2 * (4 * n + 1)),
         "nash-moser": ("n_modes", 16 * (3 * n + 1) * (2 * n + 1) + 2**20),
         "continuation": ("n_modes", 13 * 8 * 39 * 2 * (2 * n + 1)),
-        "obstruction": ("l_max", 8 * 16 * 1200 * nt),
+        "obstruction": ("l_max", 4 * 16 * 1200 * nt + 5 * 8 * nt * 2 * big_l + 2**20),
         "gram": ("l_max", 7 * 8 * big_l**2 + 2**20),
     }.get(cfg.experiment, ("n_modes", 0))
 

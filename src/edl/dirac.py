@@ -30,7 +30,6 @@ from functools import cache, cached_property
 from types import SimpleNamespace
 
 import numpy as np
-import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
 from .series import FourierSeries1D, TWO_PI, multiply, sgn
 
@@ -440,7 +439,8 @@ class LeadingData:
 def fft_mode_derivative(values, axis):
     """Spectral derivative along a uniformly sampled axis of period 2 pi."""
     n = values.shape[axis]
-    freq = 2j * math.pi * np.fft.fftfreq(n, d=TWO_PI / n)
+    # the integer modes in FFT order, exactly: 2 pi fftfreq(n, 2 pi / n) is not
+    freq = 1j * ((np.arange(n) + n // 2) % n - n // 2)
     shape = [1] * values.ndim
     shape[axis] = n
     return np.fft.ifft(np.fft.fft(values, axis=axis) * freq.reshape(shape), axis=axis)

@@ -52,6 +52,7 @@ _zeros = _load("optimize", "_zeros")
 dgbsv = _flapack.dgbsv
 dgtsv = _flapack.dgtsv
 dpbtrf = _flapack.dpbtrf
+dsbevx = _flapack.dsbevx
 dstev = _flapack.dstev
 dsytrf = _flapack.dsytrf
 dsytrs = _flapack.dsytrs

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-import numpy.fft  # numpy loads it lazily: load it here, not during a command
 
 from .series import FourierSeries1D, TORUS_AREA, TWO_PI, cutoff_c2
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
+from .bandeig import band_norm
 from .lapack import dgtsv
 
 
@@ -22,9 +22,9 @@ from .lapack import dgtsv
 
 
 def family_field(coeffs, rgrid, nt):
-    """sum_l a_l e^{ilt} Psi_l on the (t, r) grid, coeffs = {l: a_l}: per
-    component one (nt, L) phase matrix, its columns scaled by sgn(l) for minus,
-    times the (L, nr) profile array, at one theta sample.
+    """sum_l a_l e^{ilt} Psi_l on the (t, r) grid, coeffs = {l: a_l}: the real
+    and imaginary parts of one (nt, L) phase matrix times the (L, nr) profile
+    array, its rows scaled by sgn(l) for minus, at one theta sample.
 
     One sample is exact: the family has k = 0, so the field is constant in
     theta, and the theta mean that project_to_obstruction takes of a single
@@ -32,30 +32,38 @@ def family_field(coeffs, rgrid, nt):
     l_arr = np.array(list(coeffs))
     t = np.arange(nt) * (TWO_PI / nt)
     phase = np.exp(1j * np.outer(t, l_arr)) * np.array(list(coeffs.values()))
+    # real products: a complex phase @ prof would upcast prof for each one
+    phase = np.concatenate([phase.real, phase.imag])
     prof = obstruction_profiles(l_arr, rgrid)
-    return SpinorField(rgrid, *((p @ prof)[:, :, None]
-                                for p in (phase, phase * np.sign(l_arr))))
+    plus, minus = (np.empty((nt, rgrid.n_points, 1), dtype=complex) for _ in range(2))
+    for out, rows in ((plus, prof), (minus, np.sign(l_arr)[:, None] * prof)):
+        out.real[:, :, 0] = phase[:nt] @ rows
+        out.imag[:, :, 0] = phase[nt:] @ rows
+    return SpinorField(rgrid, plus, minus)
 
 
 def project_to_obstruction(field, l_values):
     """Coefficients <field, Psi_l> for the decaying family at k = 0.
 
-    FFT in t picks the stored l-mode, the theta mean picks k = 0, and the
-    remaining radial integral is taken against the closed-form profile.
+    The theta mean picks k = 0; real matrix products pair its real and
+    imaginary parts with each profile times the area weights, into one
+    (nt, L) array, and each mode's own DFT row, e^{-ilt} / nt, sums over t.
     """
-    l_values = [int(l) for l in l_values]
+    l_arr = np.array([int(l) for l in l_values])
     nt = field.shape[0]
-    if any(abs(l) > (nt - 1) // 2 for l in l_values):
+    if np.any(np.abs(l_arr) > (nt - 1) // 2):
         raise ValueError("t grid too coarse for the requested modes")
-    prof = obstruction_profiles(l_values, field.rgrid)
-    # mean over theta, mode picks in t: fft/nt gives the e^{ilt} coefficient
-    hat_plus = np.fft.fft(np.mean(field.plus, axis=2), axis=0) / nt
-    hat_minus = np.fft.fft(np.mean(field.minus, axis=2), axis=0) / nt
-    idx = np.array(l_values) % nt
-    comb = hat_plus[idx] + np.sign(l_values)[:, None] * hat_minus[idx]
-    w = field.rgrid.area_weights()
+    weighted = (obstruction_profiles(l_arr, field.rgrid) * field.rgrid.area_weights()).T
+    paired = np.empty((nt, l_arr.size), dtype=complex)
+    for out, plus, minus in ((paired.real, field.plus.real, field.minus.real),
+                             (paired.imag, field.plus.imag, field.minus.imag)):
+        out[...] = np.mean(minus, axis=2) @ weighted
+        out *= np.sign(l_arr)
+        out += np.mean(plus, axis=2) @ weighted
+    # l t mod nt is exact, so each row takes the DFT's own roots of unity
+    dft = np.exp(-1j * (TWO_PI / nt) * np.arange(nt))[np.multiply.outer(l_arr, np.arange(nt)) % nt]
     # the torus area one factor at a time: TORUS_AREA would round differently
-    return np.sum(comb * prof * w, axis=1) * TWO_PI * TWO_PI
+    return np.einsum("lt,tl->l", dft, paired) / nt * TWO_PI * TWO_PI
 
 
 # -- conormal-rate probe ---------------------------------------------------------
@@ -176,38 +184,43 @@ GRAM_DECAY_POWER = 0.125  # the graded-norm gain 0 -> 1/8 the envelope rests on
 def gram_tail_trend(k_block, l_values, cutoffs=None):
     """Tail behavior of K = A - Id over increasing low-mode cutoffs; k_block
     is the K of the caller's gram_matrix, its rows and columns in the order
-    of the positive modes l_values.
+    of the increasing positive modes l_values.
 
     Returns cutoffs, tail_norms, envelope_ok, monotone and smoothing_norm.
     tail_norms[i] is the spectral norm of K restricted to modes >= cutoff.
     The envelope C * (cutoff/base)^{-GRAM_DECAY_POWER} is calibrated at the first
     cutoff; the report records whether every later tail sits below it and
     whether the sequence is monotone. smoothing_norm is the graded 0 -> 1/8
-    norm of the full K block, the constant the envelope prediction rests on.
+    norm of the full K block, ||W K|| with W = diag((1 + l^2)^{1/16}), the
+    constant the envelope prediction rests on. Every norm is taken on a band.
     """
     l_values = np.asarray(l_values)
-    if np.any(l_values <= 0):
-        raise ValueError("tail trend is taken over the positive-mode block")
+    if np.any(l_values <= 0) or np.any(np.diff(l_values) <= 0):
+        raise ValueError("tail trend is taken over increasing positive modes")
     if cutoffs is None:
         lo, hi = int(l_values.min()), int(l_values.max())
         # the rounded geometric steps are sorted: drop repeats without
         # np.unique, whose import of numpy.ma no command needs
         steps = np.geomspace(lo, max(hi // 2, lo + 1), 6).astype(int).tolist()
         cutoffs = np.array(sorted(set(steps)))
-    norms = []
-    for c in cutoffs:
-        keep = l_values >= c
-        sub = k_block[np.ix_(keep, keep)]
-        norms.append(float(np.linalg.norm(sub, 2)) if sub.size else 0.0)
-    norms = np.array(norms)
+    # K_jk carries g_{j-k}: in increasing modes, a band as wide as the weight's
+    n, kd = len(l_values), int(np.max(np.subtract(*np.nonzero(k_block)), initial=0))
+    # lower band storage: band[s, q] = K[q + s, q]
+    band = np.array([np.pad(np.diagonal(k_block, -s), (0, s)) for s in range(kd + 1)])
+    norms = np.array([band_norm(band[:, i:]) if i < n else 0.0
+                      for i in np.searchsorted(l_values, cutoffs)])
     envelope = norms[0] * (np.asarray(cutoffs, float) / float(cutoffs[0])) ** (-GRAM_DECAY_POWER)
     wgt = (1.0 + l_values.astype(float) ** 2) ** (GRAM_DECAY_POWER / 2.0)
+    # ||W K||^2 is the top eigenvalue of K W^2 K, whose band is twice K's;
+    # its entry (q + s, q) pairs rows q + s and q of the symmetric K
+    product = np.array([np.pad(np.einsum("ij,j,ij->i", k_block[s:], wgt**2, k_block[:n - s]),
+                               (0, s)) for s in range(min(2 * kd + 1, n))])
     return SimpleNamespace(
         cutoffs=np.asarray(cutoffs),
         tail_norms=norms,
         envelope_ok=bool(np.all(norms <= envelope * (1.0 + 1e-12))),
         monotone=bool(np.all(np.diff(norms) <= 1e-12)),
-        smoothing_norm=float(np.linalg.norm(wgt[:, None] * k_block, 2)),
+        smoothing_norm=float(np.sqrt(band_norm(product))),
     )
 
 
@@ -332,55 +345,58 @@ def annuli_decay(nu, l, r_scale=1.0):
 
 
 def discrete_max_principle(sequence, barrier, lam, verify_hypotheses=True):
-    """Certify sequence <= barrier from the three-term comparison inequality.
+    """Certify sequence <= barrier from the three-term comparison inequality,
+    row by row: sequence and barrier are (rows, n) batches, a 1-D pair a
+    batch of one.
 
     With r = sequence - barrier the hypotheses are r_n <= lam (r_{n-1} + r_{n+1})
     at interior n, r <= 0 at both ends, and 2 lam < 1; they force r <= 0
     everywhere (an interior positive maximum would satisfy
-    r_max <= 2 lam r_max < r_max). The check reports the first violated
-    hypothesis, or the first violated conclusion index when hypothesis
-    checking is disabled and the conclusion happens to fail.
-
-    Returns certified, hypothesis_violation, a (kind, index) pair or None,
-    and conclusion_violation, an index or None.
+    r_max <= 2 lam r_max < r_max). Returns certified, a boolean per row, and
+    lists: hypothesis_violation, a row's first violated hypothesis, the ends
+    first, as a (kind, index) pair, and conclusion_violation, the first index
+    above the barrier where the hypotheses hold or go unchecked; else None.
     """
-    def result(hypothesis=None, conclusion=None):
-        return SimpleNamespace(certified=hypothesis is None and conclusion is None,
-                               hypothesis_violation=hypothesis,
-                               conclusion_violation=conclusion)
-
     if not (0.0 <= lam and 2.0 * lam < 1.0):
         raise ValueError("the comparison weight must satisfy 0 <= 2 lam < 1")
-    r = np.asarray(sequence, dtype=float) - np.asarray(barrier, dtype=float)
-    if r.ndim != 1 or r.size < 3:
+    r = np.atleast_2d(np.asarray(sequence, dtype=float) - np.asarray(barrier, dtype=float))
+    if r.ndim != 2 or r.shape[1] < 3:
         raise ValueError("need at least three entries")
-    if verify_hypotheses:
-        if r[0] > 0.0:
-            return result(hypothesis=("endpoint", 0))
-        if r[-1] > 0.0:
-            return result(hypothesis=("endpoint", r.size - 1))
-        interior = r[1:-1] - lam * (r[:-2] + r[2:])
-        bad = np.nonzero(interior > 0.0)[0]
-        if bad.size:
-            return result(hypothesis=("interior", int(bad[0]) + 1))
-    above = np.nonzero(r > 0.0)[0]
-    if above.size:
-        return result(conclusion=int(above[0]))
-    return result()
+    n = r.shape[1]
+    # the hypotheses in the order they are reported
+    labels = [("endpoint", 0), ("endpoint", n - 1)] + [("interior", i) for i in range(1, n - 1)]
+    broken = np.column_stack([r[:, 0], r[:, -1], r[:, 1:-1] - lam * (r[:, :-2] + r[:, 2:])])
+    broken = (broken > 0.0) & verify_hypotheses
+    above = (r > 0.0) & ~broken.any(axis=1, keepdims=True)
+    return SimpleNamespace(
+        certified=~(broken.any(axis=1) | above.any(axis=1)),
+        hypothesis_violation=[labels[j] if row[j] else None
+                              for row, j in zip(broken, np.argmax(broken, axis=1))],
+        conclusion_violation=[int(j) if row[j] else None
+                              for row, j in zip(above, np.argmax(above, axis=1))],
+    )
 
 
-def sample_max_principle_instance(rng, size=40, lam=0.4):
-    """Rejection-sample a sequence/barrier pair satisfying the hypotheses.
+def sample_max_principle_instance(rng, count, size=40, lam=0.4):
+    """Rejection-sample count sequence/barrier pairs satisfying the
+    hypotheses, as two (count, size) arrays.
 
     Proposals are r = -a (1 + eps) with |eps| < 0.15; for 2 lam < 1 most such
     near-flat negative gaps satisfy the three-term inequality, and the ones
-    that do not are rejected against the checker's own hypothesis test.
+    that do not are rejected. a > 0 scales out, so a and the barrier are
+    drawn for admitted rows only; eps comes in chunks of count rows, doubling
+    up to 2^18 entries. RuntimeError after 10000 proposals per instance.
     """
-    for _ in range(10000):
-        barrier = rng.uniform(0.0, 2.0, size=size)
-        amp = rng.uniform(0.1, 3.0)
-        r = -amp * (1.0 + rng.uniform(-0.15, 0.15, size=size))
-        ok = np.all(r[1:-1] <= lam * (r[:-2] + r[2:]))
-        if ok:
-            return barrier + r, barrier
-    raise RuntimeError("sampler failed to find an admissible instance")
+    most = max(1, 2**18 // size)
+    budget, chunk, kept, found = 10000 * count, min(count, most), [], 0
+    while found < count:
+        drawn = min(chunk, budget)
+        if drawn == 0:
+            raise RuntimeError("sampler failed to find an admissible instance")
+        budget, chunk = budget - drawn, min(2 * chunk, most)
+        gap = 1.0 + rng.uniform(-0.15, 0.15, size=(drawn, size))
+        kept.append(gap[np.all(gap[:, 1:-1] >= lam * (gap[:, :-2] + gap[:, 2:]), axis=1)])
+        found += len(kept[-1])
+    barrier = rng.uniform(0.0, 2.0, size=(count, size))
+    r = -rng.uniform(0.1, 3.0, size=(count, 1)) * np.concatenate(kept)[:count]
+    return barrier + r, barrier

@@ -375,13 +375,15 @@ def test_nash_moser_tol_above_the_rough_residual(tmp_path, capsys):
 
 
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
-    # only validated, never run. obstruction holds eight complex
-    # (2 l_max + 3) x 1200 slabs: its synthesized field at one theta sample,
-    # the field's t transforms and the projection's products; gram seven
-    # 8-byte L x L matrices and 1 MiB
+    # only validated, never run. obstruction holds four complex nt x 1200
+    # slabs, nt = 2 l_max + 3, the synthesized field at one theta sample and
+    # the profile arrays, five 8-byte nt x 2 l_max arrays, the projection's
+    # pairing and DFT rows, and 1 MiB; gram seven 8-byte L x L matrices and
+    # 1 MiB
     top = max(l for l in range(1, 4096)
-              if 8 * 16 * 1200 * (2 * l + 3) <= MATRIX_BYTE_BUDGET)
-    assert top == 872
+              if 4 * 16 * 1200 * (2 * l + 3) + 5 * 8 * (2 * l + 3) * 2 * l + 2**20
+              <= MATRIX_BYTE_BUDGET)
+    assert top == 897
     assert build_config("obstruction", {"l_max": top}).l_max == top
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
         build_config("obstruction", {"l_max": top + 1})
@@ -466,6 +468,37 @@ def test_decay_r0_cap(tmp_path, capsys):
     assert not (tmp_path / "decay").exists()
     cfgfile.write_text("r0 = 16\nsamples = 5\n")
     assert main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+
+RADIAL_DRAWS = {
+    "l_min": st.integers(1, 64),
+    "l_max": st.integers(1, 64),
+    "seed": st.integers(0, 2**32 - 1),
+    "samples": st.integers(1, 20),
+    "r0": st.integers(1, 128).map(lambda eighths: eighths / 8.0),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(["obstruction", "conormal", "gram", "decay"]), st.data())
+def test_admitted_radial_configs_pass(tmp_path_factory, command, data):
+    # what the validator admits runs and passes (exit 0), and what it rejects
+    # exits 2, never 1 or 3, over the sizing keys the four radial commands
+    # read, at bounded cost (l up to 64, up to 20 samples, r0 up to 16);
+    # tol and r_max stay at their defaults: they set the accuracy a run is
+    # held to
+    keys = data.draw(st.lists(st.sampled_from(sorted(RADIAL_DRAWS)), unique=True))
+    overrides = {k: data.draw(RADIAL_DRAWS[k], label=k) for k in keys}
+    folder = tmp_path_factory.mktemp(command)
+    cfgfile = folder / "drawn.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()))
+    try:
+        build_config(command, overrides)
+        admitted = True
+    except ConfigError:
+        admitted = False
+    rc = main([command, "--config", str(cfgfile), "--out", str(folder / "out")])
+    assert rc == (0 if admitted else 2), (command, overrides)
 
 
 @pytest.mark.parametrize("command, keys", [

@@ -264,6 +264,19 @@ def test_kernel_family_annihilated():
         assert res.norm() / psi.norm() < 1e-10
 
 
+def test_spectral_derivative_multiplies_by_exact_integer_modes(monkeypatch):
+    # with the transforms replaced by the identity, fft_mode_derivative
+    # returns its multipliers: i k for the integer modes in FFT order, exact
+    # for every length (2 pi fftfreq(n, 2 pi / n) misses some from n = 14, and
+    # fftfreq(n, 1 / n) from n = 49)
+    monkeypatch.setattr(np.fft, "fft", lambda values, axis: values)
+    monkeypatch.setattr(np.fft, "ifft", lambda values, axis: values)
+    for n in range(1, 513):
+        modes = np.concatenate([np.arange((n + 1) // 2), np.arange(-(n // 2), 0)])
+        got = dirac.fft_mode_derivative(np.ones((2, n)), axis=1)
+        assert np.array_equal(got, np.broadcast_to(1j * modes, (2, n))), n
+
+
 def test_operator_preserves_stored_modes():
     g = RadialGrid.geometric(3.0, 300, r_min_factor=1e-3)
     psi = _bump_mode_field(2, 3, g)

@@ -15,7 +15,7 @@ from edl import lapack
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ROUTINES = {
-    "lapack": ["dgbsv", "dgtsv", "dpbtrf", "dstev", "dsytrf", "dsytrs", "zgbsv"],
+    "lapack": ["dgbsv", "dgtsv", "dpbtrf", "dsbevx", "dstev", "dsytrf", "dsytrs", "zgbsv"],
     "blas": ["dsbmv", "dtbsv"],
 }
 

@@ -178,11 +178,12 @@ def test_only_the_lapack_modules_import_scipy():
 
 
 def test_the_circle_modules_import_only_the_lapack_routines_they_call():
-    # the Fredholm diagnostics read two eigenvalues of each Gram; a routine
+    # the Fredholm diagnostics read two eigenvalues of each Gram, and gram's
+    # band norms the two ends of a spectrum (dsbevx by index); a routine
     # that computes the whole spectrum (eig_banded, eigh) takes an edit here,
     # in lapack.py's exports and in the importers below
     want = {
-        "bandeig": {"dpbtrf", "dsbmv", "dstev", "dtbsv"},
+        "bandeig": {"dpbtrf", "dsbevx", "dsbmv", "dstev", "dtbsv"},
         "deform": {"dgbsv", "dsytrf", "dsytrs"},
         "newton": {"brentq", "zgbsv"},
         "obstruction": {"dgtsv"},
@@ -200,5 +201,5 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
     assert imported == want
     defs, uses, _, _ = read_module(os.path.join(SRC, "lapack.py"))
     exported = {name for name in set(uses) | defs if not name.startswith("_")}
-    assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbmv", "dstev", "dsytrf",
-                        "dsytrs", "dtbsv", "zgbsv"}
+    assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbevx", "dsbmv", "dstev",
+                        "dsytrf", "dsytrs", "dtbsv", "zgbsv"}

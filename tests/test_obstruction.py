@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,39 @@ def test_family_field_matches_per_mode_sum(rng):
     for have, want in ((got.plus, plus), (got.minus, minus)):
         assert have.shape == want.shape
         assert np.max(np.abs(have - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _fft_projection(field, l_values):
+    """The projection as it was computed before: an FFT over t of the theta
+    mean of each component, the requested rows gathered and paired with the
+    profiles."""
+    nt = field.shape[0]
+    hat_plus = np.fft.fft(np.mean(field.plus, axis=2), axis=0) / nt
+    hat_minus = np.fft.fft(np.mean(field.minus, axis=2), axis=0) / nt
+    idx = np.array(l_values) % nt
+    comb = hat_plus[idx] + np.sign(l_values)[:, None] * hat_minus[idx]
+    prof = obstruction_profiles(l_values, field.rgrid)
+    return np.sum(comb * prof * field.rgrid.area_weights(), axis=1) * (2 * math.pi) ** 2
+
+
+def test_projection_matches_the_fft_oracle(rng):
+    # random coefficient sets on every t grid from the alias-free 2 l_max + 1
+    # up to 9 points more, on a field with several theta samples as well
+    g = RadialGrid.geometric(30.0, 400, r_min_factor=1e-10)
+    for extra in range(10):
+        l_max = int(rng.integers(1, 40))
+        l_values = [int(l) for l in rng.permutation(
+            [l for a in range(1, l_max + 1) for l in (a, -a)])]
+        coeffs = {l: complex(*rng.standard_normal(2)) for l in l_values}
+        field = family_field(coeffs, g, 2 * l_max + 1 + extra)
+        want = _fft_projection(field, l_values)
+        got = project_to_obstruction(field, l_values)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    field = euclidean_obstruction_field(-3, g, nt=11, ntheta=4)
+    field.minus[:, :, 1] *= 0.5j  # theta-dependent, so the mean is not one sample
+    want = _fft_projection(field, [1, -3, 5])
+    got = project_to_obstruction(field, [1, -3, 5])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- conormal rates --------------------------------------------------------------
@@ -358,23 +392,23 @@ def test_annulus_norms_capture_known_profile():
 
 
 def test_max_principle_certifies_random_valid_instances(rng):
-    for _ in range(300):
-        seq, barrier = sample_max_principle_instance(rng, size=30, lam=0.45)
-        res = discrete_max_principle(seq, barrier, lam=0.45)
-        assert res.certified
-        assert res.hypothesis_violation is None
-        assert res.conclusion_violation is None
+    seq, barrier = sample_max_principle_instance(rng, 300, size=30, lam=0.45)
+    assert seq.shape == barrier.shape == (300, 30)
+    res = discrete_max_principle(seq, barrier, lam=0.45)
+    assert res.certified.shape == (300,) and res.certified.all()
+    assert res.hypothesis_violation == [None] * 300
+    assert res.conclusion_violation == [None] * 300
 
 
 def test_max_principle_pinpoints_hypothesis_violations():
     barrier = np.zeros(6)
     seq = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 0.5])
     res = discrete_max_principle(seq, barrier, lam=0.4)
-    assert not res.certified and res.hypothesis_violation == ("endpoint", 5)
+    assert not res.certified[0] and res.hypothesis_violation == [("endpoint", 5)]
 
     seq = np.array([-1.0, 0.2, -1.0, -1.0, -1.0, -1.0])
     res = discrete_max_principle(seq, barrier, lam=0.4)
-    assert not res.certified and res.hypothesis_violation == ("interior", 1)
+    assert not res.certified[0] and res.hypothesis_violation == [("interior", 1)]
 
     with pytest.raises(ValueError):
         discrete_max_principle(seq, barrier, lam=0.5)
@@ -388,6 +422,69 @@ def test_max_principle_conclusion_path():
     barrier = np.zeros(5)
     seq = np.array([-1.0, -1.0, 0.3, -1.0, -1.0])
     res = discrete_max_principle(seq, barrier, lam=0.4, verify_hypotheses=False)
-    assert not res.certified
-    assert res.conclusion_violation == 2
+    assert not res.certified[0]
+    assert res.conclusion_violation == [2]
+    assert res.hypothesis_violation == [None]
     assert set(vars(res)) == {"certified", "hypothesis_violation", "conclusion_violation"}
+
+
+def _first_violations_one_row_at_a_time(r, lam):
+    """The checker's report on one row r = sequence - barrier, hypotheses
+    checked, written out as the scalar loop it replaced."""
+    if r[0] > 0.0:
+        return ("endpoint", 0), None
+    if r[-1] > 0.0:
+        return ("endpoint", r.size - 1), None
+    for i in range(1, r.size - 1):
+        if r[i] - lam * (r[i - 1] + r[i + 1]) > 0.0:
+            return ("interior", i), None
+    above = [i for i in range(r.size) if r[i] > 0.0]
+    return None, (above[0] if above else None)
+
+
+def test_max_principle_reports_each_rows_first_violation(rng):
+    # valid rows among rows with each kind of violation, some with several:
+    # every row gets its own first violation, and valid rows stay certified
+    seq, barrier = sample_max_principle_instance(rng, 12, size=9)
+    seq[1, 0] = barrier[1, 0] + 0.1  # left end
+    seq[2, -1] = barrier[2, -1] + 0.1  # right end
+    seq[3, 4] = barrier[3, 4] + 1.0  # interior
+    seq[4, [2, 6]] = barrier[4, [2, 6]] + 1.0  # two interior, the first counts
+    seq[5, [0, 5]] = barrier[5, [0, 5]] + 1.0  # an end before an interior one
+    seq[6, [3, -1]] = barrier[6, [3, -1]] + 1.0  # the right end before the interior
+    seq[8] = barrier[8] + 0.5 * (seq[8] - barrier[8])  # still valid, scaled gap
+    res = discrete_max_principle(seq, barrier, lam=0.4)
+    for row in range(12):
+        hyp, con = _first_violations_one_row_at_a_time(seq[row] - barrier[row], 0.4)
+        assert res.hypothesis_violation[row] == hyp, row
+        assert res.conclusion_violation[row] == con, row
+        assert res.certified[row] == (hyp is None and con is None)
+    assert [res.hypothesis_violation[row] for row in range(1, 7)] == [
+        ("endpoint", 0), ("endpoint", 8), ("interior", 4), ("interior", 2),
+        ("endpoint", 0), ("endpoint", 8)]
+    assert res.certified.tolist() == [True] + [False] * 6 + [True] * 5
+    # unchecked hypotheses: each row reports its first index above the barrier
+    res = discrete_max_principle(seq, barrier, lam=0.4, verify_hypotheses=False)
+    assert res.hypothesis_violation == [None] * 12
+    assert res.conclusion_violation == [None, 0, 8, 4, 2, 0, 3] + [None] * 5
+
+
+def test_sampler_returns_count_admissible_rows_within_its_budget(rng):
+    for count, size, lam in ((1, 40, 0.4), (37, 12, 0.3), (5, 30, 0.45)):
+        seq, barrier = sample_max_principle_instance(rng, count, size=size, lam=lam)
+        assert seq.shape == barrier.shape == (count, size)
+        r = seq - barrier
+        assert np.all(r < 0.0) and np.all((barrier >= 0.0) & (barrier <= 2.0))
+        assert np.all(r[:, 1:-1] <= lam * (r[:, :-2] + r[:, 2:]))
+    # at lam 0.49 a 40-entry gap within 15 % of flat essentially never passes:
+    # the sampler gives up after its 10000 proposals per instance
+    drawn = []
+
+    def uniform(lo, hi, size):
+        drawn.append(size)
+        return rng.uniform(lo, hi, size)
+
+    spy = SimpleNamespace(uniform=uniform)
+    with pytest.raises(RuntimeError, match="admissible"):
+        sample_max_principle_instance(spy, 3, size=40, lam=0.49)
+    assert sum(rows for rows, _ in drawn) == 3 * 10000

@@ -22,6 +22,7 @@ from edl.deform import (
     t_op,
 )
 from edl.newton import ToyProblem, nash_moser_solve
+from edl.obstruction import WeightProfile, gram_matrix, gram_tail_trend
 from edl.bandeig import _positive_definite, certified_spectrum, top_eigenvalue
 from edl.bgvar import (
     CutoffProfile,
@@ -393,3 +394,23 @@ def test_top_eigenvalue_is_certified_on_random_bands(seed, n, kd, top):
     ab = random_band(rng, n, min(kd, n - 1), top)
     t, lo = top_eigenvalue(ab)
     assert_certified_top(ab, t, lo)
+
+
+@PROPERTY
+@given(seeds, st.sampled_from([1, 2, 12]), st.integers(1, 60), st.integers(3, 90))
+def test_banded_gram_norms_match_dense_norms(seed, band, l_min, count):
+    # the tail norms and the graded smoothing norm that gram_tail_trend takes
+    # on K's band and on K W^2 K's against dense spectral norms, for weights
+    # of band 1, 2 and 12 on random l ranges (bands wider than some tails)
+    rng = np.random.default_rng(seed)
+    amp = 0.05 * rng.uniform(0.2, 1.0, band) / np.arange(1, band + 1)
+    weight = WeightProfile(g=FourierSeries1D.from_modes(
+        {s * m: amp[m - 1] for m in range(1, band + 1) for s in (1, -1)}))
+    modes = np.arange(l_min, l_min + count)
+    k_block = gram_matrix(modes, weight).real - np.eye(count)
+    rep = gram_tail_trend(k_block, modes)
+    want = [np.linalg.norm(k_block[np.ix_(modes >= c, modes >= c)], 2) for c in rep.cutoffs]
+    assert np.max(np.abs(rep.tail_norms - want)) <= 1e-14 * want[0]
+    wgt = (1.0 + modes.astype(float) ** 2) ** (0.125 / 2.0)
+    dense = np.linalg.norm(wgt[:, None] * k_block, 2)
+    assert abs(rep.smoothing_norm - dense) <= 1e-14 * dense
