@@ -103,10 +103,14 @@ class CutoffProfile:
 class Separable:
     """Finite sum of terms (t-series) x (radial profile) x e^{i j theta}.
 
-    A term is (series, rad, drad, j): a FourierSeries1D, a radial array (or a
-    scalar for a constant profile), its analytic d/dr and the theta harmonic
-    j. drad is None when unknown; products drop it, since only the leading
-    field's own terms are differentiated in r.
+    A term is (series, rad, drad, j): a FourierSeries1D, a radial profile,
+    its analytic d/dr and the theta harmonic j. A radial profile is an array
+    over the radii, a scalar for a constant profile, or a pair (a, b) of
+    profiles that stands for their product: products are multiplied out
+    (by `_radial`) only when a coefficient or a sample is read, so the
+    algebra holds no arrays but its factors. drad is None when unknown;
+    products drop it, since only the leading field's own terms are
+    differentiated in r.
     """
 
     def __init__(self, terms):
@@ -129,7 +133,7 @@ class Separable:
         if not isinstance(other, Separable):
             return Separable((s * other, a, da, j) for s, a, da, j in self.terms)
         return Separable(
-            (multiply(s, u), a * b, None, j + k)
+            (multiply(s, u), (a, b), None, j + k)
             for s, a, _, j in self.terms
             for u, b, _, k in other.terms
         )
@@ -148,19 +152,31 @@ class Separable:
         return Separable((s, da, None, j) for s, _, da, j in self.terms)
 
     def coeff(self, l, k):
-        """Radial profile of the e^{i l t} e^{i k theta} component."""
-        return sum(s.coeff(l) * a for s, a, _, j in self.terms if j == k)
+        """Radial profile of the e^{i l t} e^{i k theta} component. On a row
+        stack of radii l may be a column of modes: row i then holds mode
+        l[i] on the radii of row i."""
+        ls = np.asarray(l)
+        return sum(
+            np.array([s.coeff(m) for m in ls.flat]).reshape(ls.shape) * _radial(a)
+            for s, a, _, j in self.terms if j == k
+        )
 
     def sample(self, t, n_radial, theta):
         out = np.zeros((t.size, n_radial, theta.size), dtype=complex)
         for s, a, _, j in self.terms:
-            rad = np.broadcast_to(a, (n_radial,))
+            rad = np.broadcast_to(_radial(a), (n_radial,))
             out += (
                 s.evaluate(t)[:, None, None]
                 * rad[None, :, None]
                 * np.exp(1j * j * theta)[None, None, :]
             )
         return out
+
+
+def _radial(a):
+    """A radial profile's values, each product pair multiplied in the order
+    the algebra formed it."""
+    return _radial(a[0]) * _radial(a[1]) if type(a) is tuple else a
 
 
 def _factors(r):
@@ -408,7 +424,8 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
     4 pi^2 * int (B_+ + sgn(l) B_-)_{l,0} prof_l r dr, read off the separable
     (l, 0) coefficient of B(gdot) Phi0 with one radial quadrature on a
     geometric grid of PAIRING_RADIAL_POINTS radii out to
-    PAIRING_DECAY_BUDGET / |l|.
+    PAIRING_DECAY_BUDGET / |l|. The probes' grids form one row stack, so the
+    separable algebra runs once for all of them.
 
     The prediction is derived for the cutoff-free family; passing a cutoff
     measures how far the compactly supported variation drifts from it (the
@@ -430,20 +447,24 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
         eta = eta_x
     mult = l_op(data, second_derivative(eta))
 
-    measured, khat = {}, {}
-    for l in l_values:
-        l = int(l)
-        b = TORUS_AREA * abs(l) ** -1.5 * mult.coeff(l)
-        if abs(b) < 1e-14:
+    probes = [int(l) for l in l_values]
+    base = {}
+    for l in probes:
+        base[l] = TORUS_AREA * abs(l) ** -1.5 * mult.coeff(l)
+        if abs(base[l]) < 1e-14:
             raise ValueError(f"probe mode {l} is absent from the displacement")
-        r_max = PAIRING_DECAY_BUDGET / abs(l)
-        if cutoff is not None:
-            r_max = max(r_max, 1.2 * cutoff.r0)
-        rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
-        bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
-        bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
-        m = TORUS_AREA * bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))
-        measured[l], khat[l] = m, m / b
+    r_max = np.array([PAIRING_DECAY_BUDGET / abs(l) for l in probes])
+    if cutoff is not None:
+        r_max = np.maximum(r_max, 1.2 * cutoff.r0)
+    rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
+    bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
+    l_col = np.array(probes)[:, None]
+    bg_l = ModeSpinor(0, l_col, rgrid, bp.coeff(l_col, 0), bm.coeff(l_col, 0))
+    pairings = bg_l.radial_pairing(euclidean_obstruction_mode(probes, rgrid))
+    measured, khat = {}, {}
+    for l, pairing in zip(probes, pairings):
+        m = TORUS_AREA * complex(pairing)
+        measured[l], khat[l] = m, m / base[l]
 
     ls = sorted(khat, key=abs)
     doubling = [(l, 2 * l) for l in ls if 2 * l in khat]

@@ -67,6 +67,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.experiment == "decay" and self.r0 > MAX_DECAY_R0:
             raise ConfigError(f"r0 must be at most {MAX_DECAY_R0} for decay, got {self.r0}")
+        if self.experiment == "obstruction":
+            # the loss is convex in l: on l_min..l_max it is largest at an end
+            for l, bound, what in ((self.l_min, self.tol, "tol"), (self.l_max, self.tol, "tol"),
+                                   (2, SELF_PAIRING_TOL, "the self-pairing bound")):
+                loss = obstruction_grid_loss(l, self.l_max, self.r_max)
+                if loss >= bound:
+                    raise ConfigError(
+                        f"r_max = {self.r_max} loses {loss:.1e} of mode {l}'s norm on "
+                        f"obstruction's grid, not below {what} {bound:g}"
+                    )
         if self.theta <= 1.0:
             raise ConfigError(f"theta must exceed 1, got {self.theta}")
         if self.max_steps <= 0 or self.samples <= 0:
@@ -108,6 +118,22 @@ MIN_CONORMAL_L = 7
 # above 1e-14 of the first, so a second annulus is left only for
 # r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit crashes in the SVD
 MAX_DECAY_R0 = 16.0
+# obstruction's radial grid (r_min, r_max], r_min = OBSTRUCTION_R_MIN r_max /
+# l_max, misses e^{-2 l r_max} of mode l's norm beyond r_max and about
+# 2 l r_min inside r_min; each recovered mode is held to tol, and Psi_2's
+# self-pairing to SELF_PAIRING_TOL. The tail is counted 1.1 times: the
+# trapezoid's end correction adds (2 l r_max ds)^2 / 12 of it, under 2 %
+# wherever a run is admitted. That puts a floor on r_max (5.8 at l_min 1 and
+# tol 1e-5; 2.33 from the self-pairing whatever the tol) and a cap (5000 at
+# tol 1e-5): r_max 5 and 10000 failed their recovery check, 2 the self-pairing
+OBSTRUCTION_R_MIN = 1e-9
+SELF_PAIRING_TOL = 1e-4
+
+
+def obstruction_grid_loss(l, l_max, r_max):
+    """Share of mode l's norm that obstruction's radial grid misses, with
+    the margin above for the trapezoid's end correction."""
+    return 1.1 * math.exp(-2.0 * l * r_max) + 2.0 * l * OBSTRUCTION_R_MIN * r_max / l_max
 
 
 def dense_array_bound(cfg):

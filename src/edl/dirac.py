@@ -106,32 +106,41 @@ class RadialGrid:
 
     The grid is strictly positive: the operator coefficients carry 1/r and the
     model profiles carry r^{-1/2}, so the axis itself is never sampled.
+
+    r may also be a row stack, shape (rows, n): one geometric grid per row,
+    each with its own R and step. A stack carries the quadrature
+    (area_weights, and integrate along the last axis), not the stencils.
     """
 
     r: np.ndarray
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
-        if r.ndim != 1 or r.size < 2 or np.any(r <= 0.0):
-            raise ValueError("radial grid must be 1-d, strictly positive")
-        ds = np.diff(np.log(r))
-        if np.any(ds <= 0.0) or not np.allclose(ds, ds[0], rtol=1e-8):
+        if r.ndim not in (1, 2) or r.shape[-1] < 2 or np.any(r <= 0.0):
+            raise ValueError("radial grid must be 1-d or a row stack, strictly positive")
+        ds = np.diff(np.log(r), axis=-1)
+        if np.any(ds <= 0.0) or not np.allclose(ds, ds[..., :1], rtol=1e-8):
             raise ValueError("radial grid must be geometric (uniform in log r)")
         object.__setattr__(self, "r", r)
 
     @staticmethod
     def geometric(r_max, n_points, r_min_factor=1e-4):
+        """n_points radii from r_min_factor * r_max to r_max; an array of
+        r_max gives a row stack, one row per entry."""
         if not (0.0 < r_min_factor < 1.0):
             raise ValueError("r_min_factor must lie in (0,1)")
-        return RadialGrid(np.geomspace(r_max * r_min_factor, r_max, n_points))
+        r_max = np.asarray(r_max, dtype=float)
+        return RadialGrid(np.geomspace(r_max * r_min_factor, r_max, n_points, axis=-1))
 
     @property
     def n_points(self):
-        return self.r.size
+        return self.r.shape[-1]
 
     @property
     def ds(self):
-        return float(np.log(self.r[1] / self.r[0]))
+        """The step in s; on a row stack, a column of one step per row."""
+        ds = np.log(self.r[..., 1:2] / self.r[..., :1])
+        return float(ds[0]) if self.r.ndim == 1 else ds
 
     @cached_property
     def _stencils(self):
@@ -142,6 +151,8 @@ class RadialGrid:
         The grid is uniform in s, so the weights depend only on that offset,
         and scale as 1/ds: one unit-spacing table, over ds, serves all rows.
         """
+        if self.r.ndim != 1:
+            raise ValueError("a row stack of grids carries no stencils")
         return _unit_stencils(min(FD_ORDER, self.r.size - 1) + 1) / self.ds
 
     def derivative(self, values, axis=0):
@@ -171,17 +182,21 @@ class RadialGrid:
 
     def area_weights(self):
         """Trapezoid weights for int f(r) r dr on the log grid."""
-        n = self.r.size
-        tz = np.full(n, self.ds)
-        tz[0] = tz[-1] = 0.5 * self.ds
+        ds = self.ds
+        tz = np.full(self.r.shape, ds)
+        tz[..., ::self.n_points - 1] = 0.5 * ds
         return tz * self.r**2
 
     def integrate(self, values, axis=0):
+        """int f(r) r dr along `axis`; a row stack's values are (rows, n)
+        and integrate along the last axis."""
         w = self.area_weights()
         values = np.asarray(values)
-        shape = [1] * values.ndim
-        shape[axis] = self.r.size
-        return np.sum(values * w.reshape(shape), axis=axis)
+        if w.ndim == 1:
+            shape = [1] * values.ndim
+            shape[axis] = w.size
+            w = w.reshape(shape)
+        return np.sum(values * w, axis=axis)
 
 
 # -- radial mode problems ----------------------------------------------------------
@@ -198,7 +213,12 @@ def mode_ode_matrix(k, l, r):
 
 @dataclass
 class ModeSpinor:
-    """Radial profile pair of a single stored (k, l) mode."""
+    """Radial profile pair of a single stored (k, l) mode.
+
+    On a row-stacked grid l is a column of modes, one per row, and the
+    profiles are row stacks; weighted_l2, radial_pairing and ode_residual
+    then return one value per row.
+    """
 
     k: int
     l: float
@@ -210,7 +230,7 @@ class ModeSpinor:
 
     def weighted_l2(self):
         dens = np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2
-        return float(np.sqrt(self.rgrid.integrate(dens)))
+        return np.sqrt(self.rgrid.integrate(dens, axis=-1))
 
     def radial_pairing(self, other):
         if other.rgrid is not self.rgrid and not np.array_equal(
@@ -220,7 +240,7 @@ class ModeSpinor:
         dens = self.psi_plus * np.conj(other.psi_plus) + self.psi_minus * np.conj(
             other.psi_minus
         )
-        return complex(self.rgrid.integrate(dens))
+        return self.rgrid.integrate(dens, axis=-1)
 
     def ode_residual(self):
         """Relative defect of u' = M(k,l,r) u in the r dr norm, which is
@@ -236,8 +256,8 @@ class ModeSpinor:
         rhs_p = (self.k - 0.5) / r * self.psi_plus - self.l * self.psi_minus
         rhs_m = -self.l * self.psi_plus - (self.k + 0.5) / r * self.psi_minus
         dens = np.abs(du_p - rhs_p) ** 2 + np.abs(du_m - rhs_m) ** 2
-        num = float(np.sqrt(self.rgrid.integrate(dens)))
-        return num / max(self.weighted_l2(), 1e-300)
+        num = np.sqrt(self.rgrid.integrate(dens, axis=-1))
+        return num / np.maximum(self.weighted_l2(), 1e-300)
 
     def decay_rate(self):
         """Exponential rate fitted on log(r^{1/2} |psi|) over [R/4, 3R/4]."""
@@ -251,7 +271,8 @@ class ModeSpinor:
 
 
 def obstruction_profiles(l_values, rgrid):
-    """Rows psi_l(r) = sqrt|l| e^{-|l| r} r^{-1/2} for each requested l.
+    """Rows psi_l(r) = sqrt|l| e^{-|l| r} r^{-1/2} for each requested l;
+    on a row-stacked grid, row i on the radii of row i.
 
     l = 0 is rejected: the profile is not square integrable on the plane and
     enters only through compact-disk pairings.
@@ -259,16 +280,19 @@ def obstruction_profiles(l_values, rgrid):
     l_arr = np.asarray(l_values, dtype=float)
     if np.any(l_arr == 0):
         raise ValueError("mode 0 is excluded on the plane")
-    r = rgrid.r[None, :]
+    r = np.atleast_2d(rgrid.r)  # a row stack has one row per l
     a = np.abs(l_arr)[:, None]
     return np.sqrt(a) * np.exp(-a * r) / np.sqrt(r)
 
 
 def euclidean_obstruction_mode(l, rgrid):
     """Closed-form decaying kernel mode at k = 0: the profile
-    obstruction_profiles([l]) with psi_- = sgn(l) psi_+."""
-    w = float(l)
-    prof = obstruction_profiles([w], rgrid)[0]
+    obstruction_profiles([l]) with psi_- = sgn(l) psi_+.
+
+    An array of l takes a row-stacked grid, one row per mode.
+    """
+    w = np.asarray(l, dtype=float)[:, None] if np.ndim(l) else float(l)
+    prof = obstruction_profiles(np.ravel(w), rgrid).reshape(rgrid.r.shape)
     dprof = prof * (-abs(w) - 0.5 / rgrid.r)
     return ModeSpinor(
         k=0,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not during a command
 
+from .config import OBSTRUCTION_R_MIN, SELF_PAIRING_TOL
 from .series import FourierSeries1D
 from .dirac import (
     LeadingData,
@@ -97,15 +98,20 @@ def _check(failures, ok, message):
 # -- modes: the closed-form kernel family is annihilated -------------------------------
 
 
-def _mode_residual(l, r_max):
-    grid = RadialGrid.geometric(r_max / abs(l) / 3.0, 500, r_min_factor=1e-4)
-    return euclidean_obstruction_mode(l, grid).ode_residual()
+# modes per row stack, so the run's arrays are MODE_BLOCK_ROWS x 500 whatever
+# l_max is: at 8 rows they peak at 0.4 MB traced, below bg-check's 0.5 MB; at
+# 16 (0.8 MB) they raised the peak RSS of a modes + bg-check process
+MODE_BLOCK_ROWS = 8
 
 
 def run_modes(cfg):
     failures, rows = [], []
     l_values = [l for a in range(cfg.l_min, cfg.l_max + 1) for l in (a, -a)]
-    residuals = [_mode_residual(l, cfg.r_max) for l in l_values]
+    residuals = []
+    for i in range(0, len(l_values), MODE_BLOCK_ROWS):
+        block = np.array(l_values[i:i + MODE_BLOCK_ROWS], dtype=float)
+        grid = RadialGrid.geometric(cfg.r_max / np.abs(block) / 3.0, 500, r_min_factor=1e-4)
+        residuals += euclidean_obstruction_mode(block, grid).ode_residual().tolist()
     for l, rel in zip(l_values, residuals):
         rows.append((l, rel))
         _check(failures, rel < cfg.tol, f"mode {l}: residual {rel:.3e} >= {cfg.tol:.1e}")
@@ -136,16 +142,19 @@ def run_obstruction(cfg):
         l: (rng.standard_normal() + 1j * rng.standard_normal()) / (abs(l) ** 2)
         for l in l_values
     }
-    grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=1e-9 / cfg.l_max)
+    grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=OBSTRUCTION_R_MIN / cfg.l_max)
     nt = 2 * cfg.l_max + 3
     field_ = family_field(coeffs, grid, nt)
     recovered = project_to_obstruction(field_, l_values)
     norm_const = 4.0 * math.pi**2
-    errs = []
+    errs, pos, pos_errs = [], [], []
     for l, got in zip(l_values, recovered):
         want = norm_const * coeffs[l]
         rel = abs(got - want) / abs(want)
         errs.append(rel)
+        if l > 0:
+            pos.append(l)
+            pos_errs.append(rel)
         rows.append((l, abs(coeffs[l]), abs(got / norm_const), rel))
         _check(failures, rel < cfg.tol,
                f"mode {l}: projection error {rel:.3e} >= {cfg.tol:.1e}")
@@ -153,7 +162,7 @@ def run_obstruction(cfg):
     psi2 = family_field({2: 1.0}, grid, 13)
     delta_row = project_to_obstruction(psi2, [1, 2, 3, -2])
     cross = max(abs(delta_row[i]) for i in (0, 2, 3)) / norm_const
-    _check(failures, abs(delta_row[1] - norm_const) / norm_const < 1e-4,
+    _check(failures, abs(delta_row[1] - norm_const) / norm_const < SELF_PAIRING_TOL,
            "self-pairing off its closed-form value")
     _check(failures, cross < 1e-8, f"family cross-talk {cross:.3e} >= 1e-8")
     metrics = {
@@ -162,10 +171,8 @@ def run_obstruction(cfg):
         "cross_talk": cross,
         "tolerance": cfg.tol,
     }
-    pos = sorted(l for l in l_values if l > 0)
     plot = {
-        "series": [("recovery error", pos,
-                     [errs[l_values.index(l)] for l in pos])],
+        "series": [("recovery error", pos, pos_errs)],
         "title": "obstruction projection recovery",
         "xlabel": "l",
         "ylabel": "relative error",

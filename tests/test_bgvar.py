@@ -5,6 +5,7 @@ import pytest
 
 from edl.series import (
     FourierSeries1D,
+    TORUS_AREA,
     TWO_PI,
     derivative,
     multiply,
@@ -12,21 +13,26 @@ from edl.series import (
 )
 from edl.dirac import (
     LeadingData,
+    ModeSpinor,
     RadialGrid,
     covariant_gradient,
     dirac_apply,
     euclidean_obstruction_field,
+    euclidean_obstruction_mode,
     fft_mode_derivative,
     l2_pairing,
     twisted_clifford_apply,
 )
 from edl.bgvar import (
+    PAIRING_DECAY_BUDGET,
+    PAIRING_RADIAL_POINTS,
     CutoffProfile,
     MetricVariation,
     bg_apply,
     bg_apply_terms,
     bg_pairing_comparison,
     leading_term_field,
+    leading_variation,
 )
 from edl.experiments import bg_probe_design
 
@@ -446,15 +452,33 @@ def complex_data():
     return LeadingData(c, d)
 
 
+def per_probe_pairings(data, eta_x, eta_y, l_values, cutoff):
+    """The measured pairings one probe at a time, each on its own grid: the
+    loop that the row stack of probe grids replaced."""
+    out = {}
+    for l in l_values:
+        r_max = PAIRING_DECAY_BUDGET / abs(l)
+        if cutoff is not None:
+            r_max = max(r_max, 1.2 * cutoff.r0)
+        rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
+        bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
+        bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
+        pairing = bg_l.radial_pairing(euclidean_obstruction_mode(l, rgrid))
+        out[l] = TORUS_AREA * complex(pairing)
+    return out
+
+
 @pytest.mark.parametrize("cutoff", [None, CutoffProfile(1.0)], ids=["free", "cutoff"])
 def test_pairing_matches_dense_reference(cutoff):
     # the (l, 0) coefficient of the separable B(gdot) Phi0 against dense
-    # bg_apply + l2_pairing on an alias-free tensor grid of the same radii
+    # bg_apply + l2_pairing on an alias-free tensor grid of the same radii,
+    # and bit for bit against the probes paired one at a time
     data = complex_data()
     eta_x = real_series({l: (0.7 + 0.2j) * l**-2.0 for l in range(1, 21)})
     eta_y = real_series({l: (0.3 - 0.1j) * l**-2.0 for l in range(1, 21)})
     l_values = (4, -4, 8, 16)
     rep = bg_pairing_comparison(data, eta_x, eta_y, l_values=l_values, cutoff=cutoff)
+    assert rep.measured == per_probe_pairings(data, eta_x, eta_y, l_values, cutoff)
     for l in l_values:
         r_max = 30.0 / abs(l) if cutoff is None else max(30.0 / abs(l), 1.2)
         rgrid = RadialGrid.geometric(r_max, 500, r_min_factor=1e-7)
@@ -467,9 +491,12 @@ def test_pairing_matches_dense_reference(cutoff):
 
 
 def test_pairing_reach_to_l_1024():
-    # three more mode doublings than the default probe design reaches
+    # three more mode doublings than the default probe design reaches; the
+    # eight probes share one stack and pair as they do one at a time
     data, eta = bg_probe_design(1024)
-    rep = bg_pairing_comparison(data, eta, l_values=tuple(2**k for k in range(3, 11)))
+    probes = tuple(2**k for k in range(3, 11))
+    rep = bg_pairing_comparison(data, eta, l_values=probes)
+    assert rep.measured == per_probe_pairings(data, eta, None, probes, None)
     assert abs(rep.fitted_constant + 0.75) < 1e-5
     assert -1.2 <= rep.deviation_exponent <= -0.8
     assert rep.closest_candidate == -0.75

@@ -25,7 +25,14 @@ from edl.config import (
     parse_config_text,
     with_overrides,
 )
-from edl.experiments import EXPERIMENTS, PAPER_ANCHORS, run_experiment
+from edl.bgvar import PAIRING_RADIAL_POINTS, bg_pairing_comparison
+from edl.experiments import (
+    EXPERIMENTS,
+    MODE_BLOCK_ROWS,
+    PAPER_ANCHORS,
+    bg_probe_design,
+    run_experiment,
+)
 from edl.report import line_plot_svg
 
 
@@ -456,6 +463,26 @@ def test_conormal_l_min_floor(tmp_path, capsys):
     assert build_config("gram", {"l_min": 1}).l_min == 1
 
 
+def test_obstruction_r_max_floor_and_cap(tmp_path, capsys):
+    # at the default tol 1e-5 the grid loses e^{-2 r_max} of mode 1 and
+    # 2e-9 r_max of mode l_max: r_max 5 and 10000 failed their recovery
+    # check with exit 1, r_max 2 also the self-pairing of Psi_2 whatever the tol
+    cfgfile = tmp_path / "r.cfg"
+    for r_max, tol, mode in ((2, 1e-5, 1), (5, 1e-5, 1), (10000, 1e-5, 24), (2, 0.5, 2)):
+        cfgfile.write_text(f"r_max = {r_max}\ntol = {tol}\n")
+        rc = main(["obstruction", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"edl: config error: r_max = {float(r_max)} loses")
+        assert f"of mode {mode}'s norm" in err and err.count("\n") == 1
+        assert not (tmp_path / "obstruction").exists()
+    for r_max in (6, 3000):
+        cfgfile.write_text(f"r_max = {r_max}\n")
+        assert main(["obstruction", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    # the floor and cap are obstruction's alone
+    assert build_config("modes", {"r_max": 2.0}).r_max == 2.0
+
+
 def test_decay_r0_cap(tmp_path, capsys):
     # above r0 = 16 one annulus clears annuli_decay's 1e-14 mask and the
     # one-point rate fit crashed in the SVD with exit 3
@@ -476,6 +503,8 @@ RADIAL_DRAWS = {
     "seed": st.integers(0, 2**32 - 1),
     "samples": st.integers(1, 20),
     "r0": st.integers(1, 128).map(lambda eighths: eighths / 8.0),
+    # 0.1 to 10000 in steps of 10^{1/10}: both ends of obstruction's r_max range
+    "r_max": st.integers(-10, 40).map(lambda tenths: float(f"{10 ** (tenths / 10):.3g}")),
 }
 
 
@@ -484,9 +513,8 @@ RADIAL_DRAWS = {
 def test_admitted_radial_configs_pass(tmp_path_factory, command, data):
     # what the validator admits runs and passes (exit 0), and what it rejects
     # exits 2, never 1 or 3, over the sizing keys the four radial commands
-    # read, at bounded cost (l up to 64, up to 20 samples, r0 up to 16);
-    # tol and r_max stay at their defaults: they set the accuracy a run is
-    # held to
+    # read, at bounded cost (l up to 64, up to 20 samples, r0 up to 16), and
+    # r_max; tol stays at its default: it sets the accuracy a run is held to
     keys = data.draw(st.lists(st.sampled_from(sorted(RADIAL_DRAWS)), unique=True))
     overrides = {k: data.draw(RADIAL_DRAWS[k], label=k) for k in keys}
     folder = tmp_path_factory.mktemp(command)
@@ -513,13 +541,41 @@ def test_every_array_budget_bounds_its_run(command, keys):
     # small run imports and caches outside the trace
     run_experiment(build_config(command))
     cfg = build_config(command, keys)
+    assert traced_peak(run_experiment, cfg) <= dense_array_bound(cfg)[1]
+
+
+def traced_peak(fn, *args):
+    """Traced peak bytes of fn(*args), after one untraced call has imported
+    and cached what it needs."""
+    fn(*args)
     tracemalloc.start()
     try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= dense_array_bound(cfg)[1]
+
+
+def test_modes_peak_does_not_grow_with_l_max():
+    # modes has no array budget: it checks MODE_BLOCK_ROWS modes at a time,
+    # so from l_max 32 to 2048 (4096 modes) its peak grows by the rows it
+    # returns, less than a run of exactly one block
+    def peak(l_max):
+        return traced_peak(run_experiment, build_config("modes", {"l_max": l_max}))
+
+    assert peak(2048) - peak(32) < peak(MODE_BLOCK_ROWS // 2)
+
+
+def test_bg_check_probes_share_one_algebra_at_little_memory_each():
+    # the probes share one run of the separable algebra, whose products are
+    # multiplied out only when a coefficient is read: each probe adds a few
+    # complex rows of the pairing's radii to the peak, where multiplying
+    # every product eagerly adds over a hundred
+    data, eta = bg_probe_design(1024)
+    probes = tuple(2**k for k in range(3, 11))
+    one = traced_peak(lambda: bg_pairing_comparison(data, eta, l_values=probes[:1]))
+    eight = traced_peak(lambda: bg_pairing_comparison(data, eta, l_values=probes))
+    assert eight - one < 7 * 16 * (16 * PAIRING_RADIAL_POINTS)
 
 
 def _last_line_of_python(code, *args, **env_vars):

@@ -1,5 +1,6 @@
-"""Property tests: series invariants, the separable B(gdot) Phi0 algebra, and
-the closed-form operator assemblies against unit-vector probing."""
+"""Property tests: series invariants, the separable B(gdot) Phi0 algebra,
+the closed-form operator assemblies against unit-vector probing, and the
+row-blocked kernel family residuals against the per-mode ones."""
 
 from types import SimpleNamespace
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edl.series import FourierSeries1D, SmoothingFamily, hilbert_transform, multiply
-from edl.dirac import LeadingData, RadialGrid
+from edl.config import build_config
+from edl.dirac import LeadingData, RadialGrid, euclidean_obstruction_mode
+from edl.experiments import run_experiment
 from edl.deform import (
     KERNEL_REL_THRESHOLD,
     RealizedOperator,
@@ -149,6 +152,29 @@ def test_separable_coefficients_match_dense_dft(data, with_y, with_cutoff):
         for l in range(-band - 1, band + 2):
             for k in range(-3, 4):
                 assert close(field.coeff(l, k), spec[l % nt, :, k % ntheta], scale)
+
+
+# -- row-blocked kernel family residuals against the per-mode oracle ----------------
+
+
+def per_mode_residuals(cfg):
+    """modes' residuals one mode at a time, each on its own grid: the loop
+    that the row blocks replaced."""
+    out = []
+    for a in range(cfg.l_min, cfg.l_max + 1):
+        for l in (a, -a):
+            grid = RadialGrid.geometric(cfg.r_max / abs(l) / 3.0, 500, r_min_factor=1e-4)
+            out.append((l, float(euclidean_obstruction_mode(l, grid).ode_residual())))
+    return out
+
+
+@PROPERTY
+@given(st.integers(1, 200), st.integers(0, 40), st.integers(1, 800))
+def test_mode_row_blocks_match_per_mode_residuals(l_min, span, r_max_eighths):
+    # bit for bit, over partial and whole blocks of MODE_BLOCK_ROWS rows
+    cfg = build_config("modes", {"l_min": l_min, "l_max": l_min + span,
+                                 "r_max": r_max_eighths / 8.0})
+    assert run_experiment(cfg).rows == per_mode_residuals(cfg)
 
 
 # -- closed-form assembly against the probing oracle -------------------------------
