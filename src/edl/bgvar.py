@@ -63,7 +63,6 @@ from .dirac import (
     covariant_gradient,
     euclidean_obstruction_mode,
     frame_gradient,
-    twisted_clifford_apply,
 )
 from .deform import l_op
 
@@ -337,10 +336,10 @@ def bg_apply_terms(var, psi):
     SpinorField on the common tensor grid."""
     if var.shape != psi.shape:
         raise ValueError("variation and field live on different grids")
-    th = psi.theta_points()[None, None, :]
+    e_th = np.exp(1j * psi.theta_points()[None, None, :])
     pieces = _variation_pieces(
         vars(var), psi.plus, psi.minus, covariant_gradient(psi),
-        lambda axis, p, m: twisted_clifford_apply(axis, th, p, m),
+        lambda axis, p, m: clifford_action(axis, e_th, np.conj(e_th), p, m),
     )
     tensor, trace, divergence = (
         SpinorField(psi.rgrid, p, m) for p, m in pieces

@@ -37,12 +37,6 @@ from .series import FourierSeries1D, TWO_PI, multiply, sgn
 # -- Clifford frame -------------------------------------------------------------
 
 
-def twisted_clifford_apply(axis, theta, plus, minus):
-    """Clifford action of dt/dx/dy on stored components sampled at theta."""
-    phase = np.exp(1j * theta)
-    return clifford_action(axis, phase, np.conj(phase), plus, minus)
-
-
 def clifford_action(axis, e_th, e_mth, plus, minus):
     """Clifford action of dt/dx/dy given e^{i theta} and e^{-i theta}.
 
@@ -200,15 +194,6 @@ class RadialGrid:
 
 
 # -- radial mode problems ----------------------------------------------------------
-
-
-def mode_ode_matrix(k, l, r):
-    """Coefficient matrix of the first-order radial system at (k, l)."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    return np.array(
-        [[(k - 0.5) / r, -float(l)], [-float(l), -(k + 0.5) / r]]
-    )
 
 
 @dataclass
@@ -605,13 +590,13 @@ def dirac_apply_via_clifford(psi):
     connection terms and the e^{+-i theta} factors in the Clifford action
     must reproduce the polar formulas exactly.
     """
-    th = psi.theta_points()[None, None, :]
+    e_th = np.exp(1j * psi.theta_points()[None, None, :])
     grad = covariant_gradient(psi)
     out_p = np.zeros_like(psi.plus)
     out_m = np.zeros_like(psi.minus)
     for axis in ("t", "x", "y"):
         gp, gm = grad[axis]
-        cp, cm = twisted_clifford_apply(axis, th, gp, gm)
+        cp, cm = clifford_action(axis, e_th, np.conj(e_th), gp, gm)
         out_p = out_p + cp
         out_m = out_m + cm
     return SpinorField(psi.rgrid, out_p, out_m)

@@ -23,7 +23,6 @@ from .dirac import (
 )
 from .obstruction import (
     GRAM_DECAY_POWER,
-    WeightProfile,
     annuli_decay,
     conormal_rate,
     discrete_max_principle,
@@ -46,6 +45,7 @@ from .deform import (
 )
 from .bgvar import bg_pairing_comparison
 from .newton import (
+    M0,
     ToyProblem,
     eigenvalue_continuation,
     nash_moser_solve,
@@ -227,14 +227,14 @@ def run_conormal(cfg):
 
 def run_gram(cfg):
     failures, rows = [], []
-    weight = WeightProfile.cosine(amplitude=0.1)
+    g = FourierSeries1D.from_modes({1: 0.05, -1: 0.05})  # the weight 1 + 0.1 cos t min(r, 1)
     l_values = list(range(cfg.l_min, cfg.l_max + 1))
-    k_block = gram_matrix(l_values, weight).real - np.eye(len(l_values))
+    k_block = gram_matrix(l_values, g).real - np.eye(len(l_values))
     ls = np.asarray(l_values, dtype=float)
     weak = np.abs(k_block) * np.sqrt(ls[:, None] * ls[None, :])
     weak_const = float(np.max(weak))
     # K_jk carries the weight's mode g_{j-k}, so it is exactly 0 beyond its band
-    beyond = np.abs(np.subtract.outer(ls, ls)) > weight.g.n_modes
+    beyond = np.abs(np.subtract.outer(ls, ls)) > g.n_modes
     beyond_band_max = float(np.max(np.abs(k_block[beyond]), initial=0.0))
     trend = gram_tail_trend(k_block, l_values)
     for c, n in zip(trend.cutoffs, trend.tail_norms):
@@ -520,7 +520,7 @@ def run_nash_moser(cfg):
                                         max_steps=cfg.max_steps, tol=1e-12)
     u_ns, ns_trace = nash_moser_solve(problem, smooth, eps0=cfg.eps0,
                                       theta=cfg.theta, max_steps=40, tol=1e-12)
-    gap = (u_ps - u_ns).sobolev_norm(problem.m0)
+    gap = (u_ps - u_ns).sobolev_norm(M0)
     for s in ps_trace.steps:
         rows.append(("plain", "smooth", s.step, s.eps, s.residual_norm))
     for s in ns_trace.steps:

@@ -18,10 +18,10 @@ b = max{|l| : u_l != 0} of the diagonal.  S_eps cuts every mode above 2/eps,
 so the first smoothed steps are narrow bands, and each step solves its
 system of side 2N+1 by one banded LU with partial pivoting (zgbsv, Golub &
 Van Loan 4.3) written straight from the coefficients of u.  The dense
-Jacobian and probing by unit vectors are test oracles only.  The solvers
-ask a problem for apply, solve_linearized, project, smooth, norm,
-zero_state and the control level m0; ToyProblem is the one problem that
-provides them.
+Jacobian and probing by unit vectors are test oracles only.  The loop
+works on the problem's band n_modes, monitors the residual in the graded
+norm of level M0, and takes F and its linear solves from the problem;
+ToyProblem is the one problem.
 
 Eigenvalue continuation locates the parameter where the multiplier of the
 bordered deformation system crosses zero, by Brent's method (scipy's
@@ -40,10 +40,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import (
     FourierSeries1D,
-    SmoothingFamily,
     TWO_PI,
     derivative,
     multiply,
+    smooth,
 )
 from .deform import ExtendedSystem
 from .lapack import brentq, zgbsv
@@ -54,14 +54,15 @@ from .lapack import brentq, zgbsv
 
 DIVERGENCE_FACTOR = 1e3
 DIVERGENCE_RUN = 5
+M0 = 2  # the control norm the iteration monitors
 
 
 def _newton_loop(problem, f, schedule, max_steps, tol):
     """(u, trace): trace.status, trace.steps (per step its step index, eps,
     residual_norm and correction_norm), trace.final_residual and
     trace.message."""
-    u = problem.zero_state()
-    f = problem.project(f)
+    u = FourierSeries1D.zero(problem.n_modes)
+    f = f.truncate(problem.n_modes)
     steps = []
     initial = None
     bad_run = 0
@@ -73,7 +74,7 @@ def _newton_loop(problem, f, schedule, max_steps, tol):
 
     for k in range(max_steps):
         residual = f - problem.apply(u)
-        rnorm = problem.norm(residual, problem.m0)
+        rnorm = residual.sobolev_norm(M0)
         if not math.isfinite(rnorm):
             return done("diverged", "residual norm left the representable range")
         if initial is None:
@@ -94,18 +95,18 @@ def _newton_loop(problem, f, schedule, max_steps, tol):
         if schedule is None:
             base, rhs = u, residual
         else:
-            base, rhs = problem.smooth(u, eps), problem.smooth(residual, eps)
+            base, rhs = smooth(u, eps), smooth(residual, eps)
         try:
             delta = problem.solve_linearized(base, rhs)
         except np.linalg.LinAlgError as exc:
             return done("solver_failed", str(exc))
         steps.append(SimpleNamespace(
             step=k, eps=eps, residual_norm=rnorm,
-            correction_norm=problem.norm(delta, problem.m0),
+            correction_norm=delta.sobolev_norm(M0),
         ))
         u = u + delta
     residual = f - problem.apply(u)
-    rnorm = problem.norm(residual, problem.m0)
+    rnorm = residual.sobolev_norm(M0)
     status = "converged" if rnorm <= tol else "budget_exhausted"
     return done(status, f"stopped after {max_steps} steps")
 
@@ -119,46 +120,29 @@ def nash_moser_solve(problem, f, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
     """Smoothed Newton from the zero state with eps_k = min(1, eps0 theta^{-k})."""
     if not theta > 1.0:
         raise ValueError("the smoothing schedule must open modes, theta > 1")
-    schedule = lambda k: min(1.0, eps0 * theta ** (-k))
+    # eps0 theta^{-k} underflows to 0 for large theta; at the smallest
+    # positive float S_eps is the identity on every representable mode,
+    # which is the limit the schedule tends to
+    schedule = lambda k: max(min(1.0, eps0 * theta ** (-k)), math.ulp(0.0))
     return _newton_loop(problem, f, schedule, max_steps, tol)
 
 
 # -- toy derivative-losing problem ----------------------------------------------------
 
 
-SMOOTHING = SmoothingFamily()
-
-
 @dataclass(eq=False)
 class ToyProblem:
-    """F(u) = u + strength * d_t P_N(u^2) on modes |l| <= n_modes.
-
-    m0 is the control norm the iteration monitors.
-    """
+    """F(u) = u + strength * d_t P_N(u^2) on modes |l| <= n_modes."""
 
     n_modes: int = 96
     strength: float = 1.0
-    m0 = 2
-
-    def project(self, u):
-        """Pad or truncate a series to the working band."""
-        return u.truncate(self.n_modes)
-
-    def smooth(self, u, eps):
-        return SMOOTHING.apply(self.project(u), min(1.0, eps))
-
-    def norm(self, u, m):
-        return u.sobolev_norm(m)
-
-    def zero_state(self):
-        return FourierSeries1D.zero(self.n_modes)
 
     def apply(self, u):
-        u = self.project(u)
+        u = u.truncate(self.n_modes)
         return u + self.strength * derivative(multiply(u, u)).truncate(self.n_modes)
 
     def derivative_apply(self, u, v):
-        u, v = self.project(u), self.project(v)
+        u, v = u.truncate(self.n_modes), v.truncate(self.n_modes)
         return v + 2.0 * self.strength * derivative(multiply(u, v)).truncate(self.n_modes)
 
     def jacobian(self, u):
@@ -168,8 +152,8 @@ class ToyProblem:
         Row l of Toep_N(u) is u_{l-m}, m = -N..N: a window of u_{2N}, ...,
         u_{-2N}, read as a strided view so the only array built is the result.
         """
-        u = self.project(u)
         n = self.n_modes
+        u = u.truncate(n)
         windows = sliding_window_view(u.truncate(2 * n).coeffs[::-1], 2 * n + 1)
         jac = windows[::-1] * (2.0j * self.strength * u.modes())[:, None]
         jac[np.diag_indices_from(jac)] += 1.0
@@ -185,8 +169,8 @@ class ToyProblem:
         The top b rows are zgbsv's room for the fill-in of row interchanges.
         An exactly singular pivot raises LinAlgError.
         """
-        u, g = self.project(u), self.project(g)
         n = self.n_modes
+        u, g = u.truncate(n), g.truncate(n)
         live = np.flatnonzero(u.coeffs)
         b = int(np.abs(live - n).max()) if live.size else 0
         windows = sliding_window_view(np.pad(u.modes(), b), 2 * b + 1)
@@ -238,7 +222,7 @@ def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
 
 
 def tame_estimate_sweep(n_values):
-    """Measure sup ||dF(u)^{-1} g||_m / (||g||_{m+1} + ||u||_{m+2} ||g||_{m0})
+    """Measure sup ||dF(u)^{-1} g||_m / (||g||_{m+1} + ||u||_{m+2} ||g||_{M0})
     for ToyProblem(n_modes=n) at levels m = 1, 2, 3.
 
     The supremum is over six random pairs per band and level, with states u
@@ -257,8 +241,8 @@ def tame_estimate_sweep(n_values):
                 u = _random_decaying_series(rng, n, 0.05, decay=2.0)
                 g = _random_decaying_series(rng, n, 1.0, decay=1.2)
                 sol = problem.solve_linearized(u, g)
-                denom = g.sobolev_norm(m + 1) + u.sobolev_norm(m + 2) * g.sobolev_norm(problem.m0)
-                worst = max(worst, problem.norm(sol, m) / denom)
+                denom = g.sobolev_norm(m + 1) + u.sobolev_norm(m + 2) * g.sobolev_norm(M0)
+                worst = max(worst, sol.sobolev_norm(m) / denom)
             ratios[m][n] = worst
     return SimpleNamespace(ratios=ratios)
 

@@ -7,12 +7,11 @@ Numerov's fourth-order scheme, its Robin ends closed by Taylor steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .series import FourierSeries1D, TORUS_AREA, TWO_PI, cutoff_c2
+from .series import TORUS_AREA, TWO_PI, cutoff_c2
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
 from .bandeig import band_norm
 from .lapack import dgtsv
@@ -131,29 +130,15 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
 # -- weighted Gram matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Volume weight w(t, r) = 1 + sum_m g_m e^{i m t} * min(r, 1).
+def gram_matrix(l_values, g):
+    """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w / (4 pi^2) of the
+    family, for the volume weight w(t, r) = 1 + sum_m g_m e^{i m t} min(r, 1)
+    of the fluctuation series g.
 
-    The radial factor vanishes linearly at the axis: the perturbation is a
-    density fluctuation of the ambient volume and must not see the axis
-    itself, otherwise off-diagonal pairings stop decaying in the mode index.
-    """
-
-    g: FourierSeries1D
-
-    def __post_init__(self):
-        if abs(self.g.coeff(0)) > 1e-13:
-            raise ValueError("the fluctuation series must have zero mean")
-
-    @staticmethod
-    def cosine(amplitude=0.1):
-        g = FourierSeries1D.from_modes({1: 0.5 * amplitude, -1: 0.5 * amplitude})
-        return WeightProfile(g=g)
-
-
-def gram_matrix(l_values, weight):
-    """Pairwise weighted pairings A_{jk} = <Psi_j, Psi_k>_w / (4 pi^2) of the family.
+    g must have zero mean: it is a density fluctuation of the ambient volume.
+    The radial factor vanishes linearly at the axis, so the perturbation does
+    not see the axis itself; otherwise off-diagonal pairings would stop
+    decaying in the mode index.
 
     Exact on the plane: the t integral picks the weight's mode g_{j-k}, the
     theta integral is 2 pi (the family sits at k = 0), and with s = |j| + |k|
@@ -164,6 +149,8 @@ def gram_matrix(l_values, weight):
     A = I + K with K_jk = 2 g_{j-k} sqrt|jk| (1 - e^{-s}) / s^2; the diagonal
     is exactly 1, since g has zero mean.
     """
+    if abs(g.coeff(0)) > 1e-13:
+        raise ValueError("the fluctuation series must have zero mean")
     l_values = [int(l) for l in l_values]
     if any(l == 0 for l in l_values):
         raise ValueError("mode 0 is excluded on the plane")
@@ -172,7 +159,7 @@ def gram_matrix(l_values, weight):
     size = np.abs(l_arr).astype(float)
     s = size[:, None] + size[None, :]
     ramped = np.sqrt(size[:, None] * size[None, :]) * -np.expm1(-s) / s**2
-    g = weight.g.truncate(2 * lmax).coeffs[l_arr[:, None] - l_arr[None, :] + 2 * lmax]
+    g = g.truncate(2 * lmax).coeffs[l_arr[:, None] - l_arr[None, :] + 2 * lmax]
     out = (l_arr[:, None] == l_arr[None, :]) + 2.0 * g * ramped
     out[np.sign(l_arr)[:, None] != np.sign(l_arr)[None, :]] = 0.0
     return out
@@ -279,33 +266,15 @@ def _taylor_step(alpha, q, l2r2, g, h):
     return -c, -d
 
 
-@dataclass(frozen=True)
-class AnnuliPartition:
-    """Consecutive annuli [r_start + n w, r_start + (n+1) w), n = 0..count-1."""
-
-    r_start: float
-    width: float
-    count: int
-
-    def __post_init__(self):
-        if self.r_start <= 0 or self.width <= 0 or self.count < 2:
-            raise ValueError("need positive start, positive width, >= 2 annuli")
-
-    def edges(self):
-        return self.r_start + self.width * np.arange(self.count + 1)
-
-    def masks(self, r):
-        e = self.edges()
-        return [(r >= e[n]) & (r < e[n + 1]) for n in range(self.count)]
-
-
-def annulus_energy_norms(u, nu, l, rgrid, partition):
-    """Per-annulus energy norm (int |u'|^2 + (nu^2/r^2 + l^2)|u|^2 r dr)^{1/2}."""
+def annulus_energy_norms(u, nu, l, rgrid, edges):
+    """Energy norm (int |u'|^2 + (nu^2/r^2 + l^2)|u|^2 r dr)^{1/2} on each
+    annulus [edges[n], edges[n + 1])."""
     du = rgrid.derivative(np.asarray(u, dtype=complex))
     dens = np.abs(du) ** 2 + (nu**2 / rgrid.r**2 + float(l) ** 2) * np.abs(u) ** 2
     w = rgrid.area_weights()
     out = []
-    for mask in partition.masks(rgrid.r):
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mask = (rgrid.r >= lo) & (rgrid.r < hi)
         out.append(float(np.sqrt(np.sum((dens * w)[mask]))))
     return np.array(out)
 
@@ -331,10 +300,8 @@ def annuli_decay(nu, l, r_scale=1.0):
         return radial_bump(r, center, width)[0]
 
     u = solve_mode_bvp(nu, l, rgrid, forcing)
-    part = AnnuliPartition(
-        r_start=center + 2.0 * width, width=2.0 * r_scale / l_a, count=8
-    )
-    norms = annulus_energy_norms(u, nu, l, rgrid, part)
+    edges = center + 2.0 * width + 2.0 * r_scale / l_a * np.arange(9)
+    norms = annulus_energy_norms(u, nu, l, rgrid, edges)
     usable = norms > 1e-14 * norms[0]
     idx = np.arange(len(norms))[usable]
     rate = -float(np.polyfit(idx, np.log(norms[usable]), 1)[0])

@@ -1,5 +1,5 @@
 """Fourier series on the circle of length 2 pi, graded norms, multiplier
-operators, and mollifier families.
+operators, and the mode-cutoff mollifier S_eps.
 
 Everything downstream (mode solvers, deformation operators, the smoothed
 Newton iteration) is built on the representation fixed here: a truncated
@@ -126,20 +126,13 @@ class FourierSeries1D:
         w = (1.0 + self.modes().astype(float) ** 2) ** m
         return float(np.sqrt(np.sum(w * np.abs(self.coeffs) ** 2)))
 
-    def quadrature_points(self, n_points=None):
+    def parseval_defect(self, n_points=None):
         # |u|^2 has band 2N, so >= 2N+1 uniform points integrate it exactly
         if n_points is None:
             n_points = 2 * self.n_modes + 1
-        return np.arange(n_points) * (TWO_PI / n_points)
-
-    def quadrature_mean_square(self, n_points=None):
-        t = self.quadrature_points(n_points)
-        vals = self.evaluate(t)
-        return float(np.mean(np.abs(vals) ** 2))
-
-    def parseval_defect(self, n_points=None):
+        vals = self.evaluate(np.arange(n_points) * (TWO_PI / n_points))
         coeff_side = float(np.sum(np.abs(self.coeffs) ** 2))
-        quad_side = self.quadrature_mean_square(n_points)
+        quad_side = float(np.mean(np.abs(vals) ** 2))
         scale = max(coeff_side, 1.0)
         return abs(coeff_side - quad_side) / scale
 
@@ -187,7 +180,7 @@ def interpolation_ratio(u, m, m1, m2):
     return u.sobolev_norm(m) / (lo**a * hi ** (1.0 - a))
 
 
-# -- mollifier family ------------------------------------------------------------
+# -- the mode-cutoff mollifier S_eps ---------------------------------------------
 
 
 def cutoff_c2(x):
@@ -217,32 +210,23 @@ def cutoff_c2_second(x):
     return np.where((x <= 1.0) | (x >= 2.0), 0.0, -d2step)
 
 
-class SmoothingFamily:
-    """Mode-cutoff mollifiers S_eps u = rho(eps*|l|) u_l.
-
-    rho is smooth, nonincreasing, identically 1 on [0,1] and 0 on [2,inf).
-    """
-
-    rho = staticmethod(cutoff_c2)
-    rho_prime = staticmethod(cutoff_c2_prime)
-
-    def multiplier(self, modes, eps):
-        return self.rho(eps * np.abs(np.asarray(modes, dtype=float)))
-
-    def apply(self, u, eps):
-        if not 0.0 < eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
-        return FourierSeries1D(u.coeffs * self.multiplier(u.modes(), eps))
+def smooth(u, eps):
+    """Mode-cutoff mollifier S_eps u = rho(eps*|l|) u_l with rho = cutoff_c2:
+    nonincreasing, identically 1 on [0,1] and 0 on [2,inf)."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
+    return FourierSeries1D(u.coeffs * cutoff_c2(eps * np.abs(u.modes().astype(float))))
 
 
 SMOOTHING_PROBE_MODES = 600  # must exceed 2/min(eps) for the active band to be visible
 SMOOTHING_RATIO_CEILING = 100.0
 
 
-def verify_smoothing_axioms(family, m_max, eps_grid):
-    """Measure the three mollifier constants over a grid of (m, n) pairs.
+def verify_smoothing_axioms(m_max, eps_grid):
+    """Measure the three constants of the mollifier smooth over a grid of
+    (m, n) pairs.
 
-    The family is a diagonal multiplier, so the operator constant for each eps
+    S_eps is a diagonal multiplier, so the operator constant for each eps
     equals the max over single modes |l| <= SMOOTHING_PROBE_MODES of the
     per-mode ratio; every constant must stay below SMOOTHING_RATIO_CEILING.
 
@@ -264,8 +248,8 @@ def verify_smoothing_axioms(family, m_max, eps_grid):
         for n in levels:
             per_eps = {"smoothing": [], "approximation": [], "eps_derivative": []}
             for eps in eps_grid:
-                rho = family.rho(eps * l)
-                drho = family.rho_prime(eps * l)
+                rho = cutoff_c2(eps * l)
+                drho = cutoff_c2_prime(eps * l)
                 gain = base ** ((n - m) / 2.0)
                 per_eps["smoothing"].append(
                     float(np.max(rho * gain)) * eps ** max(n - m, 0.0)

@@ -25,7 +25,6 @@ from conftest import criterion_lines
 
 from edl.series import (
     FourierSeries1D,
-    SmoothingFamily,
     interpolation_ratio,
     verify_smoothing_axioms,
 )
@@ -170,9 +169,8 @@ def test_criterion_07_metric_variation_cross_check():
 
 
 def test_criterion_08_smoothing_axioms():
-    family = SmoothingFamily()
     eps_grid = [2.0**-k for k in range(1, 9)]
-    report = verify_smoothing_axioms(family, m_max=4, eps_grid=eps_grid)
+    report = verify_smoothing_axioms(m_max=4, eps_grid=eps_grid)
     axioms_ok = report.passed and all(
         np.isfinite(r.max_ratio) and r.eps_spread <= 4.0 for r in report.rows
     )

@@ -20,8 +20,8 @@ from edl.dirac import (
     euclidean_obstruction_field,
     euclidean_obstruction_mode,
     fft_mode_derivative,
+    clifford_action,
     l2_pairing,
-    twisted_clifford_apply,
 )
 from edl.bgvar import (
     PAIRING_DECAY_BUDGET,
@@ -273,11 +273,11 @@ def test_bg_divergence_term_oracle():
     terms = bg_apply_terms(var, phi)
 
     t = np.arange(nt) * (TWO_PI / nt)
-    th = (np.arange(ntheta) * (TWO_PI / ntheta))[None, None, :]
+    e_th = np.exp(1j * (np.arange(ntheta) * (TWO_PI / ntheta)))[None, None, :]
     ddx = second_derivative(eta_x).evaluate(t)[:, None, None]
     ddy = second_derivative(eta_y).evaluate(t)[:, None, None]
-    sx_p, sx_m = twisted_clifford_apply("x", th, phi.plus, phi.minus)
-    sy_p, sy_m = twisted_clifford_apply("y", th, phi.plus, phi.minus)
+    sx_p, sx_m = clifford_action("x", e_th, np.conj(e_th), phi.plus, phi.minus)
+    sy_p, sy_m = clifford_action("y", e_th, np.conj(e_th), phi.plus, phi.minus)
     want_p = -0.5 * (ddx * sx_p + ddy * sy_p)
     want_m = -0.5 * (ddx * sx_m + ddy * sy_m)
     scale = float(np.max(np.abs(want_p)))
@@ -317,7 +317,7 @@ def test_bg_tensor_term_oracle():
     terms = bg_apply_terms(var, phi)
 
     t = np.arange(nt) * (TWO_PI / nt)
-    th = (np.arange(ntheta) * (TWO_PI / ntheta))[None, None, :]
+    e_th = np.exp(1j * (np.arange(ntheta) * (TWO_PI / ntheta)))[None, None, :]
     dex = derivative(eta_x).evaluate(t)[:, None, None]
     dey = derivative(eta_y).evaluate(t)[:, None, None]
     grad = covariant_gradient(phi)
@@ -330,7 +330,7 @@ def test_bg_tensor_term_oracle():
         (dey, "y", "t"),
         (dey, "t", "y"),
     ):
-        cp, cm = twisted_clifford_apply(s_axis, th, *grad[g_axis])
+        cp, cm = clifford_action(s_axis, e_th, np.conj(e_th), *grad[g_axis])
         want_p = want_p - 0.5 * coeff * cp
         want_m = want_m - 0.5 * coeff * cm
     scale = float(np.max(np.abs(want_p)))

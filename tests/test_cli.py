@@ -381,6 +381,23 @@ def test_nash_moser_tol_above_the_rough_residual(tmp_path, capsys):
     assert not (folder / "plot.svg").exists()
 
 
+def test_nash_moser_schedule_floors_at_the_smallest_float(tmp_path):
+    # theta 1e50 took eps0 theta^{-k} to 0.0 at k = 7, and S_eps rejected it
+    # with exit 3; from k = 1 on both schedules below keep every mode, so the
+    # runs take the same steps and only the eps column differs
+    rows = {}
+    for theta in ("1e20", "1e50"):
+        cfgfile = tmp_path / f"{theta}.cfg"
+        cfgfile.write_text(f"theta = {theta}\n")
+        out = tmp_path / theta
+        assert main(["nash-moser", "--config", str(cfgfile), "--out", str(out)]) == 0
+        lines = (out / "nash-moser" / "results.csv").read_text().splitlines()[1:]
+        rows[theta] = [line.split(",") for line in lines]
+    smoothed = [float(row[3]) for row in rows["1e50"] if row[0] == "smoothed"]
+    assert min(smoothed) == 5e-324  # math.ulp(0.0): every eps stays positive
+    assert [r[:3] + r[4:] for r in rows["1e50"]] == [r[:3] + r[4:] for r in rows["1e20"]]
+
+
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     # only validated, never run. obstruction holds four complex nt x 1200
     # slabs, nt = 2 l_max + 3, the synthesized field at one theta sample and
@@ -495,6 +512,40 @@ def test_decay_r0_cap(tmp_path, capsys):
     assert not (tmp_path / "decay").exists()
     cfgfile.write_text("r0 = 16\nsamples = 5\n")
     assert main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+
+def test_decay_r0_floor(tmp_path, capsys):
+    # below r0 = 1e-80 l_max every annulus norm underflowed to 0 and the rate
+    # fit crashed with exit 3; the floor is 1e-78 l_max, 6.4e-77 at l_max 64
+    cfgfile = tmp_path / "near.cfg"
+    cfgfile.write_text("r0 = 6e-77\n")
+    rc = main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edl: config error: r0 must be at least 1e-78 l_max")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "decay").exists()
+    cfgfile.write_text("r0 = 7e-77\nsamples = 5\n")
+    assert main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    with pytest.raises(ConfigError, match="at least 1e-78 l_max"):
+        build_config("decay", {"r0": 1e-75, "l_max": 1100})
+
+
+def test_modes_r_max_range(tmp_path, capsys):
+    # from r_max 7.1e6 up the squared residuals underflowed, and below
+    # 1.3e-16 every residual was exactly 0: the log plot crashed with exit 3
+    cfgfile = tmp_path / "r.cfg"
+    for r_max in (1e-100, 9e-16, 1.1e6, 1e8):
+        cfgfile.write_text(f"r_max = {r_max}\n")
+        rc = main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edl: config error: r_max must lie in [1e-15, 1e+06] for modes")
+        assert not (tmp_path / "modes").exists()
+    # the ends are admitted; at 1e-15 the residuals are real and above tol
+    for r_max, rc in ((1e6, 0), (1e-15, 1)):
+        cfgfile.write_text(f"r_max = {r_max}\n")
+        assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == rc
 
 
 RADIAL_DRAWS = {

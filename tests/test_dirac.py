@@ -20,11 +20,10 @@ from edl.dirac import (
     frobenius_start,
     growth_rate,
     l2_pairing,
-    mode_ode_matrix,
     mu_perturbed_mode,
     radial_bump,
+    clifford_action,
     solve_mode_ode,
-    twisted_clifford_apply,
 )
 from edl.series import FourierSeries1D, cutoff_c2, cutoff_c2_prime
 
@@ -112,27 +111,23 @@ def test_stencils_built_once_per_width(monkeypatch):
     assert len(calls) <= 9
 
 
-# -- mode matrices and Clifford relations -------------------------------------
-
-
-def test_mode_ode_matrix_values():
-    assert np.allclose(mode_ode_matrix(0, 2, 0.5), [[-1.0, -2.0], [-2.0, -1.0]])
-    assert np.allclose(mode_ode_matrix(0, 0, 1.0), [[-0.5, 0.0], [0.0, -0.5]])
-    assert np.allclose(mode_ode_matrix(1, -3, 1.0), [[0.5, 3.0], [3.0, -1.5]])
-    with pytest.raises(ValueError):
-        mode_ode_matrix(0, 1, 0.0)
+# -- Clifford relations -------------------------------------------------------
 
 
 def test_twisted_clifford_relations(rng):
-    th = rng.uniform(0.0, 2.0 * math.pi, size=7)
+    e_th = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=7))
     p = rng.normal(size=7) + 1j * rng.normal(size=7)
     m = rng.normal(size=7) + 1j * rng.normal(size=7)
+
+    def act(axis, p, m):
+        return clifford_action(axis, e_th, np.conj(e_th), p, m)
+
     for axis in ("t", "x", "y"):
-        pp, mm = twisted_clifford_apply(axis, th, *twisted_clifford_apply(axis, th, p, m))
+        pp, mm = act(axis, *act(axis, p, m))
         assert np.allclose(pp, -p) and np.allclose(mm, -m)
     for a, b in (("t", "x"), ("t", "y"), ("x", "y")):
-        p1, m1 = twisted_clifford_apply(a, th, *twisted_clifford_apply(b, th, p, m))
-        p2, m2 = twisted_clifford_apply(b, th, *twisted_clifford_apply(a, th, p, m))
+        p1, m1 = act(a, *act(b, p, m))
+        p2, m2 = act(b, *act(a, p, m))
         assert np.max(np.abs(p1 + p2)) < 1e-14
         assert np.max(np.abs(m1 + m2)) < 1e-14
 
@@ -315,8 +310,6 @@ def test_mode_restriction_matches_ode_matrix():
     want_minus = dprof - (k / g.r) * prof + prof / (2.0 * g.r)
     assert np.max(np.abs(got_plus - (-float(l)) * prof)) < 1e-10
     assert np.max(np.abs(got_minus - want_minus)) < 1e-10 * np.max(np.abs(want_minus))
-    m = mode_ode_matrix(k, l, g.r[40])
-    assert m[0, 0] == pytest.approx((k - 0.5) / g.r[40])
 
 
 def test_field_constructor_rejects_aliasing():

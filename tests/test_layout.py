@@ -31,12 +31,11 @@ LEDGER = {
     "dirac.field_from_mode_spinor": "dense reference fields of criterion 1 and the field tests",
     "dirac.frobenius_start": "criterion 2: the seed of the regular branch",
     "dirac.growth_rate": "criterion 2",
-    "dirac.mode_ode_matrix": "reference for the radial mode system",
     "dirac.mu_perturbed_mode": "criterion 4",
     "dirac.solve_mode_ode": "criterion 2",
-    "dirac.twisted_clifford_apply": "reference for the live clifford_action",
     "newton._random_decaying_series": "tame-estimate claim",
     "newton.tame_estimate_sweep": "tame-estimate claim",
+    "series.cutoff_c2_prime": "criterion 8, and CutoffProfile's derivative",
     "series.cutoff_c2_second": "dense reference for bg-check: CutoffProfile's second derivative",
     "series.dyadic_pointwise_bound": "dyadic pointwise bound in the b-norm",
     "series.interpolation_ratio": "criterion 8",

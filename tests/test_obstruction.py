@@ -13,8 +13,6 @@ from edl.dirac import (
     radial_bump,
 )
 from edl.obstruction import (
-    AnnuliPartition,
-    WeightProfile,
     annuli_decay,
     annulus_energy_norms,
     conormal_rate,
@@ -185,10 +183,22 @@ def test_conormal_rejects_nonpositive_modes():
 # -- Gram matrices ----------------------------------------------------------------
 
 
+def _cosine(amplitude):
+    """The fluctuation series of the weight 1 + amplitude cos t min(r, 1)."""
+    return FourierSeries1D.from_modes({1: 0.5 * amplitude, -1: 0.5 * amplitude})
+
+
+def test_gram_rejects_a_weight_with_nonzero_mean():
+    ls = [1, 2, -1]
+    with pytest.raises(ValueError, match="zero mean"):
+        gram_matrix(ls, FourierSeries1D.from_modes({0: 0.01, 1: 0.05, -1: 0.05}))
+    a = gram_matrix(ls, FourierSeries1D.from_modes({0: 0.0, 1: 0.05, -1: 0.05}))
+    assert np.array_equal(np.diag(a), np.ones(3))
+
+
 def test_gram_diagonal_and_sign_structure():
-    w = WeightProfile.cosine(amplitude=0.1)
     ls = [1, 2, 3, -1, -2, -3]
-    a = gram_matrix(ls, w)
+    a = gram_matrix(ls, _cosine(0.1))
     # diagonal: the weight fluctuation integrates to zero in t, so each mode
     # pairs to exactly 1 with itself
     assert np.array_equal(np.diag(a), np.ones(6))
@@ -200,15 +210,14 @@ def test_gram_diagonal_and_sign_structure():
 
 def test_gram_weight_does_not_touch_diagonal():
     ls = [1, 2, 4, 8]
-    flat = gram_matrix(ls, WeightProfile.cosine(amplitude=0.0))
-    bent = gram_matrix(ls, WeightProfile.cosine(amplitude=0.1))
+    flat = gram_matrix(ls, _cosine(0.0))
+    bent = gram_matrix(ls, _cosine(0.1))
     assert np.max(np.abs(np.diag(flat) - np.diag(bent))) < 1e-14
 
 
 def test_gram_adjacent_entries_scale_like_inverse_mode():
-    w = WeightProfile.cosine(amplitude=0.1)
     ls = list(range(1, 11))
-    a = gram_matrix(ls, w)
+    a = gram_matrix(ls, _cosine(0.1))
     for k in range(2, 9):
         got = abs(a[k - 1, k])  # pairs modes k and k+1
         # exact ramped overlap: amp sqrt(k(k+1)) (1 - e^{-(2k+1)}) / (2k+1)^2
@@ -223,17 +232,17 @@ def test_gram_adjacent_entries_scale_like_inverse_mode():
 
 def _twelve_mode_weight():
     # amplitude spread over modes 1..12 with weights (1 + m^2)^-4
-    return WeightProfile(g=FourierSeries1D.from_modes(
-        {s * m: 0.05 * (1.0 + m * m) ** -4.0 for m in range(1, 13) for s in (1, -1)}))
+    return FourierSeries1D.from_modes(
+        {s * m: 0.05 * (1.0 + m * m) ** -4.0 for m in range(1, 13) for s in (1, -1)})
 
 
 def test_gram_matches_quadrature_of_the_radial_pairing():
     # an independent quad of <Psi_j, Psi_k>_w / (2 pi L) on the plane: the t
     # integral picks g_{j-k}, the spinor factor (1 + sgn j sgn k) is 2, and
     # the radial pairing against 1 + g min(r, 1) is integrated by quad
-    w = _twelve_mode_weight()
+    g = _twelve_mode_weight()
     ls = [1, 2, 3, 5, 9, 20, -1, -2, -4, -13]
-    a = gram_matrix(ls, w)
+    a = gram_matrix(ls, g)
 
     def psi(l, r):
         return math.sqrt(abs(l)) * math.exp(-abs(l) * r) / math.sqrt(r)
@@ -250,7 +259,7 @@ def test_gram_matches_quadrature_of_the_radial_pairing():
             if (j > 0) != (k > 0):
                 assert a[i, m] == 0.0
                 continue
-            want = 2.0 * w.g.coeff(j - k) * radial(j, k, lambda r: min(r, 1.0))
+            want = 2.0 * g.coeff(j - k) * radial(j, k, lambda r: min(r, 1.0))
             if j == k:
                 want += 2.0 * radial(j, k, lambda r: 1.0)
             if want != 0.0:
@@ -262,9 +271,8 @@ def test_gram_matches_quadrature_of_the_radial_pairing():
 
 
 def test_gram_tail_trend_envelope():
-    w = _twelve_mode_weight()
     ls = list(range(1, 49))
-    k_block = gram_matrix(ls, w).real - np.eye(len(ls))
+    k_block = gram_matrix(ls, _twelve_mode_weight()).real - np.eye(len(ls))
     rep = gram_tail_trend(k_block, ls, cutoffs=[1, 2, 4, 8, 16, 24])
     assert np.all(rep.tail_norms > 0.0)  # non-vacuous: every tail still couples
     assert rep.envelope_ok
@@ -368,22 +376,12 @@ def test_annuli_decay_rate_uniform_in_mode():
     assert (max(rates) - min(rates)) / np.mean(rates) < 1e-10
 
 
-def test_annuli_partition_validation():
-    with pytest.raises(ValueError):
-        AnnuliPartition(r_start=0.0, width=1.0, count=4)
-    with pytest.raises(ValueError):
-        AnnuliPartition(r_start=1.0, width=1.0, count=1)
-    part = AnnuliPartition(r_start=1.0, width=0.5, count=3)
-    assert np.allclose(part.edges(), [1.0, 1.5, 2.0, 2.5])
-
-
 def test_annulus_norms_capture_known_profile():
     # e^{-r}/sqrt(r) has a flat r-weighted density, so the energy norm loses
     # a clean factor e^{-1} per unit annulus once r is a few units out
     g = RadialGrid.geometric(9.0, 1400, r_min_factor=1e-3)
     u = np.exp(-g.r) / np.sqrt(g.r)
-    part = AnnuliPartition(r_start=3.0, width=1.0, count=5)
-    norms = annulus_energy_norms(u, 0.5, 1.0, g, part)
+    norms = annulus_energy_norms(u, 0.5, 1.0, g, np.arange(3.0, 9.0))
     slopes = np.diff(np.log(norms))
     assert np.all(np.abs(-slopes - 1.0) < 0.05)
 

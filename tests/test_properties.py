@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edl.series import FourierSeries1D, SmoothingFamily, hilbert_transform, multiply
+from edl.series import FourierSeries1D, cutoff_c2, hilbert_transform, multiply, smooth
 from edl.config import build_config
 from edl.dirac import LeadingData, RadialGrid, euclidean_obstruction_mode
 from edl.experiments import run_experiment
@@ -25,7 +25,7 @@ from edl.deform import (
     t_op,
 )
 from edl.newton import ToyProblem, nash_moser_solve
-from edl.obstruction import WeightProfile, gram_matrix, gram_tail_trend
+from edl.obstruction import gram_matrix, gram_tail_trend
 from edl.bandeig import _positive_definite, certified_spectrum, top_eigenvalue
 from edl.bgvar import (
     CutoffProfile,
@@ -112,12 +112,11 @@ def test_parseval_defect_vanishes_on_alias_free_grids(u, extra):
 def test_smoothing_is_monotone_in_eps(u, seed):
     # rho is nonincreasing, so a larger eps damps every mode at least as much
     eps1, eps2 = np.sort(1.0 - np.random.default_rng(seed).uniform(0.0, 1.0, 2))
-    family = SmoothingFamily()
     for eps in (eps1, eps2):
-        multiplier = family.multiplier(u.modes(), eps)
+        multiplier = cutoff_c2(eps * np.abs(u.modes()))
         assert np.all((multiplier >= 0.0) & (multiplier <= 1.0))
-    rough, smooth = (np.abs(family.apply(u, eps).coeffs) for eps in (eps1, eps2))
-    assert np.all(smooth <= rough)
+    rough, smoothed = (np.abs(smooth(u, eps).coeffs) for eps in (eps1, eps2))
+    assert np.all(smoothed <= rough)
 
 
 # -- separable B(gdot) Phi0 against the dense tensor path --------------------------
@@ -252,7 +251,7 @@ def test_banded_newton_solve_matches_dense_oracle(n, b, seed):
         modes[l], modes[-l] = 0.1 * a / l, 0.1 * np.conj(a) / l
     full = FourierSeries1D.from_modes(modes, n_modes=n)
     sharp = FourierSeries1D.from_modes({l: a for l, a in modes.items() if abs(l) <= b}, n_modes=n)
-    cut = SmoothingFamily().apply(full, min(1.0, 2.0 / (b + 0.5)))
+    cut = smooth(full, min(1.0, 2.0 / (b + 0.5)))
     assert not cut.coeffs[np.abs(cut.modes()) > max(b, 1)].any()
     g = FourierSeries1D(unit_coefficients(rng, 2 * n + 1))
     for u in (full, sharp, cut):
@@ -430,10 +429,10 @@ def test_banded_gram_norms_match_dense_norms(seed, band, l_min, count):
     # of band 1, 2 and 12 on random l ranges (bands wider than some tails)
     rng = np.random.default_rng(seed)
     amp = 0.05 * rng.uniform(0.2, 1.0, band) / np.arange(1, band + 1)
-    weight = WeightProfile(g=FourierSeries1D.from_modes(
-        {s * m: amp[m - 1] for m in range(1, band + 1) for s in (1, -1)}))
+    g = FourierSeries1D.from_modes(
+        {s * m: amp[m - 1] for m in range(1, band + 1) for s in (1, -1)})
     modes = np.arange(l_min, l_min + count)
-    k_block = gram_matrix(modes, weight).real - np.eye(count)
+    k_block = gram_matrix(modes, g).real - np.eye(count)
     rep = gram_tail_trend(k_block, modes)
     want = [np.linalg.norm(k_block[np.ix_(modes >= c, modes >= c)], 2) for c in rep.cutoffs]
     assert np.max(np.abs(rep.tail_norms - want)) <= 1e-14 * want[0]

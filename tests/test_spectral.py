@@ -5,7 +5,8 @@ import pytest
 
 from edl.series import (
     FourierSeries1D,
-    SmoothingFamily,
+    cutoff_c2,
+    cutoff_c2_prime,
     derivative,
     dyadic_pointwise_bound,
     fractional_resolvent,
@@ -13,6 +14,7 @@ from edl.series import (
     interpolation_ratio,
     multiply,
     second_derivative,
+    smooth,
     verify_smoothing_axioms,
 )
 
@@ -140,48 +142,44 @@ def test_smooth_validates_eps(rng):
     u = random_series(rng, 8)
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            SmoothingFamily().apply(u, bad)
+            smooth(u, bad)
 
 
 def test_smooth_keeps_low_modes_and_kills_high_modes():
-    family = SmoothingFamily()
     u = FourierSeries1D.single_mode(100, n_modes=120)
-    kept = family.apply(u, 0.001)   # eps*|l| = 0.1 <= 1
+    kept = smooth(u, 0.001)   # eps*|l| = 0.1 <= 1
     assert kept.coeff(100) == pytest.approx(1.0)
-    killed = family.apply(u, 0.05)  # eps*|l| = 5 >= 2
+    killed = smooth(u, 0.05)  # eps*|l| = 5 >= 2
     assert killed.coeff(100) == 0.0
     zero_mode = FourierSeries1D.single_mode(0)
     for eps in (1.0, 0.25, 2.0**-8):
-        assert family.apply(zero_mode, eps).coeff(0) == pytest.approx(1.0)
+        assert smooth(zero_mode, eps).coeff(0) == pytest.approx(1.0)
 
 
 def test_smoothing_never_increases_graded_norms(rng):
-    family = SmoothingFamily()
     for _ in range(30):
         u = random_series(rng, 40)
         eps = float(rng.uniform(0.004, 1.0))
-        su = family.apply(u, eps)
+        su = smooth(u, eps)
         for m in (0.0, 1.0, 2.5, 4.0):
             assert su.sobolev_norm(m) <= u.sobolev_norm(m) * (1 + 1e-13)
 
 
 def test_cutoff_profile_is_c2_and_monotone():
-    family = SmoothingFamily()
     x = np.linspace(0.0, 3.0, 2001)
-    rho = family.rho(x)
+    rho = cutoff_c2(x)
     assert np.all(np.diff(rho) <= 1e-14)
     assert np.all(rho[x <= 1.0] == 1.0)
     assert np.all(rho[x >= 2.0] == 0.0)
     # rho' from the analytic profile agrees with a centered difference
     h = 1e-5
-    num = (family.rho(x[1:-1] + h) - family.rho(x[1:-1] - h)) / (2 * h)
-    assert np.allclose(num, family.rho_prime(x[1:-1]), atol=1e-7)
+    num = (cutoff_c2(x[1:-1] + h) - cutoff_c2(x[1:-1] - h)) / (2 * h)
+    assert np.allclose(num, cutoff_c2_prime(x[1:-1]), atol=1e-7)
 
 
 def test_smoothing_axioms_have_finite_stable_constants():
-    family = SmoothingFamily()
     eps_grid = [2.0**-k for k in range(1, 9)]
-    report = verify_smoothing_axioms(family, m_max=4, eps_grid=eps_grid)
+    report = verify_smoothing_axioms(m_max=4, eps_grid=eps_grid)
     assert report.passed
     for row in report.rows:
         assert np.isfinite(row.max_ratio)
@@ -191,15 +189,14 @@ def test_smoothing_axioms_have_finite_stable_constants():
 def test_smoothing_axiom_constants_bound_random_vectors(rng):
     # the per-mode sweep is the exact multiplier constant; random vectors
     # can only do better
-    family = SmoothingFamily()
     eps_grid = [2.0**-k for k in range(1, 7)]
-    report = verify_smoothing_axioms(family, m_max=2, eps_grid=eps_grid)
+    report = verify_smoothing_axioms(m_max=2, eps_grid=eps_grid)
     by_key = {(r.axiom, r.m, r.n): r.max_ratio for r in report.rows}
     for _ in range(25):
         u = random_series(rng, 80)
         eps = float(rng.choice(eps_grid))
         m, n = 1.0, 2.0
-        su = family.apply(u, eps)
+        su = smooth(u, eps)
         measured = su.sobolev_norm(n) * eps ** (n - m) / u.sobolev_norm(m)
         assert measured <= by_key[("smoothing", m, n)] * (1 + 1e-12)
 
