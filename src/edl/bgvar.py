@@ -67,35 +67,6 @@ from .dirac import (
 from .deform import l_op
 
 
-# -- radial cutoff ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """chi(r) = rho(2 r / r0): identically 1 for r <= r0/2, 0 for r >= r0.
-
-    Built from the quintic step so chi is C^2; the divergence of the pullback
-    needs two radial derivatives.
-    """
-
-    r0: float
-
-    def __post_init__(self):
-        if not self.r0 > 0.0:
-            raise ValueError("cutoff radius must be positive")
-
-    def chi(self, r):
-        return cutoff_c2(2.0 * np.asarray(r, dtype=float) / self.r0)
-
-    def dchi(self, r):
-        return (2.0 / self.r0) * cutoff_c2_prime(2.0 * np.asarray(r, dtype=float) / self.r0)
-
-    def d2chi(self, r):
-        return (4.0 / self.r0**2) * cutoff_c2_second(
-            2.0 * np.asarray(r, dtype=float) / self.r0
-        )
-
-
 # -- separable fields ---------------------------------------------------------------
 
 
@@ -190,9 +161,11 @@ def _factors(r):
 def _pullback(eta_x, eta_y, r, cutoff):
     """Pullback components of the displacement (eta_x, eta_y) * chi.
 
-    cutoff=None means chi identically 1: the t-components survive with
-    constant radial profile and every spatial component vanishes. The radial
-    chain rule for d(tr gdot) and div(gdot) is assembled here in closed form.
+    cutoff is the radius r0 of the C^2 chi(r) = cutoff_c2(2 r / r0), 1 for
+    r <= r0/2 and 0 for r >= r0, or None for chi identically 1: then the
+    t-components survive with constant radial profile and every spatial
+    component vanishes. The radial chain rule for d(tr gdot) and div(gdot)
+    is assembled here in closed form.
     """
     if eta_y is None:
         eta_y = FourierSeries1D.zero(0)
@@ -210,8 +183,12 @@ def _pullback(eta_x, eta_y, r, cutoff):
     if cutoff is None:
         chi, dchi, d2chi = series(one), Separable([]), Separable([])
     else:
-        chi = radial(cutoff.chi(r))
-        dchi, d2chi = radial(cutoff.dchi(r)), radial(cutoff.d2chi(r))
+        if not cutoff > 0.0:
+            raise ValueError("cutoff radius must be positive")
+        x = 2.0 * r / cutoff
+        chi = radial(cutoff_c2(x))
+        dchi = radial((2.0 / cutoff) * cutoff_c2_prime(x))
+        d2chi = radial((4.0 / cutoff**2) * cutoff_c2_second(x))
     _, _, cos_t, sin_t, inv_r = _factors(r)
 
     dchi_x = dchi * cos_t
@@ -454,7 +431,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
             raise ValueError(f"probe mode {l} is absent from the displacement")
     r_max = np.array([PAIRING_DECAY_BUDGET / abs(l) for l in probes])
     if cutoff is not None:
-        r_max = np.maximum(r_max, 1.2 * cutoff.r0)
+        r_max = np.maximum(r_max, 1.2 * cutoff)
     rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
     bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
     l_col = np.array(probes)[:, None]
@@ -478,7 +455,9 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
     if len(deviation) >= 2 and min(deviation.values()) > 1e-10:
         xs = np.log(np.abs(np.array(sorted(deviation), dtype=float)))
         ys = np.log(np.array([deviation[l] for l in sorted(deviation)]))
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+        # the least-squares slope, without np.polyfit's 1 MiB of LAPACK workspace
+        xs -= xs.mean()
+        exponent = float(xs @ ys / (xs @ xs))
 
     distances = {c: abs(fitted - c) for c in CANDIDATE_CONSTANTS}
     closest = min(distances, key=distances.get)

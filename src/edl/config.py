@@ -67,12 +67,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.experiment == "decay" and self.r0 > MAX_DECAY_R0:
             raise ConfigError(f"r0 must be at most {MAX_DECAY_R0} for decay, got {self.r0}")
-        if self.experiment == "decay" and self.r0 < MIN_DECAY_R0 * self.l_max:
-            raise ConfigError(f"r0 must be at least {MIN_DECAY_R0} l_max for decay, got {self.r0}")
-        if self.experiment == "modes" and not MIN_MODES_R_MAX <= self.r_max <= MAX_MODES_R_MAX:
+        if self.experiment == "decay" and self.r0 < MIN_DECAY_R0:
+            raise ConfigError(f"r0 must be at least {MIN_DECAY_R0} for decay, got {self.r0}")
+        least = max(MIN_MODES_R_MAX, MODES_ROUNDOFF * self.l_max / self.tol)
+        if self.experiment == "modes" and not least <= self.r_max <= MAX_MODES_R_MAX:
             raise ConfigError(
-                f"r_max must lie in [{MIN_MODES_R_MAX:g}, {MAX_MODES_R_MAX:g}] for modes, "
-                f"got {self.r_max}"
+                f"r_max must lie in [{least:.3g}, {MAX_MODES_R_MAX:g}] for modes at "
+                f"l_max {self.l_max} and tol {self.tol:g}, got {self.r_max}"
             )
         if self.experiment == "obstruction":
             # the loss is convex in l: on l_min..l_max it is largest at an end
@@ -125,14 +126,19 @@ MIN_CONORMAL_L = 7
 # above 1e-14 of the first, so a second annulus is left only for
 # r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit crashes in the SVD
 MAX_DECAY_R0 = 16.0
-# decay's squared annulus norms scale like (r0 / l)^4 and underflow to 0
-# from r0 / l_max = 1e-80 (swept at l 1, 4..64, 4..4096 and 10^6), which
-# crashed the rate fit with exit 3; the floor on r0 is two decades above
-MIN_DECAY_R0 = 1e-78  # times l_max
+# decay holds its mean rate per annulus to 2 r0 within DECAY_RATE_RTOL. The
+# decaying branch's energy carries (1 + 1/(2 l r))^2 next to e^{-2 l r}, so the
+# rate exceeds 2 r0 by 46 % at r0 0.1, 1.9 % at 0.5 and 1 % at 0.656, whatever
+# l is; from 0.75 to 16 it stays within 0.71 % (swept in steps of 1/8)
+DECAY_RATE_RTOL = 0.01
+MIN_DECAY_R0 = 0.75
 # modes checks mode l on r in [1e-4, 1] r_max / (3 |l|), where e^{-|l| r} does
-# not depend on l. From r_max 7.1e6 the squared residuals underflow, and below
-# 1.3e-16 e^{-|l| r} rounds to 1: a zero residual crashed the log plot with exit
-# 3. Swept at l 1, 1..32, 1..2000 and 10^5, the range below gives none
+# not depend on l. Its residuals grow like 1.2-1.5e-14 l_max / r_max (bisected at
+# tol 1e-4 and 1e-8 on l 1, 1..32, 3..50, 1..2000 and 10^5..10^5+4; at most
+# 1.75e-14 in a sweep), so r_max must reach MODES_ROUNDOFF l_max / tol. From
+# r_max 7.1e6 the squared residuals underflow, and below 1.3e-16, which a large
+# tol admits, every residual is 0 and the log plot crashed with exit 3
+MODES_ROUNDOFF = 3e-14
 MIN_MODES_R_MAX = 1e-15
 MAX_MODES_R_MAX = 1e6
 # obstruction's radial grid (r_min, r_max], r_min = OBSTRUCTION_R_MIN r_max /

@@ -149,7 +149,7 @@ class RealizedOperator:
         modes = _modes(n_in)
         cols = np.zeros((2 * (2 * n_out + 1), modes.size))
         for j, l in enumerate(modes):
-            basis = FourierSeries1D.single_mode(int(l), (1.0, 1.0j)[j % 2])
+            basis = FourierSeries1D.from_modes({int(l): (1.0, 1.0j)[j % 2]})
             cols[:, j] = real_coords(fn(basis).truncate(n_out))
         return RealizedOperator.from_matrix(cols, n_in, n_out)
 
@@ -160,10 +160,6 @@ class RealizedOperator:
         out = np.zeros((2 * (2 * self.n_out + 1), rows.shape[1]))
         out[rows[inside], np.nonzero(inside)[1]] = self.win[inside]
         return out
-
-    def apply(self, series):
-        series = series.truncate(self.n_in)
-        return series_from_real(self.matrix @ real_coords(series))
 
     def gram_band(self, m_out=0.0, m_in=0.0):
         """G^T G of the graded matrix G = W_out M W_in^{-1} in lower band

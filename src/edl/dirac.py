@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .series import FourierSeries1D, TWO_PI, multiply, sgn
+from .series import FourierSeries1D, TWO_PI, sgn
 
 
 # -- Clifford frame -------------------------------------------------------------
@@ -432,9 +432,6 @@ class LeadingData:
         dens = np.abs(self.c.evaluate(t)) ** 2 + np.abs(self.d.evaluate(t)) ** 2
         return float(np.min(dens))
 
-    def modulus_squared_series(self):
-        return multiply(self.c, self.c.conjugate()) + multiply(self.d, self.d.conjugate())
-
     @staticmethod
     def constant(c, d):
         return LeadingData(
@@ -514,18 +511,14 @@ def field_from_mode(k, l, rgrid, prof_plus, prof_minus, nt, ntheta,
     return SpinorField(rgrid, et * pp * eth, et * pm * eth, **kwargs)
 
 
-def field_from_mode_spinor(mode, nt, ntheta):
-    return field_from_mode(
-        mode.k, mode.l, mode.rgrid, mode.psi_plus, mode.psi_minus, nt, ntheta,
-        mode.dpsi_plus, mode.dpsi_minus,
-    )
-
-
 def euclidean_obstruction_field(l, rgrid, nt=None, ntheta=8):
     mode = euclidean_obstruction_mode(l, rgrid)
     if nt is None:
         nt = 4 * abs(int(l)) + 5
-    return field_from_mode_spinor(mode, nt, ntheta)
+    return field_from_mode(
+        mode.k, mode.l, mode.rgrid, mode.psi_plus, mode.psi_minus, nt, ntheta,
+        mode.dpsi_plus, mode.dpsi_minus,
+    )
 
 
 def dirac_apply(psi):

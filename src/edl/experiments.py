@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it here, not during a command
 
-from .config import OBSTRUCTION_R_MIN, SELF_PAIRING_TOL
+from .config import DECAY_RATE_RTOL, OBSTRUCTION_R_MIN, SELF_PAIRING_TOL
 from .series import FourierSeries1D
 from .dirac import (
     LeadingData,
@@ -454,6 +454,10 @@ def run_decay(cfg):
     spread = (max(rates) - min(rates)) / mean
     _check(failures, spread < cfg.tol,
            f"annuli rate spread {spread:.3f} >= {cfg.tol}")
+    # the spread alone holds at any r0: r -> l r maps the probes onto each other
+    deviation = mean / (2.0 * cfg.r0) - 1.0
+    _check(failures, abs(deviation) < DECAY_RATE_RTOL,
+           f"mean rate {mean:.4f} is not 2 r0 = {2.0 * cfg.r0:g} within {DECAY_RATE_RTOL:g}")
     # one batch: the rows after the first samples get an entry pushed above the barrier
     rng = np.random.default_rng(cfg.seed)
     n_invalid = min(100, cfg.samples)
@@ -474,6 +478,7 @@ def run_decay(cfg):
         "rates": [float(r) for r in rates],
         "rate_spread": spread,
         "rate_mean": mean,
+        "rate_deviation": deviation,
         "valid_certified": valid_pass,
         "valid_total": cfg.samples,
         "invalid_detected": invalid_detect,

@@ -11,9 +11,9 @@ the plain iteration amplifies its own high-mode error.
 
 Both solvers share one loop and report its status: converged, diverged
 (residual above 1e3 x initial for five consecutive steps), budget_exhausted,
-or solver_failed.  The toy problem F(u) = u + strength * d_t P_N(u^2) loses
-one derivative per application.  Its Jacobian v -> v + 2 strength d_t P_N(u v)
-is complex-linear, I + 2 strength diag(i l) Toep_N(u), and lies within
+or solver_failed.  The toy problem F(u) = u + d_t P_N(u^2) loses one
+derivative per application.  Its Jacobian v -> v + 2 d_t P_N(u v) is
+complex-linear, I + 2 diag(i l) Toep_N(u), and lies within
 b = max{|l| : u_l != 0} of the diagonal.  S_eps cuts every mode above 2/eps,
 so the first smoothed steps are narrow bands, and each step solves its
 system of side 2N+1 by one banded LU with partial pivoting (zgbsv, Golub &
@@ -132,21 +132,20 @@ def nash_moser_solve(problem, f, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
 
 @dataclass(eq=False)
 class ToyProblem:
-    """F(u) = u + strength * d_t P_N(u^2) on modes |l| <= n_modes."""
+    """F(u) = u + d_t P_N(u^2) on modes |l| <= n_modes."""
 
     n_modes: int = 96
-    strength: float = 1.0
 
     def apply(self, u):
         u = u.truncate(self.n_modes)
-        return u + self.strength * derivative(multiply(u, u)).truncate(self.n_modes)
+        return u + derivative(multiply(u, u)).truncate(self.n_modes)
 
     def derivative_apply(self, u, v):
         u, v = u.truncate(self.n_modes), v.truncate(self.n_modes)
-        return v + 2.0 * self.strength * derivative(multiply(u, v)).truncate(self.n_modes)
+        return v + 2.0 * derivative(multiply(u, v)).truncate(self.n_modes)
 
     def jacobian(self, u):
-        """Complex matrix of dF(u): I + 2 strength diag(i l) Toep_N(u),
+        """Complex matrix of dF(u): I + 2 diag(i l) Toep_N(u),
         the dense test oracle of solve_linearized.
 
         Row l of Toep_N(u) is u_{l-m}, m = -N..N: a window of u_{2N}, ...,
@@ -155,14 +154,14 @@ class ToyProblem:
         n = self.n_modes
         u = u.truncate(n)
         windows = sliding_window_view(u.truncate(2 * n).coeffs[::-1], 2 * n + 1)
-        jac = windows[::-1] * (2.0j * self.strength * u.modes())[:, None]
+        jac = windows[::-1] * (2.0j * u.modes())[:, None]
         jac[np.diag_indices_from(jac)] += 1.0
         return jac
 
     def solve_linearized(self, u, g):
         """dF(u)^{-1} g by banded LU on the band b = max{|l| : u_l != 0}.
 
-        Entry (l, m) of the Jacobian is 2 strength i l u_{l-m}, plus 1 on
+        Entry (l, m) of the Jacobian is 2 i l u_{l-m}, plus 1 on
         the diagonal, so column m of LAPACK's general band storage,
         ab[2b + d, m] = J[m + d, m] for |d| <= b, is a window of the modes
         zero-padded by b times u_{-b}, ..., u_b: one strided view writes it.
@@ -175,7 +174,7 @@ class ToyProblem:
         b = int(np.abs(live - n).max()) if live.size else 0
         windows = sliding_window_view(np.pad(u.modes(), b), 2 * b + 1)
         ab = np.zeros((3 * b + 1, 2 * n + 1), dtype=complex, order="F")
-        scale = 2.0j * self.strength * u.coeffs[n - b : n + b + 1]
+        scale = 2.0j * u.coeffs[n - b : n + b + 1]
         np.multiply(windows.T, scale[:, None], out=ab[b:])
         ab[2 * b] += 1.0
         _, _, sol, info = zgbsv(b, b, ab, g.coeffs.copy(), overwrite_ab=1, overwrite_b=1)

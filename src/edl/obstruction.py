@@ -168,13 +168,13 @@ def gram_matrix(l_values, g):
 GRAM_DECAY_POWER = 0.125  # the graded-norm gain 0 -> 1/8 the envelope rests on
 
 
-def gram_tail_trend(k_block, l_values, cutoffs=None):
+def gram_tail_trend(k_block, l_values):
     """Tail behavior of K = A - Id over increasing low-mode cutoffs; k_block
     is the K of the caller's gram_matrix, its rows and columns in the order
     of the increasing positive modes l_values.
 
     Returns cutoffs, tail_norms, envelope_ok, monotone and smoothing_norm.
-    tail_norms[i] is the spectral norm of K restricted to modes >= cutoff.
+    tail_norms[i] is the spectral norm of K restricted to modes >= cutoffs[i].
     The envelope C * (cutoff/base)^{-GRAM_DECAY_POWER} is calibrated at the first
     cutoff; the report records whether every later tail sits below it and
     whether the sequence is monotone. smoothing_norm is the graded 0 -> 1/8
@@ -184,26 +184,25 @@ def gram_tail_trend(k_block, l_values, cutoffs=None):
     l_values = np.asarray(l_values)
     if np.any(l_values <= 0) or np.any(np.diff(l_values) <= 0):
         raise ValueError("tail trend is taken over increasing positive modes")
-    if cutoffs is None:
-        lo, hi = int(l_values.min()), int(l_values.max())
-        # the rounded geometric steps are sorted: drop repeats without
-        # np.unique, whose import of numpy.ma no command needs
-        steps = np.geomspace(lo, max(hi // 2, lo + 1), 6).astype(int).tolist()
-        cutoffs = np.array(sorted(set(steps)))
+    lo, hi = int(l_values.min()), int(l_values.max())
+    # the rounded geometric steps are sorted: drop repeats without
+    # np.unique, whose import of numpy.ma no command needs
+    steps = np.geomspace(lo, max(hi // 2, lo + 1), 6).astype(int).tolist()
+    cutoffs = np.array(sorted(set(steps)))
     # K_jk carries g_{j-k}: in increasing modes, a band as wide as the weight's
     n, kd = len(l_values), int(np.max(np.subtract(*np.nonzero(k_block)), initial=0))
     # lower band storage: band[s, q] = K[q + s, q]
     band = np.array([np.pad(np.diagonal(k_block, -s), (0, s)) for s in range(kd + 1)])
     norms = np.array([band_norm(band[:, i:]) if i < n else 0.0
                       for i in np.searchsorted(l_values, cutoffs)])
-    envelope = norms[0] * (np.asarray(cutoffs, float) / float(cutoffs[0])) ** (-GRAM_DECAY_POWER)
+    envelope = norms[0] * (cutoffs.astype(float) / float(cutoffs[0])) ** (-GRAM_DECAY_POWER)
     wgt = (1.0 + l_values.astype(float) ** 2) ** (GRAM_DECAY_POWER / 2.0)
     # ||W K||^2 is the top eigenvalue of K W^2 K, whose band is twice K's;
     # its entry (q + s, q) pairs rows q + s and q of the symmetric K
     product = np.array([np.pad(np.einsum("ij,j,ij->i", k_block[s:], wgt**2, k_block[:n - s]),
                                (0, s)) for s in range(min(2 * kd + 1, n))])
     return SimpleNamespace(
-        cutoffs=np.asarray(cutoffs),
+        cutoffs=cutoffs,
         tail_norms=norms,
         envelope_ok=bool(np.all(norms <= envelope * (1.0 + 1e-12))),
         monotone=bool(np.all(np.diff(norms) <= 1e-12)),
@@ -214,19 +213,18 @@ def gram_tail_trend(k_block, l_values, cutoffs=None):
 # -- radial second-order solves and annulus decay -----------------------------------
 
 
-def solve_mode_bvp(nu, l, rgrid, forcing, boundary="natural"):
+def solve_mode_bvp(nu, l, rgrid, forcing):
     """Solve -u'' - u'/r + (nu^2/r^2 + l^2) u = f; returns u at the grid's nodes.
 
     In s = log r this is -u_ss + q u = g with q = nu^2 + l^2 r^2, g = r^2 f, on
     nodes uniform in s with step h. With k = h^2/12, Numerov's fourth-order
     row (k q_{n-1} - 1) u_{n-1} + (2 + 10 k q_n) u_n + (k q_{n+1} - 1) u_{n+1}
     = k (g_{n-1} + 10 g_n + g_{n+1}) makes the system tridiagonal: one banded
-    solve, no iteration. boundary = "natural" imposes the regular branch
-    u_s = |nu| u at the inner edge and the decaying branch
-    u_s = -(|l| R + 1/2) u at the outer edge, each closed by a Taylor step to
-    the next node through h^4 with derivatives from the ODE, so the scheme
-    stays fourth order; a (value_inner, value_outer) pair imposes Dirichlet
-    rows instead. forcing is a callable of r.
+    solve, no iteration. The end rows impose the regular branch u_s = |nu| u
+    at the inner edge and the decaying branch u_s = -(|l| R + 1/2) u at the
+    outer edge, each closed by a Taylor step to the next node through h^4
+    with derivatives from the ODE, so the scheme stays fourth order. forcing
+    is a callable of r.
     """
     r, h = rgrid.r, rgrid.ds
     nu_a, l_a = abs(float(nu)), abs(float(l))
@@ -236,15 +234,10 @@ def solve_mode_bvp(nu, l, rgrid, forcing, boundary="natural"):
     # sub-, main and superdiagonal; the end rows' entries are set below
     lower, diag, upper = k * q[:-1] - 1.0, 2.0 + 10.0 * k * q, k * q[1:] - 1.0
     rhs = np.pad(k * (g[:-2] + 10.0 * g[1:-1] + g[2:]), 1)
-    if boundary == "natural":
-        upper[0] = lower[-1] = 1.0
-        diag[0], rhs[0] = _taylor_step(nu_a, q[0], q[0] - nu_a**2, g[:4], h)
-        diag[-1], rhs[-1] = _taylor_step(
-            -(l_a * r[-1] + 0.5), q[-1], q[-1] - nu_a**2, g[:-5:-1], -h)
-    else:
-        upper[0] = lower[-1] = 0.0
-        diag[0] = diag[-1] = 1.0
-        rhs[0], rhs[-1] = boundary
+    upper[0] = lower[-1] = 1.0
+    diag[0], rhs[0] = _taylor_step(nu_a, q[0], q[0] - nu_a**2, g[:4], h)
+    diag[-1], rhs[-1] = _taylor_step(
+        -(l_a * r[-1] + 0.5), q[-1], q[-1] - nu_a**2, g[:-5:-1], -h)
     u, info = dgtsv(lower, diag, upper, rhs)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

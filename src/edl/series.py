@@ -58,10 +58,6 @@ class FourierSeries1D:
             out[int(l) + n_modes] = a
         return FourierSeries1D(out)
 
-    @staticmethod
-    def single_mode(l, amplitude=1.0, n_modes=None):
-        return FourierSeries1D.from_modes({l: amplitude}, n_modes)
-
     # -- basic accessors ---------------------------------------------------
 
     @property

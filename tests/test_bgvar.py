@@ -7,6 +7,9 @@ from edl.series import (
     FourierSeries1D,
     TORUS_AREA,
     TWO_PI,
+    cutoff_c2,
+    cutoff_c2_prime,
+    cutoff_c2_second,
     derivative,
     multiply,
     second_derivative,
@@ -26,7 +29,6 @@ from edl.dirac import (
 from edl.bgvar import (
     PAIRING_DECAY_BUDGET,
     PAIRING_RADIAL_POINTS,
-    CutoffProfile,
     MetricVariation,
     bg_apply,
     bg_apply_terms,
@@ -52,30 +54,41 @@ def real_series(amplitudes):
 # -- cutoff profile ------------------------------------------------------------------
 
 
+def chi(r, r0):
+    """The pullback's radial cutoff of radius r0 and its two r-derivatives."""
+    x = 2.0 * r / r0
+    return cutoff_c2(x), (2.0 / r0) * cutoff_c2_prime(x), (4.0 / r0**2) * cutoff_c2_second(x)
+
+
 def test_cutoff_profile_plateau_and_support():
-    cp = CutoffProfile(2.0)
     r = np.array([0.0, 0.5, 1.0, 1.3, 1.9, 2.0, 5.0])
-    chi = cp.chi(r)
-    assert np.all(chi[r <= 1.0] == 1.0)
-    assert np.all(chi[r >= 2.0] == 0.0)
-    assert np.all((chi >= 0.0) & (chi <= 1.0))
-    assert np.all(cp.dchi(r[(r <= 1.0) | (r >= 2.0)]) == 0.0)
+    value, d1, d2 = chi(r, 2.0)
+    assert np.all(value[r <= 1.0] == 1.0)
+    assert np.all(value[r >= 2.0] == 0.0)
+    assert np.all((value >= 0.0) & (value <= 1.0))
+    outside = (r <= 1.0) | (r >= 2.0)
+    assert np.all(d1[outside] == 0.0) and np.all(d2[outside] == 0.0)
 
 
 def test_cutoff_profile_derivatives_match_differences():
     # h sized for second differences: smaller steps lose to roundoff eps/h^2
-    cp = CutoffProfile(1.7)
+    r0 = 1.7
     r = np.linspace(0.9, 1.65, 40)
     h = 1e-4
-    d_num = (cp.chi(r + h) - cp.chi(r - h)) / (2 * h)
-    d2_num = (cp.chi(r + h) - 2 * cp.chi(r) + cp.chi(r - h)) / h**2
-    assert np.max(np.abs(d_num - cp.dchi(r))) < 1e-5
-    assert np.max(np.abs(d2_num - cp.d2chi(r))) < 1e-4
+    value, d1, d2 = chi(r, r0)
+    up, down = chi(r + h, r0)[0], chi(r - h, r0)[0]
+    assert np.max(np.abs((up - down) / (2 * h) - d1)) < 1e-5
+    assert np.max(np.abs((up - 2 * value + down) / h**2 - d2)) < 1e-4
 
 
 def test_cutoff_profile_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        CutoffProfile(0.0)
+    rgrid = RadialGrid.geometric(2.0, 64)
+    eta_x = real_series({1: 0.4})
+    for r0 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="cutoff radius must be positive"):
+            MetricVariation.from_displacement(eta_x, None, rgrid, 12, 8, cutoff=r0)
+    with pytest.raises(ValueError, match="cutoff radius must be positive"):
+        bg_pairing_comparison(generic_data(), eta_x, l_values=(1,), cutoff=-1.0)
 
 
 # -- pullback family -----------------------------------------------------------------
@@ -84,7 +97,7 @@ def test_cutoff_profile_rejects_nonpositive_radius():
 def test_pullback_zero_displacement_vanishes():
     rgrid = RadialGrid.geometric(2.0, 64)
     var = MetricVariation.from_displacement(
-        FourierSeries1D.zero(2), None, rgrid, 12, 8, cutoff=CutoffProfile(1.0)
+        FourierSeries1D.zero(2), None, rgrid, 12, 8, cutoff=1.0
     )
     assert var.max_abs() == 0.0
 
@@ -101,7 +114,7 @@ def test_pullback_constant_displacement_without_cutoff_vanishes():
 def test_pullback_single_mode_samples():
     rgrid = RadialGrid.geometric(2.0, 64)
     nt, ntheta = 12, 8
-    eta_x = FourierSeries1D.single_mode(1)
+    eta_x = FourierSeries1D.from_modes({1: 1.0})
     var = MetricVariation.from_displacement(eta_x, None, rgrid, nt, ntheta, cutoff=None)
     t = np.arange(nt) * (TWO_PI / nt)
     want_tx = (1j * np.exp(1j * t))[:, None, None] * np.ones((1, 64, ntheta))
@@ -119,11 +132,10 @@ def test_pullback_single_mode_samples():
 def test_pullback_cutoff_spatial_components():
     rgrid = RadialGrid.geometric(3.0, 400, r_min_factor=1e-2)
     nt, ntheta = 8, 16
-    cp = CutoffProfile(2.0)
     eta_x = FourierSeries1D.from_modes({0: 1.0})
-    var = MetricVariation.from_displacement(eta_x, None, rgrid, nt, ntheta, cutoff=cp)
+    var = MetricVariation.from_displacement(eta_x, None, rgrid, nt, ntheta, cutoff=2.0)
     th = np.arange(ntheta) * (TWO_PI / ntheta)
-    dchi = cp.dchi(rgrid.r)[None, :, None]
+    dchi = chi(rgrid.r, 2.0)[1][None, :, None]
     want_xx = 2.0 * dchi * np.cos(th)[None, None, :]
     want_xy = dchi * np.sin(th)[None, None, :]
     assert np.max(np.abs(var.g_xx - want_xx)) < 1e-13
@@ -136,10 +148,9 @@ def test_divergence_and_trace_differential_match_stencils():
     # sampled tensor components
     rgrid = RadialGrid.geometric(2.0, 1200, r_min_factor=1e-3)
     nt, ntheta = 16, 16
-    cp = CutoffProfile(1.0)
     eta_x = real_series({1: 0.4 + 0.1j, 2: 0.15})
     eta_y = real_series({1: -0.2j, 2: 0.05 + 0.2j})
-    var = MetricVariation.from_displacement(eta_x, eta_y, rgrid, nt, ntheta, cutoff=cp)
+    var = MetricVariation.from_displacement(eta_x, eta_y, rgrid, nt, ntheta, cutoff=1.0)
     r = rgrid.r[None, :, None]
     th = np.arange(ntheta) * (TWO_PI / ntheta)
     cos_t = np.cos(th)[None, None, :]
@@ -297,7 +308,7 @@ def test_bg_trace_term_needs_cutoff():
     assert free.trace.norm() == 0.0
     cut = bg_apply_terms(
         MetricVariation.from_displacement(
-            eta_x, None, rgrid, nt, ntheta, cutoff=CutoffProfile(1.0)
+            eta_x, None, rgrid, nt, ntheta, cutoff=1.0
         ),
         phi,
     )
@@ -409,12 +420,25 @@ def test_pairing_deviation_exponent_and_fit():
     assert all(a > b for a, b in zip(ds, ds[1:]))
 
 
+def test_deviation_exponent_is_the_least_squares_slope():
+    # the closed-form slope against np.polyfit, at bg-check's default probes
+    # and at l up to 1024
+    for l_max in (128, 1024):
+        data, eta = bg_probe_design(l_max)
+        probes = tuple(2**k for k in range(3, l_max.bit_length()))
+        rep = bg_pairing_comparison(data, eta, l_values=probes)
+        ls = sorted(rep.deviation_values)
+        ys = np.log([rep.deviation_values[l] for l in ls])
+        want = np.polyfit(np.log(ls), ys, 1)[0]
+        assert len(ls) >= 4 and abs(rep.deviation_exponent - want) <= 1e-12
+
+
 def test_pairing_cutoff_drift_is_exponentially_small():
     data = generic_data()
     eta_x = real_series({l: 0.7 * l**-2.0 for l in range(1, 37)})
     free = bg_pairing_comparison(data, eta_x, l_values=(16, 32))
     cut = bg_pairing_comparison(
-        data, eta_x, l_values=(16, 32), cutoff=CutoffProfile(1.0)
+        data, eta_x, l_values=(16, 32), cutoff=1.0
     )
     d16 = abs(cut.khat[16] - free.khat[16])
     d32 = abs(cut.khat[32] - free.khat[32])
@@ -459,7 +483,7 @@ def per_probe_pairings(data, eta_x, eta_y, l_values, cutoff):
     for l in l_values:
         r_max = PAIRING_DECAY_BUDGET / abs(l)
         if cutoff is not None:
-            r_max = max(r_max, 1.2 * cutoff.r0)
+            r_max = max(r_max, 1.2 * cutoff)
         rgrid = RadialGrid.geometric(r_max, PAIRING_RADIAL_POINTS, r_min_factor=1e-7)
         bp, bm = leading_variation(data, eta_x, eta_y, rgrid.r, cutoff)
         bg_l = ModeSpinor(0, l, rgrid, bp.coeff(l, 0), bm.coeff(l, 0))
@@ -468,7 +492,7 @@ def per_probe_pairings(data, eta_x, eta_y, l_values, cutoff):
     return out
 
 
-@pytest.mark.parametrize("cutoff", [None, CutoffProfile(1.0)], ids=["free", "cutoff"])
+@pytest.mark.parametrize("cutoff", [None, 1.0], ids=["free", "cutoff"])
 def test_pairing_matches_dense_reference(cutoff):
     # the (l, 0) coefficient of the separable B(gdot) Phi0 against dense
     # bg_apply + l2_pairing on an alias-free tensor grid of the same radii,

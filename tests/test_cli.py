@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -515,37 +515,49 @@ def test_decay_r0_cap(tmp_path, capsys):
 
 
 def test_decay_r0_floor(tmp_path, capsys):
-    # below r0 = 1e-80 l_max every annulus norm underflowed to 0 and the rate
-    # fit crashed with exit 3; the floor is 1e-78 l_max, 6.4e-77 at l_max 64
+    # decay holds its mean rate to 2 r0 within 1 %, which fails below r0 =
+    # 0.656 whatever l is (1.9 % at 0.5); the floor is 0.75 (0.71 %)
     cfgfile = tmp_path / "near.cfg"
-    cfgfile.write_text("r0 = 6e-77\n")
-    rc = main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("edl: config error: r0 must be at least 1e-78 l_max")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "decay").exists()
-    cfgfile.write_text("r0 = 7e-77\nsamples = 5\n")
+    for r0 in (1e-70, 0.5, 0.74):
+        cfgfile.write_text(f"r0 = {r0}\n")
+        rc = main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edl: config error: r0 must be at least 0.75 for decay")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "decay").exists()
+    cfgfile.write_text("r0 = 0.75\nsamples = 5\n")
     assert main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
-    with pytest.raises(ConfigError, match="at least 1e-78 l_max"):
-        build_config("decay", {"r0": 1e-75, "l_max": 1100})
+    # the floor does not move with l; below it the rate check itself fails
+    with pytest.raises(ConfigError, match="at least 0.75 for decay"):
+        build_config("decay", {"r0": 0.74, "l_min": 1, "l_max": 1})
+    below = replace(build_config("decay", {"samples": 5}), r0=0.5)
+    assert run_experiment(below).failures == [
+        "mean rate 1.0190 is not 2 r0 = 1 within 0.01"
+    ]
 
 
 def test_modes_r_max_range(tmp_path, capsys):
-    # from r_max 7.1e6 up the squared residuals underflowed, and below
-    # 1.3e-16 every residual was exactly 0: the log plot crashed with exit 3
+    # the residuals grow like 1.2-1.5e-14 l_max / r_max: the floor is
+    # 3e-14 l_max / tol, 9.6e-05 at the defaults l_max 32 and tol 1e-8. From
+    # r_max 7.1e6 up the squared residuals underflowed, and below 1.3e-16
+    # every residual was exactly 0: the log plot crashed with exit 3
     cfgfile = tmp_path / "r.cfg"
-    for r_max in (1e-100, 9e-16, 1.1e6, 1e8):
-        cfgfile.write_text(f"r_max = {r_max}\n")
+    cases = [(f"r_max = {r_max}\n", "9.6e-05") for r_max in (1e-100, 1e-15, 9e-05, 1.1e6, 1e8)]
+    cases.append(("r_max = 9e-16\nl_max = 1\ntol = 100\n", "1e-15"))
+    for text, least in cases:
+        cfgfile.write_text(text)
         rc = main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("edl: config error: r_max must lie in [1e-15, 1e+06] for modes")
+        assert err.startswith(f"edl: config error: r_max must lie in [{least}, 1e+06] for modes")
         assert not (tmp_path / "modes").exists()
-    # the ends are admitted; at 1e-15 the residuals are real and above tol
-    for r_max, rc in ((1e6, 0), (1e-15, 1)):
-        cfgfile.write_text(f"r_max = {r_max}\n")
-        assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == rc
+    # the ends are admitted and pass: at 1e-4 the largest residual is 4e-9
+    for text in ("r_max = 1e-4\n", "r_max = 1e6\n", "r_max = 1e-15\nl_max = 1\ntol = 100\n"):
+        cfgfile.write_text(text)
+        assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    with pytest.raises(ConfigError, match=r"\[3e-10, 1e\+06\] for modes at l_max 1000"):
+        build_config("modes", {"r_max": 1e-10, "l_max": 1000, "tol": 1e-1})
 
 
 RADIAL_DRAWS = {

@@ -1,10 +1,15 @@
 """What `src/edl` carries beyond the CLI, and how it reaches scipy's LAPACK.
 
 The walk starts at every top-level statement of `cli.py` and follows the
-names that each reached top-level definition mentions, through the package's
-`from .module import name` lines. Methods count with their class. A top-level
-function or class that the walk never reaches runs only under the tests, so
-it needs an entry in LEDGER that says which check keeps it."""
+names that each reached definition mentions, through the package's
+`from .module import name` lines. A reached class brings its class body and
+its dunder methods; any other method counts as reached once reached code
+names it as an attribute, `x.method`. The attribute name is all the walk
+reads, not the object's class, so a method that shares its name with one
+that is reached (`norm`, say, with `np.linalg.norm`) errs toward "reached".
+A top-level function or class, or a method of a reached class, that the walk
+never reaches runs only under the tests, so it needs an entry in LEDGER that
+says which check keeps it."""
 
 import ast
 import os
@@ -13,13 +18,21 @@ import re
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "edl")
 
 LEDGER = {
-    "bgvar.CutoffProfile": "dense reference for bg-check: the cut-off variation",
     "bgvar.MetricVariation": "dense reference for bg-check",
+    "bgvar.Separable.sample": "dense reference for bg-check: MetricVariation's samples",
     "bgvar.bg_apply": "dense reference for bg-check",
     "bgvar.bg_apply_terms": "dense reference for bg-check",
     "bgvar.leading_term_field": "dense reference for bg-check",
+    "deform.RealizedOperator.dense_operator_norm": "reference for the banded operator_norm",
+    "deform.RealizedOperator.from_matrix": "probing oracle of the closed-form assemblies",
+    "deform.RealizedOperator.matrix": "probing oracle of the closed-form assemblies",
+    "deform.RealizedOperator.realize": "probing oracle of the closed-form assemblies",
+    "deform.RealizedOperator.singular_values": "reference for the Fredholm diagnostics",
     "deform.commutator_with_sign_multiplier": "[H, a] gains a derivative, uniformly in N",
     "deform.l_star": "reference: the real L2 adjoint of L",
+    "dirac.ModeSpinor.decay_rate": "criterion 4",
+    "dirac.SpinorField.radial_derivative": "criterion 1: the dense operator's radial derivative",
+    "dirac.SpinorField.theta_points": "criterion 1 and the dense bg-check reference",
     "dirac._rk4_log_sweep": "criterion 2: the shooting integrator",
     "dirac.adjointness_check": "adjointness of the model operator",
     "dirac.covariant_gradient": "reference for the live frame_gradient",
@@ -28,25 +41,35 @@ LEDGER = {
     "dirac.euclidean_obstruction_field": "dense reference field of criterion 1 and the field tests",
     "dirac.fft_mode_derivative": "criterion 1: the spectral derivatives of dirac_apply",
     "dirac.field_from_mode": "dense reference fields of criterion 1 and the field tests",
-    "dirac.field_from_mode_spinor": "dense reference fields of criterion 1 and the field tests",
     "dirac.frobenius_start": "criterion 2: the seed of the regular branch",
     "dirac.growth_rate": "criterion 2",
     "dirac.mu_perturbed_mode": "criterion 4",
     "dirac.solve_mode_ode": "criterion 2",
+    "newton.ToyProblem.derivative_apply": "the toy Jacobian against probing",
+    "newton.ToyProblem.jacobian": "dense oracle of the banded Newton solve",
     "newton._random_decaying_series": "tame-estimate claim",
     "newton.tame_estimate_sweep": "tame-estimate claim",
-    "series.cutoff_c2_prime": "criterion 8, and CutoffProfile's derivative",
-    "series.cutoff_c2_second": "dense reference for bg-check: CutoffProfile's second derivative",
+    "series.FourierSeries1D.parseval_defect": "Parseval's identity on the series grid",
     "series.dyadic_pointwise_bound": "dyadic pointwise bound in the b-norm",
     "series.interpolation_ratio": "criterion 8",
     "series.verify_smoothing_axioms": "criterion 8",
 }
 
 
+def mentions(nodes):
+    """(names, attribute names) that the AST nodes mention."""
+    walked = [n for node in nodes for n in ast.walk(node)]
+    return ({n.id for n in walked if isinstance(n, ast.Name)},
+            {n.attr for n in walked if isinstance(n, ast.Attribute)})
+
+
 def read_module(path):
-    """(definitions, names each top-level binding mentions, names mentioned by
-    statements that bind nothing, relative imports)."""
-    defs, uses, loose, imports = set(), {}, set(), {}
+    """(top-level definitions, what each binding mentions, what statements
+    that bind nothing mention, relative imports, methods by class).
+
+    A binding is a top-level name, or "Class.method" for a method that is
+    not a dunder; a class's own binding is its body without those methods."""
+    defs, uses, loose, imports, methods = set(), {}, (set(), set()), {}, {}
     with open(path) as fh:
         tree = ast.parse(fh.read())
     for stmt in tree.body:
@@ -54,6 +77,7 @@ def read_module(path):
             for alias in stmt.names:
                 imports[alias.asname or alias.name] = (stmt.module, alias.name)
             continue
+        parts = [stmt]
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defs.add(stmt.name)
             bound = [stmt.name]
@@ -62,12 +86,22 @@ def read_module(path):
             bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             bound = []
-        names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        if isinstance(stmt, ast.ClassDef):
+            own = [f for f in stmt.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not (f.name.startswith("__") and f.name.endswith("__"))]
+            methods[stmt.name] = [f.name for f in own]
+            for f in own:
+                uses[f"{stmt.name}.{f.name}"] = mentions([f])
+            parts = stmt.bases + stmt.decorator_list + [f for f in stmt.body if f not in own]
+        names, attrs = mentions(parts)
         for name in bound:
-            uses.setdefault(name, set()).update(names)
+            uses.setdefault(name, (set(), set()))
+            uses[name][0].update(names)
+            uses[name][1].update(attrs)
         if not bound:
-            loose |= names
-    return defs, uses, loose, imports
+            loose[0].update(names)
+            loose[1].update(attrs)
+    return defs, uses, loose, imports, methods
 
 
 def test_code_only_tests_reach_is_in_the_ledger():
@@ -76,27 +110,36 @@ def test_code_only_tests_reach_is_in_the_ledger():
     }
 
     def resolve(module, name):
-        _, uses, _, imports = modules[module]
+        _, uses, _, imports, _ = modules[module]
         if name in uses:
             return module, name
         if name in imports and imports[name][0] in modules:
             return resolve(*imports[name])
         return None
 
-    _, cli_uses, cli_loose, _ = modules["cli"]
-    todo = [resolve("cli", name) for name in set(cli_uses) | cli_loose]
+    _, cli_uses, (cli_names, named), _, _ = modules["cli"]
+    named = set(named)  # attribute names that reached code mentions
+    todo = [resolve("cli", name) for name in set(cli_uses) | cli_names]
     reached = set()
     while todo:
-        node = todo.pop()
-        if node is None or node in reached:
-            continue
-        reached.add(node)
-        module, name = node
-        todo += [resolve(module, used) for used in modules[module][1][name]]
+        while todo:
+            node = todo.pop()
+            if node is None or node in reached:
+                continue
+            reached.add(node)
+            module, name = node
+            names, attrs = modules[module][1][name]
+            named |= attrs
+            todo += [resolve(module, used) for used in names]
+        todo = [(module, f"{cls}.{method}")
+                for module, cls in reached
+                for method in modules[module][4].get(cls, ())
+                if method in named and (module, f"{cls}.{method}") not in reached]
     unreached = {
         f"{module}.{name}"
-        for module, (defs, _, _, _) in modules.items()
-        for name in defs
+        for module, (defs, _, _, _, methods) in modules.items()
+        for name in defs | {f"{c}.{m}" for c in methods if (module, c) in reached
+                            for m in methods[c]}
         if (module, name) not in reached
     }
     assert unreached == set(LEDGER)
@@ -198,7 +241,7 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
         if names:
             imported[module] = names
     assert imported == want
-    defs, uses, _, _ = read_module(os.path.join(SRC, "lapack.py"))
+    defs, uses, _, _, _ = read_module(os.path.join(SRC, "lapack.py"))
     exported = {name for name in set(uses) | defs if not name.startswith("_")}
     assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbevx", "dsbmv", "dstev",
                         "dsytrf", "dsytrs", "dtbsv", "zgbsv"}

@@ -28,7 +28,6 @@ from edl.newton import ToyProblem, nash_moser_solve
 from edl.obstruction import gram_matrix, gram_tail_trend
 from edl.bandeig import _positive_definite, certified_spectrum, top_eigenvalue
 from edl.bgvar import (
-    CutoffProfile,
     MetricVariation,
     bg_apply,
     leading_term_field,
@@ -137,7 +136,7 @@ def test_separable_coefficients_match_dense_dft(data, with_y, with_cutoff):
     lead = data.draw(leading_data())
     eta_x = data.draw(real_series(6))
     eta_y = data.draw(real_series(6)) if with_y else None
-    cutoff = CutoffProfile(1.0) if with_cutoff else None
+    cutoff = 1.0 if with_cutoff else None
     rgrid = RadialGrid.geometric(1.2, 48, r_min_factor=1e-3)
     band = max(lead.c.n_modes, lead.d.n_modes) + 6
     nt, ntheta = 2 * band + 3, 8
@@ -229,7 +228,9 @@ def test_assembled_operators_match_probing(data, n_in, n_out):
 @PROPERTY
 @given(series(max_band=6), st.integers(0, 64), seeds)
 def test_toy_jacobian_matches_probing(u, n, seed):
-    prob = ToyProblem(n_modes=n, strength=np.random.default_rng(seed).uniform(0.1, 2.0))
+    # dF(u) depends on u alone: scaling u stands in for a scaled nonlinearity
+    u = u * np.random.default_rng(seed).uniform(0.1, 2.0)
+    prob = ToyProblem(n_modes=n)
     jac = prob.jacobian(u)
     assert_matches_oracle(
         probed(lambda v: FourierSeries1D(jac @ v.truncate(n).coeffs), n, n),
@@ -245,7 +246,8 @@ def test_banded_newton_solve_matches_dense_oracle(n, b, seed):
     # LU on the band of each against a dense solve of the Jacobian
     rng = np.random.default_rng(seed)
     b = min(b, n)
-    prob = ToyProblem(n_modes=n, strength=rng.uniform(0.1, 2.0))
+    prob = ToyProblem(n_modes=n)
+    scale = rng.uniform(0.1, 2.0)  # of u, as for a scaled nonlinearity
     modes = {0: rng.uniform(-0.1, 0.1)}
     for l, a in enumerate(unit_coefficients(rng, n), start=1):
         modes[l], modes[-l] = 0.1 * a / l, 0.1 * np.conj(a) / l
@@ -254,23 +256,23 @@ def test_banded_newton_solve_matches_dense_oracle(n, b, seed):
     cut = smooth(full, min(1.0, 2.0 / (b + 0.5)))
     assert not cut.coeffs[np.abs(cut.modes()) > max(b, 1)].any()
     g = FourierSeries1D(unit_coefficients(rng, 2 * n + 1))
-    for u in (full, sharp, cut):
+    for u in (full * scale, sharp * scale, cut * scale):
         want = np.linalg.solve(prob.jacobian(u), g.coeffs)
         got = prob.solve_linearized(u, g).coeffs
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @PROPERTY
-@given(st.integers(0, 5), st.integers(-2, 2), st.integers(0, 8))
-def test_singular_diagonal_newton_step_fails(k, j, extra):
-    # u_0 = i / (2 strength l) makes row l of the diagonal Jacobian exactly
-    # zero (l and strength powers of two keep every product exact); the
-    # smoothed iteration on f = u_0 + 0.01 e^{2it} steps to u = u_0, as
-    # S_1 cuts mode 2, and its next linear solve fails
-    l, strength = 2**k, 2.0**j
+@given(st.integers(0, 5), st.integers(0, 8))
+def test_singular_diagonal_newton_step_fails(k, extra):
+    # u_0 = i / (2 l) makes row l of the diagonal Jacobian exactly zero (l a
+    # power of two keeps every product exact); the smoothed iteration on
+    # f = u_0 + 0.01 e^{2it} steps to u = u_0, as S_1 cuts mode 2, and its
+    # next linear solve fails
+    l = 2**k
     n = max(l, 2) + extra
-    prob = ToyProblem(n_modes=n, strength=strength)
-    u0 = 1j / (2.0 * strength * l)
+    prob = ToyProblem(n_modes=n)
+    u0 = 1j / (2.0 * l)
     with pytest.raises(np.linalg.LinAlgError, match=f"at mode {l}$"):
         prob.solve_linearized(FourierSeries1D.from_modes({0: u0}, n_modes=n),
                               FourierSeries1D.from_modes({0: 1.0}, n_modes=n))

@@ -30,9 +30,9 @@ def random_series(rng, n_modes, decay=0.0):
 
 
 def test_hilbert_on_single_modes():
-    e_plus = FourierSeries1D.single_mode(1)
-    e_minus = FourierSeries1D.single_mode(-1)
-    one = FourierSeries1D.single_mode(0)
+    e_plus = FourierSeries1D.from_modes({1: 1.0})
+    e_minus = FourierSeries1D.from_modes({-1: 1.0})
+    one = FourierSeries1D.from_modes({0: 1.0})
     assert hilbert_transform(e_plus).coeff(1) == pytest.approx(1.0)
     assert hilbert_transform(e_minus).coeff(-1) == pytest.approx(-1.0)
     assert hilbert_transform(one).coeff(0) == pytest.approx(1.0)
@@ -46,18 +46,18 @@ def test_hilbert_is_an_exact_involution(rng):
 
 
 def test_fractional_resolvent_values():
-    one = FourierSeries1D.single_mode(0)
+    one = FourierSeries1D.from_modes({0: 1.0})
     assert fractional_resolvent(one, 0.75).coeff(0) == pytest.approx(1.0)
-    e1 = FourierSeries1D.single_mode(1)
+    e1 = FourierSeries1D.from_modes({1: 1.0})
     assert fractional_resolvent(e1, 0.75).coeff(1) == pytest.approx(2.0**-0.75)
     assert abs(fractional_resolvent(e1, 0.75).coeff(1)) == pytest.approx(0.5946035575, abs=1e-9)
-    e2 = FourierSeries1D.single_mode(2)
+    e2 = FourierSeries1D.from_modes({2: 1.0})
     assert fractional_resolvent(e2, 1.0).coeff(2) == pytest.approx(0.2)
 
 
 def test_second_derivative_values():
-    assert second_derivative(FourierSeries1D.single_mode(0)).coeff(0) == 0.0
-    assert second_derivative(FourierSeries1D.single_mode(1)).coeff(1) == pytest.approx(-1.0)
+    assert second_derivative(FourierSeries1D.from_modes({0: 1.0})).coeff(0) == 0.0
+    assert second_derivative(FourierSeries1D.from_modes({1: 1.0})).coeff(1) == pytest.approx(-1.0)
     sin3 = FourierSeries1D.from_modes({3: 1 / 2j, -3: -1 / 2j})
     out = second_derivative(sin3)
     assert out.coeff(3) == pytest.approx(-9.0 * (1 / 2j))
@@ -146,12 +146,12 @@ def test_smooth_validates_eps(rng):
 
 
 def test_smooth_keeps_low_modes_and_kills_high_modes():
-    u = FourierSeries1D.single_mode(100, n_modes=120)
+    u = FourierSeries1D.from_modes({100: 1.0}, 120)
     kept = smooth(u, 0.001)   # eps*|l| = 0.1 <= 1
     assert kept.coeff(100) == pytest.approx(1.0)
     killed = smooth(u, 0.05)  # eps*|l| = 5 >= 2
     assert killed.coeff(100) == 0.0
-    zero_mode = FourierSeries1D.single_mode(0)
+    zero_mode = FourierSeries1D.from_modes({0: 1.0})
     for eps in (1.0, 0.25, 2.0**-8):
         assert smooth(zero_mode, eps).coeff(0) == pytest.approx(1.0)
 
