@@ -52,6 +52,7 @@ from .series import (
     cutoff_c2_prime,
     cutoff_c2_second,
     derivative,
+    fit_line,
     multiply,
     second_derivative,
 )
@@ -455,9 +456,7 @@ def bg_pairing_comparison(data, eta_x, eta_y=None, l_values=(4, 8, 16, 32), cuto
     if len(deviation) >= 2 and min(deviation.values()) > 1e-10:
         xs = np.log(np.abs(np.array(sorted(deviation), dtype=float)))
         ys = np.log(np.array([deviation[l] for l in sorted(deviation)]))
-        # the least-squares slope, without np.polyfit's 1 MiB of LAPACK workspace
-        xs -= xs.mean()
-        exponent = float(xs @ ys / (xs @ xs))
+        exponent = fit_line(xs, ys)[0]
 
     distances = {c: abs(fitted - c) for c in CANDIDATE_CONSTANTS}
     closest = min(distances, key=distances.get)

@@ -38,24 +38,20 @@ _COMMAND_HELP = {
 
 @functools.cache
 def make_parser():
-    """The argument parser, built on first use and then reused: its nine
-    sub-parsers cost a few milliseconds, and parse_args leaves it as it was."""
+    """One parser for every command, built once: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="edl",
         description="spectral experiments on the singular-circle model",
+        epilog="commands:\n" + "\n".join(f"  {c:<14}{_COMMAND_HELP[c]}" for c in EXPERIMENTS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="flat key=value settings file")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="artifact directory (default edl-out)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized suites")
-        p.add_argument("--assert", dest="do_assert",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="enforce the experiment's acceptance assertions")
+    parser.add_argument("command", choices=EXPERIMENTS, metavar="<command>",
+                        help="the experiment to run, one of the commands below")
+    parser.add_argument("--config", metavar="PATH", help="flat key=value settings file")
+    parser.add_argument("--out", metavar="DIR", help="artifact directory (default edl-out)")
+    parser.add_argument("--seed", type=int, help="seed for randomized suites")
+    parser.add_argument("--assert", dest="do_assert", action=argparse.BooleanOptionalAction,
+                        help="enforce the experiment's acceptance assertions")
     return parser
 
 

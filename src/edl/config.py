@@ -69,7 +69,11 @@ class ExperimentConfig:
             raise ConfigError(f"r0 must be at most {MAX_DECAY_R0} for decay, got {self.r0}")
         if self.experiment == "decay" and self.r0 < MIN_DECAY_R0:
             raise ConfigError(f"r0 must be at least {MIN_DECAY_R0} for decay, got {self.r0}")
-        least = max(MIN_MODES_R_MAX, MODES_ROUNDOFF * self.l_max / self.tol)
+        if self.experiment == "modes" and self.tol < MODES_TOL_FLOOR * self.l_max:
+            raise ConfigError(f"tol must be at least {MODES_TOL_FLOOR:g} l_max = "
+                              f"{MODES_TOL_FLOOR * self.l_max:.3g} for modes, got {self.tol:g}")
+        ratio = MODES_ROUNDOFF * self.l_max / self.tol
+        least = max(MIN_MODES_R_MAX, ratio, ratio**2)
         if self.experiment == "modes" and not least <= self.r_max <= MAX_MODES_R_MAX:
             raise ConfigError(
                 f"r_max must lie in [{least:.3g}, {MAX_MODES_R_MAX:g}] for modes at "
@@ -124,7 +128,7 @@ MIN_PROBE_MODES = 3
 MIN_CONORMAL_L = 7
 # each of decay's annuli loses e^{-2 r0} and annuli_decay fits only the norms
 # above 1e-14 of the first, so a second annulus is left only for
-# r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit crashes in the SVD
+# r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit raises ValueError
 MAX_DECAY_R0 = 16.0
 # decay holds its mean rate per annulus to 2 r0 within DECAY_RATE_RTOL. The
 # decaying branch's energy carries (1 + 1/(2 l r))^2 next to e^{-2 l r}, so the
@@ -133,12 +137,14 @@ MAX_DECAY_R0 = 16.0
 DECAY_RATE_RTOL = 0.01
 MIN_DECAY_R0 = 0.75
 # modes checks mode l on r in [1e-4, 1] r_max / (3 |l|), where e^{-|l| r} does
-# not depend on l. Its residuals grow like 1.2-1.5e-14 l_max / r_max (bisected at
-# tol 1e-4 and 1e-8 on l 1, 1..32, 3..50, 1..2000 and 10^5..10^5+4; at most
-# 1.75e-14 in a sweep), so r_max must reach MODES_ROUNDOFF l_max / tol. From
-# r_max 7.1e6 the squared residuals underflow, and below 1.3e-16, which a large
-# tol admits, every residual is 0 and the log plot crashed with exit 3
+# not depend on l. On l 1, 1..32, 1..2000 and 10^5..10^5+4 its residuals grow
+# like 1.2-1.75e-14 l_max / r_max below r_max 1 and 1.2-1.7e-14 l_max / sqrt(r_max)
+# above it, so r_max must reach MODES_ROUNDOFF l_max / tol and its square; at r_max
+# 1e5 and 1e6 they bottom out at 1.1-1.9e-16 l_max, so tol must reach
+# MODES_TOL_FLOOR l_max (the square is then below 5700). From r_max 7.1e6 the squared
+# residuals underflow; below 1.3e-16 every one is 0 and the log plot crashed (exit 3)
 MODES_ROUNDOFF = 3e-14
+MODES_TOL_FLOOR = 4e-16
 MIN_MODES_R_MAX = 1e-15
 MAX_MODES_R_MAX = 1e6
 # obstruction's radial grid (r_min, r_max], r_min = OBSTRUCTION_R_MIN r_max /

@@ -39,6 +39,7 @@ import numpy as np
 from .series import (
     FourierSeries1D,
     TWO_PI,
+    fit_line,
     fractional_resolvent,
     hilbert_transform,
     multiply,
@@ -358,8 +359,8 @@ def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
         del op  # so that it is not held while the next, larger one is built
     n22, n232 = np.array(n22), np.array(n232)
     logn = np.log(n_values.astype(float))
-    e22 = float(np.polyfit(logn, np.log(n22), 1)[0])
-    e232 = float(np.polyfit(logn, np.log(n232), 1)[0])
+    e22 = fit_line(logn, np.log(n22))[0]
+    e232 = fit_line(logn, np.log(n232))[0]
     return SimpleNamespace(
         n_values=n_values, norms_2_to_2=n22, norms_2_to_32=n232,
         exponent_2_to_2=e22, exponent_2_to_32=e232,

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .series import FourierSeries1D, TWO_PI, sgn
+from .series import FourierSeries1D, TWO_PI, fit_line, sgn
 
 
 # -- Clifford frame -------------------------------------------------------------
@@ -250,9 +250,7 @@ class ModeSpinor:
         mag = np.sqrt(np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2)
         lo, hi = 0.25 * r[-1], 0.75 * r[-1]
         mask = (r >= lo) & (r <= hi) & (mag > 0)
-        y = np.log(mag[mask] * np.sqrt(r[mask]))
-        slope = np.polyfit(r[mask], y, 1)[0]
-        return -float(slope)
+        return -fit_line(r[mask], np.log(mag[mask] * np.sqrt(r[mask])))[0]
 
 
 def obstruction_profiles(l_values, rgrid):
@@ -404,7 +402,7 @@ def growth_rate(mode):
     r = mode.rgrid.r
     mag = np.sqrt(np.abs(mode.psi_plus) ** 2 + np.abs(mode.psi_minus) ** 2)
     mask = (r >= 0.5 * r[-1]) & (r <= 0.95 * r[-1]) & (mag > 0)
-    return float(np.polyfit(r[mask], np.log(mag[mask]), 1)[0])
+    return fit_line(r[mask], np.log(mag[mask]))[0]
 
 
 # -- leading data ------------------------------------------------------------------

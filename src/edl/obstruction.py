@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .series import TORUS_AREA, TWO_PI, cutoff_c2
+from .series import TORUS_AREA, TWO_PI, cutoff_c2, fit_line
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
 from .bandeig import band_norm
 from .lapack import dgtsv
@@ -108,12 +108,12 @@ def conormal_rate(p, f_series, l_values, rgrid=None, radial_profile=None):
     logl = np.log(l_values[usable].astype(float))
     # normalize out the t-data so the fit sees only the radial rate
     logc = np.log(np.abs(radial_ints[usable]))
-    slope, intercept = np.polyfit(logl, logc, 1)
+    slope, intercept = fit_line(logl, logc)
     resid = float(np.sqrt(np.mean((logc - (slope * logl + intercept)) ** 2)))
 
     half = len(logl) // 2
-    slope_lo = np.polyfit(logl[:half], logc[:half], 1)[0] if half >= 2 else slope
-    slope_hi = np.polyfit(logl[half:], logc[half:], 1)[0] if half >= 2 else slope
+    slope_lo = fit_line(logl[:half], logc[:half])[0] if half >= 2 else slope
+    slope_hi = fit_line(logl[half:], logc[half:])[0] if half >= 2 else slope
     super_poly = bool(slope_hi < slope_lo - 1.0)
 
     gamma = math.gamma(p + 1.5)
@@ -297,7 +297,7 @@ def annuli_decay(nu, l, r_scale=1.0):
     norms = annulus_energy_norms(u, nu, l, rgrid, edges)
     usable = norms > 1e-14 * norms[0]
     idx = np.arange(len(norms))[usable]
-    rate = -float(np.polyfit(idx, np.log(norms[usable]), 1)[0])
+    rate = -fit_line(idx, np.log(norms[usable]))[0]
     return SimpleNamespace(l=l, rate_per_annulus=rate, n_used=int(usable.sum()))
 
 

@@ -29,6 +29,16 @@ def sgn(l):
     return np.where(np.asarray(l) >= 0, 1.0, -1.0)
 
 
+def fit_line(x, y):
+    """Least-squares (slope, intercept) of array y on array x, without np.polyfit's
+    1 MiB of LAPACK workspace; centring y too keeps exact slopes to a few ulps."""
+    if x.size == 0 or not x.min() < x.max():
+        raise ValueError("a line fit needs at least two distinct x")
+    xs = x - x.mean()
+    slope = float(xs @ (y - y.mean()) / (xs @ xs))
+    return slope, float(y.mean() - slope * x.mean())
+
+
 @dataclass(frozen=True, eq=False)
 class FourierSeries1D:
     """Truncated Fourier series; coeffs has length 2N+1 in mode order -N..N."""

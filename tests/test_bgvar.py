@@ -11,6 +11,7 @@ from edl.series import (
     cutoff_c2_prime,
     cutoff_c2_second,
     derivative,
+    fit_line,
     multiply,
     second_derivative,
 )
@@ -431,6 +432,15 @@ def test_deviation_exponent_is_the_least_squares_slope():
         ys = np.log([rep.deviation_values[l] for l in ls])
         want = np.polyfit(np.log(ls), ys, 1)[0]
         assert len(ls) >= 4 and abs(rep.deviation_exponent - want) <= 1e-12
+    # the shared helper against np.polyfit on random data and on two points,
+    # and its refusal of a single point
+    rng = np.random.default_rng(5)
+    for x, y in ((rng.uniform(-3, 3, 40), rng.standard_normal(40)),
+                 (np.array([1.0, 4.0]), np.array([2.0, -7.0]))):
+        slope, intercept = fit_line(x, y)
+        assert np.allclose((slope, intercept), np.polyfit(x, y, 1), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="two distinct x"):
+        fit_line(np.array([2.0]), np.array([1.0]))
 
 
 def test_pairing_cutoff_drift_is_exponentially_small():

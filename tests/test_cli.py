@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from edl.cli import main, write_artifacts
+from edl.cli import _COMMAND_HELP, main, make_parser, write_artifacts
 from edl.config import (
     COMMAND_DEFAULTS,
     MATRIX_BYTE_BUDGET,
@@ -558,6 +558,23 @@ def test_modes_r_max_range(tmp_path, capsys):
         assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
     with pytest.raises(ConfigError, match=r"\[3e-10, 1e\+06\] for modes at l_max 1000"):
         build_config("modes", {"r_max": 1e-10, "l_max": 1000, "tol": 1e-1})
+    # the residuals bottom out at 1.1-1.9e-16 l_max whatever r_max: tol 1e-15
+    # at l 1..32 (4.64e-15 at r_max 1e5) and 1e-11 at l 10^5..10^5+4 (1.16e-11)
+    # exited 1, and tol 1e-16 at those l named the empty interval [3e+07, 1e+06]
+    for text, floor in (("tol = 1e-15\n", "1.28e-14"),
+                        ("l_min = 100000\nl_max = 100004\ntol = 1e-11\nr_max = 1e5\n", "4e-11"),
+                        ("l_min = 100000\nl_max = 100004\ntol = 1e-16\n", "4e-11")):
+        cfgfile.write_text(text)
+        assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"edl: config error: tol must be at least 4e-16 l_max = {floor} for modes")
+    # from r_max 1 up they fall like 1.2-1.7e-14 l_max / sqrt(r_max): at tol
+    # 1e-13 and r_max 10 the residual 1.13e-13 exited 1, and the floor is
+    # (3e-14 * 32 / 1e-13)^2 = 92.2, where the run passes
+    with pytest.raises(ConfigError, match=r"\[92\.2, 1e\+06\] for modes at l_max 32"):
+        build_config("modes", {"r_max": 10.0, "tol": 1e-13})
+    cfgfile.write_text("tol = 1e-13\nr_max = 92.2\n")
+    assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
 
 
 RADIAL_DRAWS = {
@@ -775,9 +792,28 @@ def test_exit_three_when_the_artifact_folder_cannot_be_made(tmp_path, capsys):
 
 
 def test_exit_two_on_unknown_command():
+    for argv in (["not-an-experiment"], []):  # an unknown command, then none
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["not-an-experiment"])
-    assert exc.value.code == 2
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in EXPERIMENTS:
+        assert any(line.split() == [name, *_COMMAND_HELP[name].split()] for line in lines), name
+
+
+def test_options_may_precede_the_command(tmp_path):
+    argv = ["--seed", "5", "gram", "--out", str(tmp_path)]
+    args = make_parser().parse_args(argv)
+    assert (args.command, args.seed, args.out, args.config, args.do_assert) == (
+        "gram", 5, str(tmp_path), None, None)
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "gram" / "summary.json").read_text())["pass"] is True
 
 
 # -- svg writer ---------------------------------------------------------------------------
