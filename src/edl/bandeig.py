@@ -15,10 +15,12 @@ Eigenvalue Problem; Golub & Van Loan 8.4 and 10.1).
 """
 from __future__ import annotations
 
-import numpy as np
-import numpy.random  # numpy loads it lazily: load it here, not during a command
+import random
 
-from .lapack import dpbtrf, dsbevx, dsbmv, dstev, dtbsv
+import numpy as np
+
+from .lapack import dpbtrf, dsbevx, dsbmv, dstemr, dstev, dtbsv
+from .util import uniform
 
 EPS = np.finfo(float).eps
 # rounding allowance of a Gram Ritz value and of the shifted Cholesky that
@@ -60,7 +62,7 @@ def top_eigenvalue(ab):
     lo, hi = float(ab[0].max()), float(row_sums.max())
     if not lo < hi:
         return hi, lo
-    x = np.random.default_rng(0).standard_normal(ab.shape[1])
+    x = uniform(random.Random(0), -1.0, 1.0, ab.shape[1])
     negated = np.negative(ab, order="F")
     shifted = np.empty_like(negated)  # dpbtrf factors it in place
     t, step = hi, None  # step: set once the estimate is settled
@@ -111,13 +113,14 @@ def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS):
     a Lanczos run with full reorthogonalization started at start.
 
     At steps 2, 3, ..., 8, 10, 12, 15, ... (a quarter more each time) dstev
-    solves the tridiagonal Ritz problem, and the run stops once the residual
-    bounds |beta_j s_j| of the wanted pairs are within GRAM_EIGEN_SLACK times
-    the top Ritz value, when the Krylov space closes (beta_j below that) or
-    after max_steps.  Ritz values up to that slack are the kernel's: the
-    lowest pair is the first above, the top one included, None if there is
-    none.  Some eigenvalue lies within the residual bound of each Ritz value;
-    which one, the caller certifies.
+    finds the Ritz values, values only, and dstemr the tridiagonal problem's
+    eigenvectors s of the two wanted ones by index.  The run stops once the
+    residual bounds |beta_j s_j| of the wanted pairs are within
+    GRAM_EIGEN_SLACK times the top Ritz value, when the Krylov space closes
+    (beta_j below that) or after max_steps.  Ritz values up to that slack
+    are the kernel's: the lowest pair is the first above, the top one
+    included, None if there is none.  Some eigenvalue lies within the
+    residual bound of each Ritz value; which one, the caller certifies.
     """
     n = start.size
     basis = np.zeros((min(n, max_steps), n))
@@ -135,12 +138,17 @@ def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS):
         closed = steps == len(basis) or beta[j] <= GRAM_EIGEN_SLACK * scale
         if steps >= check or closed:
             check = steps + max(1, steps // 4)
-            theta, vecs, _ = dstev(alpha[:steps], beta[:max(steps - 1, 1)])
+            theta = dstev(alpha[:steps], beta[:max(steps - 1, 1)], compute_v=0)[0]
             slack = GRAM_EIGEN_SLACK * theta[-1]
-            resid = np.abs(beta[j] * vecs[-1])
-            wanted = [steps - 1, *np.flatnonzero(theta > slack)[:1]]
-            if closed or resid[wanted].max() <= slack:
-                top, *rest = [(theta[i], resid[i], vecs[:, i] @ basis[:steps]) for i in wanted]
+            pairs = []
+            for i in [steps - 1, *np.flatnonzero(theta > slack)[:1]]:
+                # eigenvector i + 1 (range 2: by index); dstemr overwrites
+                # its off-diagonal, so it gets a copy
+                vec = dstemr(alpha[:steps], beta[:steps].copy(), 2, 0.0, 0.0,
+                             i + 1, i + 1)[2][:, 0]
+                pairs.append((theta[i], abs(beta[j] * vec[-1]), vec))
+            if closed or max(r for _, r, _ in pairs) <= slack:
+                top, *rest = [(value, r, vec @ basis[:steps]) for value, r, vec in pairs]
                 return top, (rest[0] if rest else None)
         basis[j + 1] = w / beta[j]
 
@@ -165,7 +173,7 @@ def certified_spectrum(op, threshold, start=None):
     if start is not None:
         vec[:min(n, start.size)] = start[:n]
     if not vec.any():
-        vec = np.random.default_rng(0).standard_normal(n)
+        vec = uniform(random.Random(0), -1.0, 1.0, n)
     band, kd = np.asfortranarray(ab), ab.shape[0] - 1
     (lam, resid, warm), low = _lanczos(lambda v: dsbmv(kd, 1.0, band, v, lower=1), vec)
     if low is not None:

@@ -93,6 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"theta must exceed 1, got {self.theta}")
         if self.max_steps <= 0 or self.samples <= 0:
             raise ConfigError("max_steps and samples must be positive")
+        # random.Random seeds an int by its absolute value: -s would replay s
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         key, need = dense_array_bound(self)

@@ -9,10 +9,10 @@ rows, and an optional plot specification. Runners are deterministic in
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: load it here, not during a command
 
 from .config import DECAY_RATE_RTOL, OBSTRUCTION_R_MIN, SELF_PAIRING_TOL
 from .series import FourierSeries1D
@@ -44,6 +44,7 @@ from .deform import (
     t_op,
 )
 from .bgvar import bg_pairing_comparison
+from .util import uniform
 from .newton import (
     M0,
     ToyProblem,
@@ -131,17 +132,19 @@ def run_modes(cfg):
     return ExperimentOutcome("modes", metrics, failures, ["l", "residual"], rows, plot)
 
 
+def _complex_gauss(rng):
+    """x + i y, with x then y standard normal draws from rng, a random.Random."""
+    return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+
+
 # -- obstruction: projector recovers synthesized coefficients --------------------------
 
 
 def run_obstruction(cfg):
     failures, rows = [], []
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     l_values = [l for a in range(cfg.l_min, cfg.l_max + 1) for l in (a, -a)]
-    coeffs = {
-        l: (rng.standard_normal() + 1j * rng.standard_normal()) / (abs(l) ** 2)
-        for l in l_values
-    }
+    coeffs = {l: _complex_gauss(rng) / (abs(l) ** 2) for l in l_values}
     grid = RadialGrid.geometric(cfg.r_max, 1200, r_min_factor=OBSTRUCTION_R_MIN / cfg.l_max)
     nt = 2 * cfg.l_max + 3
     field_ = family_field(coeffs, grid, nt)
@@ -280,17 +283,18 @@ def run_gram(cfg):
 
 
 def random_nondegenerate_data(rng):
-    """Smooth random band-3 (c, d) with min |c|^2 + |d|^2 above 0.35."""
+    """Smooth random band-3 (c, d) with min |c|^2 + |d|^2 above 0.35, drawn
+    from rng, a random.Random."""
     band = 3
     while True:
-        c_modes = {0: 1.0 + 0.2 * rng.standard_normal()}
-        d_modes = {0: 0.3 * rng.standard_normal()}
+        c_modes = {0: 1.0 + 0.2 * rng.gauss(0.0, 1.0)}
+        d_modes = {0: 0.3 * rng.gauss(0.0, 1.0)}
         for l in range(1, band + 1):
             scale = 0.25 / (1 + l * l)
-            c_modes[l] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            c_modes[-l] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            d_modes[l] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            d_modes[-l] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            c_modes[l] = scale * _complex_gauss(rng)
+            c_modes[-l] = scale * _complex_gauss(rng)
+            d_modes[l] = scale * _complex_gauss(rng)
+            d_modes[-l] = scale * _complex_gauss(rng)
         c = FourierSeries1D.from_modes(c_modes, band)
         d = FourierSeries1D.from_modes(d_modes, band)
         try:
@@ -303,7 +307,7 @@ def random_nondegenerate_data(rng):
 
 def run_deform_op(cfg):
     failures, rows = [], []
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     truncations = (cfg.n_modes // 2, 3 * cfg.n_modes // 4, cfg.n_modes)
     unstable, min_gap = 0, float("inf")
     for i in range(cfg.samples):
@@ -459,14 +463,14 @@ def run_decay(cfg):
     _check(failures, abs(deviation) < DECAY_RATE_RTOL,
            f"mean rate {mean:.4f} is not 2 r0 = {2.0 * cfg.r0:g} within {DECAY_RATE_RTOL:g}")
     # one batch: the rows after the first samples get an entry pushed above the barrier
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     n_invalid = min(100, cfg.samples)
     seq, barrier = sample_max_principle_instance(rng, cfg.samples + n_invalid)
     valid_pass = int(np.sum(discrete_max_principle(
         seq[:cfg.samples], barrier[:cfg.samples], 0.4).certified))
     bad, bad_barrier = seq[cfg.samples:], barrier[cfg.samples:]
-    at = np.arange(n_invalid), rng.integers(1, seq.shape[1] - 1, size=n_invalid)
-    bad[at] = bad_barrier[at] + rng.uniform(0.5, 2.0, size=n_invalid)
+    at = np.arange(n_invalid), [rng.randrange(1, seq.shape[1] - 1) for _ in range(n_invalid)]
+    bad[at] = bad_barrier[at] + uniform(rng, 0.5, 2.0, n_invalid)
     result = discrete_max_principle(bad, bad_barrier, 0.4)
     invalid_detect = sum(hyp is not None or con is not None for hyp, con in zip(
         result.hypothesis_violation, result.conclusion_violation))
@@ -574,9 +578,9 @@ def continuation_family(n_modes):
         return LeadingData(c, d)
 
     data0 = data_family(0.0)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     eta = FourierSeries1D.from_modes(
-        {l: 0.3 * (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + l * l)
+        {l: 0.3 * _complex_gauss(rng) / (1 + l * l)
          for l in range(-6, 7) if l != 0},
         n_modes,
     )

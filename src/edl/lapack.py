@@ -53,6 +53,7 @@ dgbsv = _flapack.dgbsv
 dgtsv = _flapack.dgtsv
 dpbtrf = _flapack.dpbtrf
 dsbevx = _flapack.dsbevx
+dstemr = _flapack.dstemr
 dstev = _flapack.dstev
 dsytrf = _flapack.dsytrf
 dsytrs = _flapack.dsytrs

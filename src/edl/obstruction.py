@@ -15,6 +15,7 @@ from .series import TORUS_AREA, TWO_PI, cutoff_c2, fit_line
 from .dirac import RadialGrid, SpinorField, obstruction_profiles, radial_bump
 from .bandeig import band_norm
 from .lapack import dgtsv
+from .util import uniform
 
 
 # -- projection ---------------------------------------------------------------
@@ -339,24 +340,28 @@ def discrete_max_principle(sequence, barrier, lam, verify_hypotheses=True):
 
 def sample_max_principle_instance(rng, count, size=40, lam=0.4):
     """Rejection-sample count sequence/barrier pairs satisfying the
-    hypotheses, as two (count, size) arrays.
+    hypotheses, as two (count, size) arrays, from rng, a random.Random.
 
     Proposals are r = -a (1 + eps) with |eps| < 0.15; for 2 lam < 1 most such
     near-flat negative gaps satisfy the three-term inequality, and the ones
     that do not are rejected. a > 0 scales out, so a and the barrier are
-    drawn for admitted rows only; eps comes in chunks of count rows, doubling
-    up to 2^18 entries. RuntimeError after 10000 proposals per instance.
+    drawn for admitted rows only; eps comes in chunks of up to 2^18 entries:
+    count rows first, then the rows still missing at the acceptance rate so
+    far and a quarter more, doubling while none is admitted. RuntimeError
+    after 10000 proposals per instance.
     """
     most = max(1, 2**18 // size)
-    budget, chunk, kept, found = 10000 * count, min(count, most), [], 0
+    budget, chunk, kept, found, proposed = 10000 * count, min(count, most), [], 0, 0
     while found < count:
         drawn = min(chunk, budget)
         if drawn == 0:
             raise RuntimeError("sampler failed to find an admissible instance")
-        budget, chunk = budget - drawn, min(2 * chunk, most)
-        gap = 1.0 + rng.uniform(-0.15, 0.15, size=(drawn, size))
+        budget, proposed = budget - drawn, proposed + drawn
+        gap = 1.0 + uniform(rng, -0.15, 0.15, (drawn, size))
         kept.append(gap[np.all(gap[:, 1:-1] >= lam * (gap[:, :-2] + gap[:, 2:]), axis=1)])
         found += len(kept[-1])
-    barrier = rng.uniform(0.0, 2.0, size=(count, size))
-    r = -rng.uniform(0.1, 3.0, size=(count, 1)) * np.concatenate(kept)[:count]
+        missing = math.ceil(1.25 * (count - found) * proposed / found) if found else 2 * chunk
+        chunk = min(missing, most)
+    barrier = uniform(rng, 0.0, 2.0, (count, size))
+    r = -uniform(rng, 0.1, 3.0, (count, 1)) * np.concatenate(kept)[:count]
     return barrier + r, barrier

@@ -1,9 +1,22 @@
-"""Small shared utilities: deterministic file output."""
+"""Small shared utilities: deterministic file output and seeded uniform arrays."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+
+import numpy as np
+
+
+def uniform(rng, low, high, size):
+    """An array of shape size (an int or a tuple) of uniform doubles in
+    [low, high) from rng, a random.Random: 53-bit fractions, the top bits of
+    8 bytes each from rng.randbytes.  Draws of a and b values read the same
+    stream as one draw of a + b, split."""
+    shape = (size,) if isinstance(size, int) else tuple(size)
+    bits = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8") >> np.uint64(11)
+    return low + (high - low) * (bits * 2.0**-53).reshape(shape)
 
 
 def atomic_write_text(path, text):

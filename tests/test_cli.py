@@ -292,8 +292,8 @@ def test_exit_two_on_config_error(tmp_path, capsys, line):
 
 
 def test_exit_two_on_negative_seed(tmp_path, capsys):
-    # numpy's default_rng refuses a negative seed: it must stop at the config,
-    # not crash the runner with exit 3
+    # random.Random seeds an int by its absolute value, so -1 would silently
+    # replay seed 1's suite: it must stop at the config
     rc = main(["decay", "--seed", "-1", "--out", str(tmp_path)])
     assert rc == 2
     assert "seed must be non-negative" in capsys.readouterr().err
@@ -676,15 +676,19 @@ def test_cli_import_stops_at_numpy_and_the_lapack_wrappers():
     # files: the scipy, scipy.linalg and scipy.optimize packages, and the
     # numpy.f2py, numpy.testing and numpy.ma their initialisers clone numpy's
     # namespace with, cost every run about 0.2 s and must not come back, nor
-    # any other scipy subpackage (scipy.integrate, ...)
+    # any other scipy subpackage (scipy.integrate, ...); and the seeded
+    # suites draw from random.Random, so numpy.random and the OpenSSL that
+    # it loads through secrets and hashlib (about 6 MiB) stay out too
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "import edl.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "    or m.split('.')[:2] in (['numpy', 'f2py'], ['numpy', 'testing'], ['numpy', 'ma'])))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "    or m.split('.')[:2] in (['numpy', 'f2py'], ['numpy', 'testing'], ['numpy', 'ma'])\n"
+        "    or m.split('.')[:2] == ['numpy', 'random']\n"
+        "    or m in ('secrets', 'hashlib', '_hashlib'))))\n"
     )
-    assert _last_line_of_python(code) == (
-        "['scipy.linalg._fblas', 'scipy.linalg._flapack', 'scipy.optimize._zeros']")
+    assert json.loads(_last_line_of_python(code)) == [
+        "scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.optimize._zeros"]
 
 
 SMALL_CONFIGS = {

@@ -185,6 +185,29 @@ def test_the_circle_length_is_not_a_knob():
     assert named == []
 
 
+def test_no_module_names_numpy_random():
+    # seeded draws come from the standard library's random.Random, which
+    # tempfile loads anyway: numpy.random costs every CLI process about
+    # 6 MiB, most of it the OpenSSL its bit generators import via secrets
+    named = []
+    for module, tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[:2] == ["numpy", "random"]
+                          for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                hit = node.module.split(".")[:2] == ["numpy", "random"] or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names))
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+            else:
+                hit = isinstance(node, ast.Constant) and isinstance(node.value, str) and bool(
+                    re.fullmatch(r"numpy\.random(\.\w+)*", node.value))
+            if hit:
+                named.append(f"{module}:{node.lineno}")
+    assert named == []
+
+
 def _scipy_references(tree):
     """The imports of tree that name scipy, and its string constants that
     are a whole scipy module name (as import_module or find_spec take)."""
@@ -220,12 +243,13 @@ def test_only_the_lapack_modules_import_scipy():
 
 
 def test_the_circle_modules_import_only_the_lapack_routines_they_call():
-    # the Fredholm diagnostics read two eigenvalues of each Gram, and gram's
-    # band norms the two ends of a spectrum (dsbevx by index); a routine
-    # that computes the whole spectrum (eig_banded, eigh) takes an edit here,
-    # in lapack.py's exports and in the importers below
+    # the Fredholm diagnostics read two eigenvalues of each Gram, and the
+    # Ritz vectors of those two only (dstemr by index), and gram's band
+    # norms the two ends of a spectrum (dsbevx by index); a routine that
+    # computes the whole spectrum (eig_banded, eigh) takes an edit here, in
+    # lapack.py's exports and in the importers below
     want = {
-        "bandeig": {"dpbtrf", "dsbevx", "dsbmv", "dstev", "dtbsv"},
+        "bandeig": {"dpbtrf", "dsbevx", "dsbmv", "dstemr", "dstev", "dtbsv"},
         "deform": {"dgbsv", "dsytrf", "dsytrs"},
         "newton": {"brentq", "zgbsv"},
         "obstruction": {"dgtsv"},
@@ -243,5 +267,5 @@ def test_the_circle_modules_import_only_the_lapack_routines_they_call():
     assert imported == want
     defs, uses, _, _, _ = read_module(os.path.join(SRC, "lapack.py"))
     exported = {name for name in set(uses) | defs if not name.startswith("_")}
-    assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbevx", "dsbmv", "dstev",
-                        "dsytrf", "dsytrs", "dtbsv", "zgbsv"}
+    assert exported == {"brentq", "dgbsv", "dgtsv", "dpbtrf", "dsbevx", "dsbmv", "dstemr",
+                        "dstev", "dsytrf", "dsytrs", "dtbsv", "zgbsv"}

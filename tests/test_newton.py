@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from edl.series import FourierSeries1D
+from edl.config import MAX_N_MODES
+from edl.series import FourierSeries1D, TWO_PI
 from edl.deform import ExtendedSystem
 from edl.experiments import continuation_family
 from edl.lapack import brentq as edl_brentq
 from edl.newton import (
+    ROUGH_PRESET_AMPLITUDE,
+    ROUGH_PRESET_DECAY,
+    ROUGH_PRESET_PHASES,
+    ROUGH_PRESET_SEED,
     ToyProblem,
     eigenvalue_continuation,
     nash_moser_solve,
@@ -86,6 +91,27 @@ def test_smooth_preset_both_solvers_agree():
     assert len(tr_plain.steps) <= 8
     assert tr_nm.status == "converged"
     assert (u_plain - u_nm).sobolev_norm(2) < 1e-8
+
+
+def test_rough_preset_phases_are_numpys_frozen_draw():
+    # the phases were drawn by numpy's generator before the library left
+    # numpy.random; criterion 9 sits on a knife edge in them, so they must
+    # stay those floats bit for bit, one per admitted n_modes
+    want = np.random.default_rng(ROUGH_PRESET_SEED).uniform(0.0, TWO_PI, 207)
+    assert np.array_equal(np.array(ROUGH_PRESET_PHASES), want)
+    assert len(ROUGH_PRESET_PHASES) == MAX_N_MODES["nash-moser"]
+    # rough_f_preset(96) as it was built from a fresh draw
+    phases = np.random.default_rng(ROUGH_PRESET_SEED).uniform(0.0, TWO_PI, size=96)
+    modes = {}
+    for l in range(1, 97):
+        c = ROUGH_PRESET_AMPLITUDE * l ** (-ROUGH_PRESET_DECAY) * np.exp(1j * phases[l - 1])
+        modes[l] = c
+        modes[-l] = np.conj(c)
+    want = FourierSeries1D.from_modes(modes, 96)
+    got = rough_f_preset(96)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    with pytest.raises(ValueError, match="207 phases"):
+        rough_f_preset(208)
 
 
 def test_rough_preset_separates_the_iterations():

@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from edl.dirac import (
     obstruction_profiles,
     radial_bump,
 )
+from edl import obstruction
 from edl.obstruction import (
     annuli_decay,
     annulus_energy_norms,
@@ -375,8 +376,8 @@ def test_annulus_norms_capture_known_profile():
 # -- discrete maximum principle ------------------------------------------------------
 
 
-def test_max_principle_certifies_random_valid_instances(rng):
-    seq, barrier = sample_max_principle_instance(rng, 300, size=30, lam=0.45)
+def test_max_principle_certifies_random_valid_instances():
+    seq, barrier = sample_max_principle_instance(random.Random(20260815), 300, size=30, lam=0.45)
     assert seq.shape == barrier.shape == (300, 30)
     res = discrete_max_principle(seq, barrier, lam=0.45)
     assert res.certified.shape == (300,) and res.certified.all()
@@ -426,10 +427,10 @@ def _first_violations_one_row_at_a_time(r, lam):
     return None, (above[0] if above else None)
 
 
-def test_max_principle_reports_each_rows_first_violation(rng):
+def test_max_principle_reports_each_rows_first_violation():
     # valid rows among rows with each kind of violation, some with several:
     # every row gets its own first violation, and valid rows stay certified
-    seq, barrier = sample_max_principle_instance(rng, 12, size=9)
+    seq, barrier = sample_max_principle_instance(random.Random(20260815), 12, size=9)
     seq[1, 0] = barrier[1, 0] + 0.1  # left end
     seq[2, -1] = barrier[2, -1] + 0.1  # right end
     seq[3, 4] = barrier[3, 4] + 1.0  # interior
@@ -453,7 +454,8 @@ def test_max_principle_reports_each_rows_first_violation(rng):
     assert res.conclusion_violation == [None, 0, 8, 4, 2, 0, 3] + [None] * 5
 
 
-def test_sampler_returns_count_admissible_rows_within_its_budget(rng):
+def test_sampler_returns_count_admissible_rows_within_its_budget(monkeypatch):
+    rng = random.Random(20260815)
     for count, size, lam in ((1, 40, 0.4), (37, 12, 0.3), (5, 30, 0.45)):
         seq, barrier = sample_max_principle_instance(rng, count, size=size, lam=lam)
         assert seq.shape == barrier.shape == (count, size)
@@ -462,13 +464,13 @@ def test_sampler_returns_count_admissible_rows_within_its_budget(rng):
         assert np.all(r[:, 1:-1] <= lam * (r[:, :-2] + r[:, 2:]))
     # at lam 0.49 a 40-entry gap within 15 % of flat essentially never passes:
     # the sampler gives up after its 10000 proposals per instance
-    drawn = []
+    drawn, uniform = [], obstruction.uniform
 
-    def uniform(lo, hi, size):
+    def spy(rng, lo, hi, size):
         drawn.append(size)
-        return rng.uniform(lo, hi, size)
+        return uniform(rng, lo, hi, size)
 
-    spy = SimpleNamespace(uniform=uniform)
+    monkeypatch.setattr(obstruction, "uniform", spy)
     with pytest.raises(RuntimeError, match="admissible"):
-        sample_max_principle_instance(spy, 3, size=40, lam=0.49)
+        sample_max_principle_instance(rng, 3, size=40, lam=0.49)
     assert sum(rows for rows, _ in drawn) == 3 * 10000

@@ -2,6 +2,7 @@
 the closed-form operator assemblies against unit-vector probing, and the
 row-blocked kernel family residuals against the per-mode ones."""
 
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from edl.deform import (
 from edl.newton import ToyProblem, nash_moser_solve
 from edl.obstruction import gram_matrix, gram_tail_trend
 from edl.bandeig import _positive_definite, certified_spectrum, top_eigenvalue
+from edl.util import uniform
 from edl.bgvar import (
     MetricVariation,
     bg_apply,
@@ -441,3 +443,23 @@ def test_banded_gram_norms_match_dense_norms(seed, band, l_min, count):
     wgt = (1.0 + modes.astype(float) ** 2) ** (0.125 / 2.0)
     dense = np.linalg.norm(wgt[:, None] * k_block, 2)
     assert abs(rep.smoothing_norm - dense) <= 1e-14 * dense
+
+
+@PROPERTY
+@given(seeds, seeds, st.integers(0, 300), st.integers(0, 300), st.integers(-8, 8),
+       st.integers(1, 16))
+def test_uniform_draws_are_seeded_in_range_and_split(seed, other, a, b, low, width):
+    # the library's seeded arrays: [low, high) in the requested shape, the
+    # same for the same seed, different for another, and two draws read the
+    # stream that one draw of their total size reads
+    low, high = low / 4, (low + width) / 4
+    one = uniform(random.Random(seed), low, high, a + 2 * b)
+    assert one.shape == (a + 2 * b,)
+    assert np.all((low <= one) & (one < high))
+    assert np.array_equal(one, uniform(random.Random(seed), low, high, (a + 2 * b,)))
+    rng = random.Random(seed)
+    first, second = uniform(rng, low, high, a), uniform(rng, low, high, (b, 2))
+    assert first.shape == (a,) and second.shape == (b, 2)
+    assert np.array_equal(one, np.concatenate([first, second.ravel()]))
+    if seed != other and one.size:
+        assert not np.array_equal(one, uniform(random.Random(other), low, high, one.size))
