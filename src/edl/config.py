@@ -113,9 +113,13 @@ class ConfigError(ValueError):
 MATRIX_BYTE_BUDGET = 256 * 2**20
 
 # deform-op fits its loss exponents over truncations max(8, N/4) .. 2N, which
-# are pre-asymptotic below N = 10: n_modes 8 fails at 5 of 6 seeds, 9 at 4;
+# are pre-asymptotic at low N: over seeds 0-39 at samples 2 and 6, n_modes 10
+# fails at 15 and 7 seeds, 12 at 2 and 2, 14 at 0 and 1, and from 15 none
+# fails. Over seeds 40-199 seed 185 still fails at samples 2 from 14 to 17
+# (2->2 growth exponent 0.60-0.61 against 0.5 +/- 0.1), but 18 would exclude
+# the n_modes 16 of the small test configs;
 # continuation's right-hand side lives on modes |l| <= 6
-MIN_N_MODES = {"deform-op": 10, "continuation": 6}
+MIN_N_MODES = {"deform-op": 15, "continuation": 6}
 # nash-moser's rough preset was tuned at n_modes 96 and its higher norms grow
 # with N: from 208 up the smoothed rough run exhausts its steps or diverges,
 # and 207 passes (so do not all smaller values: up to 41, for one)
@@ -203,7 +207,18 @@ def dense_array_bound(cfg):
     at 49.1 to 49.5 bytes per entry from L = 600 to 1200. Below
     L = 128 numpy does not reuse the temporaries of that product in place,
     and the run peaks at 0.74 MB for L = 96, under the 1 MiB; run_gram's
-    envelopes (32 bytes per entry) and gram_tail_trend (0.15) sit below.
+    envelopes (32 bytes per entry) and gram_tail_trend (0.15) sit below;
+    decay: five 8-byte (rows, 40) arrays, rows = samples + min(100, samples)
+    comparison-principle instances of 40 entries, and 1 MiB: the one
+    discrete_max_principle call holds the instances, their barriers, their
+    difference, its interior defects and the stack of all hypotheses at
+    once; traced, the run peaks at 4.95 to 4.96 arrays from samples 5000 to
+    100000 and 5.11 at 1000, where fixed costs weigh more;
+    bg-check: 22 complex arrays of the displacement's 2 (l_max + 4) + 1
+    coefficients, one more than the 21 the run reaches, and 1 MiB: the
+    products of leading_variation's separable algebra hold the peak;
+    traced, the run peaks at 21.1 to 21.4 arrays from l_max 20000 to
+    131072, 26.4 at 3000 and at most 0.43 MB up to l_max 100.
     """
     n, nt, big_l = cfg.n_modes, 2 * cfg.l_max + 3, cfg.l_max - cfg.l_min + 1
     return {
@@ -212,6 +227,8 @@ def dense_array_bound(cfg):
         "continuation": ("n_modes", 13 * 8 * 39 * 2 * (2 * n + 1)),
         "obstruction": ("l_max", 4 * 16 * 1200 * nt + 5 * 8 * nt * 2 * big_l + 2**20),
         "gram": ("l_max", 7 * 8 * big_l**2 + 2**20),
+        "decay": ("samples", 5 * 8 * 40 * (cfg.samples + min(100, cfg.samples)) + 2**20),
+        "bg-check": ("l_max", 22 * 16 * (2 * (cfg.l_max + 4) + 1) + 2**20),
     }.get(cfg.experiment, ("n_modes", 0))
 
 

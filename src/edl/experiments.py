@@ -462,18 +462,17 @@ def run_decay(cfg):
     deviation = mean / (2.0 * cfg.r0) - 1.0
     _check(failures, abs(deviation) < DECAY_RATE_RTOL,
            f"mean rate {mean:.4f} is not 2 r0 = {2.0 * cfg.r0:g} within {DECAY_RATE_RTOL:g}")
-    # one batch: the rows after the first samples get an entry pushed above the barrier
-    rng = random.Random(cfg.seed)
+    # one batch: the rows after the first samples get an entry pushed above the
+    # barrier, which breaks the three-term inequality there
+    rng, lam = random.Random(cfg.seed), 0.4
     n_invalid = min(100, cfg.samples)
-    seq, barrier = sample_max_principle_instance(rng, cfg.samples + n_invalid)
-    valid_pass = int(np.sum(discrete_max_principle(
-        seq[:cfg.samples], barrier[:cfg.samples], 0.4).certified))
-    bad, bad_barrier = seq[cfg.samples:], barrier[cfg.samples:]
-    at = np.arange(n_invalid), [rng.randrange(1, seq.shape[1] - 1) for _ in range(n_invalid)]
-    bad[at] = bad_barrier[at] + uniform(rng, 0.5, 2.0, n_invalid)
-    result = discrete_max_principle(bad, bad_barrier, 0.4)
-    invalid_detect = sum(hyp is not None or con is not None for hyp, con in zip(
-        result.hypothesis_violation, result.conclusion_violation))
+    seq, barrier = sample_max_principle_instance(rng, cfg.samples + n_invalid, lam=lam)
+    at = (np.arange(cfg.samples, cfg.samples + n_invalid),
+          [rng.randrange(1, seq.shape[1] - 1) for _ in range(n_invalid)])
+    seq[at] = barrier[at] + uniform(rng, 0.5, 2.0, n_invalid)
+    certified = discrete_max_principle(seq, barrier, lam).certified
+    valid_pass = int(np.sum(certified[:cfg.samples]))
+    invalid_detect = int(np.sum(~certified[cfg.samples:]))
     _check(failures, valid_pass == cfg.samples,
            f"only {valid_pass}/{cfg.samples} valid instances certified")
     _check(failures, invalid_detect == n_invalid,

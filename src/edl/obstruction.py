@@ -339,29 +339,20 @@ def discrete_max_principle(sequence, barrier, lam, verify_hypotheses=True):
 
 
 def sample_max_principle_instance(rng, count, size=40, lam=0.4):
-    """Rejection-sample count sequence/barrier pairs satisfying the
-    hypotheses, as two (count, size) arrays, from rng, a random.Random.
+    """count sequence/barrier pairs satisfying the hypotheses, as two
+    (count, size) arrays, from rng, a random.Random.
 
-    Proposals are r = -a (1 + eps) with |eps| < 0.15; for 2 lam < 1 most such
-    near-flat negative gaps satisfy the three-term inequality, and the ones
-    that do not are rejected. a > 0 scales out, so a and the barrier are
-    drawn for admitted rows only; eps comes in chunks of up to 2^18 entries:
-    count rows first, then the rows still missing at the acceptance rate so
-    far and a quarter more, doubling while none is admitted. RuntimeError
-    after 10000 proposals per instance.
+    r = -a gap with a in [0.1, 3) per row and every gap entry within half of
+    delta = (1 - 2 lam) / (1 + 2 lam) of 1: the three-term inequality
+    gap_n >= lam (gap_{n-1} + gap_{n+1}) holds for any gaps within delta of 1,
+    and the other half leaves a margin of a (1 - 2 lam) / 2 for the rounding
+    of barrier + r - barrier. Draws count (2 size + 1) doubles: the gaps, the
+    barrier in [0, 2), then a.
     """
-    most = max(1, 2**18 // size)
-    budget, chunk, kept, found, proposed = 10000 * count, min(count, most), [], 0, 0
-    while found < count:
-        drawn = min(chunk, budget)
-        if drawn == 0:
-            raise RuntimeError("sampler failed to find an admissible instance")
-        budget, proposed = budget - drawn, proposed + drawn
-        gap = 1.0 + uniform(rng, -0.15, 0.15, (drawn, size))
-        kept.append(gap[np.all(gap[:, 1:-1] >= lam * (gap[:, :-2] + gap[:, 2:]), axis=1)])
-        found += len(kept[-1])
-        missing = math.ceil(1.25 * (count - found) * proposed / found) if found else 2 * chunk
-        chunk = min(missing, most)
+    if not (0.0 <= lam and 2.0 * lam < 1.0):
+        raise ValueError("the comparison weight must satisfy 0 <= 2 lam < 1")
+    delta = 0.5 * (1.0 - 2.0 * lam) / (1.0 + 2.0 * lam)
+    gap = 1.0 + uniform(rng, -delta, delta, (count, size))
     barrier = uniform(rng, 0.0, 2.0, (count, size))
-    r = -uniform(rng, 0.1, 3.0, (count, 1)) * np.concatenate(kept)[:count]
+    r = -uniform(rng, 0.1, 3.0, (count, 1)) * gap
     return barrier + r, barrier

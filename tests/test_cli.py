@@ -331,21 +331,21 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
 
 
 def test_n_modes_floor_of_the_circle_commands(tmp_path, capsys):
-    # only validated, never run: deform-op below n_modes 10 fits its loss
-    # exponents over pre-asymptotic truncations and fails at most seeds (at
-    # n_modes 1 the fit crashes), and continuation's right-hand side has
-    # modes up to |l| = 6
-    for command, least in (("deform-op", 10), ("continuation", 6)):
+    # only validated, never run: deform-op below n_modes 15 fits its loss
+    # exponents over pre-asymptotic truncations and fails at some of seeds
+    # 0-39 (at n_modes 10 at 15 of them with samples 2; at n_modes 1 the fit
+    # crashes), and continuation's right-hand side has modes up to |l| = 6
+    for command, least in (("deform-op", 15), ("continuation", 6)):
         for n in range(1, least):
             with pytest.raises(ConfigError, match=f"at least {least} for {command}"):
                 build_config(command, {"n_modes": n})
         assert build_config(command, {"n_modes": least}).n_modes == least
     assert build_config("nash-moser", {"n_modes": 1}).n_modes == 1
     cfgfile = tmp_path / "small.cfg"
-    cfgfile.write_text("n_modes = 9\n")
+    cfgfile.write_text("n_modes = 14\n")
     rc = main(["deform-op", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 2
-    assert "at least 10" in capsys.readouterr().err
+    assert "at least 15" in capsys.readouterr().err
     assert not (tmp_path / "deform-op").exists()
 
 
@@ -403,7 +403,8 @@ def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     # slabs, nt = 2 l_max + 3, the synthesized field at one theta sample and
     # the profile arrays, five 8-byte nt x 2 l_max arrays, the projection's
     # pairing and DFT rows, and 1 MiB; gram seven 8-byte L x L matrices and
-    # 1 MiB
+    # 1 MiB; bg-check 22 complex arrays of the displacement's 2 (l_max + 4) + 1
+    # coefficients and 1 MiB
     top = max(l for l in range(1, 4096)
               if 4 * 16 * 1200 * (2 * l + 3) + 5 * 8 * (2 * l + 3) * 2 * l + 2**20
               <= MATRIX_BYTE_BUDGET)
@@ -418,18 +419,42 @@ def test_l_range_bounded_by_array_budget(tmp_path, capsys):
     assert build_config("gram", {"l_min": 500, "l_max": 499 + span}).l_max == 499 + span
     with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
         build_config("gram", {"l_min": 500, "l_max": 500 + span})
+    reach = max(l for l in range(1, 2**19)
+                if 22 * 16 * (2 * (l + 4) + 1) + 2**20 <= MATRIX_BYTE_BUDGET)
+    assert reach == 379806
+    assert build_config("bg-check", {"l_max": reach}).l_max == reach
+    with pytest.raises(ConfigError, match="l_max.*MiB.*budget"):
+        build_config("bg-check", {"l_max": reach + 1})
     # every default is accepted, and l ranges that size no dense array are free
     for command in COMMAND_DEFAULTS:
         assert build_config(command).experiment == command
     assert build_config("conormal", {"l_max": 10**6}).l_max == 10**6
     for command, line in (("obstruction", f"l_max = {top + 1}"),
-                          ("gram", f"l_max = {span + 1}")):
+                          ("gram", f"l_max = {span + 1}"),
+                          ("bg-check", f"l_max = {reach + 1}")):
         cfgfile = tmp_path / f"{command}.cfg"
         cfgfile.write_text(line + "\n")
         rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 2
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+
+def test_decay_samples_bounded_by_array_budget(tmp_path, capsys):
+    # only validated, never run: decay checks samples + min(100, samples)
+    # instances of 40 entries in one batch, five 8-byte arrays of them at
+    # once, and 1 MiB
+    most = max(n for n in range(1, 2**18)
+               if 5 * 8 * 40 * (n + min(100, n)) + 2**20 <= MATRIX_BYTE_BUDGET)
+    assert most == 167016
+    assert build_config("decay", {"samples": most}).samples == most
+    with pytest.raises(ConfigError, match="samples.*MiB.*budget"):
+        build_config("decay", {"samples": most + 1})
+    cfgfile = tmp_path / "many.cfg"
+    cfgfile.write_text("samples = 10000000\n")
+    assert main(["decay", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "decay").exists()
 
 
 def test_gram_range_floor(tmp_path, capsys):
@@ -577,26 +602,37 @@ def test_modes_r_max_range(tmp_path, capsys):
     assert main(["modes", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
 
 
-RADIAL_DRAWS = {
+ADMITTED_DRAWS = {
     "l_min": st.integers(1, 64),
     "l_max": st.integers(1, 64),
+    "n_modes": st.integers(1, 48),
     "seed": st.integers(0, 2**32 - 1),
-    "samples": st.integers(1, 20),
+    "samples": st.integers(1, 300),
     "r0": st.integers(1, 128).map(lambda eighths: eighths / 8.0),
     # 0.1 to 10000 in steps of 10^{1/10}: both ends of obstruction's r_max range
     "r_max": st.integers(-10, 40).map(lambda tenths: float(f"{10 ** (tenths / 10):.3g}")),
 }
+# deform-op draws both of its sizes every time: its defaults, n_modes 128 and
+# samples 6 (each sample a full set of diagnostics), cost more than the bound
+ALWAYS_DRAWN = {"deform-op": {"n_modes": st.integers(1, 48), "samples": st.integers(1, 2)}}
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from(["obstruction", "conormal", "gram", "decay"]), st.data())
-def test_admitted_radial_configs_pass(tmp_path_factory, command, data):
+# bg-check and nash-moser are left out: admitted bg-check l ranges with fewer
+# than three probes or a low l_min exit 1 (ROADMAP item 8), and so do 57 of
+# the 207 admitted nash-moser n_modes (ROADMAP item 3)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["modes", "obstruction", "conormal", "gram", "decay",
+                        "deform-op", "continuation"]), st.data())
+def test_admitted_configs_pass(tmp_path_factory, command, data):
     # what the validator admits runs and passes (exit 0), and what it rejects
-    # exits 2, never 1 or 3, over the sizing keys the four radial commands
-    # read, at bounded cost (l up to 64, up to 20 samples, r0 up to 16), and
-    # r_max; tol stays at its default: it sets the accuracy a run is held to
-    keys = data.draw(st.lists(st.sampled_from(sorted(RADIAL_DRAWS)), unique=True))
-    overrides = {k: data.draw(RADIAL_DRAWS[k], label=k) for k in keys}
+    # exits 2, never 1 or 3, over the sizing keys the commands read, at
+    # bounded cost (l up to 64, n_modes up to 48, up to 300 samples, 2 for
+    # deform-op, r0 up to 16), and r_max; tol stays at its default: it sets
+    # the accuracy a run is held to
+    always = ALWAYS_DRAWN.get(command, {})
+    draws = dict(ADMITTED_DRAWS, **always)
+    keys = data.draw(st.lists(st.sampled_from(sorted(draws.keys() - always)), unique=True))
+    overrides = {k: data.draw(draws[k], label=k) for k in keys + sorted(always)}
     folder = tmp_path_factory.mktemp(command)
     cfgfile = folder / "drawn.cfg"
     cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()))
@@ -615,6 +651,8 @@ def test_admitted_radial_configs_pass(tmp_path_factory, command, data):
     ("nash-moser", {"n_modes": 207}),
     ("deform-op", {"n_modes": 256, "samples": 1}),
     ("continuation", {"n_modes": 512}),
+    ("decay", {"samples": 20000}),
+    ("bg-check", {"l_max": 20000}),
 ])
 def test_every_array_budget_bounds_its_run(command, keys):
     # at these sizes the arrays the budget counts dominate the run; a first

@@ -455,22 +455,26 @@ def test_max_principle_reports_each_rows_first_violation():
 
 
 def test_sampler_returns_count_admissible_rows_within_its_budget(monkeypatch):
-    rng = random.Random(20260815)
-    for count, size, lam in ((1, 40, 0.4), (37, 12, 0.3), (5, 30, 0.45)):
-        seq, barrier = sample_max_principle_instance(rng, count, size=size, lam=lam)
-        assert seq.shape == barrier.shape == (count, size)
-        r = seq - barrier
-        assert np.all(r < 0.0) and np.all((barrier >= 0.0) & (barrier <= 2.0))
-        assert np.all(r[:, 1:-1] <= lam * (r[:, :-2] + r[:, 2:]))
-    # at lam 0.49 a 40-entry gap within 15 % of flat essentially never passes:
-    # the sampler gives up after its 10000 proposals per instance
+    # the gaps lie within half of (1 - 2 lam) / (1 + 2 lam) of flat, so every
+    # row passes the checker's own hypothesis check up to 2 lam -> 1, from
+    # exactly two doubles per entry and one per row
     drawn, uniform = [], obstruction.uniform
 
     def spy(rng, lo, hi, size):
-        drawn.append(size)
+        drawn.append(math.prod((size,) if isinstance(size, int) else size))
         return uniform(rng, lo, hi, size)
 
     monkeypatch.setattr(obstruction, "uniform", spy)
-    with pytest.raises(RuntimeError, match="admissible"):
-        sample_max_principle_instance(rng, 3, size=40, lam=0.49)
-    assert sum(rows for rows, _ in drawn) == 3 * 10000
+    rng = random.Random(20260815)
+    for count, size, lam in ((1, 40, 0.0), (37, 12, 0.3), (300, 40, 0.4), (5, 30, 0.45),
+                             (200, 40, 0.49)):
+        drawn.clear()
+        seq, barrier = sample_max_principle_instance(rng, count, size=size, lam=lam)
+        assert seq.shape == barrier.shape == (count, size)
+        assert sum(drawn) == count * (2 * size + 1)
+        assert np.all((barrier >= 0.0) & (barrier <= 2.0))
+        res = discrete_max_principle(seq, barrier, lam)
+        assert res.certified.all() and res.hypothesis_violation == [None] * count
+    for lam in (-0.01, 0.5, 0.6):
+        with pytest.raises(ValueError, match="0 <= 2 lam < 1"):
+            sample_max_principle_instance(rng, 3, lam=lam)
