@@ -1,7 +1,7 @@
 """Command-line driver: run one experiment family, write CSV/JSON/SVG artifacts.
 
-Exit status: 0 when every configured assertion passes (or assertions are
-disabled), 1 with a machine-readable failure list when an assertion fails,
+Exit status: 0 when every configured assertion passes, 1 with a
+machine-readable failure list when an assertion fails,
 2 on configuration or usage errors, 3 when the runner or the artifact
 writer crashes (a singular matrix, a full disk): that leaves only a
 `summary.json` with `pass: false` and `error: "<Type>: <message>"`, or
@@ -50,8 +50,6 @@ def make_parser():
     parser.add_argument("--config", metavar="PATH", help="flat key=value settings file")
     parser.add_argument("--out", metavar="DIR", help="artifact directory (default edl-out)")
     parser.add_argument("--seed", type=int, help="seed for randomized suites")
-    parser.add_argument("--assert", dest="do_assert", action=argparse.BooleanOptionalAction,
-                        help="enforce the experiment's acceptance assertions")
     return parser
 
 
@@ -60,8 +58,7 @@ def _resolve_config(args):
         cfg = load_config(args.config, experiment=args.command)
     else:
         cfg = build_config(args.command)
-    return with_overrides(cfg, out_dir=args.out, seed=args.seed,
-                          do_assert=args.do_assert)
+    return with_overrides(cfg, out_dir=args.out, seed=args.seed)
 
 
 def write_artifacts(outcome, out_dir):
@@ -99,7 +96,7 @@ def main(argv=None):
         return 3
     status = "pass" if outcome.passed else "FAIL"
     print(f"{cfg.experiment}: {status} ({len(outcome.rows)} rows -> {folder})")
-    if not outcome.passed and cfg.do_assert:
+    if not outcome.passed:
         print(json.dumps({"failures": outcome.failures}, sort_keys=True))
         return 1
     return 0

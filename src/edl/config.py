@@ -31,7 +31,6 @@ class ExperimentConfig:
     samples: int = 200
     seed: int = 20260815
     out_dir: str = "edl-out"
-    do_assert: bool = True
 
     def validate(self):
         for name in sorted(_FLOAT_KEYS):
@@ -39,16 +38,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_modes <= 0:
             raise ConfigError(f"n_modes must be positive, got {self.n_modes}")
-        least = MIN_N_MODES.get(self.experiment, 1)
-        if self.n_modes < least:
-            raise ConfigError(
-                f"n_modes must be at least {least} for {self.experiment}, got {self.n_modes}"
-            )
-        most = MAX_N_MODES.get(self.experiment, self.n_modes)
-        if self.n_modes > most:
-            raise ConfigError(
-                f"n_modes must be at most {most} for {self.experiment}, got {self.n_modes}"
-            )
         if self.l_min <= 0:
             raise ConfigError(f"l_min must be positive, got {self.l_min}")
         if self.l_max < self.l_min:
@@ -58,17 +47,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.experiment} needs at least {MIN_PROBE_MODES} modes, got {span}"
             )
-        if self.experiment == "conormal" and self.l_min < MIN_CONORMAL_L:
-            raise ConfigError(
-                f"l_min must be at least {MIN_CONORMAL_L} for conormal, got {self.l_min}"
-            )
+        # the probes are l_min 2^j up to l_max: on two the deviation exponent is undefined
+        if self.experiment == "bg-check" and self.l_max < 4 * self.l_min:
+            raise ConfigError(f"bg-check needs three probes, l_max at least 4 l_min = "
+                              f"{4 * self.l_min}, got {self.l_max}")
         for name in ("r0", "r_max", "eps0", "tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.experiment == "decay" and self.r0 > MAX_DECAY_R0:
-            raise ConfigError(f"r0 must be at most {MAX_DECAY_R0} for decay, got {self.r0}")
-        if self.experiment == "decay" and self.r0 < MIN_DECAY_R0:
-            raise ConfigError(f"r0 must be at least {MIN_DECAY_R0} for decay, got {self.r0}")
+        for key, (least, most) in LIMITS.get(self.experiment, {}).items():
+            value = getattr(self, key)
+            where = f"for {self.experiment}, got {value}"
+            if least is not None and value < least:
+                raise ConfigError(f"{key} must be at least {least} {where}")
+            if most is not None and value > most:
+                raise ConfigError(f"{key} must be at most {most} {where}")
         if self.experiment == "modes" and self.tol < MODES_TOL_FLOOR * self.l_max:
             raise ConfigError(f"tol must be at least {MODES_TOL_FLOOR:g} l_max = "
                               f"{MODES_TOL_FLOOR * self.l_max:.3g} for modes, got {self.tol:g}")
@@ -112,35 +104,45 @@ class ConfigError(ValueError):
 
 MATRIX_BYTE_BUDGET = 256 * 2**20
 
-# deform-op fits its loss exponents over truncations max(8, N/4) .. 2N, which
-# are pre-asymptotic at low N: over seeds 0-39 at samples 2 and 6, n_modes 10
-# fails at 15 and 7 seeds, 12 at 2 and 2, 14 at 0 and 1, and from 15 none
-# fails. Over seeds 40-199 seed 185 still fails at samples 2 from 14 to 17
-# (2->2 growth exponent 0.60-0.61 against 0.5 +/- 0.1), but 18 would exclude
-# the n_modes 16 of the small test configs;
-# continuation's right-hand side lives on modes |l| <= 6
-MIN_N_MODES = {"deform-op": 15, "continuation": 6}
-# nash-moser's rough preset was tuned at n_modes 96 and its higher norms grow
-# with N: from 208 up the smoothed rough run exhausts its steps or diverges,
-# and 207 passes (so do not all smaller values: up to 41, for one)
-MAX_N_MODES = {"nash-moser": 207}
 # so that gram's last tail cutoff keeps a coupled pair of modes, and conormal
 # fits its rate through at least three probe modes
 MIN_PROBE_MODES = 3
-# conormal's slopes are pre-asymptotic on the lowest modes: l_min 1 to 3 fail
-# with l_max 256, 4 to 6 on short ranges (6..10); from 7 every l_max tried
-# passes, each of 9 to 1024 and up to 200000
-MIN_CONORMAL_L = 7
-# each of decay's annuli loses e^{-2 r0} and annuli_decay fits only the norms
-# above 1e-14 of the first, so a second annulus is left only for
-# r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit raises ValueError
-MAX_DECAY_R0 = 16.0
-# decay holds its mean rate per annulus to 2 r0 within DECAY_RATE_RTOL. The
-# decaying branch's energy carries (1 + 1/(2 l r))^2 next to e^{-2 l r}, so the
-# rate exceeds 2 r0 by 46 % at r0 0.1, 1.9 % at 0.5 and 1 % at 0.656, whatever
-# l is; from 0.75 to 16 it stays within 0.71 % (swept in steps of 1/8)
+# decay holds its mean rate per annulus to 2 r0 within DECAY_RATE_RTOL
 DECAY_RATE_RTOL = 0.01
-MIN_DECAY_R0 = 0.75
+# command -> {key: (least, most)}, None for no bound; each row's comment cites
+# the sweep that measured it
+LIMITS = {
+    # deform-op fits its loss exponents over truncations max(8, N/4) .. 2N,
+    # which are pre-asymptotic at low N: over seeds 0-39 at samples 2 and 6,
+    # n_modes 10 fails at 15 and 7 seeds, 12 at 2 and 2, 14 at 0 and 1; over
+    # seeds 0-199 seed 185 fails at samples 2 from 14 to 17 (2->2 growth
+    # exponent 0.60-0.61 against 0.5 +/- 0.1), and from 18 to 20 none fails
+    "deform-op": {"n_modes": (18, None)},
+    # continuation's right-hand side lives on modes |l| <= 6
+    "continuation": {"n_modes": (6, None)},
+    # nash-moser's rough preset was tuned at n_modes 96 and its higher norms
+    # grow with N: from 208 up the smoothed rough run exhausts its steps or
+    # diverges, and 207 passes (so do not all smaller values: up to 41, for one)
+    "nash-moser": {"n_modes": (None, 207)},
+    # conormal's slopes are pre-asymptotic on the lowest modes: l_min 1 to 3
+    # fail with l_max 256, 4 to 6 on short ranges (6..10); from 7 every l_max
+    # tried passes, each of 9 to 1024 and up to 200000
+    "conormal": {"l_min": (7, None)},
+    # each of decay's annuli loses e^{-2 r0} and annuli_decay fits only the
+    # norms above 1e-14 of the first, so a second annulus is left only for
+    # r0 < 7 ln 10 = 16.12; from 16.1 up the one-point fit raises ValueError.
+    # The decaying branch's energy carries (1 + 1/(2 l r))^2 next to
+    # e^{-2 l r}, so the rate exceeds 2 r0 by 46 % at r0 0.1, 1.9 % at 0.5 and
+    # 1 % (DECAY_RATE_RTOL) at 0.656, whatever l is; from 0.75 to 16 it stays
+    # within 0.71 % (swept in steps of 1/8)
+    "decay": {"r0": (0.75, 16.0)},
+    # bg-check's deviation exponent is pre-asymptotic at low l_min: over
+    # l_min 1-16 and every l_max from 4 to 64 l_min (8,176 runs), l_min 1, 2,
+    # 3 and 4 fail at 53, 121, 36 and 16 l_max (4 at 16 to 31), and the worst
+    # exponents at l_min 5 to 8 are -0.820, -0.861, -0.887 and -0.905 against
+    # -0.8; 257 draws from l_min 5 to 2000 all pass
+    "bg-check": {"l_min": (5, None)},
+}
 # modes checks mode l on r in [1e-4, 1] r_max / (3 |l|), where e^{-|l| r} does
 # not depend on l. On l 1, 1..32, 1..2000 and 10^5..10^5+4 its residuals grow
 # like 1.2-1.75e-14 l_max / r_max below r_max 1 and 1.2-1.7e-14 l_max / sqrt(r_max)
@@ -232,12 +234,10 @@ def dense_array_bound(cfg):
     }.get(cfg.experiment, ("n_modes", 0))
 
 
-# key -> annotation string ("int", "float", "str", "bool"); the experiment
-# name comes from the command, never from a config file
+# key -> annotation string ("int", "float" or "str"); the experiment name
+# comes from the command, never from a config file
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "experiment"}
-_INT_KEYS = {k for k, t in _KEY_TYPES.items() if t == "int"}
 _FLOAT_KEYS = {k for k, t in _KEY_TYPES.items() if t == "float"}
-_BOOL_KEYS = {k for k, t in _KEY_TYPES.items() if t == "bool"}
 
 COMMAND_DEFAULTS = {
     "modes": dict(l_max=32, r_max=26.0, tol=1e-8),
@@ -254,17 +254,7 @@ COMMAND_DEFAULTS = {
 
 def _parse_value(key, raw, line_no):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return raw
+        return {"int": int, "float": float, "str": str}[_KEY_TYPES[key]](raw)
     except ValueError:
         raise ConfigError(
             f"line {line_no}: invalid value {raw!r} for key {key!r}"

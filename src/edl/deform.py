@@ -24,8 +24,8 @@ with JW = [[0, L], [L^T, 0]], whose eigenvalues are +-sigma, #{sigma < tau}
 LDL^T of the block-tridiagonal JW (Haynsworth inertia additivity).  The
 Fredholm diagnostics read two values of each truncation's Gram, sigma_max^2
 and sigma_{k+1}^2, from a short certified Lanczos run (bandeig.py),
-warm-started from the previous truncation's Ritz vectors.  The dense SVD and
-Gram routes stay as test oracles.  The bordered system is written into T's
+warm-started from the previous truncation's Ritz vectors.  The dense SVD
+stays as their test oracle.  The bordered system is written into T's
 band and solved by banded LU.
 """
 from __future__ import annotations
@@ -233,15 +233,6 @@ class RealizedOperator:
             if m + 1 < blocks:
                 schur = upper[m].T @ dsytrs(ldu, ipiv, upper[m], lower=1)[0]
         return negative - n - 2 * pad
-
-    def dense_operator_norm(self, m_out=0.0, m_in=0.0):
-        """sigma_max from the dense Gram matrix: the test oracle for
-        operator_norm."""
-        w_out = _graded_weights(self.n_out, m_out)
-        w_in = _graded_weights(self.n_in, m_in)
-        graded = self.matrix * w_out[:, None] / w_in[None, :]
-        top = np.linalg.eigvalsh(graded.T @ graded)[-1]
-        return float(np.sqrt(max(top, 0.0)))
 
     def singular_values(self):
         """All singular values by dense SVD: the test oracle for the banded

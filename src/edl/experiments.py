@@ -470,9 +470,10 @@ def run_decay(cfg):
     at = (np.arange(cfg.samples, cfg.samples + n_invalid),
           [rng.randrange(1, seq.shape[1] - 1) for _ in range(n_invalid)])
     seq[at] = barrier[at] + uniform(rng, 0.5, 2.0, n_invalid)
-    certified = discrete_max_principle(seq, barrier, lam).certified
-    valid_pass = int(np.sum(certified[:cfg.samples]))
-    invalid_detect = int(np.sum(~certified[cfg.samples:]))
+    check = discrete_max_principle(seq, barrier, lam)
+    valid_pass = int(np.sum(check.certified[:cfg.samples]))
+    # pinpointed: the first hypothesis a perturbed row breaks is at its entry
+    invalid_detect = sum(check.hypothesis_violation[row] == ("interior", j) for row, j in zip(*at))
     _check(failures, valid_pass == cfg.samples,
            f"only {valid_pass}/{cfg.samples} valid instances certified")
     _check(failures, invalid_detect == n_invalid,

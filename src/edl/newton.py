@@ -17,8 +17,8 @@ complex-linear, I + 2 diag(i l) Toep_N(u), and lies within
 b = max{|l| : u_l != 0} of the diagonal.  S_eps cuts every mode above 2/eps,
 so the first smoothed steps are narrow bands, and each step solves its
 system of side 2N+1 by one banded LU with partial pivoting (zgbsv, Golub &
-Van Loan 4.3) written straight from the coefficients of u.  The dense
-Jacobian and probing by unit vectors are test oracles only.  The loop
+Van Loan 4.3) written straight from the coefficients of u.  The tests hold
+it to the Jacobian probed column by column from derivative_apply.  The loop
 works on the problem's band n_modes, monitors the residual in the graded
 norm of level M0, and takes F and its linear solves from the problem;
 ToyProblem is the one problem.
@@ -142,20 +142,6 @@ class ToyProblem:
     def derivative_apply(self, u, v):
         u, v = u.truncate(self.n_modes), v.truncate(self.n_modes)
         return v + 2.0 * derivative(multiply(u, v)).truncate(self.n_modes)
-
-    def jacobian(self, u):
-        """Complex matrix of dF(u): I + 2 diag(i l) Toep_N(u),
-        the dense test oracle of solve_linearized.
-
-        Row l of Toep_N(u) is u_{l-m}, m = -N..N: a window of u_{2N}, ...,
-        u_{-2N}, read as a strided view so the only array built is the result.
-        """
-        n = self.n_modes
-        u = u.truncate(n)
-        windows = sliding_window_view(u.truncate(2 * n).coeffs[::-1], 2 * n + 1)
-        jac = windows[::-1] * (2.0j * u.modes())[:, None]
-        jac[np.diag_indices_from(jac)] += 1.0
-        return jac
 
     def solve_linearized(self, u, g):
         """dF(u)^{-1} g by banded LU on the band b = max{|l| : u_l != 0}.

@@ -237,7 +237,7 @@ DETERMINISM_CONFIGS = {
     "conormal": "",
     "gram": "",
     "deform-op": "n_modes = 64\nsamples = 3\n",
-    "bg-check": "l_min = 4\nl_max = 16\n",
+    "bg-check": "l_min = 8\nl_max = 32\n",
     "decay": "samples = 50\n",
     "nash-moser": "",
     "continuation": "",
@@ -247,7 +247,7 @@ DETERMINISM_CONFIGS = {
 def test_criterion_12_deterministic_artifacts(tmp_path):
     def run_all(out_dir):
         for command, text in DETERMINISM_CONFIGS.items():
-            argv = [command, "--out", str(out_dir), "--seed", "17", "--no-assert"]
+            argv = [command, "--out", str(out_dir), "--seed", "17"]
             if text:
                 cfg = tmp_path / f"{command}.cfg"
                 cfg.write_text(text)

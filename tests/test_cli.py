@@ -16,7 +16,7 @@ from edl.cli import _COMMAND_HELP, main, make_parser, write_artifacts
 from edl.config import (
     COMMAND_DEFAULTS,
     MATRIX_BYTE_BUDGET,
-    MAX_N_MODES,
+    LIMITS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -48,11 +48,10 @@ def test_empty_config_gives_defaults():
 
 
 def test_overrides_and_comments():
-    text = "# probe band\nl_max = 64\n\nseed=7\ndo_assert = false\n"
+    text = "# probe band\nl_max = 64\n\nseed=7\n"
     cfg = parse_config_text(text, experiment="conormal")
     assert cfg.l_max == 64
     assert cfg.seed == 7
-    assert cfg.do_assert is False
 
 
 def test_unknown_key_suggests_and_names_line():
@@ -87,13 +86,10 @@ _OVERRIDE_VALUES = {
     "samples": st.integers(1, 1000),
     "seed": st.integers(0, 2**63 - 1),
     "out_dir": st.text("abcxyz019_-./", min_size=1, max_size=12),
-    "do_assert": st.booleans(),
 }
 
 
 def _render(value):
-    if isinstance(value, bool):
-        return str(value).lower()
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -167,12 +163,12 @@ class _ReadRecorder:
 
 def test_every_config_field_is_read_by_some_runner():
     # a key no runner reads is validated and documented but changes nothing;
-    # the cli reads out_dir and do_assert, and experiment names the runner
+    # the cli reads out_dir, and experiment names the runner
     seen = set()
     for command, runner in EXPERIMENTS.items():
         runner(_ReadRecorder(build_config(command), seen))
     unread = {f.name for f in fields(ExperimentConfig)} - seen
-    assert unread - {"experiment", "out_dir", "do_assert"} == set()
+    assert unread - {"experiment", "out_dir"} == set()
 
 
 # -- artifact schema ----------------------------------------------------------------------
@@ -252,12 +248,23 @@ def test_exit_one_with_failure_list(tmp_path, capsys):
         assert json.load(handle)["pass"] is False
 
 
-def test_no_assert_downgrades_to_zero(tmp_path):
-    cfgfile = tmp_path / "strict.cfg"
-    cfgfile.write_text("tol = 1e-15\n")
-    rc = main(["conormal", "--config", str(cfgfile), "--no-assert",
-               "--out", str(tmp_path / "o")])
-    assert rc == 0
+def test_no_assert_option_is_a_usage_error(tmp_path, capsys):
+    # exit 1 always means a failed check: no option turns it into 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--no-assert", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: edl") and "unrecognized arguments: --no-assert" in err
+    assert not (tmp_path / "gram").exists()
+
+
+def test_do_assert_key_is_unknown(tmp_path, capsys):
+    cfgfile = tmp_path / "lenient.cfg"
+    cfgfile.write_text("do_assert = false\n")
+    rc = main(["gram", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "unknown key 'do_assert'" in capsys.readouterr().err
+    assert not (tmp_path / "gram").exists()
 
 
 def test_reused_parser_carries_no_arguments_between_calls(tmp_path, monkeypatch):
@@ -271,13 +278,13 @@ def test_reused_parser_carries_no_arguments_between_calls(tmp_path, monkeypatch)
                         lambda args: resolved.append(real(args)) or resolved[-1])
     cfgfile = tmp_path / "short.cfg"
     cfgfile.write_text("l_min = 8\nl_max = 10\ntol = 0.5\n")
-    assert main(["conormal", "--config", str(cfgfile), "--seed", "5", "--no-assert",
+    assert main(["conormal", "--config", str(cfgfile), "--seed", "5",
                  "--out", str(tmp_path / "a")]) == 0
     assert main(["gram", "--out", str(tmp_path / "b")]) == 0
     assert main(["conormal", "--out", str(tmp_path / "c")]) == 0
     assert edl.cli.make_parser() is edl.cli.make_parser()
     first, second, third = resolved
-    assert (first.experiment, first.l_max, first.seed, first.do_assert) == ("conormal", 10, 5, False)
+    assert (first.experiment, first.l_max, first.seed) == ("conormal", 10, 5)
     assert second == with_overrides(build_config("gram"), out_dir=str(tmp_path / "b"))
     assert third == with_overrides(build_config("conormal"), out_dir=str(tmp_path / "c"))
 
@@ -315,7 +322,7 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
                      if 16 * (3 * n + 1) * (2 * n + 1) + 2**20 <= MATRIX_BYTE_BUDGET)
     assert newton_cap == 1668
     # nash-moser's run cap (test_nash_moser_n_modes_cap) lies below its budget
-    assert MAX_N_MODES["nash-moser"] < newton_cap
+    assert LIMITS["nash-moser"]["n_modes"] == (None, 207) and 207 < newton_cap
     with pytest.raises(ConfigError, match="n_modes"):
         with_overrides(build_config("nash-moser"), n_modes=10**6)
     with pytest.raises(ConfigError, match="n_modes"):
@@ -331,21 +338,22 @@ def test_n_modes_bounded_by_matrix_budget(tmp_path, capsys):
 
 
 def test_n_modes_floor_of_the_circle_commands(tmp_path, capsys):
-    # only validated, never run: deform-op below n_modes 15 fits its loss
+    # only validated, never run: deform-op below n_modes 18 fits its loss
     # exponents over pre-asymptotic truncations and fails at some of seeds
-    # 0-39 (at n_modes 10 at 15 of them with samples 2; at n_modes 1 the fit
-    # crashes), and continuation's right-hand side has modes up to |l| = 6
-    for command, least in (("deform-op", 15), ("continuation", 6)):
+    # 0-199 (at n_modes 10 at 15 of them with samples 2, at 15 to 17 at seed
+    # 185; at n_modes 1 the fit crashes), and continuation's right-hand side
+    # has modes up to |l| = 6
+    for command, least in (("deform-op", 18), ("continuation", 6)):
         for n in range(1, least):
             with pytest.raises(ConfigError, match=f"at least {least} for {command}"):
                 build_config(command, {"n_modes": n})
         assert build_config(command, {"n_modes": least}).n_modes == least
     assert build_config("nash-moser", {"n_modes": 1}).n_modes == 1
     cfgfile = tmp_path / "small.cfg"
-    cfgfile.write_text("n_modes = 14\n")
+    cfgfile.write_text("n_modes = 17\n")
     rc = main(["deform-op", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 2
-    assert "at least 15" in capsys.readouterr().err
+    assert "at least 18" in capsys.readouterr().err
     assert not (tmp_path / "deform-op").exists()
 
 
@@ -505,6 +513,26 @@ def test_conormal_l_min_floor(tmp_path, capsys):
     assert build_config("gram", {"l_min": 1}).l_min == 1
 
 
+def test_bg_check_probe_floors(tmp_path, capsys):
+    # the probes are l_min 2^j up to l_max: two of them (8..16 to 8..31) left
+    # the deviation exponent undefined, and below l_min 5 it is pre-asymptotic
+    # (-0.747 at l 4..16 against [-1.2, -0.8]); both exited 1
+    cfgfile = tmp_path / "short.cfg"
+    for text, message in (
+        ("l_min = 8\nl_max = 31\n", "bg-check needs three probes, l_max at least 4 l_min = 32"),
+        ("l_min = 4\nl_max = 16\n", "l_min must be at least 5 for bg-check, got 4"),
+    ):
+        cfgfile.write_text(text)
+        rc = main(["bg-check", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"edl: config error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "bg-check").exists()
+    for text in ("l_min = 8\nl_max = 32\n", "l_min = 5\nl_max = 20\n"):
+        cfgfile.write_text(text)
+        assert main(["bg-check", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+
 def test_obstruction_r_max_floor_and_cap(tmp_path, capsys):
     # at the default tol 1e-5 the grid loses e^{-2 r_max} of mode 1 and
     # 2e-9 r_max of mode l_max: r_max 5 and 10000 failed their recovery
@@ -617,12 +645,10 @@ ADMITTED_DRAWS = {
 ALWAYS_DRAWN = {"deform-op": {"n_modes": st.integers(1, 48), "samples": st.integers(1, 2)}}
 
 
-# bg-check and nash-moser are left out: admitted bg-check l ranges with fewer
-# than three probes or a low l_min exit 1 (ROADMAP item 8), and so do 57 of
-# the 207 admitted nash-moser n_modes (ROADMAP item 3)
+# nash-moser is left out: 57 of its 207 admitted n_modes exit 1 (ROADMAP item 3)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(["modes", "obstruction", "conormal", "gram", "decay",
-                        "deform-op", "continuation"]), st.data())
+                        "deform-op", "continuation", "bg-check"]), st.data())
 def test_admitted_configs_pass(tmp_path_factory, command, data):
     # what the validator admits runs and passes (exit 0), and what it rejects
     # exits 2, never 1 or 3, over the sizing keys the commands read, at
@@ -734,7 +760,7 @@ SMALL_CONFIGS = {
     "obstruction": "l_max = 8",
     "conormal": "l_max = 64",
     "gram": "l_max = 32",
-    "deform-op": "n_modes = 16\nsamples = 2",
+    "deform-op": "n_modes = 18\nsamples = 2",
     "bg-check": "l_min = 8\nl_max = 32",
     "decay": "l_min = 4\nl_max = 16\nsamples = 10",
     "nash-moser": "n_modes = 48",
@@ -758,7 +784,7 @@ def test_no_command_imports_beyond_the_cli(tmp_path):
         "out, pairs = sys.argv[1], sys.argv[2:]\n"
         "report = {}\n"
         "for command, cfg in zip(pairs[::2], pairs[1::2]):\n"
-        "    rc = main([command, '--no-assert', '--config', cfg, '--out', out])\n"
+        "    rc = main([command, '--config', cfg, '--out', out])\n"
         "    report[command] = [rc, sorted(set(sys.modules) - loaded)]\n"
         "print(json.dumps(report))\n"
     )
@@ -771,13 +797,11 @@ def _reject_constant(name):
 
 
 def test_summary_is_strict_json_when_exponent_is_undefined(tmp_path):
-    # one mode doubling (l = 8, 16) leaves the deviation exponent undefined
-    cfgfile = tmp_path / "short.cfg"
-    cfgfile.write_text("l_min = 8\nl_max = 16\n")
-    rc = main(["bg-check", "--config", str(cfgfile), "--no-assert",
-               "--out", str(tmp_path / "o")])
-    assert rc == 0
-    with open(tmp_path / "o" / "bg-check" / "summary.json") as handle:
+    # one mode doubling (l = 8, 16) leaves the deviation exponent undefined;
+    # the validator rejects that range, so the config goes unvalidated
+    outcome = run_experiment(ExperimentConfig(experiment="bg-check", l_min=8, l_max=16))
+    folder = write_artifacts(outcome, str(tmp_path / "o"))
+    with open(os.path.join(folder, "summary.json")) as handle:
         summary = json.loads(handle.read(), parse_constant=_reject_constant)
     assert summary["metrics"]["deviation_exponent"] is None
     assert summary["pass"] is False
@@ -852,8 +876,7 @@ def test_help_lists_every_command(capsys):
 def test_options_may_precede_the_command(tmp_path):
     argv = ["--seed", "5", "gram", "--out", str(tmp_path)]
     args = make_parser().parse_args(argv)
-    assert (args.command, args.seed, args.out, args.config, args.do_assert) == (
-        "gram", 5, str(tmp_path), None, None)
+    assert (args.command, args.seed, args.out, args.config) == ("gram", 5, str(tmp_path), None)
     assert main(argv) == 0
     assert json.loads((tmp_path / "gram" / "summary.json").read_text())["pass"] is True
 

@@ -23,7 +23,6 @@ LEDGER = {
     "bgvar.bg_apply": "dense reference for bg-check",
     "bgvar.bg_apply_terms": "dense reference for bg-check",
     "bgvar.leading_term_field": "dense reference for bg-check",
-    "deform.RealizedOperator.dense_operator_norm": "reference for the banded operator_norm",
     "deform.RealizedOperator.from_matrix": "probing oracle of the closed-form assemblies",
     "deform.RealizedOperator.matrix": "probing oracle of the closed-form assemblies",
     "deform.RealizedOperator.realize": "probing oracle of the closed-form assemblies",
@@ -45,8 +44,7 @@ LEDGER = {
     "dirac.growth_rate": "criterion 2",
     "dirac.mu_perturbed_mode": "criterion 4",
     "dirac.solve_mode_ode": "criterion 2",
-    "newton.ToyProblem.derivative_apply": "the toy Jacobian against probing",
-    "newton.ToyProblem.jacobian": "dense oracle of the banded Newton solve",
+    "newton.ToyProblem.derivative_apply": "probed, the oracle of the banded Newton solve",
     "newton._random_decaying_series": "tame-estimate claim",
     "newton.tame_estimate_sweep": "tame-estimate claim",
     "series.FourierSeries1D.parseval_defect": "Parseval's identity on the series grid",
