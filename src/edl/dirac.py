@@ -311,92 +311,6 @@ def mu_perturbed_mode(l, mu, rgrid, component=0):
     return ModeSpinor(0, l, rgrid, prof, sgn(l) * prof, dprof, sgn(l) * dprof)
 
 
-FROBENIUS_TERMS = 5
-
-
-def frobenius_start(k, l, r):
-    """Series seed of the square-integrable branch at a regular singular point.
-
-    Indicial roots are k - 1/2 and -(k + 1/2); the branch with exponent
-    |k| - 1/2 is the one square integrable against r dr for k != 0. The
-    series is summed to FROBENIUS_TERMS terms.
-    """
-    if k == 0:
-        raise ValueError("k = 0 has a double indicial root; use the decaying branch")
-    lam = abs(k) - 0.5
-    v = np.zeros((FROBENIUS_TERMS, 2))
-    v[0] = (1.0, 0.0) if k > 0 else (0.0, 1.0)
-    a0 = np.array([k - 0.5, -(k + 0.5)])
-    for j in range(1, FROBENIUS_TERMS):
-        rhs = np.array([-l * v[j - 1][1], -l * v[j - 1][0]])
-        v[j] = rhs / (lam + j - a0)
-    powers = r ** (lam + np.arange(FROBENIUS_TERMS))
-    return powers @ v
-
-
-def _rk4_log_sweep(k, l, s_nodes, u0, n_sub, inward=False):
-    """Classical RK4 for du/ds = A(s) u with A = [[k-1/2, -l r], [-l r, -(k+1/2)]]."""
-
-    def rhs(s, u):
-        r = math.exp(s)
-        return np.array(
-            [
-                (k - 0.5) * u[0] - l * r * u[1],
-                -l * r * u[0] - (k + 0.5) * u[1],
-            ]
-        )
-
-    nodes = s_nodes[::-1] if inward else s_nodes
-    out = np.zeros((len(nodes), 2))
-    out[0] = u0
-    u = np.array(u0, dtype=float)
-    for i in range(len(nodes) - 1):
-        h = (nodes[i + 1] - nodes[i]) / n_sub
-        s = nodes[i]
-        for _ in range(n_sub):
-            k1 = rhs(s, u)
-            k2 = rhs(s + 0.5 * h, u + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, u + 0.5 * h * k2)
-            k4 = rhs(s + h, u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            s += h
-        out[i + 1] = u
-    if inward:
-        out = out[::-1]
-    return out
-
-
-RK4_STEP = 0.001  # target RK4 step in s = log r
-
-
-def solve_mode_ode(k, l, rgrid, branch="decaying"):
-    """Integrate the radial mode system along the chosen branch.
-
-    branch = "decaying": seeded at r = R with the outgoing-decay direction
-    e^{-|l| R} R^{-1/2} (1, sgn l) and integrated inward, which is the stable
-    direction for the decaying solution; requires l != 0.
-
-    branch = "regular": seeded at r_min with the Frobenius series of the
-    square-integrable branch (exponent |k| - 1/2) and integrated outward;
-    requires k != 0. For k != 0 this branch grows like e^{|l| r}.
-    """
-    s_nodes = np.log(rgrid.r)
-    n_sub = max(1, int(math.ceil(rgrid.ds / RK4_STEP)))
-    if branch == "decaying":
-        if l == 0:
-            raise ValueError("no decaying branch at l = 0")
-        big_r = rgrid.r[-1]
-        amp = math.exp(-abs(l) * big_r) / math.sqrt(big_r)
-        u_end = np.array([amp, sgn(l) * amp])
-        vals = _rk4_log_sweep(k, l, s_nodes, u_end, n_sub, inward=True)
-    elif branch == "regular":
-        u0 = frobenius_start(k, l, rgrid.r[0])
-        vals = _rk4_log_sweep(k, l, s_nodes, u0, n_sub, inward=False)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return ModeSpinor(k, l, rgrid, vals[:, 0].astype(complex), vals[:, 1].astype(complex))
-
-
 def growth_rate(mode):
     """Fitted d log|u|/dr on the outer window [R/2, 0.95 R] (positive = growth)."""
     r = mode.rgrid.r

@@ -284,13 +284,13 @@ def verify_smoothing_axioms(m_max, eps_grid):
 # -- pointwise bound on radial profiles -------------------------------------------
 
 
-def dyadic_pointwise_bound(r, values, alpha):
+def dyadic_pointwise_bound(r, values):
     """sup |phi| against the b-norm (int (|phi|^2/r^2 + |phi'|^2) r dr)^{1/2}.
 
-    The grid must be strictly positive and increasing. alpha > 1 declares the
-    weight class of the profile; profiles whose per-dyadic-shell b-norm
-    contributions fail to decay toward the axis (e.g. phi = const, whose
-    |phi|^2/r^2 * r dr integral is log-divergent) are flagged non-integrable.
+    The grid must be strictly positive and increasing. Profiles whose
+    per-dyadic-shell b-norm contributions fail to decay toward the axis
+    (e.g. phi = const, whose |phi|^2/r^2 * r dr integral is log-divergent)
+    are flagged non-integrable.
     The chain bound |phi(x)| <= |phi(R)| + sqrt(log 2) * sum of shell norms is
     evaluated alongside as a certificate for the sup.
 
@@ -300,8 +300,6 @@ def dyadic_pointwise_bound(r, values, alpha):
     values = np.asarray(values, dtype=float)
     if r.ndim != 1 or np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise ValueError("r must be strictly positive and increasing")
-    if not alpha > 1.0:
-        raise ValueError("alpha must exceed 1")
 
     dphi = np.gradient(values, r)
     density = (values**2 / r**2 + dphi**2) * r

@@ -21,8 +21,9 @@ import math
 import random
 
 import numpy as np
+import pytest
 
-from conftest import criterion_lines
+from conftest import criterion_lines, shoot_mode
 
 from edl.series import (
     FourierSeries1D,
@@ -38,7 +39,6 @@ from edl.dirac import (
     euclidean_obstruction_mode,
     growth_rate,
     mu_perturbed_mode,
-    solve_mode_ode,
 )
 from edl.deform import (
     fredholm_diagnostics,
@@ -70,11 +70,12 @@ def test_criterion_01_kernel_family_residuals():
             f"kernel family l in +/-1..32, max relative residual {worst:.2e} (< 1e-8)")
 
 
+@pytest.mark.filterwarnings("error")
 def test_criterion_02_radial_ode_branches():
     worst = 0.0
     for l in (1, 2, 3, 5):
         grid = RadialGrid.geometric(8.0 / l, 700, r_min_factor=1e-4)
-        num = solve_mode_ode(0, l, grid, branch="decaying")
+        num = shoot_mode(0, l, grid, decaying=True)
         ref = euclidean_obstruction_mode(l, grid)
         scale = math.sqrt(float(l))
         diff = ModeSpinor(
@@ -87,7 +88,7 @@ def test_criterion_02_radial_ode_branches():
     grow_ok, grow_rate = True, None
     for k in (1, -1):
         grid = RadialGrid.geometric(4.0, 500, r_min_factor=1e-3)
-        reg = solve_mode_ode(k, 2, grid, branch="regular")
+        reg = shoot_mode(k, 2, grid, decaying=False)
         grow_rate = growth_rate(reg)
         grow_ok = grow_ok and grow_rate > 1.0 and abs(grow_rate - 2.0) < 0.3
     _report(2, decays_ok and grow_ok,

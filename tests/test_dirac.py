@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import shoot_mode
 from edl import dirac
 from edl.dirac import (
     LeadingData,
@@ -16,13 +17,11 @@ from edl.dirac import (
     euclidean_obstruction_field,
     euclidean_obstruction_mode,
     field_from_mode,
-    frobenius_start,
     growth_rate,
     l2_pairing,
     mu_perturbed_mode,
     radial_bump,
     clifford_action,
-    solve_mode_ode,
 )
 from edl.series import FourierSeries1D, cutoff_c2, cutoff_c2_prime, multiply
 
@@ -198,9 +197,10 @@ def test_mu_perturbed_rates():
 # -- shooting branches ----------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
 def test_decaying_branch_matches_closed_form():
     g = RadialGrid.geometric(3.0, 600, r_min_factor=1e-4)
-    num = solve_mode_ode(0, 3, g, branch="decaying")
+    num = shoot_mode(0, 3, g, decaying=True)
     ref = euclidean_obstruction_mode(3, g)
     scale = math.sqrt(3.0)  # closed form carries sqrt|l|, the seed does not
     diff = ModeSpinor(
@@ -211,34 +211,17 @@ def test_decaying_branch_matches_closed_form():
     assert diff.weighted_l2() / (ref.weighted_l2() / scale) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 def test_regular_branch_grows_and_is_flagged():
     # u' = M(r) u is linear and 2-dimensional, so two solutions are dependent
     # everywhere or nowhere: a growing regular branch is transverse to the
     # decaying one, and no k != 0 mode is both regular and decaying
     g = RadialGrid.geometric(4.0, 500, r_min_factor=1e-3)
     for k, l in ((1, 2), (-2, 3), (2, -2), (-1, 2), (2, 5), (-3, 4)):
-        reg = solve_mode_ode(k, l, g, branch="regular")
+        reg = shoot_mode(k, l, g, decaying=False)
         rate = growth_rate(reg)
         assert rate > 0.5 * abs(l)
         assert rate == pytest.approx(abs(l), rel=0.15)
-
-
-def test_frobenius_seed_consistency():
-    # the 5-term series itself must satisfy the ODE to high order near the axis
-    g = RadialGrid.geometric(3e-3, 200, r_min_factor=1e-2)
-    vals = np.array([frobenius_start(2, 3, r) for r in g.r])
-    m = ModeSpinor(2, 3, g, vals[:, 0].astype(complex), vals[:, 1].astype(complex))
-    assert m.ode_residual() < 1e-9
-    with pytest.raises(ValueError):
-        frobenius_start(0, 1, 0.5)
-
-
-def test_solve_mode_ode_rejects_bad_branch():
-    g = RadialGrid.geometric(2.0, 100, r_min_factor=1e-2)
-    with pytest.raises(ValueError):
-        solve_mode_ode(0, 0, g, branch="decaying")
-    with pytest.raises(ValueError):
-        solve_mode_ode(0, 1, g, branch="oscillating")
 
 
 # -- fields and the operator ----------------------------------------------------

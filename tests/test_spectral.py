@@ -210,7 +210,7 @@ def geometric_grid(r_min, r_max, n):
 
 def test_dyadic_bound_on_linear_profile():
     r = geometric_grid(1e-6, 1.0, 4000)
-    rep = dyadic_pointwise_bound(r, r, alpha=2.0)
+    rep = dyadic_pointwise_bound(r, r)
     assert rep.integrable
     assert np.isfinite(rep.ratio)
     # int (r^2/r^2 + 1) r dr over (0,1] = 1, so the b-norm is 1
@@ -220,7 +220,7 @@ def test_dyadic_bound_on_linear_profile():
 
 def test_dyadic_bound_on_sqrt_profile():
     r = geometric_grid(1e-6, 1.0, 4000)
-    rep = dyadic_pointwise_bound(r, np.sqrt(r), alpha=1.5)
+    rep = dyadic_pointwise_bound(r, np.sqrt(r))
     assert rep.integrable
     assert np.isfinite(rep.ratio)
     assert rep.sup_abs <= rep.chain_bound * 1.05
@@ -228,15 +228,13 @@ def test_dyadic_bound_on_sqrt_profile():
 
 def test_dyadic_bound_flags_constant_profile():
     r = geometric_grid(1e-6, 1.0, 4000)
-    rep = dyadic_pointwise_bound(r, np.ones_like(r), alpha=1.5)
+    rep = dyadic_pointwise_bound(r, np.ones_like(r))
     assert not rep.integrable
     # the divergence is visible as growth under grid refinement toward the axis
-    shallow = dyadic_pointwise_bound(geometric_grid(1e-3, 1.0, 1500), np.ones(1500), alpha=1.5)
+    shallow = dyadic_pointwise_bound(geometric_grid(1e-3, 1.0, 1500), np.ones(1500))
     assert rep.b_norm > shallow.b_norm * 1.2
 
 
 def test_dyadic_bound_rejects_bad_input():
     with pytest.raises(ValueError):
-        dyadic_pointwise_bound(np.array([0.0, 0.5, 1.0]), np.ones(3), alpha=1.5)
-    with pytest.raises(ValueError):
-        dyadic_pointwise_bound(np.array([0.1, 0.5, 1.0]), np.ones(3), alpha=0.5)
+        dyadic_pointwise_bound(np.array([0.0, 0.5, 1.0]), np.ones(3))
