@@ -13,9 +13,9 @@ class ExperimentConfig:
 
     Every field has a per-command default; a config file only overrides.
     l_min/l_max bound the probe modes (0 excluded where the experiment
-    requires it), n_modes is the working band, r0/r_max radial scales,
-    eps0/theta the smoothing schedule, tol the assertion tolerance, samples
-    the randomized-suite size.
+    requires it), n_modes is the working band, r0/r_max radial scales, tol
+    the assertion tolerance, samples the randomized-suite size. nash-moser's
+    smoothing schedule and step budgets are the solvers' own constants.
     """
 
     experiment: str = ""
@@ -24,10 +24,7 @@ class ExperimentConfig:
     l_max: int = 32
     r0: float = 1.0
     r_max: float = 30.0
-    eps0: float = 1.0
-    theta: float = 1.25
     tol: float = 1e-8
-    max_steps: int = 30
     samples: int = 200
     seed: int = 20260815
     out_dir: str = "edl-out"
@@ -47,11 +44,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.experiment} needs at least {MIN_PROBE_MODES} modes, got {span}"
             )
-        # the probes are l_min 2^j up to l_max: on two the deviation exponent is undefined
-        if self.experiment == "bg-check" and self.l_max < 4 * self.l_min:
+        # on two probes the deviation exponent is undefined
+        if self.experiment == "bg-check" and len(doubling_probes(self.l_min, self.l_max)) < 3:
             raise ConfigError(f"bg-check needs three probes, l_max at least 4 l_min = "
                               f"{4 * self.l_min}, got {self.l_max}")
-        for name in ("r0", "r_max", "eps0", "tol"):
+        for name in ("r0", "r_max", "tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for key, (least, most) in LIMITS.get(self.experiment, {}).items():
@@ -81,10 +78,8 @@ class ExperimentConfig:
                         f"r_max = {self.r_max} loses {loss:.1e} of mode {l}'s norm on "
                         f"obstruction's grid, not below {what} {bound:g}"
                     )
-        if self.theta <= 1.0:
-            raise ConfigError(f"theta must exceed 1, got {self.theta}")
-        if self.max_steps <= 0 or self.samples <= 0:
-            raise ConfigError("max_steps and samples must be positive")
+        if self.samples <= 0:
+            raise ConfigError(f"samples must be positive, got {self.samples}")
         # random.Random seeds an int by its absolute value: -s would replay s
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
@@ -164,6 +159,14 @@ MAX_MODES_R_MAX = 1e6
 # tol 1e-5): r_max 5 and 10000 failed their recovery check, 2 the self-pairing
 OBSTRUCTION_R_MIN = 1e-9
 SELF_PAIRING_TOL = 1e-4
+
+
+def doubling_probes(l_min, l_max):
+    """The probe modes l_min 2^j up to l_max of bg-check and decay."""
+    probes = [l_min]
+    while probes[-1] * 2 <= l_max:
+        probes.append(probes[-1] * 2)
+    return probes
 
 
 def obstruction_grid_loss(l, l_max, r_max):
@@ -247,7 +250,7 @@ COMMAND_DEFAULTS = {
     "deform-op": dict(n_modes=128, samples=6, tol=0.1),
     "bg-check": dict(l_min=8, l_max=128, tol=0.2),
     "decay": dict(l_min=4, l_max=64, samples=200, tol=0.2),
-    "nash-moser": dict(n_modes=96, max_steps=30, tol=1e-8),
+    "nash-moser": dict(n_modes=96, tol=1e-8),
     "continuation": dict(n_modes=24, tol=1e-6),
 }
 

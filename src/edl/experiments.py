@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DECAY_RATE_RTOL, OBSTRUCTION_R_MIN, SELF_PAIRING_TOL
+from .config import DECAY_RATE_RTOL, OBSTRUCTION_R_MIN, SELF_PAIRING_TOL, doubling_probes
 from .series import FourierSeries1D
 from .dirac import (
     LeadingData,
@@ -317,8 +317,7 @@ def run_deform_op(cfg):
         min_gap = min(min_gap, *rep.singular_gaps)
         if not (rep.stable and rep.kernel_dim == 0 and rep.index == 0):
             unstable += 1
-            _check(failures, False,
-                   f"sample {i}: kernel dims {rep.kernel_dims} not stably zero")
+            failures.append(f"sample {i}: kernel dims {rep.kernel_dims} not stably zero")
     flat = LeadingData.constant(1.0, 1.0)
     rep1 = fredholm_diagnostics(flat, truncations=truncations)
     _check(failures, rep1.stable and rep1.kernel_dim == 1,
@@ -392,11 +391,9 @@ def bg_probe_design(l_max):
 
 def run_bg_check(cfg):
     failures, rows = [], []
-    probes = [cfg.l_min]
-    while probes[-1] * 2 <= cfg.l_max:
-        probes.append(probes[-1] * 2)
     data, eta = bg_probe_design(cfg.l_max)
-    report = bg_pairing_comparison(data, eta, l_values=tuple(probes))
+    probes = tuple(doubling_probes(cfg.l_min, cfg.l_max))
+    report = bg_pairing_comparison(data, eta, l_values=probes)
     for l in report.l_values:
         rows.append((l, report.khat[l].real, report.khat[l].imag,
                      abs(report.khat[l] - report.fitted_constant)))
@@ -446,12 +443,10 @@ def run_bg_check(cfg):
 
 def run_decay(cfg):
     failures, rows = [], []
-    probes = [cfg.l_min]
-    while probes[-1] * 2 <= cfg.l_max:
-        probes.append(probes[-1] * 2)
+    probes = doubling_probes(cfg.l_min, cfg.l_max)
     rates = []
     for l in probes:
-        rep = annuli_decay(0.5, l, r_scale=cfg.r0)
+        rep = annuli_decay(l, r_scale=cfg.r0)
         rates.append(rep.rate_per_annulus)
         rows.append((l, rep.rate_per_annulus, rep.n_used))
     mean = float(np.mean(rates))
@@ -509,15 +504,8 @@ def run_nash_moser(cfg):
     failures, rows = [], []
     problem = ToyProblem(n_modes=cfg.n_modes)
     rough = rough_f_preset(n_modes=cfg.n_modes)
-    _, plain_trace = plain_newton_solve(problem, rough,
-                                        max_steps=cfg.max_steps, tol=cfg.tol)
-    u_nm, nm_trace = nash_moser_solve(problem, rough, eps0=cfg.eps0,
-                                      theta=cfg.theta,
-                                      max_steps=cfg.max_steps, tol=cfg.tol)
-    for s in plain_trace.steps:
-        rows.append(("plain", "rough", s.step, s.eps, s.residual_norm))
-    for s in nm_trace.steps:
-        rows.append(("smoothed", "rough", s.step, s.eps, s.residual_norm))
+    _, plain_trace = plain_newton_solve(problem, rough, tol=cfg.tol)
+    _, nm_trace = nash_moser_solve(problem, rough, tol=cfg.tol)
     _check(failures, plain_trace.status == "diverged",
            f"plain iteration on rough data: {plain_trace.status}, want diverged")
     _check(failures, nm_trace.status == "converged",
@@ -525,15 +513,13 @@ def run_nash_moser(cfg):
     _check(failures, nm_trace.final_residual < cfg.tol,
            f"smoothed residual {nm_trace.final_residual:.2e} >= {cfg.tol:.1e}")
     smooth = smooth_f_preset(n_modes=cfg.n_modes)
-    u_ps, ps_trace = plain_newton_solve(problem, smooth,
-                                        max_steps=cfg.max_steps, tol=1e-12)
-    u_ns, ns_trace = nash_moser_solve(problem, smooth, eps0=cfg.eps0,
-                                      theta=cfg.theta, max_steps=40, tol=1e-12)
+    u_ps, ps_trace = plain_newton_solve(problem, smooth, tol=1e-12)
+    u_ns, ns_trace = nash_moser_solve(problem, smooth, max_steps=40, tol=1e-12)
     gap = (u_ps - u_ns).sobolev_norm(M0)
-    for s in ps_trace.steps:
-        rows.append(("plain", "smooth", s.step, s.eps, s.residual_norm))
-    for s in ns_trace.steps:
-        rows.append(("smoothed", "smooth", s.step, s.eps, s.residual_norm))
+    traces = (("plain", "rough", plain_trace), ("smoothed", "rough", nm_trace),
+              ("plain", "smooth", ps_trace), ("smoothed", "smooth", ns_trace))
+    for solver, preset, trace in traces:
+        rows += [(solver, preset, s.step, s.eps, s.residual_norm) for s in trace.steps]
     _check(failures, ps_trace.status == "converged" and ns_trace.status == "converged",
            "smooth preset: both iterations should converge")
     _check(failures, gap < 1e-8,
@@ -548,9 +534,9 @@ def run_nash_moser(cfg):
         "smooth_solution_gap": float(gap),
     }
     series = [  # a tol at or above the rough residual stops a run before its first step
-        (label, [float(s.step) for s in trace.steps],
+        (f"{solver}/{preset}", [float(s.step) for s in trace.steps],
          [max(s.residual_norm, 1e-16) for s in trace.steps])
-        for label, trace in (("plain/rough", plain_trace), ("smoothed/rough", nm_trace))
+        for solver, preset, trace in traces[:2]
         if trace.steps
     ]
     plot = {

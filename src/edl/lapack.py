@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 
 def _load(package, name):
     """scipy.<package>.<name> from its extension file, without importing the
@@ -62,11 +60,16 @@ dsbmv = _fblas.dsbmv
 dtbsv = _fblas.dtbsv
 
 
-def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+# scipy.optimize.brentq's default rtol and maxiter
+_RTOL = 4 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def brentq(f, xa, xb, xtol=2e-12):
     """A root of f in [xa, xb] by Brent's method: scipy.optimize.brentq's
-    compiled loop, so the same evaluation points, root and errors:
-    ValueError for a bracket without a sign change or a NaN value,
-    RuntimeError after maxiter steps."""
+    compiled loop at its default rtol and maxiter, so the same evaluation
+    points, root and errors: ValueError for a bracket without a sign change
+    or a NaN value, RuntimeError after 100 steps."""
 
     def f_checked(x):
         value = f(x)
@@ -74,4 +77,4 @@ def brentq(f, xa, xb, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return value
 
-    return _zeros._brentq(f_checked, xa, xb, xtol, rtol, maxiter, (), False, True)
+    return _zeros._brentq(f_checked, xa, xb, xtol, _RTOL, _MAXITER, (), False, True)

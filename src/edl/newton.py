@@ -4,10 +4,11 @@ The smoothed scheme replaces each update by
 
     x_{k+1} = x_k + dF(S_{eps_k} x_k)^{-1} S_{eps_k} (f - F(x_k)),
 
-with S_eps the mode-cutoff mollifier and eps_k = min(1, eps0 theta^{-k}):
-high modes enter the linearization only once the schedule opens them, which
-is what lets derivative-losing nonlinearities converge on rough data where
-the plain iteration amplifies its own high-mode error.
+with S_eps the mode-cutoff mollifier and eps_k = THETA^{-k}, THETA = 1.25
+(Hamilton's tame smoothing, The inverse function theorem of Nash and Moser,
+1982): high modes enter the linearization only once the schedule opens them,
+which is what lets derivative-losing nonlinearities converge on rough data
+where the plain iteration amplifies its own high-mode error.
 
 Both solvers share one loop and report its status: converged, diverged
 (residual above 1e3 x initial for five consecutive steps), budget_exhausted,
@@ -54,10 +55,12 @@ from .lapack import brentq, zgbsv
 DIVERGENCE_FACTOR = 1e3
 DIVERGENCE_RUN = 5
 M0 = 2  # the control norm the iteration monitors
+THETA = 1.25  # the smoothing schedule's ratio
 
 
-def _newton_loop(problem, f, schedule, max_steps, tol):
-    """(u, trace): trace.status, trace.steps (per step its step index, eps,
+def _newton_loop(problem, f, smoothed, max_steps, tol):
+    """(u, trace) of plain Newton, or of smoothed Newton at eps_k = THETA^{-k}
+    if smoothed: trace.status, trace.steps (per step its step index, eps,
     residual_norm and correction_norm), trace.final_residual and
     trace.message."""
     u = FourierSeries1D.zero(problem.n_modes)
@@ -90,11 +93,11 @@ def _newton_loop(problem, f, schedule, max_steps, tol):
                 )
         else:
             bad_run = 0
-        eps = schedule(k) if schedule is not None else math.nan
-        if schedule is None:
-            base, rhs = u, residual
-        else:
+        if smoothed:
+            eps = THETA ** (-k)
             base, rhs = smooth(u, eps), smooth(residual, eps)
+        else:
+            eps, base, rhs = math.nan, u, residual
         try:
             delta = problem.solve_linearized(base, rhs)
         except np.linalg.LinAlgError as exc:
@@ -112,18 +115,12 @@ def _newton_loop(problem, f, schedule, max_steps, tol):
 
 def plain_newton_solve(problem, f, max_steps=30, tol=1e-10):
     """Plain Newton from the zero state."""
-    return _newton_loop(problem, f, None, max_steps, tol)
+    return _newton_loop(problem, f, False, max_steps, tol)
 
 
-def nash_moser_solve(problem, f, eps0=1.0, theta=1.25, max_steps=30, tol=1e-10):
-    """Smoothed Newton from the zero state with eps_k = min(1, eps0 theta^{-k})."""
-    if not theta > 1.0:
-        raise ValueError("the smoothing schedule must open modes, theta > 1")
-    # eps0 theta^{-k} underflows to 0 for large theta; at the smallest
-    # positive float S_eps is the identity on every representable mode,
-    # which is the limit the schedule tends to
-    schedule = lambda k: max(min(1.0, eps0 * theta ** (-k)), math.ulp(0.0))
-    return _newton_loop(problem, f, schedule, max_steps, tol)
+def nash_moser_solve(problem, f, max_steps=30, tol=1e-10):
+    """Smoothed Newton from the zero state with eps_k = THETA^{-k}."""
+    return _newton_loop(problem, f, True, max_steps, tol)
 
 
 # -- toy derivative-losing problem ----------------------------------------------------
@@ -170,11 +167,11 @@ class ToyProblem:
         return FourierSeries1D(sol)
 
 
-def smooth_f_preset(n_modes=96, amplitude=0.02):
-    """Analytic right-hand side: coefficients decay like e^{-0.6|l|}."""
+def smooth_f_preset(n_modes=96):
+    """Analytic right-hand side: coefficients 0.02 e^{-0.6|l|} e^{0.7 i l}."""
     modes = {}
     for l in range(1, n_modes + 1):
-        c = amplitude * math.exp(-0.6 * l) * np.exp(0.7j * l)
+        c = 0.02 * math.exp(-0.6 * l) * np.exp(0.7j * l)
         modes[l] = c
         modes[-l] = np.conj(c)
     return FourierSeries1D.from_modes(modes, n_modes)
@@ -243,7 +240,7 @@ ROUGH_PRESET_PHASES = (
 )
 
 
-def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
+def rough_f_preset(n_modes=96):
     """Slowly decaying right-hand side with frozen random phases.
 
     The amplitude sits where the plain iteration amplifies its own high-mode
@@ -254,7 +251,8 @@ def rough_f_preset(n_modes=96, amplitude=ROUGH_PRESET_AMPLITUDE):
         raise ValueError(f"the rough preset has {len(ROUGH_PRESET_PHASES)} phases, not {n_modes}")
     modes = {}
     for l in range(1, n_modes + 1):
-        c = amplitude * l ** (-ROUGH_PRESET_DECAY) * np.exp(1j * ROUGH_PRESET_PHASES[l - 1])
+        c = (ROUGH_PRESET_AMPLITUDE * l ** (-ROUGH_PRESET_DECAY)
+             * np.exp(1j * ROUGH_PRESET_PHASES[l - 1]))
         modes[l] = c
         modes[-l] = np.conj(c)
     return FourierSeries1D.from_modes(modes, n_modes)

@@ -214,6 +214,9 @@ def gram_tail_trend(k_block, l_values):
 # -- radial second-order solves and annulus decay -----------------------------------
 
 
+NU = 0.5  # the order of the stored k = 0 mode's radial equation, the mode decay studies
+
+
 def solve_mode_bvp(nu, l, rgrid, forcing):
     """Solve -u'' - u'/r + (nu^2/r^2 + l^2) u = f; returns u at the grid's nodes.
 
@@ -260,11 +263,11 @@ def _taylor_step(alpha, q, l2r2, g, h):
     return -c, -d
 
 
-def annulus_energy_norms(u, nu, l, rgrid, edges):
-    """Energy norm (int |u'|^2 + (nu^2/r^2 + l^2)|u|^2 r dr)^{1/2} on each
+def annulus_energy_norms(u, l, rgrid, edges):
+    """Energy norm (int |u'|^2 + (NU^2/r^2 + l^2)|u|^2 r dr)^{1/2} on each
     annulus [edges[n], edges[n + 1])."""
     du = rgrid.derivative(np.asarray(u, dtype=complex))
-    dens = np.abs(du) ** 2 + (nu**2 / rgrid.r**2 + float(l) ** 2) * np.abs(u) ** 2
+    dens = np.abs(du) ** 2 + (NU**2 / rgrid.r**2 + float(l) ** 2) * np.abs(u) ** 2
     w = rgrid.area_weights()
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -273,8 +276,9 @@ def annulus_energy_norms(u, nu, l, rgrid, edges):
     return np.array(out)
 
 
-def annuli_decay(nu, l, r_scale=1.0):
-    """Exponential decay rate of a forced mode solution across scaled annuli.
+def annuli_decay(l, r_scale=1.0):
+    """Exponential decay rate of a forced mode solution of order NU across
+    scaled annuli.
 
     The forcing is a bump at radius r_scale/|l|; eight annuli of width
     2 r_scale/|l| follow it, so a solution decaying like e^{-|l| r} loses a
@@ -293,9 +297,9 @@ def annuli_decay(nu, l, r_scale=1.0):
     def forcing(r):
         return radial_bump(r, center, width)[0]
 
-    u = solve_mode_bvp(nu, l, rgrid, forcing)
+    u = solve_mode_bvp(NU, l, rgrid, forcing)
     edges = center + 2.0 * width + 2.0 * r_scale / l_a * np.arange(9)
-    norms = annulus_energy_norms(u, nu, l, rgrid, edges)
+    norms = annulus_energy_norms(u, l, rgrid, edges)
     usable = norms > 1e-14 * norms[0]
     idx = np.arange(len(norms))[usable]
     rate = -fit_line(idx, np.log(norms[usable]))[0]

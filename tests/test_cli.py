@@ -79,10 +79,7 @@ _OVERRIDE_VALUES = {
     "l_max": st.integers(1, 160),
     "r0": st.floats(1e-6, 1e6),
     "r_max": st.floats(1e-6, 1e6),
-    "eps0": st.floats(1e-6, 1e6),
-    "theta": st.floats(1.0, 8.0, exclude_min=True),
     "tol": st.floats(1e-15, 10.0),
-    "max_steps": st.integers(1, 1000),
     "samples": st.integers(1, 1000),
     "seed": st.integers(0, 2**63 - 1),
     "out_dir": st.text("abcxyz019_-./", min_size=1, max_size=12),
@@ -267,6 +264,18 @@ def test_do_assert_key_is_unknown(tmp_path, capsys):
     assert not (tmp_path / "gram").exists()
 
 
+@pytest.mark.parametrize("line", ["eps0 = 4.0", "theta = 2", "max_steps = 10"])
+def test_nash_moser_schedule_keys_are_unknown(tmp_path, capsys, line):
+    # the smoothing schedule 1.25^{-k} and the step budgets are constants of
+    # edl.newton, so a config that sets them is an error, not a run
+    cfgfile = tmp_path / "schedule.cfg"
+    cfgfile.write_text(line + "\n")
+    rc = main(["nash-moser", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "nash-moser").exists()
+
+
 def test_reused_parser_carries_no_arguments_between_calls(tmp_path, monkeypatch):
     # main builds its parser once per process: a second call with another
     # command and no options must resolve that command's defaults alone
@@ -387,23 +396,6 @@ def test_nash_moser_tol_above_the_rough_residual(tmp_path, capsys):
     folder = tmp_path / "nash-moser"
     assert (folder / "results.csv").exists() and (folder / "summary.json").exists()
     assert not (folder / "plot.svg").exists()
-
-
-def test_nash_moser_schedule_floors_at_the_smallest_float(tmp_path):
-    # theta 1e50 took eps0 theta^{-k} to 0.0 at k = 7, and S_eps rejected it
-    # with exit 3; from k = 1 on both schedules below keep every mode, so the
-    # runs take the same steps and only the eps column differs
-    rows = {}
-    for theta in ("1e20", "1e50"):
-        cfgfile = tmp_path / f"{theta}.cfg"
-        cfgfile.write_text(f"theta = {theta}\n")
-        out = tmp_path / theta
-        assert main(["nash-moser", "--config", str(cfgfile), "--out", str(out)]) == 0
-        lines = (out / "nash-moser" / "results.csv").read_text().splitlines()[1:]
-        rows[theta] = [line.split(",") for line in lines]
-    smoothed = [float(row[3]) for row in rows["1e50"] if row[0] == "smoothed"]
-    assert min(smoothed) == 5e-324  # math.ulp(0.0): every eps stays positive
-    assert [r[:3] + r[4:] for r in rows["1e50"]] == [r[:3] + r[4:] for r in rows["1e20"]]
 
 
 def test_l_range_bounded_by_array_budget(tmp_path, capsys):

@@ -13,6 +13,7 @@ never reaches runs only under the tests, so it needs an entry in LEDGER that
 says which check keeps it."""
 
 import ast
+import math
 import os
 import re
 
@@ -193,6 +194,71 @@ def test_the_circle_length_is_not_a_knob():
             if name == "circumference":
                 named.append(f"{module}:{getattr(node, 'lineno', '?')}")
     assert named == []
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) for every parameter with a default of
+    a function or method in tree; keyword-only ones have position None, and a
+    method's positions skip self. An __init__ is named after its class."""
+    found = []
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = isinstance(owner, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            name = owner.name if skip and node.name == "__init__" else node.name
+            first = len(positional) - len(a.defaults)
+            found += [(name, arg.arg, i - skip)
+                      for i, arg in enumerate(positional) if i >= first]
+            found += [(name, arg.arg, None)
+                      for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def passed_parameters(tree):
+    """{callee name: [(positional count, keyword names)]} for the calls in
+    tree, a callee named by its last attribute or by the name it was
+    imported as; *args makes the count infinite and **kwargs the keywords
+    None, for all."""
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {k.arg for k in node.keywords}
+        calls.setdefault(aliases.get(name, name), []).append(
+            (math.inf if starred else len(node.args), None if None in keywords else keywords))
+    return calls
+
+
+def test_every_default_is_passed_by_some_call():
+    # a parameter that no call in the package or its tests passes only ever
+    # takes its default: a constant that signatures, docs and checks still
+    # carry. Calls match by callee name alone, so a call of any x.f counts
+    # for every f, which errs toward "passed", as the LEDGER walk does
+    tests = os.path.dirname(os.path.abspath(__file__))
+    calls = {}
+    for folder in (SRC, tests):
+        for f in sorted(os.listdir(folder)):
+            if f.endswith(".py"):
+                with open(os.path.join(folder, f)) as fh:
+                    for name, found in passed_parameters(ast.parse(fh.read())).items():
+                        calls.setdefault(name, []).extend(found)
+    never = [
+        f"{module}.{function}({parameter})"
+        for module, tree in source_trees()
+        for function, parameter, position in defaulted_parameters(tree)
+        if not any((position is not None and count > position)
+                   or keywords is None or parameter in keywords
+                   for count, keywords in calls.get(function, ()))
+    ]
+    assert never == []
 
 
 def test_no_module_names_numpy_random():

@@ -73,7 +73,7 @@ def test_tame_constants_bounded_across_bands():
 
 def test_smooth_preset_both_solvers_agree():
     prob = ToyProblem(n_modes=96)
-    f = smooth_f_preset(n_modes=96, amplitude=0.02)
+    f = smooth_f_preset(n_modes=96)
     u_plain, tr_plain = plain_newton_solve(prob, f, max_steps=30, tol=1e-12)
     u_nm, tr_nm = nash_moser_solve(prob, f, max_steps=40, tol=1e-12)
     assert tr_plain.status == "converged"
@@ -129,21 +129,14 @@ def test_rough_preset_corrections_collapse_after_opening():
 
 def test_schedule_caps_at_one_and_decays():
     prob = ToyProblem(n_modes=24)
-    f = smooth_f_preset(n_modes=24, amplitude=0.01)
-    _, trace = nash_moser_solve(prob, f, eps0=4.0, theta=1.25, max_steps=20, tol=1e-13)
+    f = 0.5 * smooth_f_preset(n_modes=24)
+    _, trace = nash_moser_solve(prob, f, max_steps=20, tol=1e-13)
     eps = [s.eps for s in trace.steps]
     assert eps[0] == 1.0
     assert all(b <= a for a, b in zip(eps, eps[1:]))
     assert all(0.0 < e <= 1.0 for e in eps)
     _, plain = plain_newton_solve(prob, f, max_steps=5, tol=1e-13)
     assert all(math.isnan(s.eps) for s in plain.steps)
-
-
-def test_invalid_schedule_rejected():
-    prob = ToyProblem(n_modes=8)
-    f = smooth_f_preset(n_modes=8)
-    with pytest.raises(ValueError):
-        nash_moser_solve(prob, f, theta=1.0)
 
 
 def test_budget_exhausted_status():
@@ -168,7 +161,7 @@ def test_solver_failure_is_reported():
 
 def test_wild_amplitude_certifies_divergence():
     prob = ToyProblem(n_modes=96)
-    f = rough_f_preset(amplitude=0.15)
+    f = (0.15 / ROUGH_PRESET_AMPLITUDE) * rough_f_preset()
     _, trace = plain_newton_solve(prob, f, max_steps=40, tol=1e-10)
     assert trace.status == "diverged"
 
@@ -245,13 +238,14 @@ BRENT_CASES = {
     "inverse quadratic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
     "inverse quadratic, tight": (lambda x: math.cos(x) - x, 0.0, 1.0, {"xtol": 1e-300}),
     "bisection, |f| not decreasing": (step, -1.0, 1.0, {}),
-    "bisection, interpolation rejected": (lambda x: x**9 - 1e-3, -1.0, 4.0, {"rtol": 1e-3}),
+    "bisection, interpolation rejected": (lambda x: x**9 - 1e-3, -1.0, 4.0, {}),
     "step bound near xtol": (lambda x: math.exp(5.0 * (x - 0.37)) - 1.0, 0.0, 1.0, {"xtol": 0.05}),
     "root at a": (lambda x: x, 0.0, 1.0, {}),
     "root at b": (lambda x: x - 1.0, 0.0, 1.0, {}),
     "no sign change": (lambda x: x * x + 1.0, -1.0, 1.0, {}),
     "NaN value": (nan_inside, 0.0, 1.0, {}),
-    "maxiter": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {"xtol": 1e-300, "maxiter": 3}),
+    # |f| never falls, so every step bisects: 100 halvings toward 0 stay far above xtol
+    "maxiter": (lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 1.0, {"xtol": 1e-300}),
 }
 
 
@@ -285,7 +279,7 @@ def test_brentq_port_matches_scipy(name):
 
 def test_trace_records_residual_decline():
     prob = ToyProblem(n_modes=48)
-    f = smooth_f_preset(n_modes=48, amplitude=0.02)
+    f = smooth_f_preset(n_modes=48)
     _, trace = plain_newton_solve(prob, f, max_steps=30, tol=1e-12)
     assert set(vars(trace)) == {"status", "steps", "final_residual", "message"}
     residuals = [s.residual_norm for s in trace.steps]

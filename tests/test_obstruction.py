@@ -354,7 +354,7 @@ def test_solve_mode_bvp_fails_closed_on_non_finite_solution():
 def test_annuli_decay_rate_uniform_in_mode():
     rates = []
     for l in (4, 16, 64):
-        rep = annuli_decay(0.5, l, r_scale=1.0)
+        rep = annuli_decay(l, r_scale=1.0)
         rates.append(rep.rate_per_annulus)
         assert rep.rate_per_annulus == pytest.approx(2.0, rel=0.1)
     assert max(rates) - min(rates) < 0.2
@@ -368,7 +368,7 @@ def test_annulus_norms_capture_known_profile():
     # a clean factor e^{-1} per unit annulus once r is a few units out
     g = RadialGrid.geometric(9.0, 1400, r_min_factor=1e-3)
     u = np.exp(-g.r) / np.sqrt(g.r)
-    norms = annulus_energy_norms(u, 0.5, 1.0, g, np.arange(3.0, 9.0))
+    norms = annulus_energy_norms(u, 1.0, g, np.arange(3.0, 9.0))
     slopes = np.diff(np.log(norms))
     assert np.all(np.abs(-slopes - 1.0) < 0.05)
 
