@@ -6,15 +6,17 @@ A banded Cholesky (dpbtrf) of t I - G factors exactly when t lies above the
 spectrum (Sylvester inertia): an upper end of a bracket on the top where it
 succeeds, a lower end where it fails.  top_eigenvalue closes that bracket to
 adjacent floats by shift-and-invert, each factor also driving a short Lanczos
-run on (t I - G)^{-1} that places the next shift.  certified_spectrum reads
-sigma_max and sigma_{k+1} of an operator from a Lanczos run on the band and
-certifies each: an end by one Cholesky shifted just past it, an interior
-sigma_{k+1} by two inertia counts, and k = 0 by the Cholesky below the lowest
-end once its shift lies above threshold^2 sigma_max^2 (Parlett, The Symmetric
-Eigenvalue Problem; Golub & Van Loan 8.4 and 10.1).
+run on (t I - G)^{-1} whose top Ritz pair, extracted once, places the next
+shift.  certified_spectrum reads sigma_max and sigma_{k+1} of an operator
+from a Lanczos run on the band and certifies each: an end by one Cholesky
+shifted just past it, an interior sigma_{k+1} by two inertia counts, and
+k = 0 by the Cholesky below the lowest end once its shift lies above
+threshold^2 sigma_max^2 (Parlett, The Symmetric Eigenvalue Problem; Golub &
+Van Loan 8.4 and 10.1).
 """
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -82,7 +84,7 @@ def top_eigenvalue(ab):
         elif not info:
             (nu, resid, x), _ = _lanczos(  # L^{-T} L^{-1} v, as dpbtrs would
                 lambda v: dtbsv(kd, factor, dtbsv(kd, factor, v, lower=1), lower=1, trans=1),
-                x, INVERSE_STEPS,
+                x, False, INVERSE_STEPS,
             )
             if 3 * resid < nu:
                 below, above = t - 1.0 / nu, t - 1.0 / (nu + resid)
@@ -107,18 +109,19 @@ def band_norm(ab):
     return max(-ends[0][0][0], ends[1][0][0])
 
 
-def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS):
-    """The top Ritz pair of a symmetric operator applied by matvec and its
-    lowest pair above the kernel, each (value, residual bound, vector), from
-    a Lanczos run with full reorthogonalization started at start.
+def _lanczos(matvec, start, lowest, max_steps=LANCZOS_MAX_STEPS):
+    """The top Ritz pair of a symmetric operator applied by matvec and, if
+    lowest, its lowest pair above the kernel (else None), each (value,
+    residual bound, vector), from a Lanczos run with full reorthogonalization
+    started at start.
 
-    At steps 2, 3, ..., 8, 10, 12, 15, ... (a quarter more each time) dstev
-    finds the Ritz values, values only, and dstemr the tridiagonal problem's
-    eigenvectors s of the two wanted ones by index.  The run stops once the
-    residual bounds |beta_j s_j| of the wanted pairs are within
-    GRAM_EIGEN_SLACK times the top Ritz value, when the Krylov space closes
-    (beta_j below that) or after max_steps.  Ritz values up to that slack
-    are the kernel's: the lowest pair is the first above, the top one
+    dstev finds the Ritz values, values only, and dstemr the tridiagonal
+    problem's eigenvectors s of the wanted ones by index: if lowest at steps
+    2, 3, ..., 8, 10, 12, 15, ... (a quarter more each time), else once, at
+    the last step.  The run stops once the residual bounds |beta_j s_j| are
+    within GRAM_EIGEN_SLACK times the top Ritz value, when the Krylov space
+    closes (beta_j below that) or after max_steps.  Ritz values up to that
+    slack are the kernel's: the lowest pair is the first above, the top one
     included, None if there is none.  Some eigenvalue lies within the
     residual bound of each Ritz value; which one, the caller certifies.
     """
@@ -126,22 +129,21 @@ def _lanczos(matvec, start, max_steps=LANCZOS_MAX_STEPS):
     basis = np.zeros((min(n, max_steps), n))
     alpha, beta = np.zeros(len(basis)), np.zeros(len(basis))
     basis[0] = start / np.linalg.norm(start)
-    check = 2
+    check, scale = 2 if lowest else len(basis), 0.0
     for j in range(len(basis)):
         w = matvec(basis[j])
         alpha[j] = basis[j] @ w
         for _ in range(2):  # twice is enough (Parlett)
             w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-        beta[j] = np.linalg.norm(w)
-        steps = j + 1
-        scale = np.abs(alpha[:steps]).max()
+        beta[j] = math.sqrt(w @ w)
+        steps, scale = j + 1, max(scale, abs(alpha[j]))
         closed = steps == len(basis) or beta[j] <= GRAM_EIGEN_SLACK * scale
         if steps >= check or closed:
             check = steps + max(1, steps // 4)
             theta = dstev(alpha[:steps], beta[:max(steps - 1, 1)], compute_v=0)[0]
             slack = GRAM_EIGEN_SLACK * theta[-1]
             pairs = []
-            for i in [steps - 1, *np.flatnonzero(theta > slack)[:1]]:
+            for i in [steps - 1, *np.flatnonzero(theta > slack)[:int(lowest)]]:
                 # eigenvector i + 1 (range 2: by index); dstemr overwrites
                 # its off-diagonal, so it gets a copy
                 vec = dstemr(alpha[:steps], beta[:steps].copy(), 2, 0.0, 0.0,
@@ -175,7 +177,7 @@ def certified_spectrum(op, threshold, start=None):
     if not vec.any():
         vec = uniform(random.Random(0), -1.0, 1.0, n)
     band, kd = np.asfortranarray(ab), ab.shape[0] - 1
-    (lam, resid, warm), low = _lanczos(lambda v: dsbmv(kd, 1.0, band, v, lower=1), vec)
+    (lam, resid, warm), low = _lanczos(lambda v: dsbmv(kd, 1.0, band, v, lower=1), vec, True)
     if low is not None:
         warm = warm + low[2]
     upper = lam + resid + GRAM_EIGEN_SLACK * lam

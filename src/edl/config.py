@@ -185,10 +185,10 @@ def dense_array_bound(cfg):
     deform-op: thirteen 8-byte arrays the size of the band of the loss
     profile's T at band 2N, 31 rows by 2(4N+1) columns: its assembly holds
     nine at once, and traced, the whole run peaks at 74 bytes per band entry
-    from N = 128 up, 81 at N = 64 and at most 92 down to N = 10, where fixed
-    costs of 0.1 MiB weigh more; the Fredholm diagnostics, whose Lanczos basis
-    holds at most 128 vectors of their largest truncation, 2(2N+1) long,
-    peak at 45 to 50 bytes per entry from N = 48 up;
+    from N = 128 up, 81 at N = 64 and at most 90 down to N = 18, where fixed
+    costs of 0.1 MiB weigh more; T with its Gram while its truncations are
+    normed, and the Fredholm diagnostics with a Lanczos basis of at most 128
+    vectors 2(2N+1) long, peak below it, at 39 to 50 bytes per entry;
     nash-moser: one complex band array of the toy Jacobian, 3N+1 rows by
     2N+1 columns at the widest band b = N, which zgbsv factors in place, and
     1 MiB for what does not grow with it: numpy's ufunc buffers while the

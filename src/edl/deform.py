@@ -7,14 +7,15 @@ Complex series are realized as real matrices because conjugation is
 anti-linear: every operator here is real-linear, not complex-linear.  Real
 coordinates follow one order, the band order: modes 0, 1, -1, 2, -2, ...
 with Re and Im interleaved, so truncations are leading principal blocks of
-one another.  Each operator is xi -> A xi + B conj(xi) with A_lm = w a_{l-m}
-Toeplitz and B_lm = w b_{l+m} Hankel in data series a, b and a weight w of l
-and m; in the band order both lie within 4 band + 3 of the diagonal, so L
-and T of band-3 data have half-bandwidth 15 and their Gram matrices G^T G
-27.  Each operator is held as that band, gathered straight from the data
-coefficients.  The dense matrix, expanded on first use, and probing a series
-map with unit vectors (RealizedOperator.realize) are the test oracles these
-assemblies are checked against; no command reads them.
+one another, read with their Gram matrices off one operator built at the
+widest (Truncation).  Each operator is xi -> A xi + B conj(xi) with A_lm =
+w a_{l-m} Toeplitz and B_lm = w b_{l+m} Hankel in data series a, b and a
+weight w of l and m; in the band order both lie within 4 band + 3 of the
+diagonal, so L and T of band-3 data have half-bandwidth 15 and their Gram
+matrices G^T G 27.  Each operator is held as that band, gathered straight
+from the data coefficients.  The dense matrix, expanded on first use, and
+probing a series map with unit vectors (RealizedOperator.realize) are the
+test oracles these assemblies are checked against; no command reads them.
 
 Operator norms are the top eigenvalue of the banded Gram, bracketed to
 adjacent floats by banded Choleskys of t I - G^T G whose shifts come from
@@ -35,6 +36,7 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .series import (
     FourierSeries1D,
@@ -117,6 +119,13 @@ def _assemble(n_in, n_out, band, entries):
     return np.where(inside, win, 0.0)
 
 
+def _by_row(weights, win):
+    """weights[row] at each entry of the windows win, rows clipped as _window clips them."""
+    kd, n = len(win) // 2, win.shape[1]
+    padded = np.concatenate((np.full(kd, weights[0]), weights, np.full(kd + n, weights[-1])))
+    return as_strided(padded, (2 * kd + 1, n), padded.strides * 2, writeable=False)
+
+
 @dataclass(frozen=True, eq=False)
 class RealizedOperator:
     """Real matrix M on band-order coordinates, held as its band win[t, q] =
@@ -167,21 +176,43 @@ class RealizedOperator:
         storage over the band order: entry [s, q] is (G^T G)[q + s, q].
 
         Diagonal s of the Gram sums win[t, q] win[t - s, q + s] over the rows
-        the two windows share; diagonals that come out zero are dropped.
+        the two windows share; diagonals that come out zero are dropped, into
+        an array of their own.  Columns that _known_gram already holds, all
+        but the last width, are copied from it.
         """
-        rows, inside = _window(self.n_in, self.n_out, len(self.win) // 2)
-        n = rows.shape[1]
-        w_out = _graded_weights(self.n_out, m_out)
-        w_in = _graded_weights(self.n_in, m_in)
-        win = np.where(inside, self.win * w_out[rows], 0.0) / w_in
-        width = len(self.win)
+        known = self._known_gram(m_out, m_in)
+        if known.shape[1] == self.win.shape[1]:
+            return known
+        w_out = _by_row(_graded_weights(self.n_out, m_out), self.win)
+        win = self.win * w_out / _graded_weights(self.n_in, m_in)
+        width, n = win.shape
+        start = max(min(known.shape[1], n) - width, 0)
         ab = np.zeros((min(width, n), n))
+        ab[:len(known), :start] = known[:len(ab), :start]
         for shift in range(ab.shape[0]):
-            ab[shift, :n - shift] = np.einsum(
-                "tq,tq->q", win[shift:, :n - shift], win[:width - shift, shift:]
+            ab[shift, start:n - shift] = np.einsum(
+                "tq,tq->q", win[shift:, start:n - shift], win[:width - shift, start + shift:]
             )
         used = np.flatnonzero(ab.any(axis=1))
-        return ab[: used[-1] + 1 if used.size else 1]
+        return ab[: used[-1] + 1 if used.size else 1].copy()
+
+    def _known_gram(self, m_out, m_in):
+        """A Gram that holds all but the last columns of this one's: none (see Truncation)."""
+        return np.zeros((0, 0))
+
+    @cached_property
+    def _last_gram(self):
+        """{grading: gram_band} of the last grading that a Truncation read."""
+        return {}
+
+    def leading(self, n_modes):
+        """The square truncation to modes |l|, |m| <= n_modes: a leading block
+        in the band order, with the band width an assembly at n_modes has."""
+        kd = len(self.win) // 2
+        cut = min(kd, 4 * n_modes + 1)  # an assembly's cap, 2(2 n_modes + 1) - 1
+        rows, inside = _window(n_modes, n_modes, cut)
+        win = np.where(inside, self.win[kd - cut:kd + cut + 1, :rows.shape[1]], 0.0)
+        return Truncation(win, n_modes, n_modes, self)
 
     def operator_norm(self, m_out=0.0, m_in=0.0):
         """sigma_max of the graded matrix: the square root of the top
@@ -238,6 +269,24 @@ class RealizedOperator:
         """All singular values by dense SVD: the test oracle for the banded
         spectral diagnostics."""
         return np.linalg.svd(self.matrix, compute_uv=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Truncation(RealizedOperator):
+    """A leading block of whole.  Its window and its Gram at a grading hold
+    the floats of an assembly at its size: the Gram is whole's, which whole
+    keeps for the last grading read, but for the last width columns, where
+    the block drops rows, summed afresh by the same loop."""
+
+    whole: RealizedOperator
+
+    def _known_gram(self, m_out, m_in):
+        memo = self.whole._last_gram
+        if (m_out, m_in) not in memo:
+            memo.clear()
+            memo[m_out, m_in] = self.whole.gram_band(m_out, m_in)
+            memo[m_out, m_in].setflags(write=False)  # the widest block reads it as its own
+        return memo[m_out, m_in]
 
 
 # -- the multiplier pair and its defect ----------------------------------------------
@@ -325,9 +374,8 @@ def realize_t(data, n_modes, n_out=None):
     """T as L with columns scaled by -m^2 and rows by T_SYMBOL_SCALE (l^2+1)^{-3/4}."""
     n_out = n_modes if n_out is None else n_out
     win = realize_l(data, n_modes, n_out).win
-    rows, _ = _window(n_modes, n_out, len(win) // 2)
     l_out = _modes(n_out).astype(float)
-    win *= (T_SYMBOL_SCALE * (l_out**2 + 1.0) ** (-0.75))[rows]
+    win *= _by_row(T_SYMBOL_SCALE * (l_out**2 + 1.0) ** (-0.75), win)
     win *= -_modes(n_modes).astype(float) ** 2
     return RealizedOperator(win, n_modes, n_out)
 
@@ -342,13 +390,10 @@ def loss_of_regularity_profile(data, n_values=(12, 24, 48, 96)):
     exponent_2_to_2 and exponent_2_to_32.
     """
     n_values = np.asarray(sorted(n_values))
-    n22, n232 = [], []
-    for n in n_values:
-        op = realize_t(data, int(n), int(n))
-        n22.append(op.operator_norm(2.0, 2.0))
-        n232.append(op.operator_norm(1.5, 2.0))
-        del op  # so that it is not held while the next, larger one is built
-    n22, n232 = np.array(n22), np.array(n232)
+    whole = realize_t(data, int(n_values[-1]))
+    # one grading after the other, so that whole keeps one Gram at a time
+    n22, n232 = (np.array([whole.leading(int(n)).operator_norm(m_out, 2.0) for n in n_values])
+                 for m_out in (2.0, 1.5))
     logn = np.log(n_values.astype(float))
     e22 = fit_line(logn, np.log(n22))[0]
     e232 = fit_line(logn, np.log(n232))[0]
@@ -378,9 +423,10 @@ def fredholm_diagnostics(data, truncations=(16, 24, 32)):
     kernel_dim (the last count), index and stable.
     """
     dims, gaps, warm = [], [], None
+    whole = realize_l(data, int(max(truncations)))
     for n in truncations:
         sigma_max, kernel, sigma_next, warm = certified_spectrum(
-            realize_l(data, int(n)), KERNEL_REL_THRESHOLD, warm
+            whole.leading(int(n)), KERNEL_REL_THRESHOLD, warm
         )
         dims.append(kernel)
         gaps.append(sigma_next / sigma_max)

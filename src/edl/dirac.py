@@ -334,9 +334,10 @@ class LeadingData:
     d: FourierSeries1D
 
     def __post_init__(self):
-        if self.nondegeneracy_min() <= 1e-12:
+        if self.nondegeneracy_min <= 1e-12:
             raise ValueError("degenerate leading data: min |c|^2+|d|^2 vanishes")
 
+    @cached_property
     def nondegeneracy_min(self):
         n = max(self.c.n_modes, self.d.n_modes, 1)
         n_pts = max(256, 16 * n)  # divisible by 4 so quarter-period zeros are sampled

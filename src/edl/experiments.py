@@ -301,7 +301,7 @@ def random_nondegenerate_data(rng):
             data = LeadingData(c, d)
         except ValueError:
             continue
-        if data.nondegeneracy_min() > 0.35:
+        if data.nondegeneracy_min > 0.35:
             return data
 
 
@@ -326,8 +326,9 @@ def run_deform_op(cfg):
     _check(failures, gap > 1e-3,
            f"constant data complement margin {gap:.2e} too small")
     generic = random_nondegenerate_data(rng)
-    defect_norms = [ll_star_defect_operator(generic, int(n)).operator_norm(1.0, 0.0)
-                    for n in truncations]
+    defect = ll_star_defect_operator(generic, max(truncations))
+    defect_norms = [defect.leading(n).operator_norm(1.0, 0.0) for n in truncations]
+    del defect  # and its Gram
     spread = max(defect_norms) / max(min(defect_norms), 1e-300)
     _check(failures, spread < 2.0,
            f"composition defect norms vary by {spread:.2f} across truncations")

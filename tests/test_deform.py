@@ -139,12 +139,11 @@ def bisection_top(ab):
     return hi
 
 
-def test_default_norms_match_bisection_bitwise(monkeypatch):
-    # the 11 graded norms of a default deform-op run, 3 defect norms and 8
-    # of the loss profile, each normed from its own band: each ends on the
-    # float the bisection ends on, one float above its certified lower end,
-    # and they take at most 12 factorizations each on average (the bisection
-    # took about 52)
+def assert_norms_match_bisection(monkeypatch, seed):
+    """Run a default deform-op at seed: each of its 11 graded norms, 3 defect
+    norms and 8 of the loss profile, ends on the float the bisection ends on,
+    one float above its certified lower end, and they take at most 12
+    factorizations each on average (the bisection took about 52)."""
     factorizations, norms = [0], []
     real_dpbtrf, real_top = bandeig.dpbtrf, deform.top_eigenvalue
 
@@ -160,12 +159,78 @@ def test_default_norms_match_bisection_bitwise(monkeypatch):
 
     monkeypatch.setattr(bandeig, "dpbtrf", counted)
     monkeypatch.setattr(deform, "top_eigenvalue", recorded)
-    assert run_deform_op(build_config("deform-op")).passed
+    assert run_deform_op(build_config("deform-op", {"seed": seed})).passed
     assert len(norms) == 11
     for ab, top, lower, _ in norms:
         assert top == bisection_top(ab)
         assert lower == np.nextafter(top, -np.inf)
     assert sum(count for *_, count in norms) <= 12 * len(norms)
+
+
+def test_default_norms_match_bisection_bitwise(monkeypatch):
+    # each norm is taken from the Gram of its own truncation
+    assert_norms_match_bisection(monkeypatch, build_config("deform-op").seed)
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_norms_match_bisection_where_inverse_runs_could_stop_early(monkeypatch, seed):
+    # at these seeds one shift-and-invert run of each defect norm passes the
+    # residual test at step 3, where checks at steps 2 to 6 stopped it;
+    # extracting the Ritz pair once, after all INVERSE_STEPS steps, changes
+    # the shifts but not the floats the norms end on
+    assert_norms_match_bisection(monkeypatch, seed)
+
+
+def test_deform_op_builds_each_band_and_gram_once(monkeypatch):
+    # a default run assembles L once per data set (6 samples and the constant
+    # data), T and the defect once each, at their widest truncations, and
+    # reads the others as leading blocks: 9 assemblies, where one per
+    # truncation made 28.  Of the 32 Grams it reads, the 10 of a widest
+    # truncation are summed in full and the 22 others sum only the corner
+    # where the truncation drops rows.  Each of the 37 shift-and-invert runs
+    # extracts its Ritz pair once, by one dstev and one dstemr: 143 dstev and
+    # 249 dstemr calls in all, where checks at steps 2 to 6 made 291 and 582
+    counts = {"_assemble": 0, "dstev": 0, "dstemr": 0, "full": 0}
+    corners, inverse_runs = [], []
+    real = {"_assemble": deform._assemble, "dstev": bandeig.dstev,
+            "dstemr": bandeig.dstemr, "_lanczos": bandeig._lanczos}
+    gram = RealizedOperator.gram_band
+
+    def counted(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            if inverse_runs and inverse_runs[-1]["open"]:
+                inverse_runs[-1][name] += 1
+            return real[name](*args, **kwargs)
+        return call
+
+    def lanczos(matvec, start, lowest, *max_steps):
+        if not lowest:
+            inverse_runs.append({"open": True, "dstev": 0, "dstemr": 0})
+        try:
+            return real["_lanczos"](matvec, start, lowest, *max_steps)
+        finally:
+            if not lowest:
+                inverse_runs[-1]["open"] = False
+
+    def read(self, *grading):
+        if isinstance(self, deform.Truncation):
+            corners.append(self.win.shape[1] < self.whole.win.shape[1])
+        else:
+            counts["full"] += 1
+        return gram(self, *grading)
+
+    monkeypatch.setattr(deform, "_assemble", counted("_assemble"))
+    for name in ("dstev", "dstemr"):
+        monkeypatch.setattr(bandeig, name, counted(name))
+    monkeypatch.setattr(bandeig, "_lanczos", lanczos)
+    monkeypatch.setattr(RealizedOperator, "gram_band", read)
+    assert run_deform_op(build_config("deform-op")).passed
+    assert counts["_assemble"] == 9
+    assert (counts["full"], len(corners), sum(corners)) == (10, 32, 22)
+    assert len(inverse_runs) == 37
+    assert all(run["dstev"] == run["dstemr"] == 1 for run in inverse_runs)
+    assert (counts["dstev"], counts["dstemr"]) == (143, 249)
 
 
 def test_ll_star_defect_norm_uniform_in_truncation():

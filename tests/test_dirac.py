@@ -380,7 +380,7 @@ def test_adjointness_flags_axis_boundary_term():
 
 def test_leading_data_nondegeneracy():
     good = LeadingData.constant(1.0, 0.5j)
-    assert good.nondegeneracy_min() > 1.2
+    assert good.nondegeneracy_min > 1.2
     ms = multiply(good.c, good.c.conjugate()) + multiply(good.d, good.d.conjugate())
     assert abs(ms.coeff(0) - 1.25) < 1e-14
     with pytest.raises(ValueError):

@@ -338,6 +338,30 @@ def test_banded_spectra_match_dense_oracles(seed, n):
             assert op.count_singular_values_below(0.5 * (sv[i] + sv[i + 1])) == i + 1
 
 
+def same_floats(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(seeds, st.integers(0, 64), st.integers(0, 96))
+def test_leading_blocks_are_the_fresh_truncations_bitwise(seed, n, extra):
+    # the Fredholm truncations, the loss profile and the defect norms read
+    # each truncation off the band of the widest one and its Gram from the
+    # widest Gram: both must be the floats a fresh assembly at n gives,
+    # band width and trailing zero diagonals dropped included; the constant
+    # (1, 1) data give a diagonal Gram
+    lead, _ = seeded_leading_data(seed)
+    builds = ((realize_l, ((0.0, 0.0),)), (realize_t, ((2.0, 2.0), (1.5, 2.0))),
+              (ll_star_defect_operator, ((1.0, 0.0),)))
+    for data in (lead, LeadingData.constant(1.0, 1.0)):
+        for build, gradings in builds:
+            block, fresh = build(data, n + extra).leading(n), build(data, n)
+            assert (block.n_in, block.n_out) == (fresh.n_in, fresh.n_out)
+            assert same_floats(block.win, fresh.win)
+            for grading in gradings:
+                assert same_floats(block.gram_band(*grading), fresh.gram_band(*grading))
+
+
 @PROPERTY
 @given(seeds, st.integers(0, 64))
 def test_certified_extremes_match_dense_eigvalsh(seed, n):
